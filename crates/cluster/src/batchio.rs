@@ -1,5 +1,6 @@
-//! Host-side glue for the engine-level [`Coalescer`]: lowering a flush
-//! onto the wire and recording the batching telemetry.
+//! Host-side glue for the engine-level [`Coalescer`]: staging a frame or
+//! sending it directly, lowering a flush onto the wire and recording the
+//! batching telemetry.
 //!
 //! The coalescing *decisions* (which frames ride together, when a lane
 //! flushes) live in `bluedove_engine::batch` so the simulator makes the
@@ -8,9 +9,11 @@
 //! into.
 
 use crate::proto::ControlMsg;
-use bluedove_engine::{Flush, FlushReason};
+use bluedove_core::Time;
+use bluedove_engine::{Coalescer, Flush, FlushReason};
 use bluedove_net::{to_bytes, Transport};
 use bluedove_telemetry::{Counter, Histogram, Registry};
+use std::time::Duration;
 
 /// Telemetry handles for one component's coalescer (dispatchers and
 /// matchers register their own `component` label).
@@ -20,6 +23,8 @@ pub struct BatchMetrics {
     frames: Histogram,
     /// Flushes triggered by the lane reaching `max_batch`.
     size: Counter,
+    /// Flushes triggered by the node running out of input.
+    idle: Counter,
     /// Flushes triggered by the oldest staged frame aging out.
     deadline: Counter,
     /// Flushes the host forced (shutdown, ordering barriers, dead peers).
@@ -47,6 +52,7 @@ impl BatchMetrics {
                 &labels,
             ),
             size: reason("size"),
+            idle: reason("idle"),
             deadline: reason("deadline"),
             explicit: reason("explicit"),
         }
@@ -57,6 +63,7 @@ impl BatchMetrics {
         self.frames.observe_us(n as u64);
         match reason {
             FlushReason::Size => self.size.inc(),
+            FlushReason::Idle => self.idle.inc(),
             FlushReason::Deadline => self.deadline.inc(),
             FlushReason::Explicit => self.explicit.inc(),
         }
@@ -89,6 +96,34 @@ pub fn send_flush(
         .is_ok()
 }
 
+/// Hands `frame` to the coalescer — or, with batching off, straight to
+/// the transport, so the batch metrics record real coalescer flushes
+/// only. Returns `false` only when the call sent something (the frame
+/// alone, or the size flush it completed) and the transport refused it.
+pub fn stage_or_send(
+    transport: &dyn Transport,
+    metrics: &BatchMetrics,
+    batcher: &mut Coalescer<ControlMsg>,
+    now: Time,
+    addr: &str,
+    frame: ControlMsg,
+) -> bool {
+    if !batcher.cfg().enabled() {
+        return transport.send(addr, to_bytes(&frame).freeze()).is_ok();
+    }
+    match batcher.push(now, addr, frame) {
+        Some(flush) => send_flush(transport, metrics, flush),
+        None => true,
+    }
+}
+
+/// How long a host may block before `deadline` (host-clock seconds) is
+/// due, at most `cap`. A deadline too far off to express — size-only
+/// flushing has `max_delay = +inf` — is `cap` away.
+pub fn wake_in(deadline: Time, now: Time, cap: Duration) -> Duration {
+    Duration::try_from_secs_f64((deadline - now).max(0.0)).map_or(cap, |d| d.min(cap))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,6 +137,19 @@ mod tests {
             f,
             ControlMsg::Batch(vec![ControlMsg::Shutdown, ControlMsg::Leave])
         );
+    }
+
+    #[test]
+    fn wake_in_caps_deadlines_no_duration_can_hold() {
+        let cap = Duration::from_millis(50);
+        assert_eq!(
+            wake_in(1.010, 1.0, cap),
+            Duration::from_secs_f64(1.010 - 1.0)
+        );
+        assert_eq!(wake_in(0.5, 1.0, cap), Duration::ZERO);
+        assert_eq!(wake_in(9.0, 1.0, cap), cap);
+        assert_eq!(wake_in(Time::INFINITY, 1.0, cap), cap);
+        assert_eq!(wake_in(Duration::MAX.as_secs_f64(), 1.0, cap), cap);
     }
 
     #[test]

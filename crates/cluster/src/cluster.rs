@@ -249,8 +249,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Longest a staged hot-path frame waits for company before a
-    /// deadline flush.
+    /// Longest a staged hot-path frame waits for company — the bound for
+    /// a node that never idles; one that runs out of input flushes at
+    /// once.
     pub fn max_delay(mut self, d: Duration) -> Self {
         self.engine.batch.max_delay = d.as_secs_f64();
         self

@@ -11,26 +11,26 @@
 //! cluster's counters and histograms. The simulator drives the *same*
 //! engine under virtual time (see `bluedove_sim::cluster`).
 
-use crate::batchio::{send_flush, BatchMetrics};
+use crate::batchio::{send_flush, stage_or_send, wake_in, BatchMetrics};
 use crate::proto::ControlMsg;
 use crate::shared::{ReliabilityConfig, Shared};
 use bluedove_baselines::AnyStrategy;
-use bluedove_core::{ForwardingPolicy, MatcherId, MessageId, SubscriberId, SubscriptionId};
+use bluedove_core::{ForwardingPolicy, MatcherId, MessageId, SubscriberId, SubscriptionId, Time};
 use bluedove_engine::{
     BatchCfg, Coalescer, DispatcherEffect, DispatcherEngine, DispatcherEngineConfig,
-    DispatcherEvent, DispatcherOut, DispatcherPort,
+    DispatcherEvent, DispatcherOut, DispatcherPort, Flush,
 };
 use bluedove_net::{from_bytes_shared, to_bytes, Transport};
 use bluedove_telemetry::{Counter, Histogram};
 use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Per-dispatcher runtime configuration.
 pub struct DispatcherNodeConfig {
@@ -159,15 +159,19 @@ impl DispatcherMetrics {
 /// With batching on, `Match` frames are staged in the coalescer instead
 /// of sent; a size-triggered flush still reports the transport result
 /// synchronously (the flush contains the frame just pushed), while a
-/// later deadline flush that fails is surfaced by queueing the matcher
-/// onto `failed` — the run loop turns those into `MatcherDown` events,
-/// and the ack ledger re-forwards whatever the lost batch carried.
+/// later idle or deadline flush that fails is surfaced by queueing the
+/// matcher onto `failed` — the run loop turns those into `MatcherDown`
+/// events, and the ack ledger re-forwards whatever the lost batch
+/// carried.
 struct HostPort<'a> {
     shared: &'a Arc<Shared>,
     transport: &'a Arc<dyn Transport>,
     metrics: &'a DispatcherMetrics,
     /// This dispatcher's own address, stamped as `ack_to` on acked sends.
     self_addr: &'a str,
+    /// Host-clock time of the event being handled (the stage time of
+    /// whatever it forwards).
+    now: Time,
     /// Per-matcher-address coalescer for `Match` frames.
     batcher: &'a mut Coalescer<ControlMsg>,
     batch_metrics: &'a BatchMetrics,
@@ -182,22 +186,23 @@ impl DispatcherPort for HostPort<'_> {
     fn send(&mut self, to: MatcherId, addr: &str, out: DispatcherOut) -> bool {
         let wire = ControlMsg::from_dispatcher_out(out, self.self_addr);
         match wire {
-            m @ ControlMsg::MatchMsg { .. } if self.batcher.cfg().enabled() => {
-                self.lane_matcher.insert(addr.to_string(), to);
-                match self.batcher.push(self.shared.now(), addr, m) {
-                    Some(flush) => {
-                        // The just-pushed frame rides this flush, so the
-                        // transport result is its synchronous send result.
-                        let ok = send_flush(self.transport.as_ref(), self.batch_metrics, flush);
-                        if !ok {
-                            // The flush also carried earlier frames;
-                            // recover them through the ledger.
-                            self.failed.push(to);
-                        }
-                        ok
-                    }
-                    None => true,
+            m @ ControlMsg::MatchMsg { .. } => {
+                // A refused size flush is this frame's synchronous send
+                // result: the engine fails over, and the ledger recovers
+                // the earlier frames the flush also carried.
+                let lanes = self.batcher.lanes();
+                let ok = stage_or_send(
+                    self.transport.as_ref(),
+                    self.batch_metrics,
+                    self.batcher,
+                    self.now,
+                    addr,
+                    m,
+                );
+                if self.batcher.lanes() > lanes {
+                    self.lane_matcher.insert(addr.to_string(), to);
                 }
+                ok
             }
             m => {
                 // Control frames stay synchronous (their send result
@@ -255,182 +260,234 @@ impl DispatcherPort for HostPort<'_> {
     }
 }
 
+/// Longest the run loop blocks whatever its timers say.
+const MAX_WAIT: Duration = Duration::from_millis(50);
+
+/// One dispatcher's run-loop state.
+struct Node {
+    addr: String,
+    shared: Arc<Shared>,
+    transport: Arc<dyn Transport>,
+    metrics: DispatcherMetrics,
+    engine: DispatcherEngine,
+    /// Pull-target selection draws from its own stream so host-side
+    /// scheduling never perturbs the engine's (replayable) rng.
+    pull_rng: StdRng,
+    table_pull_interval: Time,
+    /// Host-clock time of the next table pull.
+    next_pull: Time,
+    batch_metrics: BatchMetrics,
+    batcher: Coalescer<ControlMsg>,
+    lane_matcher: HashMap<String, MatcherId>,
+    failed: Vec<MatcherId>,
+}
+
+impl Node {
+    fn new(cfg: DispatcherNodeConfig, shared: Arc<Shared>, transport: Arc<dyn Transport>) -> Self {
+        let table_pull_interval = cfg.table_pull_interval.as_secs_f64();
+        Node {
+            metrics: DispatcherMetrics::register(&shared, cfg.policy.name()),
+            engine: DispatcherEngine::new(DispatcherEngineConfig {
+                policy: cfg.policy,
+                seed: cfg.seed,
+                retry: cfg.reliability.retry_policy(),
+                version: cfg.bootstrap.version,
+                strategy: cfg.bootstrap.strategy,
+                addrs: cfg.bootstrap.addrs,
+            }),
+            pull_rng: StdRng::seed_from_u64(cfg.seed ^ 0xD15),
+            table_pull_interval,
+            next_pull: shared.now() + table_pull_interval,
+            batch_metrics: BatchMetrics::register(&shared.telemetry, "dispatcher"),
+            batcher: Coalescer::new(cfg.batch),
+            lane_matcher: HashMap::new(),
+            failed: Vec::new(),
+            addr: cfg.addr,
+            shared,
+            transport,
+        }
+    }
+
+    /// Feeds one event to the engine, then surfaces whatever flush
+    /// failures it met as `MatcherDown`, promptly, so the rest of a batch
+    /// routes around the dead matcher.
+    fn feed(&mut self, now: Time, event: DispatcherEvent) {
+        let mut port = HostPort {
+            shared: &self.shared,
+            transport: &self.transport,
+            metrics: &self.metrics,
+            self_addr: &self.addr,
+            now,
+            batcher: &mut self.batcher,
+            batch_metrics: &self.batch_metrics,
+            lane_matcher: &mut self.lane_matcher,
+            failed: &mut self.failed,
+        };
+        self.engine.on_event(now, event, &mut port);
+        while let Some(m) = port.failed.pop() {
+            self.engine
+                .on_event(now, DispatcherEvent::MatcherDown(m), &mut port);
+        }
+    }
+
+    /// Sends flushes made outside an engine `send`; a refused one queues
+    /// its matcher on `failed`.
+    fn send_flushes(&mut self, flushes: Vec<Flush<ControlMsg>>) {
+        for flush in flushes {
+            let target = self.lane_matcher.get(&flush.dest).copied();
+            if !send_flush(self.transport.as_ref(), &self.batch_metrics, flush) {
+                self.failed.extend(target);
+            }
+        }
+    }
+
+    /// Whether [`Self::upkeep`] has anything to do at `now`. Three
+    /// comparisons against a clock reading the caller already holds, so a
+    /// busy node can ask after every frame.
+    fn timer_due(&self, now: Time) -> bool {
+        let due = |deadline: Option<Time>| deadline.is_some_and(|d| d <= now);
+        now >= self.next_pull
+            || due(self.engine.next_deadline())
+            || due(self.batcher.next_deadline())
+    }
+
+    /// The timer work: the periodic table pull, the engine's retransmit
+    /// timers and suspicion expiry, and the coalescer's flushes — every
+    /// lane when the node is `idle` (nothing else is left to do), and in
+    /// any case the lanes whose oldest frame has waited `max_delay`.
+    fn upkeep(&mut self, now: Time, idle: bool) {
+        // Periodic table pull from a random live matcher (§III-C).
+        if now >= self.next_pull {
+            let live = self.engine.live_addrs(now);
+            if !live.is_empty() {
+                let target = &live[self.pull_rng.gen_range(0..live.len())];
+                let pull = ControlMsg::TablePull {
+                    reply_to: self.addr.clone(),
+                };
+                let _ = self.transport.send(target, to_bytes(&pull).freeze());
+            }
+            self.next_pull += self.table_pull_interval;
+        }
+        // Before the flushes: a retransmission staged here leaves with them.
+        self.feed(now, DispatcherEvent::Tick);
+        if idle {
+            let flushes = self.batcher.drain_idle();
+            self.send_flushes(flushes);
+        }
+        let flushes = self.batcher.poll(now);
+        self.send_flushes(flushes);
+        if let Some(m) = self.failed.pop() {
+            self.feed(now, DispatcherEvent::MatcherDown(m));
+        }
+    }
+
+    /// The inbox ran dry: does the upkeep an idle node owes, so nothing
+    /// staged and no failed flush waits out the sleep, and returns how
+    /// long the node may block — until the next pull or retransmit
+    /// deadline (no coalescer deadline is pending once it is drained).
+    fn idle(&mut self) -> Duration {
+        let now = self.shared.now();
+        self.upkeep(now, true);
+        let pull = wake_in(self.next_pull, now, MAX_WAIT);
+        match self.engine.next_deadline() {
+            Some(deadline) => wake_in(deadline, now, pull),
+            None => pull,
+        }
+    }
+
+    /// Handles one decoded frame (a batch, frame by frame); `false` on
+    /// `Shutdown`.
+    fn handle(&mut self, now: Time, msg: ControlMsg) -> bool {
+        let shared = &self.shared;
+        let event = match msg {
+            ControlMsg::Batch(inner) => return inner.into_iter().all(|m| self.handle(now, m)),
+            ControlMsg::Subscribe(mut sub) => {
+                sub.id = SubscriptionId(shared.next_sub_id.fetch_add(1, Ordering::Relaxed));
+                DispatcherEvent::Subscribe(sub)
+            }
+            ControlMsg::Publish(mut m) => {
+                m.id = MessageId(shared.next_msg_id.fetch_add(1, Ordering::Relaxed));
+                shared.counters.published.inc();
+                DispatcherEvent::Publish {
+                    msg: m,
+                    admitted_us: shared.now_us(),
+                }
+            }
+            ControlMsg::Unsubscribe(sub) => DispatcherEvent::Unsubscribe(sub),
+            ControlMsg::MatchAck {
+                msg_id,
+                matcher,
+                actual_us,
+            } => DispatcherEvent::MatchAck {
+                msg_id,
+                matcher,
+                actual_us,
+            },
+            ControlMsg::LoadReport {
+                matcher,
+                dim,
+                stats,
+            } => DispatcherEvent::LoadReport {
+                matcher,
+                dim,
+                stats,
+            },
+            // Sub-log leader epochs ride the same monotone table path, but
+            // dispatcher routing stays address-driven: a failed send is
+            // the failover trigger, not an epoch comparison.
+            ControlMsg::TableState {
+                version,
+                strategy: Some(strategy),
+                addrs,
+                epochs: _,
+            } => DispatcherEvent::TableUpdate {
+                version,
+                strategy,
+                addrs,
+            },
+            ControlMsg::Shutdown => return false,
+            _ => return true,
+        };
+        self.feed(now, event);
+        true
+    }
+}
+
 fn run(
     cfg: DispatcherNodeConfig,
     shared: Arc<Shared>,
     transport: Arc<dyn Transport>,
     rx: Receiver<Bytes>,
 ) {
-    let metrics = DispatcherMetrics::register(&shared, cfg.policy.name());
-    let mut engine = DispatcherEngine::new(DispatcherEngineConfig {
-        policy: cfg.policy,
-        seed: cfg.seed,
-        retry: cfg.reliability.retry_policy(),
-        version: cfg.bootstrap.version,
-        strategy: cfg.bootstrap.strategy,
-        addrs: cfg.bootstrap.addrs,
-    });
-    // Pull-target selection draws from its own stream so host-side
-    // scheduling never perturbs the engine's (replayable) rng.
-    let mut pull_rng = StdRng::seed_from_u64(cfg.seed ^ 0xD15);
-    let mut next_pull = Instant::now() + cfg.table_pull_interval;
-    let batch_metrics = BatchMetrics::register(&shared.telemetry, "dispatcher");
-    let mut batcher: Coalescer<ControlMsg> = Coalescer::new(cfg.batch);
-    let mut lane_matcher: HashMap<String, MatcherId> = HashMap::new();
-    let mut failed: Vec<MatcherId> = Vec::new();
-
+    let mut node = Node::new(cfg, shared, transport);
     loop {
-        let now = shared.now();
-        // Deadline flushes: staged frames whose oldest entry aged out.
-        for flush in batcher.poll(now) {
-            let target = lane_matcher.get(&flush.dest).copied();
-            if !send_flush(transport.as_ref(), &batch_metrics, flush) {
-                if let Some(m) = target {
-                    failed.push(m);
-                }
-            }
-        }
-        // Periodic table pull from a random live matcher (§III-C).
-        if Instant::now() >= next_pull {
-            let live = engine.live_addrs(now);
-            if !live.is_empty() {
-                let target = &live[pull_rng.gen_range(0..live.len())];
-                let pull = ControlMsg::TablePull {
-                    reply_to: cfg.addr.clone(),
-                };
-                let _ = transport.send(target, to_bytes(&pull).freeze());
-            }
-            next_pull += cfg.table_pull_interval;
-        }
-        // Fire due retransmit timers and purge expired suspicions.
-        {
-            let mut port = HostPort {
-                shared: &shared,
-                transport: &transport,
-                metrics: &metrics,
-                self_addr: &cfg.addr,
-                batcher: &mut batcher,
-                batch_metrics: &batch_metrics,
-                lane_matcher: &mut lane_matcher,
-                failed: &mut failed,
-            };
-            engine.on_event(now, DispatcherEvent::Tick, &mut port);
-            while let Some(m) = port.failed.pop() {
-                engine.on_event(now, DispatcherEvent::MatcherDown(m), &mut port);
-            }
-        }
-
-        // Sleep until traffic, the next pull, the next engine deadline or
-        // the next coalescer flush deadline.
-        let mut timeout = next_pull
-            .saturating_duration_since(Instant::now())
-            .min(Duration::from_millis(50));
-        let engine_deadline = engine.next_deadline();
-        for deadline in engine_deadline.iter().chain(batcher.next_deadline().iter()) {
-            let wake = Duration::from_secs_f64((deadline - shared.now()).max(0.0));
-            timeout = timeout.min(wake);
-        }
-        let payload = match rx.recv_timeout(timeout) {
+        // Frames are taken back to back while there are any; only an
+        // empty inbox pays for the idle upkeep and a timed wait.
+        let payload = match rx.try_recv() {
             Ok(p) => p,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
+            Err(TryRecvError::Disconnected) => break,
+            Err(TryRecvError::Empty) => match rx.recv_timeout(node.idle()) {
+                Ok(p) => p,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
+            },
         };
         // Zero-copy decode: a `Publish` payload stays a window into the
         // received frame's allocation from here to delivery.
         let Ok(msg) = from_bytes_shared::<ControlMsg>(payload) else {
             continue;
         };
-        let now = shared.now();
-        let mut shutdown = false;
-        {
-            let mut port = HostPort {
-                shared: &shared,
-                transport: &transport,
-                metrics: &metrics,
-                self_addr: &cfg.addr,
-                batcher: &mut batcher,
-                batch_metrics: &batch_metrics,
-                lane_matcher: &mut lane_matcher,
-                failed: &mut failed,
-            };
-            let step =
-                |msg: ControlMsg, engine: &mut DispatcherEngine, port: &mut HostPort<'_>| -> bool {
-                    let event = match msg {
-                        ControlMsg::Subscribe(mut sub) => {
-                            sub.id =
-                                SubscriptionId(shared.next_sub_id.fetch_add(1, Ordering::Relaxed));
-                            DispatcherEvent::Subscribe(sub)
-                        }
-                        ControlMsg::Publish(mut m) => {
-                            m.id = MessageId(shared.next_msg_id.fetch_add(1, Ordering::Relaxed));
-                            shared.counters.published.inc();
-                            DispatcherEvent::Publish {
-                                msg: m,
-                                admitted_us: shared.now_us(),
-                            }
-                        }
-                        ControlMsg::Unsubscribe(sub) => DispatcherEvent::Unsubscribe(sub),
-                        ControlMsg::MatchAck {
-                            msg_id,
-                            matcher,
-                            actual_us,
-                        } => DispatcherEvent::MatchAck {
-                            msg_id,
-                            matcher,
-                            actual_us,
-                        },
-                        ControlMsg::LoadReport {
-                            matcher,
-                            dim,
-                            stats,
-                        } => DispatcherEvent::LoadReport {
-                            matcher,
-                            dim,
-                            stats,
-                        },
-                        // Sub-log leader epochs ride the same monotone
-                        // table path, but dispatcher routing stays
-                        // address-driven: a failed send is the failover
-                        // trigger, not an epoch comparison.
-                        ControlMsg::TableState {
-                            version,
-                            strategy: Some(strategy),
-                            addrs,
-                            epochs: _,
-                        } => DispatcherEvent::TableUpdate {
-                            version,
-                            strategy,
-                            addrs,
-                        },
-                        ControlMsg::Shutdown => return false,
-                        _ => return true,
-                    };
-                    engine.on_event(now, event, port);
-                    // Surface flush failures promptly so the rest of a batch
-                    // routes around the dead matcher.
-                    while let Some(m) = port.failed.pop() {
-                        engine.on_event(now, DispatcherEvent::MatcherDown(m), port);
-                    }
-                    true
-                };
-            match msg {
-                ControlMsg::Batch(inner) => {
-                    for m in inner {
-                        if !step(m, &mut engine, &mut port) {
-                            shutdown = true;
-                            break;
-                        }
-                    }
-                }
-                m => shutdown = !step(m, &mut engine, &mut port),
-            }
-        }
-        if shutdown {
+        let now = node.shared.now();
+        if !node.handle(now, msg) {
             break;
+        }
+        // A node that never idles still owes its timers.
+        if node.timer_due(now) {
+            node.upkeep(now, false);
         }
     }
     // Orderly exit: whatever is still staged goes out best-effort.
-    for flush in batcher.flush_all() {
-        let _ = send_flush(transport.as_ref(), &batch_metrics, flush);
+    for flush in node.batcher.flush_all() {
+        let _ = send_flush(node.transport.as_ref(), &node.batch_metrics, flush);
     }
 }

@@ -10,12 +10,12 @@
 //! engine stays out of: the §III-C gossip mesh, table copy/pull serving,
 //! telemetry rendering, and the elastic hand-over legs.
 
-use crate::batchio::{send_flush, BatchMetrics};
+use crate::batchio::{send_flush, stage_or_send, BatchMetrics};
 use crate::proto::ControlMsg;
 use crate::shared::Shared;
 use crate::sublog::{FollowerOutcome, MatcherLog, ReplicatedAppend, SubLogRecord};
 use bluedove_core::{
-    DimIdx, IndexKind, MatchHit, MatcherId, Message, MessageId, SubscriberId, SubscriptionId,
+    DimIdx, IndexKind, MatchHit, MatcherId, Message, MessageId, SubscriberId, SubscriptionId, Time,
 };
 use bluedove_engine::{BatchCfg, Coalescer, MatcherEngine, MatcherPort};
 use bluedove_net::{from_bytes_shared, to_bytes, Transport};
@@ -228,14 +228,18 @@ impl MatcherTelemetry {
 ///
 /// With batching on, `Deliver` and `MatchAck` frames are staged in the
 /// per-destination coalescer instead of sent; the run loop flushes lanes
-/// on size/deadline. Delivery and ack sends are already fire-and-forget
-/// on this host (a vanished subscriber is not a matcher error, and a
-/// lost ack is recovered by the dispatcher's retransmit ledger), so a
-/// flush failure needs no extra signalling here.
+/// on size, when it runs out of work, and on deadline. Delivery and ack
+/// sends are already fire-and-forget on this host (a vanished subscriber
+/// is not a matcher error, and a lost ack is recovered by the
+/// dispatcher's retransmit ledger), so a flush failure needs no extra
+/// signalling here.
 struct HostPort<'a> {
     id: MatcherId,
     shared: &'a Arc<Shared>,
     transport: &'a Arc<dyn Transport>,
+    /// Host-clock time of the step being served (the stage time of its
+    /// deliveries and ack).
+    now: Time,
     batcher: &'a mut Coalescer<ControlMsg>,
     batch_metrics: &'a BatchMetrics,
 }
@@ -244,9 +248,14 @@ impl HostPort<'_> {
     /// Stages `frame` for `addr` when batching is on, sends it directly
     /// otherwise (or when the push filled the lane).
     fn stage(&mut self, addr: &str, frame: ControlMsg) {
-        if let Some(flush) = self.batcher.push(self.shared.now(), addr, frame) {
-            let _ = send_flush(self.transport.as_ref(), self.batch_metrics, flush);
-        }
+        stage_or_send(
+            self.transport.as_ref(),
+            self.batch_metrics,
+            self.batcher,
+            self.now,
+            addr,
+            frame,
+        );
     }
 }
 
@@ -345,10 +354,6 @@ fn run(
         if crash.load(Ordering::Relaxed) {
             break;
         }
-        // Deadline flushes for staged deliveries and acks.
-        for flush in batcher.poll(shared.now()) {
-            let _ = send_flush(transport.as_ref(), &batch_metrics, flush);
-        }
         // Drain everything pending without blocking.
         while let Ok(payload) = rx.try_recv() {
             match handle(
@@ -375,16 +380,22 @@ fn run(
                 Step::Continue => {}
             }
         }
+        let now = shared.now();
+        // Deadline flushes for staged deliveries and acks: the bound for
+        // a matcher that never idles.
+        for flush in batcher.poll(now) {
+            let _ = send_flush(transport.as_ref(), &batch_metrics, flush);
+        }
         // Serve one queued message (round-robin across dimensions): pop,
         // measure the real match time around the engine's match phase,
         // feed the measurement into µ, then let the engine emit the
         // deliveries and the ack.
         let mut served = false;
-        if let Some(job) = engine.begin_service(shared.now()) {
+        if let Some(job) = engine.begin_service(now) {
             telemetry.queue_wait.observe_us((job.waited * 1e6) as u64);
             hits.clear();
             let started = Instant::now();
-            let _examined = engine.run_match(&job, shared.now(), &mut hits);
+            let _examined = engine.run_match(&job, now, &mut hits);
             let match_elapsed = started.elapsed();
             engine.record_service(job.dim, match_elapsed.as_secs_f64());
             telemetry
@@ -397,6 +408,7 @@ fn run(
                 id: cfg.id,
                 shared: &shared,
                 transport: &transport,
+                now: now + match_elapsed.as_secs_f64(),
                 batcher: &mut batcher,
                 batch_metrics: &batch_metrics,
             };
@@ -405,16 +417,16 @@ fn run(
             served = true;
         }
         if !served {
-            // Idle: block until the next message or the next deadline
-            // (periodic ticks or a staged frame's flush deadline).
-            let mut timeout = next_stats
+            // Idle: the inbox and the queues are empty, so sending what
+            // is staged is the only useful work left. With nothing left
+            // staged, block until the next message or periodic tick.
+            for flush in batcher.drain_idle() {
+                let _ = send_flush(transport.as_ref(), &batch_metrics, flush);
+            }
+            let timeout = next_stats
                 .min(next_gossip)
                 .saturating_duration_since(Instant::now())
                 .min(Duration::from_millis(20));
-            if let Some(deadline) = batcher.next_deadline() {
-                let wake = Duration::from_secs_f64((deadline - shared.now()).max(0.0));
-                timeout = timeout.min(wake);
-            }
             match rx.recv_timeout(timeout) {
                 Ok(payload) => {
                     match handle(
@@ -710,14 +722,16 @@ fn handle_msg(
             admitted_us,
             ack_to,
         } => {
+            let now = shared.now();
             let mut port = HostPort {
                 id: cfg.id,
                 shared,
                 transport,
+                now,
                 batcher,
                 batch_metrics,
             };
-            engine.on_match_msg(shared.now(), dim, msg, admitted_us, ack_to, &mut port);
+            engine.on_match_msg(now, dim, msg, admitted_us, ack_to, &mut port);
         }
         ControlMsg::HandOver {
             dim,

@@ -285,7 +285,7 @@ pub enum ControlMsg {
         records: Vec<crate::sublog::SubLogRecord>,
     },
     /// A coalesced run of frames for one destination, flushed by the
-    /// sender's size/deadline policy (see `bluedove_engine::Coalescer`).
+    /// sender's size/idle/deadline policy (see `bluedove_engine::Coalescer`).
     /// The receiver processes the inner frames in order, exactly as if
     /// they had arrived individually. Invariants enforced by the decoder:
     /// a batch is never empty and never nests another batch.

@@ -701,3 +701,81 @@ fn publish_all_coalesces_the_publish_leg_and_delivers_exactly_once() {
     );
     cluster.shutdown();
 }
+
+/// Flushes of `component`'s coalescer triggered by `reason` so far.
+fn batch_flushes(cluster: &Cluster, component: &str, reason: &str) -> u64 {
+    cluster
+        .telemetry()
+        .counter_value(
+            "bluedove_batch_flush_total",
+            &[("component", component.into()), ("reason", reason.into())],
+        )
+        .unwrap_or(0)
+}
+
+#[test]
+fn idle_node_flushes_at_once_instead_of_waiting_out_max_delay() {
+    let sp = space();
+    // A lone publication can never fill a 64-frame lane, and the deadline
+    // is half a second out on each of the two coalescing hops: only the
+    // idle trigger can deliver it promptly.
+    let mut cluster = Cluster::start(
+        ClusterConfig::new(sp.clone())
+            .matchers(2)
+            .max_batch(64)
+            .max_delay(Duration::from_millis(500)),
+    );
+    let wildcard = cluster
+        .subscribe(Subscription::builder(&sp).build().unwrap())
+        .unwrap();
+    let sent = std::time::Instant::now();
+    cluster
+        .publish(Message::new(vec![1.0, 2.0, 3.0, 4.0]))
+        .unwrap();
+    wildcard
+        .recv_timeout(Duration::from_secs(5))
+        .expect("delivery");
+    let took = sent.elapsed();
+    assert!(
+        took < Duration::from_millis(100),
+        "publish to receipt took {took:?} with nothing else to do"
+    );
+    for component in ["dispatcher", "matcher"] {
+        assert!(
+            batch_flushes(&cluster, component, "idle") > 0,
+            "the {component} never flushed on idle"
+        );
+        assert_eq!(batch_flushes(&cluster, component, "deadline"), 0);
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn size_only_flushing_neither_panics_nor_strands_frames() {
+    let sp = space();
+    // `Duration::MAX` is 2^64 s: no wake-up can be computed from such a
+    // deadline, and no deadline flush will ever fire. The idle trigger
+    // still delivers every frame that does not fill a lane.
+    let mut cluster = Cluster::start(
+        ClusterConfig::new(sp.clone())
+            .matchers(2)
+            .max_batch(8)
+            .max_delay(Duration::MAX),
+    );
+    let wildcard = cluster
+        .subscribe(Subscription::builder(&sp).build().unwrap())
+        .unwrap();
+    const N: usize = 21; // not a multiple of the lane size
+    for i in 0..N {
+        cluster
+            .publish(Message::new(vec![i as f64, 0.0, 0.0, 0.0]))
+            .unwrap();
+    }
+    for i in 0..N {
+        wildcard
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|| panic!("delivery {i} of {N} never arrived"));
+    }
+    assert_eq!(batch_flushes(&cluster, "dispatcher", "deadline"), 0);
+    cluster.shutdown();
+}

@@ -128,7 +128,8 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Longest a staged frame waits for company, in seconds.
+    /// Longest a staged frame waits for company, in seconds (reached only
+    /// when the node never idles).
     pub fn max_delay(mut self, secs: Time) -> Self {
         self.cfg.batch.max_delay = secs;
         self

@@ -1,10 +1,12 @@
 //! Property tests over the hot-path [`Coalescer`]: driven with random
-//! push/poll schedules in virtual time, coalescing must preserve
+//! push/poll/idle schedules in virtual time, coalescing must preserve
 //! per-destination order exactly, never exceed `max_batch`, and never
 //! hold a staged frame past `max_delay` when the host polls at the
-//! deadlines the coalescer itself announces. The deadline is anchored to
-//! the *oldest* staged frame, which is what keeps ack batching from ever
-//! extending the retransmit deadline of the oldest in-flight entry.
+//! deadlines the coalescer itself announces — whether or not the host
+//! ever idles. The deadline is anchored to the *oldest* staged frame,
+//! which is what keeps ack batching from ever extending the retransmit
+//! deadline of the oldest in-flight entry. A brute-force model that
+//! scans its lanes pins every answer of the indexed implementation.
 
 use bluedove_engine::{BatchCfg, Coalescer, FlushReason};
 use proptest::prelude::*;
@@ -26,9 +28,14 @@ type PushedByDest = HashMap<String, Vec<u64>>;
 /// Drives the coalescer exactly like a host: virtual time advances by
 /// `dt` per op, and before every push the driver polls each announced
 /// deadline that has come due (in deadline order, the way a host's
-/// timeout loop fires). Returns every flush with the virtual time it
-/// happened at.
-fn drive(cfg: BatchCfg, ops: &[(f64, u8)]) -> (TimedFlushes, Vec<Frame>, PushedByDest) {
+/// timeout loop fires). After push `i` the host runs out of input when
+/// `idle_after[i]` says so (never, past the slice's end). Returns every
+/// flush with the virtual time it happened at.
+fn drive(
+    cfg: BatchCfg,
+    ops: &[(f64, u8)],
+    idle_after: &[bool],
+) -> (TimedFlushes, Vec<Frame>, PushedByDest) {
     let mut c: Coalescer<Frame> = Coalescer::new(cfg);
     let mut now = 0.0f64;
     let mut flushes = Vec::new();
@@ -56,6 +63,11 @@ fn drive(cfg: BatchCfg, ops: &[(f64, u8)]) -> (TimedFlushes, Vec<Frame>, PushedB
         if let Some(f) = c.push(now, &dest, frame) {
             flushes.push((now, f));
         }
+        if idle_after.get(seq as usize) == Some(&true) {
+            flushes.extend(c.drain_idle().into_iter().map(|f| (now, f)));
+            assert_eq!(c.staged(), 0, "an idle drain leaves nothing staged");
+            assert_eq!(c.next_deadline(), None, "nor any deadline pending");
+        }
     }
     let tail: Vec<Frame> = c
         .flush_all()
@@ -66,6 +78,67 @@ fn drive(cfg: BatchCfg, ops: &[(f64, u8)]) -> (TimedFlushes, Vec<Frame>, PushedB
         })
         .collect();
     (flushes, tail, pushed)
+}
+
+/// What one flush carried, for comparing the coalescer with the model.
+type Flushed = (String, Vec<u64>, FlushReason);
+
+fn flushed(f: bluedove_engine::Flush<u64>) -> Flushed {
+    (f.dest, f.items, f.reason)
+}
+
+/// The coalescer as a plain scan over its lanes — slow, and obviously
+/// right: lanes in first-touch order, every question answered by looking
+/// at all of them.
+struct Model {
+    cfg: BatchCfg,
+    /// `(dest, staged frames, stage time of the oldest)`.
+    lanes: Vec<(String, Vec<u64>, f64)>,
+}
+
+impl Model {
+    fn push(&mut self, now: f64, dest: &str, item: u64) -> Option<Flushed> {
+        let i = match self.lanes.iter().position(|l| l.0 == dest) {
+            Some(i) => i,
+            None => {
+                self.lanes.push((dest.to_string(), Vec::new(), 0.0));
+                self.lanes.len() - 1
+            }
+        };
+        let lane = &mut self.lanes[i];
+        if lane.1.is_empty() {
+            lane.2 = now;
+        }
+        lane.1.push(item);
+        (lane.1.len() >= self.cfg.max_batch).then(|| {
+            (
+                lane.0.clone(),
+                std::mem::take(&mut lane.1),
+                FlushReason::Size,
+            )
+        })
+    }
+
+    fn next_deadline(&self) -> Option<f64> {
+        self.lanes
+            .iter()
+            .filter(|l| !l.1.is_empty())
+            .map(|l| l.2 + self.cfg.max_delay)
+            .min_by(|a, b| a.partial_cmp(b).unwrap())
+    }
+
+    /// Empties the non-empty lanes `due` picks, in first-touch order.
+    fn take(&mut self, reason: FlushReason, due: impl Fn(&str, f64) -> bool) -> Vec<Flushed> {
+        self.lanes
+            .iter_mut()
+            .filter(|l| !l.1.is_empty() && due(&l.0, l.2))
+            .map(|l| (l.0.clone(), std::mem::take(&mut l.1), reason))
+            .collect()
+    }
+
+    fn staged(&self) -> usize {
+        self.lanes.iter().map(|l| l.1.len()).sum()
+    }
 }
 
 proptest! {
@@ -79,9 +152,10 @@ proptest! {
         max_batch in 1usize..12,
         max_delay in 0.0f64..0.01,
         ops in proptest::collection::vec((0.0f64..0.005, any::<u8>()), 1..200),
+        idle_after in proptest::collection::vec(any::<bool>(), 0..200),
     ) {
         let cfg = BatchCfg { max_batch, max_delay };
-        let (flushes, _, pushed) = drive(cfg, &ops);
+        let (flushes, _, pushed) = drive(cfg, &ops, &idle_after);
         let mut replayed: HashMap<String, Vec<u64>> = HashMap::new();
         for (_, f) in &flushes {
             replayed
@@ -99,9 +173,10 @@ proptest! {
         max_batch in 1usize..12,
         max_delay in 0.0f64..0.01,
         ops in proptest::collection::vec((0.0f64..0.005, any::<u8>()), 1..200),
+        idle_after in proptest::collection::vec(any::<bool>(), 0..200),
     ) {
         let cfg = BatchCfg { max_batch, max_delay };
-        let (flushes, _, _) = drive(cfg, &ops);
+        let (flushes, _, _) = drive(cfg, &ops, &idle_after);
         for (_, f) in &flushes {
             prop_assert!(!f.items.is_empty());
             prop_assert!(f.items.len() <= max_batch.max(1));
@@ -113,15 +188,21 @@ proptest! {
 
     /// A prompt host (one that polls at each announced deadline) never
     /// holds any frame past `max_delay` in virtual time: for every
-    /// size/deadline flush, each frame's wait is within the budget.
+    /// size/idle/deadline flush, each frame's wait is within the budget —
+    /// the deadline alone keeps the bound when the host never idles (the
+    /// empty idle schedule is among those drawn), and idling only ever
+    /// flushes sooner.
     #[test]
     fn no_frame_waits_past_max_delay(
         max_batch in 2usize..12,
         max_delay in 0.0001f64..0.01,
         ops in proptest::collection::vec((0.0f64..0.005, any::<u8>()), 1..200),
+        idle_after in proptest::collection::vec(any::<bool>(), 0..200),
+        never_idles in any::<bool>(),
     ) {
         let cfg = BatchCfg { max_batch, max_delay };
-        let (flushes, tail, _) = drive(cfg, &ops);
+        let idle_after = if never_idles { Vec::new() } else { idle_after };
+        let (flushes, tail, _) = drive(cfg, &ops, &idle_after);
         for (at, f) in &flushes {
             if f.reason == FlushReason::Explicit {
                 continue; // the end-of-run drain, not a timing decision
@@ -174,5 +255,50 @@ proptest! {
             last_deadline = after;
         }
         let _ = last_deadline;
+    }
+
+    /// Under any interleaving of pushes, deadline polls, idle drains and
+    /// single-lane flushes, the indexed coalescer (lane map, armed-lane
+    /// list, running staged count) gives exactly the answers of a scan
+    /// over the lanes: the same flushes in the same order for the same
+    /// reasons, the same `next_deadline`, the same `staged`.
+    #[test]
+    fn agrees_with_a_brute_force_scan_of_the_lanes(
+        max_batch in 2usize..8,
+        max_delay in 0.0f64..0.004,
+        ops in proptest::collection::vec((0.0f64..0.002, any::<u8>(), any::<u8>()), 1..300),
+    ) {
+        let cfg = BatchCfg { max_batch, max_delay };
+        let mut c: Coalescer<u64> = Coalescer::new(cfg);
+        let mut model = Model { cfg, lanes: Vec::new() };
+        let mut now = 0.0f64;
+        for (seq, &(dt, kind, dest)) in ops.iter().enumerate() {
+            now += dt;
+            let dest = format!("m/{}", dest % 7);
+            match kind % 8 {
+                0..=4 => {
+                    let got = c.push(now, &dest, seq as u64).map(flushed);
+                    prop_assert_eq!(got, model.push(now, &dest, seq as u64));
+                }
+                5 => {
+                    let got: Vec<Flushed> = c.poll(now).into_iter().map(flushed).collect();
+                    let want = model.take(FlushReason::Deadline, |_, at| now >= at + max_delay);
+                    prop_assert_eq!(got, want);
+                }
+                6 => {
+                    let got: Vec<Flushed> = c.drain_idle().into_iter().map(flushed).collect();
+                    prop_assert_eq!(got, model.take(FlushReason::Idle, |_, _| true));
+                }
+                _ => {
+                    let got: Vec<Flushed> = c.flush_dest(&dest).into_iter().map(flushed).collect();
+                    prop_assert_eq!(got, model.take(FlushReason::Explicit, |d, _| d == dest));
+                }
+            }
+            prop_assert_eq!(c.next_deadline(), model.next_deadline());
+            prop_assert_eq!(c.staged(), model.staged());
+            prop_assert_eq!(c.is_empty(), model.staged() == 0);
+        }
+        let got: Vec<Flushed> = c.flush_all().into_iter().map(flushed).collect();
+        prop_assert_eq!(got, model.take(FlushReason::Explicit, |_, _| true));
     }
 }

@@ -34,8 +34,8 @@ use bluedove_core::{
 };
 use bluedove_engine::{
     Autoscaler, AutoscalerConfig, Coalescer, DispatcherEffect, DispatcherEngine,
-    DispatcherEngineConfig, DispatcherEvent, DispatcherOut, DispatcherPort, Epoch, LoadSnapshot,
-    MatcherEngine, MatcherPort, ScaleDecision, ScaleOutcome, ScalePlan, ServiceJob,
+    DispatcherEngineConfig, DispatcherEvent, DispatcherOut, DispatcherPort, Epoch, Flush,
+    LoadSnapshot, MatcherEngine, MatcherPort, ScaleDecision, ScaleOutcome, ScalePlan, ServiceJob,
 };
 use bluedove_workload::MessageGenerator;
 use std::collections::{HashMap, HashSet};
@@ -94,6 +94,9 @@ enum Event {
     /// the whole run paid one dispatch + one network hop, and its frames
     /// are processed in staging order.
     BatchArrive(Vec<StagedMatch>),
+    /// The dispatcher tier ran out of input with frames staged: every
+    /// event already queued for the instant they were staged at has run.
+    BatchIdle,
     /// The batcher's oldest staged frame may have reached `max_delay`
     /// (stale wake-ups are cheap no-ops, like `DispatcherTick`).
     BatchFlush,
@@ -168,8 +171,19 @@ struct SimDispatcherPort<'a> {
 /// pays a single dispatch + network hop, exactly like one
 /// `ControlMsg::Batch` on the threaded cluster's transport. A
 /// single-frame flush travels unwrapped (the analogue of the wire codec
-/// never emitting one-element batches).
-fn ship(cfg: &SimConfig, queue: &mut EventQueue<Event>, now: Time, mut items: Vec<StagedMatch>) {
+/// never emitting one-element batches). With batching on the flush is
+/// counted by reason, as the threaded hosts count theirs.
+fn ship(
+    cfg: &SimConfig,
+    queue: &mut EventQueue<Event>,
+    metrics: &mut Metrics,
+    now: Time,
+    flush: Flush<StagedMatch>,
+) {
+    if cfg.engine.batch.enabled() {
+        metrics.record_batch_flush(flush.reason);
+    }
+    let mut items = flush.items;
     let at = now + cfg.dispatch_cost + cfg.net_latency;
     if items.len() == 1 {
         queue.push(at, Event::MatcherReceive(items.pop().expect("len 1")));
@@ -203,7 +217,7 @@ impl DispatcherPort for SimDispatcherPort<'_> {
                     },
                 };
                 if let Some(flush) = self.batcher.push(self.now, addr, staged) {
-                    ship(self.cfg, self.queue, self.now, flush.items);
+                    ship(self.cfg, self.queue, self.metrics, self.now, flush);
                 }
             }
             // Subscriptions are installed host-side (pre-load phase);
@@ -302,6 +316,8 @@ pub struct SimCluster {
     batcher: Coalescer<StagedMatch>,
     /// Earliest `BatchFlush` currently scheduled (dedups wake-ups).
     scheduled_flush: Option<Time>,
+    /// Whether a `BatchIdle` is queued and has not fired yet.
+    idle_flush_pending: bool,
     /// `(message, matcher, dimension)` per first forward, when enabled.
     forward_log: Option<Vec<(MessageId, MatcherId, DimIdx)>>,
     /// The elasticity controller, when enabled: observes every stats round
@@ -360,6 +376,7 @@ impl SimCluster {
             scheduled_tick: None,
             batcher,
             scheduled_flush: None,
+            idle_flush_pending: false,
             forward_log,
             autoscaler: None,
             snapshot_log: Vec::new(),
@@ -614,17 +631,38 @@ impl SimCluster {
         self.maybe_schedule_flush();
     }
 
-    /// Schedules a `BatchFlush` at the batcher's earliest `max_delay`
-    /// deadline, unless one is already pending at or before it (the
-    /// virtual-time analogue of the threaded host's recv timeout).
+    /// With frames staged, schedules the two wake-ups a threaded host
+    /// gets from its run loop. `BatchIdle` at the current instant: the
+    /// event queue's sequence tie-break runs it after everything already
+    /// queued for that instant, which is what "the inbox ran dry" means
+    /// in virtual time. And `BatchFlush` at the batcher's earliest
+    /// `max_delay` deadline, unless one is already pending at or before
+    /// it — the bound, should the idle flush not get there first.
     fn maybe_schedule_flush(&mut self) {
         let Some(deadline) = self.batcher.next_deadline() else {
             return;
         };
+        if !self.idle_flush_pending {
+            self.queue.push(self.now, Event::BatchIdle);
+            self.idle_flush_pending = true;
+        }
         let at = deadline.max(self.now);
         if self.scheduled_flush.is_none_or(|t| at < t) {
             self.queue.push(at, Event::BatchFlush);
             self.scheduled_flush = Some(at);
+        }
+    }
+
+    /// Ships flushes made outside a dispatcher `send`.
+    fn ship_all(&mut self, flushes: Vec<Flush<StagedMatch>>) {
+        for flush in flushes {
+            ship(
+                &self.cfg,
+                &mut self.queue,
+                &mut self.metrics,
+                self.now,
+                flush,
+            );
         }
     }
 
@@ -698,10 +736,14 @@ impl SimCluster {
             }
             Event::BatchFlush => {
                 self.scheduled_flush = None;
-                for flush in self.batcher.poll(self.now) {
-                    ship(&self.cfg, &mut self.queue, self.now, flush.items);
-                }
+                let due = self.batcher.poll(self.now);
+                self.ship_all(due);
                 self.maybe_schedule_flush();
+            }
+            Event::BatchIdle => {
+                self.idle_flush_pending = false;
+                let staged = self.batcher.drain_idle();
+                self.ship_all(staged);
             }
             Event::ServiceComplete {
                 m,
@@ -1547,6 +1589,61 @@ mod tests {
         assert_eq!(coalesced.metrics.total_lost, 0);
         assert_eq!(coalesced.backlog(), 0);
         assert_eq!(coalesced.in_flight(), 0);
+    }
+
+    #[test]
+    fn idle_flush_keeps_low_rate_latency_at_the_unbatched_level() {
+        // 200 msg/s is far below saturation: the dispatcher tier has
+        // nothing queued behind each arrival, so a staged frame leaves at
+        // the instant it was staged and never sees the 20 ms deadline —
+        // 40 network latencies, which would dominate the response time.
+        let w = PaperWorkload {
+            seed: 11,
+            ..Default::default()
+        };
+        let space = w.space();
+        let mk = |max_batch: usize| {
+            let engine = bluedove_engine::EngineConfig::builder()
+                .record_forwards(true)
+                .max_batch(max_batch)
+                .max_delay(0.020)
+                .build();
+            let mut c = SimCluster::new(
+                SimConfig {
+                    engine,
+                    ..Default::default()
+                },
+                space.clone(),
+                Strategy::bluedove(space.clone(), 5),
+                Box::new(bluedove_core::RandomPolicy),
+            );
+            c.subscribe_all(w.subscriptions().take(2000));
+            c
+        };
+        let (mut plain, mut coalesced) = (mk(1), mk(64));
+        let (mut ga, mut gb) = (w.messages(), w.messages());
+        plain.run(200.0, 5.0, &mut ga);
+        plain.drain(2.0);
+        coalesced.run(200.0, 5.0, &mut gb);
+        coalesced.drain(2.0);
+        assert_eq!(plain.forward_log(), coalesced.forward_log());
+        assert_eq!(
+            plain.metrics.total_delivered,
+            coalesced.metrics.total_delivered
+        );
+        let (a, b) = (
+            plain.metrics.mean_response(0.0, 7.0),
+            coalesced.metrics.mean_response(0.0, 7.0),
+        );
+        let net_latency = SimConfig::default().net_latency;
+        assert!(
+            (a - b).abs() <= net_latency,
+            "mean response {b} s batched vs {a} s unbatched"
+        );
+        use bluedove_engine::FlushReason::{Deadline, Idle};
+        assert!(coalesced.metrics.batch_flushes(Idle) > 0);
+        assert_eq!(coalesced.metrics.batch_flushes(Deadline), 0);
+        assert_eq!(plain.metrics.batch_flushes(Idle), 0, "batching is off");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! per-matcher busy time (the simulator's `/proc/loadavg` analogue).
 
 use bluedove_core::{MatcherId, Time};
+use bluedove_engine::FlushReason;
 use std::collections::HashMap;
 
 /// One time bin of aggregated response-time samples.
@@ -121,6 +122,9 @@ pub struct Metrics {
     pub total_examined: u64,
     /// Total (message, subscription) match pairs found.
     pub total_matches: u64,
+    /// Coalescer flushes by trigger — the simulator's
+    /// `bluedove_batch_flush_total{reason}`.
+    batch_flushes: HashMap<FlushReason, u64>,
 }
 
 impl Metrics {
@@ -137,6 +141,7 @@ impl Metrics {
             total_lost: 0,
             total_examined: 0,
             total_matches: 0,
+            batch_flushes: HashMap::new(),
         }
     }
 
@@ -182,6 +187,16 @@ impl Metrics {
     pub fn record_match_work(&mut self, examined: usize, matched: usize) {
         self.total_examined += examined as u64;
         self.total_matches += matched as u64;
+    }
+
+    /// Records one coalescer flush.
+    pub fn record_batch_flush(&mut self, reason: FlushReason) {
+        *self.batch_flushes.entry(reason).or_insert(0) += 1;
+    }
+
+    /// Coalescer flushes triggered by `reason` so far.
+    pub fn batch_flushes(&self, reason: FlushReason) -> u64 {
+        self.batch_flushes.get(&reason).copied().unwrap_or(0)
     }
 
     /// The aggregation bins (index × bin width = start time).

@@ -1012,9 +1012,9 @@ fn batched_pipeline_stays_exactly_once_under_chaos() {
         "dedup windows suppressed the retransmission duplicates"
     );
     // Batching must actually have engaged: the dispatcher's coalescer
-    // recorded flushes (size- or deadline-triggered, plus any explicit
-    // ordering barriers).
-    let flushes: u64 = ["size", "deadline", "explicit"]
+    // recorded flushes (size-, idle- or deadline-triggered, plus any
+    // explicit ordering barriers).
+    let flushes: u64 = ["size", "idle", "deadline", "explicit"]
         .iter()
         .filter_map(|r| {
             cluster.telemetry().counter_value(

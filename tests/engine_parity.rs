@@ -207,15 +207,16 @@ fn parity_for_seed(seed: u64, max_batch: usize) -> ForwardTrace {
     sim_log
 }
 
-/// Sim vs threaded-over-reactor: real loopback sockets, fixed event-loop
-/// threads — the forward sequence must still be bit-identical.
-fn reactor_parity_for_seed(seed: u64) {
+/// Sim vs threaded-over-reactor with the given coalescing depth: real
+/// loopback sockets, fixed event-loop threads — the forward sequence must
+/// still be bit-identical.
+fn reactor_parity_for_seed(seed: u64, max_batch: usize) {
     let fx = workload(seed);
-    let (sim_log, sim_matches) = sim_trace(&fx, seed, 1, IndexKind::Linear);
+    let (sim_log, sim_matches) = sim_trace(&fx, seed, max_batch, IndexKind::Linear);
     let (reactor_log, deliveries) = cluster_trace(
         &fx,
         seed,
-        1,
+        max_batch,
         TransportKind::Reactor(ReactorConfig::default()),
         IndexKind::Linear,
     );
@@ -226,9 +227,10 @@ fn reactor_parity_for_seed(seed: u64) {
     );
 }
 
-/// Both hosts agree with batching off AND with batching on, and the two
-/// modes' forward traces are bit-identical to each other: coalescing only
-/// changes how frames travel, never what was decided.
+/// All three hosts agree with batching on (each flushing on size, idle
+/// and deadline by its own clock), sim and channel agree with it off, and
+/// the two modes' forward traces are bit-identical to each other:
+/// coalescing only changes how frames travel, never what was decided.
 fn batched_parity_for_seed(seed: u64) {
     let plain = parity_for_seed(seed, 1);
     let coalesced = parity_for_seed(seed, BATCH);
@@ -236,6 +238,7 @@ fn batched_parity_for_seed(seed: u64) {
         plain, coalesced,
         "batched and unbatched forward sequences diverged (seed {seed})"
     );
+    reactor_parity_for_seed(seed, BATCH);
 }
 
 #[test]
@@ -270,17 +273,17 @@ fn engine_parity_batched_seed_1337() {
 
 #[test]
 fn engine_parity_reactor_seed_7() {
-    reactor_parity_for_seed(7);
+    reactor_parity_for_seed(7, 1);
 }
 
 #[test]
 fn engine_parity_reactor_seed_42() {
-    reactor_parity_for_seed(42);
+    reactor_parity_for_seed(42, 1);
 }
 
 #[test]
 fn engine_parity_reactor_seed_1337() {
-    reactor_parity_for_seed(1337);
+    reactor_parity_for_seed(1337, 1);
 }
 
 /// All three hosts head-to-head on one seed: sim, threaded-over-channels
@@ -455,6 +458,6 @@ fn engine_parity_env_seed() {
     {
         println!("engine parity replay: seed={seed}");
         batched_parity_for_seed(seed);
-        reactor_parity_for_seed(seed);
+        reactor_parity_for_seed(seed, 1);
     }
 }
