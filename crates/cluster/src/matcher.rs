@@ -21,7 +21,7 @@ use bluedove_engine::{BatchCfg, Coalescer, MatcherEngine, MatcherPort};
 use bluedove_net::{from_bytes_shared, to_bytes, Transport};
 use bluedove_overlay::{EndpointState, GossipMsg, GossipNode, NodeId, NodeRole};
 use bluedove_telemetry::{Counter, Gauge, Histogram};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -242,6 +242,9 @@ struct HostPort<'a> {
     now: Time,
     batcher: &'a mut Coalescer<ControlMsg>,
     batch_metrics: &'a BatchMetrics,
+    /// Scratch for the subscriber address of the delivery being sent,
+    /// reused across hits.
+    addr: &'a mut String,
 }
 
 impl HostPort<'_> {
@@ -267,14 +270,28 @@ impl MatcherPort for HostPort<'_> {
         msg: &Message,
         admitted_us: u64,
     ) {
-        let deliver = ControlMsg::Deliver {
-            subscriber,
-            sub,
-            msg: msg.clone(),
-            admitted_us,
-        };
-        let addr = crate::shared::subscriber_addr(subscriber.0);
-        self.stage(&addr, deliver);
+        crate::shared::write_subscriber_addr(self.addr, subscriber.0);
+        if self.batcher.cfg().enabled() {
+            // A staged frame outlives this call, so it owns its message.
+            let deliver = ControlMsg::Deliver {
+                subscriber,
+                sub,
+                msg: msg.clone(),
+                admitted_us,
+            };
+            stage_or_send(
+                self.transport.as_ref(),
+                self.batch_metrics,
+                self.batcher,
+                self.now,
+                self.addr,
+                deliver,
+            );
+        } else {
+            let mut frame = BytesMut::new();
+            ControlMsg::encode_deliver(&mut frame, subscriber, sub, msg, admitted_us);
+            let _ = self.transport.send(self.addr, frame.freeze());
+        }
         self.shared.counters.deliveries.inc();
     }
 
@@ -314,6 +331,7 @@ fn run(
     });
     let mut next_stats = Instant::now() + cfg.stats_interval;
     let mut hits: Vec<MatchHit> = Vec::new();
+    let mut deliver_addr = String::new();
     let telemetry = MatcherTelemetry::register(&shared, cfg.id, k);
     let batch_metrics = BatchMetrics::register(&shared.telemetry, "matcher");
     let mut batcher: Coalescer<ControlMsg> = Coalescer::new(cfg.batch);
@@ -411,6 +429,7 @@ fn run(
                 now: now + match_elapsed.as_secs_f64(),
                 batcher: &mut batcher,
                 batch_metrics: &batch_metrics,
+                addr: &mut deliver_addr,
             };
             engine.complete(job, &hits, match_elapsed.as_secs_f64(), &mut port);
             telemetry.served.inc();
@@ -730,6 +749,8 @@ fn handle_msg(
                 now,
                 batcher,
                 batch_metrics,
+                // Admission stages no delivery; the scratch stays empty.
+                addr: &mut String::new(),
             };
             engine.on_match_msg(now, dim, msg, admitted_us, ack_to, &mut port);
         }

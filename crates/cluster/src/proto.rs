@@ -293,6 +293,23 @@ pub enum ControlMsg {
 }
 
 impl ControlMsg {
+    /// Appends the encoding of a [`ControlMsg::Deliver`] built from
+    /// borrowed parts — what a matcher sending one hit unbatched uses, so
+    /// the message is not cloned into an owned frame first.
+    pub fn encode_deliver(
+        buf: &mut BytesMut,
+        subscriber: SubscriberId,
+        sub: SubscriptionId,
+        msg: &Message,
+        admitted_us: u64,
+    ) {
+        buf.put_u8(TAG_DELIVER);
+        subscriber.encode(buf);
+        sub.encode(buf);
+        msg.encode(buf);
+        admitted_us.encode(buf);
+    }
+
     /// Lowers an engine-level [`bluedove_engine::DispatcherOut`] frame
     /// onto the wire protocol. `ack_addr` is the sending dispatcher's own
     /// address, stamped as `ack_to` when the engine requests an ack.
@@ -421,13 +438,7 @@ impl Wire for ControlMsg {
                 sub,
                 msg,
                 admitted_us,
-            } => {
-                buf.put_u8(TAG_DELIVER);
-                subscriber.encode(buf);
-                sub.encode(buf);
-                msg.encode(buf);
-                admitted_us.encode(buf);
-            }
+            } => ControlMsg::encode_deliver(buf, *subscriber, *sub, msg, *admitted_us),
             ControlMsg::MailboxPoll {
                 subscriber,
                 reply_to,
@@ -799,6 +810,24 @@ mod tests {
         let bytes = to_bytes(&m);
         let back: ControlMsg = from_bytes(&bytes).unwrap();
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn deliver_from_borrowed_parts_is_the_same_frame() {
+        let msg = Message {
+            id: MessageId(7),
+            values: vec![1.0, 2.0, 3.0],
+            payload: bytes::Bytes::from_static(b"payload"),
+        };
+        let owned = to_bytes(&ControlMsg::Deliver {
+            subscriber: SubscriberId(8),
+            sub: SubscriptionId(3),
+            msg: msg.clone(),
+            admitted_us: 999,
+        });
+        let mut borrowed = BytesMut::new();
+        ControlMsg::encode_deliver(&mut borrowed, SubscriberId(8), SubscriptionId(3), &msg, 999);
+        assert_eq!(borrowed, owned);
     }
 
     #[test]

@@ -394,7 +394,17 @@ pub fn dispatcher_addr(i: usize) -> String {
 
 /// Conventional in-process address for a subscriber endpoint.
 pub fn subscriber_addr(id: u64) -> String {
-    format!("c/{id}")
+    let mut addr = String::new();
+    write_subscriber_addr(&mut addr, id);
+    addr
+}
+
+/// Overwrites `addr` with [`subscriber_addr`]`(id)`, reusing its
+/// allocation (the per-hit form of the delivery path).
+pub fn write_subscriber_addr(addr: &mut String, id: u64) {
+    use std::fmt::Write;
+    addr.clear();
+    write!(addr, "c/{id}").expect("writing to a String cannot fail");
 }
 
 /// Conventional in-process address for the orchestrator control inbox.
@@ -429,6 +439,9 @@ mod tests {
         assert_eq!(matcher_addr(MatcherId(3)), "m/3");
         assert_eq!(dispatcher_addr(1), "d/1");
         assert_eq!(subscriber_addr(42), "c/42");
+        let mut reused = String::from("c/123456");
+        write_subscriber_addr(&mut reused, 7);
+        assert_eq!(reused, "c/7");
         assert_eq!(control_addr(), "ctl/0");
         assert_eq!(telemetry_addr(), "tel/0");
     }

@@ -27,6 +27,6 @@ pub mod wire;
 pub use error::{NetError, NetResult};
 pub use fault::{AddrSet, FaultHandle, FaultRule, FaultStats, FaultTransport, LinkRule};
 pub use frame::{read_frame, write_frame, MAX_FRAME};
-pub use reactor::{ReactorConfig, ReactorTransport};
+pub use reactor::{ReactorConfig, ReactorStats, ReactorTransport};
 pub use transport::{ChannelTransport, HostTransport, TcpTransport, Transport};
 pub use wire::{from_bytes, from_bytes_shared, to_bytes, Wire};
