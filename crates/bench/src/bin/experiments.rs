@@ -22,14 +22,12 @@
 //!   ablations design-choice ablations (reservations, degenerate replicas)
 //!   scenarios Scenario-API smoke: every Scenario through both hosts; exits
 //!             nonzero if any run diverges from its churn schedule
-//!   bench     batched hot-path A/B; emits BENCH_cluster.json for the CI gate
 //!   all       run everything above in order
 //!
 //! Flags:
 //!   --paper   full-scale workload (40 000 subscriptions; slower)
 //!   --quick   shorter probes (CI-scale smoke run)
 //!   --subs N  explicit subscription count
-//!   --out P   where `bench` writes its JSON report (default BENCH_cluster.json)
 //! ```
 //!
 //! Output is plain text tables; `EXPERIMENTS.md` records a reference run
@@ -86,7 +84,6 @@ fn main() {
         "telemetry" => telemetry(&cfg),
         "ablations" => ablations(&cfg),
         "scenarios" => scenarios_smoke(),
-        "bench" => bench_trajectory(&cfg, &args),
         "all" => {
             fig5(&cfg);
             fig6a(&cfg);
@@ -107,7 +104,6 @@ fn main() {
             telemetry(&cfg);
             ablations(&cfg);
             scenarios_smoke();
-            bench_trajectory(&cfg, &args);
         }
         other => {
             eprintln!("unknown command {other:?}; see the doc comment for usage");
@@ -594,9 +590,8 @@ fn reliability() {
     // (a) Ack overhead: wall-clock for a fixed delivery count with the
     // ledger off vs on, over clean links (acks retire ledger entries but
     // nothing ever retransmits, so the delta is pure bookkeeping cost).
-    // Same workload shape as the bench_cluster Criterion bench: the cost
-    // of one MatchAck frame + ledger round-trip is measured against real
-    // matching work, not an empty pipeline.
+    // The cost of one MatchAck frame + ledger round-trip is measured
+    // against real matching work, not an empty pipeline.
     const MESSAGES: usize = 5_000;
     const SUBS: usize = 2_000;
     let timed = |acks: bool| -> f64 {
@@ -1173,390 +1168,4 @@ fn scenarios_smoke() {
     cluster.shutdown();
     check("mailbox", churn.name(), run, e);
     println!("    all scenario runs executed their schedules exactly");
-}
-
-/// machine-readable `BENCH_cluster.json` the CI "Bench trajectory" step
-/// validates and gates on. Interleaved best-of-N damps scheduler jitter,
-/// exactly like the `reliability` ack A/B.
-fn bench_trajectory(cfg: &ExpConfig, args: &[String]) {
-    use bluedove_bench::json::Json;
-    use bluedove_bench::trajectory::validate;
-    use bluedove_cluster::{Cluster, ClusterConfig, PolicyKind, TransportKind};
-    use bluedove_core::Subscription;
-    use std::time::{Duration, Instant};
-
-    banner(
-        "Bench trajectory: batched forwarding hot path (BENCH_cluster.json)",
-        "not a paper figure; §III-A's forwarding pipeline, coalesced end to end",
-    );
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_cluster.json".to_string());
-
-    // Small subscription load keeps matching cheap so codec + transport
-    // framing (what batching amortizes) dominates the per-message cost.
-    let messages: usize = if quick { 40_000 } else { 80_000 };
-    let iters: usize = if quick { 2 } else { 3 };
-    const SUBS: usize = 0;
-    const MATCHERS: u32 = 4;
-    const MAX_BATCH: usize = 64;
-    const MAX_DELAY: Duration = Duration::from_millis(1);
-
-    let w = PaperWorkload {
-        seed: 77,
-        ..Default::default()
-    };
-    let sp = w.space();
-
-    struct ModeStats {
-        /// Publications through the dispatcher's forward stage per
-        /// second — the hot path the coalescer batches, and the number
-        /// the CI gate compares.
-        throughput: f64,
-        /// End-to-end: publish call to last wildcard delivery.
-        delivery_throughput: f64,
-        p99_forward_us: u64,
-        p99_e2e_us: u64,
-        bytes_per_msg: f64,
-        frames_per_msg: f64,
-        mean_frames_per_flush: f64,
-    }
-
-    let run_mode = |max_batch: usize, transport: TransportKind| -> ModeStats {
-        let mut cluster = Cluster::start(
-            ClusterConfig::new(sp.clone())
-                .matchers(MATCHERS)
-                .policy(PolicyKind::Random)
-                .publication_acks(false)
-                .max_batch(max_batch)
-                .max_delay(MAX_DELAY)
-                .transport(transport),
-        );
-        let wildcard = cluster
-            .subscribe(Subscription::builder(&sp).build().unwrap())
-            .unwrap();
-        for s in w.subscriptions().take(SUBS) {
-            let mut b = Subscription::builder(&sp);
-            for (d, p) in s.predicates.iter().enumerate() {
-                b = b.range(d, p.lo, p.hi);
-            }
-            cluster.subscribe(b.build().unwrap()).unwrap();
-        }
-        // Pre-materialize the stream so the timed window measures the
-        // pipeline, not the workload generator.
-        let stream: Vec<bluedove_core::Message> = w.messages().take(messages).collect();
-        // Let registration traffic drain so the wire-byte window only
-        // sees the publish pipeline (plus background stats/gossip noise).
-        std::thread::sleep(Duration::from_millis(50));
-        let (frames0, bytes0) = cluster.wire_stats();
-        let reg = cluster.telemetry().clone();
-        let forwards = || {
-            reg.histogram_snapshot("bluedove_dispatcher_forward_latency_us", &[])
-                .map(|s| s.count)
-                .unwrap_or(0)
-        };
-        let mut publisher = cluster.publisher();
-        let start = Instant::now();
-        publisher.publish_all(stream).unwrap();
-        // Forward throughput: the timed hot path ends when the dispatcher
-        // has pushed every publication to a matcher.
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while forwards() < messages as u64 {
-            assert!(Instant::now() < deadline, "dispatcher never finished");
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        let forward_elapsed = start.elapsed().as_secs_f64();
-        let mut got = 0usize;
-        while got < messages {
-            if wildcard.recv_timeout(Duration::from_secs(30)).is_none() {
-                break;
-            }
-            got += 1;
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        assert_eq!(got, messages, "clean run must deliver every message");
-        let (frames1, bytes1) = cluster.wire_stats();
-        let p99 = |family: &str| {
-            reg.histogram_snapshot(family, &[])
-                .map(|s| s.p99_us())
-                .unwrap_or(0)
-        };
-        let mean_frames_per_flush = reg
-            .histogram_snapshot(
-                "bluedove_batch_frames",
-                &[("component", "dispatcher".into())],
-            )
-            .map(|s| s.mean_us())
-            .unwrap_or(0.0);
-        let stats = ModeStats {
-            throughput: messages as f64 / forward_elapsed,
-            delivery_throughput: messages as f64 / elapsed,
-            p99_forward_us: p99("bluedove_dispatcher_forward_latency_us"),
-            p99_e2e_us: p99("bluedove_e2e_delivery_latency_us"),
-            bytes_per_msg: (bytes1 - bytes0) as f64 / messages as f64,
-            frames_per_msg: (frames1 - frames0) as f64 / messages as f64,
-            mean_frames_per_flush,
-        };
-        cluster.shutdown();
-        stats
-    };
-
-    // Interleaved best-of-N: keep each mode's fastest run whole, so the
-    // recorded latency/byte numbers describe the same run the recorded
-    // throughput came from.
-    let mut off: Option<ModeStats> = None;
-    let mut on: Option<ModeStats> = None;
-    for _ in 0..iters {
-        let fresh = run_mode(1, TransportKind::Channel);
-        if off.as_ref().is_none_or(|b| fresh.throughput > b.throughput) {
-            off = Some(fresh);
-        }
-        let fresh = run_mode(MAX_BATCH, TransportKind::Channel);
-        if on.as_ref().is_none_or(|b| fresh.throughput > b.throughput) {
-            on = Some(fresh);
-        }
-    }
-    let off = off.expect("iters >= 1");
-    let on = on.expect("iters >= 1");
-    let speedup = on.throughput / off.throughput;
-    // The same batched pipeline over the nonblocking reactor (real
-    // loopback sockets, fixed event-loop threads): one run — this row
-    // tracks the kernel-path trajectory, it is not gated.
-    let reactor = run_mode(
-        MAX_BATCH,
-        TransportKind::Reactor(bluedove_net::ReactorConfig::default()),
-    );
-
-    // Saturation at the same coalescing depth, from the simulator (the
-    // cost model the rest of the figures use).
-    let sat = {
-        let mut scfg = cfg.clone();
-        scfg.scenario.subscriptions = scfg.scenario.subscriptions.min(2_000);
-        scfg.sim.engine.batch.max_batch = MAX_BATCH;
-        scfg.sim.engine.batch.max_delay = MAX_DELAY.as_secs_f64();
-        scfg.saturation_rate(System::BlueDove, MATCHERS)
-    };
-
-    // Covering compression probe: the coverable workload through the
-    // covering decorator (one per-dimension index, the same shape the
-    // `bench_index` covering group measures). Reported so the trajectory
-    // tracks the memory/compression story alongside the throughput story.
-    let (covering_ratio, index_memory_bytes) = {
-        use bluedove_core::{DimIdx, IndexKind, InnerKind};
-        let cw = bluedove_workload::CoverableWorkload {
-            k: 2,
-            seed: 77,
-            ..Default::default()
-        };
-        let csp = cw.space();
-        let n: usize = if quick { 50_000 } else { 200_000 };
-        let mut idx = (IndexKind::Covering {
-            inner: InnerKind::Cell(64),
-        })
-        .build(&csp, DimIdx(0));
-        for s in cw.subscriptions().take(n) {
-            idx.insert(s);
-        }
-        (
-            idx.logical_len() as f64 / idx.physical_len().max(1) as f64,
-            idx.memory_bytes(),
-        )
-    };
-
-    // Per-scenario rows: every shipped Scenario driven through the
-    // threaded host's `run_scenario` at smoke scale — same cluster shape
-    // as the hot-path A/B, batching on. Throughput here is publications
-    // per wall second across the whole run, churn round trips included;
-    // the rows track the scenario API's trajectory and are not gated.
-    let scenario_rows = {
-        use bluedove_workload::{HighChurn, Scenario, ScenarioConfig, SpatioTextual};
-        let scen_cfg = ScenarioConfig::new()
-            .subscriptions(if quick { 150 } else { 300 })
-            .messages(if quick { 2_000 } else { 5_000 })
-            .rate(1_000.0);
-        let scenarios: Vec<Box<dyn Scenario>> = vec![
-            Box::new(PaperWorkload {
-                seed: 77,
-                ..Default::default()
-            }),
-            Box::new(SpatioTextual {
-                seed: 77,
-                ..Default::default()
-            }),
-            Box::new(HighChurn {
-                waves: 2,
-                wave_size: 25,
-                wave_period: 2.0,
-                wave_ramp: 0.5,
-                wave_hold: 1.0,
-                migrants: 5,
-                migrations: 2,
-                migrate_period: 1.0,
-                seed: 77,
-                ..Default::default()
-            }),
-        ];
-        scenarios
-            .iter()
-            .map(|s| {
-                let mut cluster = Cluster::start(
-                    ClusterConfig::new(s.space())
-                        .matchers(MATCHERS)
-                        .policy(PolicyKind::Random)
-                        .publication_acks(false)
-                        .max_batch(MAX_BATCH)
-                        .max_delay(MAX_DELAY),
-                );
-                let start = Instant::now();
-                let run = cluster
-                    .run_scenario(s.as_ref(), &scen_cfg)
-                    .expect("scenario run");
-                let elapsed = start.elapsed().as_secs_f64();
-                cluster.shutdown();
-                let rate = run.published as f64 / elapsed;
-                println!(
-                    "    scenario {:<18} {} msgs {}  churn +{} -{} ~{}",
-                    s.name(),
-                    run.published,
-                    fmt_rate(rate).trim(),
-                    run.subscribed - scen_cfg.subscriptions as u64,
-                    run.unsubscribed,
-                    run.migrated,
-                );
-                (s.name(), scen_cfg.subscriptions, run, rate)
-            })
-            .collect::<Vec<_>>()
-    };
-
-    let num = Json::Num;
-    let mode_json = |m: &ModeStats| {
-        Json::Obj(vec![
-            (
-                "forward_throughput_msgs_per_sec".into(),
-                num(m.throughput.round()),
-            ),
-            (
-                "delivery_throughput_msgs_per_sec".into(),
-                num(m.delivery_throughput.round()),
-            ),
-            (
-                "p99_forward_latency_us".into(),
-                num(m.p99_forward_us as f64),
-            ),
-            ("p99_e2e_latency_us".into(), num(m.p99_e2e_us as f64)),
-            (
-                "bytes_per_msg".into(),
-                num((m.bytes_per_msg * 10.0).round() / 10.0),
-            ),
-            (
-                "frames_per_msg".into(),
-                num((m.frames_per_msg * 100.0).round() / 100.0),
-            ),
-            (
-                "mean_frames_per_flush".into(),
-                num((m.mean_frames_per_flush * 100.0).round() / 100.0),
-            ),
-        ])
-    };
-    let report = Json::Obj(vec![
-        ("schema_version".into(), num(1.0)),
-        ("bench".into(), Json::Str("cluster_forward_hot_path".into())),
-        (
-            "config".into(),
-            Json::Obj(vec![
-                ("messages".into(), num(messages as f64)),
-                ("subscriptions".into(), num((SUBS + 1) as f64)),
-                ("matchers".into(), num(MATCHERS as f64)),
-                ("max_batch".into(), num(MAX_BATCH as f64)),
-                ("max_delay_ms".into(), num(MAX_DELAY.as_secs_f64() * 1e3)),
-                ("iterations".into(), num(iters as f64)),
-            ]),
-        ),
-        ("batching_off".into(), mode_json(&off)),
-        ("batching_on".into(), mode_json(&on)),
-        ("reactor_host".into(), mode_json(&reactor)),
-        ("speedup".into(), num((speedup * 100.0).round() / 100.0)),
-        ("saturation_rate_msgs_per_sec".into(), num(sat.round())),
-        ("index_memory_bytes".into(), num(index_memory_bytes as f64)),
-        (
-            "covering_ratio".into(),
-            num((covering_ratio * 100.0).round() / 100.0),
-        ),
-        (
-            "scenarios".into(),
-            Json::Arr(
-                scenario_rows
-                    .iter()
-                    .map(|(name, subs, run, rate)| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str((*name).into())),
-                            ("subscriptions".into(), num(*subs as f64)),
-                            ("messages".into(), num(run.published as f64)),
-                            (
-                                "churn_subscribed".into(),
-                                num((run.subscribed - *subs as u64) as f64),
-                            ),
-                            ("churn_unsubscribed".into(), num(run.unsubscribed as f64)),
-                            ("churn_migrated".into(), num(run.migrated as f64)),
-                            ("publish_throughput_msgs_per_sec".into(), num(rate.round())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-
-    // Self-check against the committed schema when it is reachable (the
-    // binary can run from any CWD; CI's bench_gate revalidates anyway).
-    if let Ok(text) = std::fs::read_to_string("schemas/bench_cluster.schema.json") {
-        let schema = bluedove_bench::json::parse(&text).expect("schema parses");
-        let errors = validate(&report, &schema);
-        assert!(
-            errors.is_empty(),
-            "emitted report violates schema: {errors:?}"
-        );
-    }
-    std::fs::write(&out, report.pretty()).expect("write bench report");
-
-    println!(
-        "    batching off: fwd {} (deliver {}) p99 fwd {} µs  e2e {} µs  {:.0} B/msg ({:.2} frames/msg)",
-        fmt_rate(off.throughput).trim(),
-        fmt_rate(off.delivery_throughput).trim(),
-        off.p99_forward_us,
-        off.p99_e2e_us,
-        off.bytes_per_msg,
-        off.frames_per_msg,
-    );
-    println!(
-        "    batching on:  fwd {} (deliver {}) p99 fwd {} µs  e2e {} µs  {:.0} B/msg ({:.2} frames/msg, {:.1} frames/flush)",
-        fmt_rate(on.throughput).trim(),
-        fmt_rate(on.delivery_throughput).trim(),
-        on.p99_forward_us,
-        on.p99_e2e_us,
-        on.bytes_per_msg,
-        on.frames_per_msg,
-        on.mean_frames_per_flush,
-    );
-    println!(
-        "    reactor host: fwd {} (deliver {}) p99 fwd {} µs  e2e {} µs  {:.0} B/msg ({:.2} frames/msg)",
-        fmt_rate(reactor.throughput).trim(),
-        fmt_rate(reactor.delivery_throughput).trim(),
-        reactor.p99_forward_us,
-        reactor.p99_e2e_us,
-        reactor.bytes_per_msg,
-        reactor.frames_per_msg,
-    );
-    println!(
-        "    speedup: {speedup:.2}x   sim saturation @ depth {MAX_BATCH}: {}",
-        fmt_rate(sat).trim()
-    );
-    println!(
-        "    covering: {covering_ratio:.1}x logical/physical, index {index_memory_bytes} B \
-         (coverable workload, Covering{{Cell(64)}})"
-    );
-    println!("    wrote {out}");
 }

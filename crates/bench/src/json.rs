@@ -1,7 +1,6 @@
-//! A minimal JSON value, parser and pretty-printer — just enough for the
-//! bench trajectory pipeline (`BENCH_cluster.json`, its schema and the
-//! committed baseline) without pulling a serialization dependency into
-//! the workspace.
+//! A minimal JSON value, parser and pretty-printer — just enough for
+//! `loadbench`'s reports and their schema without pulling a
+//! serialization dependency into the workspace.
 //!
 //! Supported: the full JSON value grammar (objects, arrays, strings with
 //! escapes, numbers as `f64`, booleans, null). Objects preserve insertion

@@ -123,7 +123,6 @@ pub struct ClusterConfig {
     log_dir: Option<std::path::PathBuf>,
     fsync: crate::log::FsyncPolicy,
     min_isr: usize,
-    log_segment_bytes: u64,
     transport: TransportKind,
 }
 
@@ -149,7 +148,6 @@ impl ClusterConfig {
             log_dir: None,
             fsync: crate::log::FsyncPolicy::default(),
             min_isr: 1,
-            log_segment_bytes: 1 << 20,
             transport: TransportKind::Channel,
         }
     }
@@ -184,12 +182,6 @@ impl ClusterConfig {
     /// asynchronous.
     pub fn min_isr(mut self, n: usize) -> Self {
         self.min_isr = n.max(1);
-        self
-    }
-
-    /// Sub-log segment rotation threshold in bytes.
-    pub fn log_segment_bytes(mut self, n: u64) -> Self {
-        self.log_segment_bytes = n.max(4096);
         self
     }
 
@@ -310,13 +302,6 @@ impl ClusterConfig {
     /// Sets the base ack timeout of the retransmit schedule.
     pub fn ack_timeout(mut self, d: Duration) -> Self {
         self.engine.retry.ack_timeout = d.as_secs_f64();
-        self
-    }
-
-    /// Sets how many retransmissions a publication gets before it is
-    /// counted as dead-lettered.
-    pub fn retry_budget(mut self, n: u32) -> Self {
-        self.engine.retry.retry_budget = n;
         self
     }
 
@@ -664,11 +649,10 @@ pub struct Cluster {
 /// (file names embed the matcher id, so one directory serves them all).
 fn sublog_config(cfg: &ClusterConfig, epoch: u64) -> Option<crate::sublog::SubLogConfig> {
     cfg.log_dir.as_ref().map(|dir| crate::sublog::SubLogConfig {
-        dir: dir.clone(),
         fsync: cfg.fsync,
-        segment_bytes: cfg.log_segment_bytes,
         min_isr: cfg.min_isr,
         epoch,
+        ..crate::sublog::SubLogConfig::new(dir.clone())
     })
 }
 

@@ -17,10 +17,6 @@ pub enum NetError {
     Unroutable(String),
     /// The peer endpoint was closed.
     Disconnected,
-    /// The shared writer for this connection failed mid-frame earlier and
-    /// was poisoned: appending more bytes after a torn frame would corrupt
-    /// the stream for the reader, so late holders error instead.
-    Poisoned,
     /// Underlying I/O error (TCP transport).
     Io(std::io::Error),
 }
@@ -34,7 +30,6 @@ impl fmt::Display for NetError {
             NetError::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
             NetError::Unroutable(a) => write!(f, "no endpoint bound at {a}"),
             NetError::Disconnected => write!(f, "peer disconnected"),
-            NetError::Poisoned => write!(f, "connection poisoned after a torn write"),
             NetError::Io(e) => write!(f, "io error: {e}"),
         }
     }

@@ -1,9 +1,10 @@
 //! Length-prefixed framing over byte streams.
 //!
 //! Every frame is `u32-le length` followed by `length` payload bytes. The
-//! TCP transport uses [`write_frame`]/[`read_frame`] over buffered
-//! streams; the in-process transport ships unframed payloads through
-//! channels (message boundaries come for free).
+//! durable log writes its records with [`write_frame`]/[`read_frame`];
+//! the reactor transport puts the same format on its sockets with its own
+//! nonblocking reassembly; the in-process transport ships unframed
+//! payloads through channels (message boundaries come for free).
 
 use crate::error::{NetError, NetResult};
 use bytes::Bytes;

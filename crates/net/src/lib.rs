@@ -8,11 +8,11 @@
 //!   type that crosses the network (the offline crate set ships `serde`
 //!   but no serializer back-end, so the codec is local);
 //! - [`frame`] — `u32`-length-prefixed framing over byte streams;
-//! - [`transport`] — a [`Transport`] trait with in-process
-//!   ([`ChannelTransport`]) and TCP ([`TcpTransport`]) implementations,
-//!   plus the [`HostTransport`] management surface cluster hosts need;
-//! - [`reactor`] — a std-only nonblocking readiness-loop transport
-//!   ([`ReactorTransport`]) that owns all sockets on a fixed set of
+//! - [`transport`] — the [`Transport`] trait, its in-process
+//!   implementation ([`ChannelTransport`]) and the [`HostTransport`]
+//!   management surface cluster hosts need;
+//! - [`reactor`] — the TCP transport ([`ReactorTransport`]): a std-only
+//!   nonblocking readiness loop that owns all sockets on a fixed set of
 //!   event-loop threads (O(event loops) threads, not O(connections));
 //! - [`fault`] — a deterministic fault-injecting decorator
 //!   ([`FaultTransport`]) for chaos testing any transport.
@@ -28,5 +28,5 @@ pub use error::{NetError, NetResult};
 pub use fault::{AddrSet, FaultHandle, FaultRule, FaultStats, FaultTransport, LinkRule};
 pub use frame::{read_frame, write_frame, MAX_FRAME};
 pub use reactor::{ReactorConfig, ReactorStats, ReactorTransport};
-pub use transport::{ChannelTransport, HostTransport, TcpTransport, Transport};
+pub use transport::{ChannelTransport, HostTransport, Transport};
 pub use wire::{from_bytes, from_bytes_shared, to_bytes, Wire};

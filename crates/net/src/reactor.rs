@@ -1,14 +1,13 @@
-//! Nonblocking reactor transport: every socket is registered with one of
-//! a fixed set of event-loop threads, so thread count is O(event loops),
-//! not O(connections).
+//! Nonblocking reactor transport, the one TCP transport: every socket is
+//! registered with one of a fixed set of event-loop threads, so thread
+//! count is O(event loops), not O(connections).
 //!
-//! The blocking [`TcpTransport`](crate::transport::TcpTransport) spends two
-//! threads per peer (a reader per accepted connection plus the acceptor),
-//! which caps a single machine at tens of nodes. The reactor keeps the
-//! same wire format (`u32`-LE length-prefixed frames) and the same
-//! [`Transport`] contract — in-order delivery per sender, opaque string
-//! addresses — over `set_nonblocking(true)` streams, with per-frame work
-//! O(1) and per-iteration work O(ready sockets):
+//! A thread per connection would cap a single machine at tens of nodes.
+//! The reactor carries `u32`-LE length-prefixed frames (the format of
+//! [`crate::frame`]) under the [`Transport`] contract — in-order delivery
+//! per sender, opaque string addresses — over `set_nonblocking(true)`
+//! streams, with per-frame work O(1) and per-iteration work O(ready
+//! sockets):
 //!
 //! - **Routes.** `bind("m/0")` opens a listener on an OS-assigned loopback
 //!   port and records `"m/0" → 127.0.0.1:port`; the first `send("m/0", ..)`
@@ -38,8 +37,9 @@
 //! - **Failure containment.** A write error or peer hang-up closes that
 //!   one connection: its queue is marked closed (waking blocked senders
 //!   with an error) and it is unhooked from the routes so the next send
-//!   dials fresh — mirroring the poisoned-writer semantics of the
-//!   blocking transport.
+//!   dials fresh, never appending to a stream that may hold a torn frame.
+//!   A dial that gets no answer within `DIAL_TIMEOUT` fails like a
+//!   refused one.
 //! - **Graceful shutdown.** [`ReactorTransport::shutdown`] asks each loop
 //!   to drain every queued remainder (bounded by a deadline), then close
 //!   all sockets and exit; it joins the loop threads before returning.
@@ -74,6 +74,10 @@ const SHUTDOWN_LINGER: Duration = Duration::from_millis(100);
 /// Upper bound a sender waits for backpressure to clear before giving up
 /// (guards against a peer that never reads and a loop that died).
 const BACKPRESSURE_WAIT: Duration = Duration::from_secs(10);
+/// Upper bound on one outbound dial. The dial runs on whichever node
+/// thread called `send`; without a bound, a peer that answers nothing
+/// parks that node for the kernel's SYN retry period.
+const DIAL_TIMEOUT: Duration = Duration::from_secs(2);
 /// Scratch read buffer size per event loop.
 const READ_CHUNK: usize = 64 * 1024;
 /// A connection's reassembly buffer is released once it is empty and
@@ -814,8 +818,13 @@ impl ReactorTransport {
             return Ok(c);
         }
         // std has no nonblocking connect; dial blocking (instant on
-        // loopback), then flip to nonblocking.
-        let sock = TcpStream::connect(peer)?;
+        // loopback) under a deadline, then flip to nonblocking. A dial
+        // that times out reads as a refused one, so dispatcher failover
+        // treats a black-holed peer like a dead one.
+        let sock = TcpStream::connect_timeout(&peer, DIAL_TIMEOUT).map_err(|e| match e.kind() {
+            ErrorKind::TimedOut => ErrorKind::ConnectionRefused.into(),
+            _ => e,
+        })?;
         sock.set_nodelay(true)?;
         sock.set_nonblocking(true)?;
         let fresh = Arc::new(OutConn::new(
@@ -1280,6 +1289,25 @@ mod tests {
         HostTransport::unbind(&t, "x");
         assert!(t.send("x", Bytes::new()).is_err());
         drop(rx);
+        // A literal address nobody listens on fails the dial, promptly,
+        // and leaves the transport usable.
+        let closed = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap()
+            .to_string();
+        let dialed = Instant::now();
+        assert!(matches!(
+            t.send(&closed, Bytes::new()),
+            Err(NetError::Io(_))
+        ));
+        assert!(dialed.elapsed() < DIAL_TIMEOUT);
+        let live = t.bind("y").unwrap();
+        let real = t.local_addr("y").unwrap();
+        t.send(&real, Bytes::from_static(b"still up")).unwrap();
+        assert_eq!(
+            &live.recv_timeout(Duration::from_secs(5)).unwrap()[..],
+            b"still up"
+        );
         t.shutdown();
     }
 

@@ -1,37 +1,30 @@
 //! Transports: how payloads move between BlueDove nodes.
 //!
-//! Three implementations of one [`Transport`] trait:
+//! Two implementations of one [`Transport`] trait:
 //!
 //! - [`ChannelTransport`] — crossbeam channels inside one process; the
 //!   default for tests, examples and single-machine experiments.
-//! - [`TcpTransport`] — length-prefixed frames over `std::net` TCP with a
-//!   thread per accepted connection and a per-destination connection
-//!   cache; the deployment shape the paper's testbed used.
-//! - [`crate::reactor::ReactorTransport`] — the nonblocking readiness-loop
-//!   transport: all sockets owned by a fixed set of event-loop threads, so
-//!   thread count is O(event loops), not O(connections).
+//! - [`crate::reactor::ReactorTransport`] — TCP: length-prefixed frames
+//!   over nonblocking sockets owned by a fixed set of event-loop threads,
+//!   so thread count is O(event loops), not O(connections).
 //!
-//! Addresses are opaque strings: channel keys in-process, `host:port` for
-//! TCP (the reactor resolves logical names through its own registry).
+//! Addresses are opaque strings: channel keys in-process; the reactor
+//! resolves logical names through its own registry and takes a literal
+//! `host:port` as is.
 //!
 //! [`HostTransport`] extends [`Transport`] with the management surface the
 //! cluster orchestrator needs from its *base* transport (aliasing, unbind,
-//! wire accounting, shutdown); `ChannelTransport` and `ReactorTransport`
-//! implement it, which is what makes the reactor selectable as the
-//! cluster's third host without touching any node code.
+//! wire accounting, shutdown); both transports implement it, which is what
+//! makes the reactor selectable as a cluster host without touching any
+//! node code.
 
 use crate::error::{NetError, NetResult};
-use crate::frame::{read_frame, write_frame};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
 /// Datagram-style reliable transport with per-address inboxes.
 pub trait Transport: Send + Sync {
@@ -47,7 +40,7 @@ pub trait Transport: Send + Sync {
 /// transport, beyond plain [`Transport`] sends: address aliasing (indirect
 /// delivery), unbinding (crash simulation), wire accounting (bench
 /// attribution) and orderly teardown. Implemented by [`ChannelTransport`]
-///// and [`crate::reactor::ReactorTransport`] — the two base transports a
+/// and [`crate::reactor::ReactorTransport`] — the two base transports a
 /// cluster deployment can select between.
 pub trait HostTransport: Transport {
     /// Routes `addr` to the inbox already bound at `target`.
@@ -68,10 +61,6 @@ pub trait HostTransport: Transport {
     /// no-op for transports without background threads.
     fn shutdown(&self) {}
 }
-
-// ---------------------------------------------------------------------
-// In-process channels
-// ---------------------------------------------------------------------
 
 /// In-process transport backed by crossbeam channels. Cloning shares the
 /// routing table, so one instance serves a whole simulated deployment.
@@ -163,187 +152,9 @@ impl HostTransport for ChannelTransport {
     }
 }
 
-// ---------------------------------------------------------------------
-// TCP
-// ---------------------------------------------------------------------
-
-/// A buffered frame writer that poisons itself on the first failure: a
-/// partial `write_frame` leaves torn bytes on the stream, and any frame a
-/// late holder appended after them would be garbage to the reader. Once
-/// poisoned, every further write errors with [`NetError::Poisoned`].
-pub(crate) struct FramedWriter {
-    w: BufWriter<TcpStream>,
-    poisoned: bool,
-}
-
-impl FramedWriter {
-    fn new(stream: TcpStream) -> Self {
-        FramedWriter {
-            w: BufWriter::new(stream),
-            poisoned: false,
-        }
-    }
-
-    /// Writes and flushes one frame; a failure poisons the writer.
-    pub(crate) fn write_frame(&mut self, payload: &[u8]) -> NetResult<()> {
-        if self.poisoned {
-            return Err(NetError::Poisoned);
-        }
-        let result = write_frame(&mut self.w, payload).and_then(|()| {
-            self.w.flush()?;
-            Ok(())
-        });
-        if result.is_err() {
-            self.poisoned = true;
-        }
-        result
-    }
-}
-
-/// Shared, mutex-guarded buffered writer for one outbound connection.
-type SharedWriter = Arc<Mutex<FramedWriter>>;
-
-/// TCP transport: `bind` spawns an acceptor thread (plus one reader thread
-/// per connection) feeding the inbox channel; `send` caches one outbound
-/// connection per destination.
-#[derive(Clone, Default)]
-pub struct TcpTransport {
-    outbound: Arc<Mutex<HashMap<String, SharedWriter>>>,
-}
-
-impl TcpTransport {
-    /// Creates a transport with an empty connection cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn connect(&self, addr: &str) -> NetResult<SharedWriter> {
-        {
-            let cache = self.outbound.lock();
-            if let Some(w) = cache.get(addr) {
-                return Ok(w.clone());
-            }
-        }
-        // Connect outside the cache lock (a slow handshake must not stall
-        // sends to other destinations)...
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let writer = Arc::new(Mutex::new(FramedWriter::new(stream)));
-        // ...then re-check under the lock: another sender may have raced
-        // us through the same miss. Keep the FIRST writer so concurrent
-        // senders share one ordered stream; the loser's duplicate socket
-        // drops (closes) here instead of leaking in the cache.
-        Ok(self
-            .outbound
-            .lock()
-            .entry(addr.to_string())
-            .or_insert(writer)
-            .clone())
-    }
-
-    /// Drops the cached connection to `addr` (after send failures).
-    pub fn evict(&self, addr: &str) {
-        self.outbound.lock().remove(addr);
-    }
-
-    /// Evicts `addr` only while it still maps to `writer`: a failing
-    /// sender must not tear down the *fresh* connection another sender
-    /// opened after the first eviction.
-    fn evict_writer(&self, addr: &str, writer: &SharedWriter) {
-        let mut cache = self.outbound.lock();
-        if cache.get(addr).is_some_and(|c| Arc::ptr_eq(c, writer)) {
-            cache.remove(addr);
-        }
-    }
-
-    /// Binds an inbox on an OS-assigned port: `host` is an IP or hostname
-    /// without a port (e.g. `"127.0.0.1"`). Returns the actual bound
-    /// `host:port` address alongside the receiver, which is what tests
-    /// and multi-process deployments advertise instead of guessing at
-    /// free fixed ports.
-    pub fn bind_ephemeral(&self, host: &str) -> NetResult<(String, Receiver<Bytes>)> {
-        let listener = TcpListener::bind((host, 0))?;
-        let addr = listener.local_addr()?.to_string();
-        let rx = self.bind_listener(listener)?;
-        Ok((addr, rx))
-    }
-
-    fn bind_listener(&self, listener: TcpListener) -> NetResult<Receiver<Bytes>> {
-        let addr = listener.local_addr()?.to_string();
-        let (tx, rx) = unbounded::<Bytes>();
-        thread::Builder::new()
-            .name(format!("accept-{addr}"))
-            .spawn(move || acceptor_loop(|| listener.accept().map(|(s, _)| s), tx))
-            .expect("spawn acceptor thread");
-        Ok(rx)
-    }
-}
-
-/// The acceptor loop, factored out so tests can drive it with a scripted
-/// `accept`. Transient accept errors (EMFILE pressure, aborted handshakes,
-/// signal interruptions) are skipped with a short breather instead of
-/// killing the inbox permanently; the loop exits only when the inbox
-/// receiver is gone.
-fn acceptor_loop<A>(mut accept: A, tx: Sender<Bytes>)
-where
-    A: FnMut() -> std::io::Result<TcpStream>,
-{
-    loop {
-        if tx.is_disconnected() {
-            return; // the inbox was dropped: the binding is dead
-        }
-        match accept() {
-            Ok(stream) => {
-                let tx = tx.clone();
-                let peer = stream
-                    .peer_addr()
-                    .map(|a| a.to_string())
-                    .unwrap_or_else(|_| "?".into());
-                thread::Builder::new()
-                    .name(format!("read-{peer}"))
-                    .spawn(move || {
-                        let mut reader = BufReader::new(stream);
-                        // Stop on peer close / corrupt frame, or when
-                        // the inbox receiver was dropped.
-                        while let Ok(payload) = read_frame(&mut reader) {
-                            if tx.send(payload).is_err() {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn reader thread");
-            }
-            Err(_) => {
-                // One failed accept (resource pressure, a peer that reset
-                // mid-handshake) must not kill the acceptor: every future
-                // sender would see a black hole. Breathe and keep
-                // accepting.
-                thread::sleep(Duration::from_millis(5));
-            }
-        }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn bind(&self, addr: &str) -> NetResult<Receiver<Bytes>> {
-        self.bind_listener(TcpListener::bind(addr)?)
-    }
-
-    fn send(&self, addr: &str, payload: Bytes) -> NetResult<()> {
-        let writer = self.connect(addr)?;
-        let result = writer.lock().write_frame(&payload);
-        if result.is_err() {
-            self.evict_writer(addr, &writer);
-        }
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::Shutdown;
-    use std::time::Duration;
 
     #[test]
     fn channel_transport_routes_by_address() {
@@ -401,181 +212,5 @@ mod tests {
         let rx = t.bind("shared").unwrap();
         t2.send("shared", Bytes::from_static(b"hi")).unwrap();
         assert_eq!(&rx.recv().unwrap()[..], b"hi");
-    }
-
-    #[test]
-    fn tcp_transport_round_trips_frames() {
-        let t = TcpTransport::new();
-        // Bind to port 0 and advertise the actual address — fixed high
-        // ports collide across parallel test runs.
-        let (addr, rx) = t.bind_ephemeral("127.0.0.1").unwrap();
-        let sender = TcpTransport::new();
-        sender.send(&addr, Bytes::from_static(b"over tcp")).unwrap();
-        sender.send(&addr, Bytes::from_static(b"second")).unwrap();
-        let got = rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(&got[..], b"over tcp");
-        let got = rx.recv_timeout(Duration::from_secs(2)).unwrap();
-        assert_eq!(&got[..], b"second");
-    }
-
-    #[test]
-    fn tcp_send_to_closed_port_errors() {
-        let t = TcpTransport::new();
-        let res = t.send("127.0.0.1:1", Bytes::from_static(b"x"));
-        assert!(res.is_err());
-    }
-
-    #[test]
-    fn tcp_many_senders_one_inbox() {
-        let t = TcpTransport::new();
-        let (addr, rx) = t.bind_ephemeral("127.0.0.1").unwrap();
-        let mut handles = Vec::new();
-        for i in 0..4u8 {
-            let addr = addr.clone();
-            handles.push(thread::spawn(move || {
-                let s = TcpTransport::new();
-                for j in 0..25u8 {
-                    s.send(&addr, Bytes::from(vec![i, j])).unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut count = 0;
-        while rx.recv_timeout(Duration::from_millis(500)).is_ok() {
-            count += 1;
-            if count == 100 {
-                break;
-            }
-        }
-        assert_eq!(count, 100);
-    }
-
-    /// Regression: one transient accept error used to break the acceptor
-    /// out of its loop, permanently killing the inbox. The scripted accept
-    /// below fails twice between two successful connections; both
-    /// connections' frames must still arrive.
-    #[test]
-    fn acceptor_survives_transient_accept_errors() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let (tx, rx) = unbounded::<Bytes>();
-
-        // Scripted accept: Err, Ok, Err, Ok, then block forever (the
-        // leaked thread parks on a channel, like a real acceptor in
-        // accept(2)).
-        let (script_tx, script_rx) = unbounded::<std::io::Result<TcpStream>>();
-        thread::spawn(move || {
-            acceptor_loop(
-                move || match script_rx.recv() {
-                    Ok(r) => r,
-                    Err(_) => Err(std::io::ErrorKind::WouldBlock.into()),
-                },
-                tx,
-            )
-        });
-
-        let io_err =
-            || std::io::Error::new(std::io::ErrorKind::ConnectionAborted, "handshake aborted");
-        for round in 0..2u8 {
-            script_tx.send(Err(io_err())).unwrap();
-            let client = TcpStream::connect(addr).unwrap();
-            let (server, _) = listener.accept().unwrap();
-            script_tx.send(Ok(server)).unwrap();
-            let mut w = client;
-            write_frame(&mut w, &[round]).unwrap();
-            w.flush().unwrap();
-            let got = rx
-                .recv_timeout(Duration::from_secs(5))
-                .expect("acceptor must survive the transient error");
-            assert_eq!(&got[..], &[round]);
-        }
-    }
-
-    /// Regression: two senders racing through a cache miss used to open
-    /// duplicate connections, the second insert orphaning (and leaking)
-    /// the first. Now the first writer wins and every racer shares it.
-    #[test]
-    fn concurrent_connects_share_one_writer() {
-        let t = TcpTransport::new();
-        let (addr, _rx) = t.bind_ephemeral("127.0.0.1").unwrap();
-        let barrier = Arc::new(std::sync::Barrier::new(8));
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let t = t.clone();
-            let addr = addr.clone();
-            let barrier = barrier.clone();
-            handles.push(thread::spawn(move || {
-                barrier.wait();
-                t.connect(&addr).unwrap()
-            }));
-        }
-        let writers: Vec<SharedWriter> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for w in &writers[1..] {
-            assert!(
-                Arc::ptr_eq(&writers[0], w),
-                "racing connects must converge on one shared writer"
-            );
-        }
-        assert_eq!(t.outbound.lock().len(), 1);
-    }
-
-    /// Regression: after a partial write failure evicted the connection,
-    /// a sender still holding the old `SharedWriter` could append a fresh
-    /// frame after the torn bytes. The writer now poisons itself on the
-    /// first failure, so late holders error instead of corrupting the
-    /// stream.
-    #[test]
-    fn failed_writer_is_poisoned_for_late_holders() {
-        let t = TcpTransport::new();
-        let (addr, rx) = t.bind_ephemeral("127.0.0.1").unwrap();
-        // Hold a clone of the writer, as a concurrent sender would.
-        let stale = t.connect(&addr).unwrap();
-        // Kill the connection under it and write until the failure
-        // surfaces (the first writes may land in OS buffers).
-        stale.lock().w.get_ref().shutdown(Shutdown::Both).unwrap();
-        let payload = Bytes::from(vec![0u8; 64 * 1024]);
-        let mut failed = false;
-        for _ in 0..64 {
-            if t.send(&addr, payload.clone()).is_err() {
-                failed = true;
-                break;
-            }
-        }
-        assert!(failed, "writes to a shut-down socket must eventually fail");
-        // The late holder's append must be refused outright.
-        assert!(matches!(
-            stale.lock().write_frame(b"fresh frame"),
-            Err(NetError::Poisoned)
-        ));
-        // And the transport as a whole recovers: the poisoned writer was
-        // evicted, so a new send opens a clean connection.
-        t.send(&addr, Bytes::from_static(b"recovered")).unwrap();
-        let got = loop {
-            let got = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            // Skip any pre-failure payloads that made it through.
-            if got.len() != payload.len() {
-                break got;
-            }
-        };
-        assert_eq!(&got[..], b"recovered");
-    }
-
-    /// A failing sender only evicts the connection it actually failed on:
-    /// the fresh writer another sender opened after the first eviction
-    /// must survive.
-    #[test]
-    fn eviction_spares_a_replacement_connection() {
-        let t = TcpTransport::new();
-        let (addr, _rx) = t.bind_ephemeral("127.0.0.1").unwrap();
-        let old = t.connect(&addr).unwrap();
-        t.evict(&addr);
-        let fresh = t.connect(&addr).unwrap();
-        assert!(!Arc::ptr_eq(&old, &fresh));
-        // The stale writer fails (poisoned path) — the fresh one stays.
-        t.evict_writer(&addr, &old);
-        let cache = t.outbound.lock();
-        assert!(cache.get(&addr).is_some_and(|c| Arc::ptr_eq(c, &fresh)));
     }
 }

@@ -33,5 +33,3 @@ pub use scenario::{
     MsgStream, PaperWorkload, Scenario, ScenarioConfig, ScenarioRun, SpatioTextual, StockTicker,
     SubStream, TrafficMonitoring,
 };
-#[allow(deprecated)]
-pub use scenario::{stock_ticker, traffic_monitoring};

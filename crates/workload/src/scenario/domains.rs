@@ -1,6 +1,5 @@
 //! The domain-flavoured scenarios from the paper's introduction, as
-//! [`Scenario`] implementations (the tuple-returning free functions are
-//! deprecated shims over these).
+//! [`Scenario`] implementations.
 
 use super::{MsgStream, Scenario, SubStream};
 use crate::dist::ValueDist;
@@ -221,26 +220,6 @@ impl Scenario for StockTicker {
     }
 }
 
-/// The traffic-monitoring streams as a tuple.
-#[deprecated(
-    since = "0.2.0",
-    note = "construct `TrafficMonitoring { seed }` and use the `Scenario` trait"
-)]
-pub fn traffic_monitoring(seed: u64) -> (AttributeSpace, SubscriptionGenerator, MessageGenerator) {
-    let s = TrafficMonitoring { seed };
-    (s.space(), s.subscriptions(), s.messages())
-}
-
-/// The stock-ticker streams as a tuple.
-#[deprecated(
-    since = "0.2.0",
-    note = "construct `StockTicker { seed }` and use the `Scenario` trait"
-)]
-pub fn stock_ticker(seed: u64) -> (AttributeSpace, SubscriptionGenerator, MessageGenerator) {
-    let s = StockTicker { seed };
-    (s.space(), s.subscriptions(), s.messages())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,35 +250,5 @@ mod tests {
         for m in s.messages().take(100) {
             assert!(m.validate(&space).is_ok());
         }
-    }
-
-    /// The shims must return streams byte-identical to the scenario
-    /// structs (they are the one-release compatibility bridge).
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_scenario_structs() {
-        let (space, subs, msgs) = traffic_monitoring(7);
-        let s = TrafficMonitoring { seed: 7 };
-        assert_eq!(space, Scenario::space(&s));
-        assert_eq!(
-            subs.take(50).collect::<Vec<_>>(),
-            s.subscriptions().take(50).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            msgs.take(50).collect::<Vec<_>>(),
-            s.messages().take(50).collect::<Vec<_>>()
-        );
-
-        let (space, subs, msgs) = stock_ticker(8);
-        let s = StockTicker { seed: 8 };
-        assert_eq!(space, Scenario::space(&s));
-        assert_eq!(
-            subs.take(50).collect::<Vec<_>>(),
-            s.subscriptions().take(50).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            msgs.take(50).collect::<Vec<_>>(),
-            s.messages().take(50).collect::<Vec<_>>()
-        );
     }
 }

@@ -19,10 +19,6 @@
 //!   dimension (heterogeneous attributes for `dim_select`);
 //! - [`HighChurn`] — flash-crowd subscribe/unsubscribe waves and mobile
 //!   subscribers migrating their mailboxes, driving the autoscaler.
-//!
-//! The tuple-returning free functions [`traffic_monitoring`] and
-//! [`stock_ticker`] are deprecated shims over the scenario structs and
-//! will be removed next release.
 
 mod churn;
 mod domains;
@@ -30,8 +26,6 @@ mod paper;
 mod spatio;
 
 pub use churn::HighChurn;
-#[allow(deprecated)]
-pub use domains::{stock_ticker, traffic_monitoring};
 pub use domains::{StockTicker, TrafficMonitoring};
 pub use paper::{CoverableWorkload, PaperWorkload};
 pub use spatio::SpatioTextual;

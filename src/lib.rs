@@ -13,7 +13,8 @@
 //!   distributions.
 //! - [`baselines`] — the P2P (single-dimension DHT) and full-replication
 //!   comparators from the paper's evaluation.
-//! - [`net`] — wire codec and transports (in-process channels, TCP).
+//! - [`net`] — wire codec and transports (in-process channels, the TCP
+//!   reactor).
 //! - [`cluster`] — a real multi-threaded deployment of dispatchers and
 //!   matchers.
 //! - [`sim`] — a deterministic discrete-event simulator standing in for the

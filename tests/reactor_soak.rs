@@ -3,10 +3,10 @@
 //! independent of connection count — while every frame still arrives,
 //! in order per sender.
 //!
-//! The blocking `TcpTransport` would need ~2 threads per connection for
-//! this topology (240+ threads); the reactor serves it with exactly
-//! `event_loops` threads, which is the property that lets the cluster
-//! scale past thread-per-connection on real sockets.
+//! A thread per connection would put 240+ threads under this topology;
+//! the reactor serves it with exactly `event_loops` threads, which is the
+//! property that lets the cluster scale past thread-per-connection on
+//! real sockets.
 
 use bluedove::net::{ReactorConfig, ReactorTransport, Transport};
 use bytes::Bytes;
@@ -88,9 +88,8 @@ fn hundred_node_soak_thread_count_stays_flat() {
         2 * NODES
     );
 
-    // ...while the transport added exactly `event_loops` threads. The
-    // blocking transport's thread-per-connection shape would sit at
-    // O(connections) here.
+    // ...while the transport added exactly `event_loops` threads, where
+    // a thread-per-connection shape would sit at O(connections).
     if let (Some(before), Some(during)) = (before, thread_count()) {
         let added = during.saturating_sub(before);
         assert_eq!(

@@ -4,7 +4,7 @@
 //! uses the identical `Transport` abstraction).
 
 use bluedove::overlay::{EndpointState, GossipMsg, GossipNode, NodeId, NodeRole};
-use bluedove_net::{from_bytes, to_bytes, TcpTransport, Transport};
+use bluedove_net::{from_bytes, to_bytes, ReactorConfig, ReactorTransport, Transport};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use std::time::{Duration, Instant};
@@ -24,19 +24,27 @@ fn open_envelope(mut payload: &[u8]) -> Option<(String, GossipMsg)> {
     Some((from, msg))
 }
 
+/// One transport instance, as each host of a deployment would run.
+fn reactor() -> ReactorTransport {
+    ReactorTransport::start(ReactorConfig::default()).expect("start reactor")
+}
+
 struct TcpPeer {
     addr: String,
     node: GossipNode,
     rx: Receiver<Bytes>,
-    transport: TcpTransport,
+    transport: ReactorTransport,
 }
 
 impl TcpPeer {
     fn new(id: u64) -> Self {
-        // Bind to an OS-assigned port and advertise the actual address —
-        // fixed high ports collide across parallel test runs.
-        let transport = TcpTransport::new();
-        let (addr, rx) = transport.bind_ephemeral("127.0.0.1").expect("bind tcp");
+        // One transport instance per peer, as on separate hosts: bind a
+        // logical name (an OS-assigned port) and advertise the real
+        // `host:port` behind it, which is what the others dial.
+        let transport = reactor();
+        let name = format!("gossip/{id}");
+        let rx = transport.bind(&name).expect("bind tcp");
+        let addr = transport.local_addr(&name).expect("bound address");
         let node = GossipNode::new(EndpointState::new(
             NodeId(id),
             NodeRole::Matcher,
@@ -133,6 +141,9 @@ fn gossip_converges_over_real_tcp() {
     }
     // Byte accounting flowed over the real sockets.
     assert!(peers.iter().all(|p| p.node.bytes_sent > 0));
+    for p in &peers {
+        p.transport.shutdown();
+    }
 }
 
 #[test]
@@ -140,9 +151,10 @@ fn control_messages_cross_tcp_intact() {
     use bluedove::cluster::ControlMsg;
     use bluedove::core::{DimIdx, Message};
 
-    let transport = TcpTransport::new();
-    let (addr, rx) = transport.bind_ephemeral("127.0.0.1").expect("bind");
-    let sender = TcpTransport::new();
+    let receiver = reactor();
+    let rx = receiver.bind("m/0").expect("bind");
+    let addr = receiver.local_addr("m/0").expect("bound address");
+    let sender = reactor();
 
     let msg = ControlMsg::MatchMsg {
         dim: DimIdx(2),
@@ -154,4 +166,6 @@ fn control_messages_cross_tcp_intact() {
     let payload = rx.recv_timeout(Duration::from_secs(5)).expect("recv");
     let back: ControlMsg = from_bytes(&payload).expect("decode");
     assert_eq!(back, msg);
+    sender.shutdown();
+    receiver.shutdown();
 }
