@@ -1,6 +1,6 @@
-//! Host-side glue for the engine-level [`Coalescer`]: staging a frame or
-//! sending it directly, lowering a flush onto the wire and recording the
-//! batching telemetry.
+//! Host-side glue for the engine-level [`Coalescer`]: a node's `Outbox`
+//! (staging a frame or sending it directly, lowering a flush onto the
+//! wire) and the batching telemetry.
 //!
 //! The coalescing *decisions* (which frames ride together, when a lane
 //! flushes) live in `bluedove_engine::batch` so the simulator makes the
@@ -13,6 +13,7 @@ use bluedove_core::Time;
 use bluedove_engine::{Coalescer, Flush, FlushReason};
 use bluedove_net::{to_bytes, Transport};
 use bluedove_telemetry::{Counter, Histogram, Registry};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Telemetry handles for one component's coalescer (dispatchers and
@@ -82,38 +83,43 @@ pub fn flush_frame(mut items: Vec<ControlMsg>) -> ControlMsg {
     }
 }
 
-/// Sends one flush over `transport`, recording its telemetry. Returns
-/// whether the transport accepted the frame.
-pub fn send_flush(
-    transport: &dyn Transport,
-    metrics: &BatchMetrics,
-    flush: Flush<ControlMsg>,
-) -> bool {
-    metrics.record(flush.items.len(), flush.reason);
-    let frame = flush_frame(flush.items);
-    transport
-        .send(&flush.dest, to_bytes(&frame).freeze())
-        .is_ok()
+/// A node's outbound side: the transport, and the coalescer (with its
+/// telemetry) that hot-path frames are staged in when batching is on.
+pub(crate) struct Outbox {
+    pub transport: Arc<dyn Transport>,
+    pub metrics: BatchMetrics,
+    pub batcher: Coalescer<ControlMsg>,
+    /// Host-clock time of the step being handled — the stage time of
+    /// whatever it sends.
+    pub now: Time,
 }
 
-/// Hands `frame` to the coalescer — or, with batching off, straight to
-/// the transport, so the batch metrics record real coalescer flushes
-/// only. Returns `false` only when the call sent something (the frame
-/// alone, or the size flush it completed) and the transport refused it.
-pub fn stage_or_send(
-    transport: &dyn Transport,
-    metrics: &BatchMetrics,
-    batcher: &mut Coalescer<ControlMsg>,
-    now: Time,
-    addr: &str,
-    frame: ControlMsg,
-) -> bool {
-    if !batcher.cfg().enabled() {
-        return transport.send(addr, to_bytes(&frame).freeze()).is_ok();
+impl Outbox {
+    /// Sends `msg` directly; whether the transport accepted it.
+    pub fn send(&self, addr: &str, msg: &ControlMsg) -> bool {
+        self.transport.send(addr, to_bytes(msg).freeze()).is_ok()
     }
-    match batcher.push(now, addr, frame) {
-        Some(flush) => send_flush(transport, metrics, flush),
-        None => true,
+
+    /// Sends one flush, recording its telemetry; whether the transport
+    /// accepted it.
+    pub fn send_flush(&self, flush: Flush<ControlMsg>) -> bool {
+        self.metrics.record(flush.items.len(), flush.reason);
+        self.send(&flush.dest, &flush_frame(flush.items))
+    }
+
+    /// Hands `frame` to the coalescer — or, with batching off, straight
+    /// to the transport, so the batch metrics record real coalescer
+    /// flushes only. Returns `false` only when the call sent something
+    /// (the frame alone, or the size flush it completed) and the
+    /// transport refused it.
+    pub fn stage(&mut self, addr: &str, frame: ControlMsg) -> bool {
+        if !self.batcher.cfg().enabled() {
+            return self.send(addr, &frame);
+        }
+        match self.batcher.push(self.now, addr, frame) {
+            Some(flush) => self.send_flush(flush),
+            None => true,
+        }
     }
 }
 

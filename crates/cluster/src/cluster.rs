@@ -22,10 +22,10 @@
 use crate::dispatcher::{DispatcherNode, DispatcherNodeConfig, RoutingState};
 use crate::mailbox::MailboxNode;
 use crate::matcher::{MatcherNode, MatcherNodeConfig};
-use crate::proto::ControlMsg;
+use crate::proto::{frames, ControlMsg};
 use crate::shared::{
-    control_addr, dispatcher_addr, matcher_addr, subscriber_addr, telemetry_addr,
-    ReliabilityConfig, SeenWindow, Shared,
+    control_addr, dispatcher_addr, matcher_addr, subscriber_addr, telemetry_addr, SeenWindow,
+    Shared,
 };
 use bluedove_baselines::AnyStrategy;
 use bluedove_core::{
@@ -38,8 +38,8 @@ use bluedove_engine::{
     ScalePlan,
 };
 use bluedove_net::{
-    from_bytes, from_bytes_shared, to_bytes, ChannelTransport, FaultHandle, FaultTransport,
-    HostTransport, NetError, ReactorConfig, ReactorTransport, Transport,
+    to_bytes, ChannelTransport, FaultHandle, FaultTransport, HostTransport, NetError,
+    ReactorConfig, ReactorTransport, Transport,
 };
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
@@ -379,6 +379,26 @@ pub struct Delivery {
     pub latency: Duration,
 }
 
+/// Blocks up to `secs` for the first frame on `rx` that `pick` accepts,
+/// skipping whatever else shares the inbox (load reports, late acks).
+fn await_reply<T>(
+    rx: &Receiver<Bytes>,
+    secs: u64,
+    what: &'static str,
+    mut pick: impl FnMut(ControlMsg) -> Option<T>,
+) -> Result<T, ClusterError> {
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    loop {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        let payload = rx
+            .recv_timeout(remaining)
+            .map_err(|_| ClusterError::Timeout(what))?;
+        if let Some(reply) = frames(payload).find_map(&mut pick) {
+            return Ok(reply);
+        }
+    }
+}
+
 /// A subscriber endpoint receiving direct deliveries.
 pub struct SubscriberHandle {
     /// This endpoint's subscriber id.
@@ -415,19 +435,12 @@ impl SubscriberHandle {
         false
     }
 
-    /// Decodes one received frame — unwrapping coalesced batches — and
-    /// appends every fresh (non-duplicate) delivery to `out`. Stray
-    /// control traffic and corrupt frames are skipped.
-    fn accept(&self, payload: Bytes, out: &mut Vec<Delivery>) {
+    /// Appends every fresh (non-duplicate) delivery in one received
+    /// payload to `out`. Stray control traffic and corrupt frames are
+    /// skipped.
+    fn accept(&self, payload: Bytes, out: &mut impl Extend<Delivery>) {
         // Zero-copy decode: each delivery's payload windows the frame.
-        let Ok(msg) = from_bytes_shared::<ControlMsg>(payload) else {
-            return;
-        };
-        let frames: Vec<ControlMsg> = match msg {
-            ControlMsg::Batch(inner) => inner,
-            m => vec![m],
-        };
-        for m in frames {
+        for m in frames(payload) {
             if let ControlMsg::Deliver {
                 sub,
                 msg,
@@ -440,11 +453,11 @@ impl SubscriberHandle {
                 }
                 let latency_us = self.shared.now_us().saturating_sub(admitted_us);
                 self.e2e.observe_us(latency_us);
-                out.push(Delivery {
+                out.extend(Some(Delivery {
                     sub,
                     msg,
                     latency: Duration::from_micros(latency_us),
-                });
+                }));
             }
         }
     }
@@ -459,11 +472,9 @@ impl SubscriberHandle {
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             let payload = self.rx.recv_timeout(remaining).ok()?;
-            let mut got = Vec::new();
-            self.accept(payload, &mut got);
-            let mut it = got.into_iter();
-            if let Some(first) = it.next() {
-                self.pending.lock().extend(it);
+            let mut pending = self.pending.lock();
+            self.accept(payload, &mut *pending);
+            if let Some(first) = pending.pop_front() {
                 return Some(first);
             }
         }
@@ -569,25 +580,19 @@ impl IndirectSubscriber {
         };
         self.transport
             .send(&self.mailbox_addr, to_bytes(&req).freeze())?;
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let payload = self
-                .reply_rx
-                .recv_timeout(remaining)
-                .map_err(|_| ClusterError::Timeout("mailbox batch"))?;
-            if let Ok(ControlMsg::MailboxBatch { entries }) = from_bytes_shared(payload) {
-                let now_us = self.shared.now_us();
-                return Ok(entries
-                    .into_iter()
-                    .map(|(sub, msg, admitted_us)| Delivery {
-                        sub,
-                        msg,
-                        latency: Duration::from_micros(now_us.saturating_sub(admitted_us)),
-                    })
-                    .collect());
-            }
-        }
+        let entries = await_reply(&self.reply_rx, 5, "mailbox batch", |m| match m {
+            ControlMsg::MailboxBatch { entries } => Some(entries),
+            _ => None,
+        })?;
+        let now_us = self.shared.now_us();
+        Ok(entries
+            .into_iter()
+            .map(|(sub, msg, admitted_us)| Delivery {
+                sub,
+                msg,
+                latency: Duration::from_micros(now_us.saturating_sub(admitted_us)),
+            })
+            .collect())
     }
 }
 
@@ -645,15 +650,34 @@ pub struct Cluster {
     crash_watermark: HashMap<MatcherId, u64>,
 }
 
-/// The per-matcher sub-log config, when the deployment has a log dir
-/// (file names embed the matcher id, so one directory serves them all).
-fn sublog_config(cfg: &ClusterConfig, epoch: u64) -> Option<crate::sublog::SubLogConfig> {
-    cfg.log_dir.as_ref().map(|dir| crate::sublog::SubLogConfig {
-        fsync: cfg.fsync,
-        min_isr: cfg.min_isr,
-        epoch,
-        ..crate::sublog::SubLogConfig::new(dir.clone())
-    })
+/// The node config of matcher `id`: the deployment's knobs plus what
+/// differs per spawn — the gossip bootstrap, the incarnation number and
+/// the sub-log leader `epoch`. The sub-log is on when the deployment has
+/// a log dir (file names embed the matcher id, so one directory serves
+/// every matcher).
+fn matcher_config(
+    cfg: &ClusterConfig,
+    id: MatcherId,
+    gossip_seeds: Vec<bluedove_overlay::EndpointState>,
+    generation: u64,
+    epoch: u64,
+) -> MatcherNodeConfig {
+    MatcherNodeConfig {
+        id,
+        addr: matcher_addr(id),
+        engine: cfg.engine.clone(),
+        stats_interval: cfg.stats_interval,
+        gossip_interval: cfg.gossip_interval,
+        gossip_seeds,
+        generation,
+        failure_detector: cfg.failure_detector,
+        sublog: cfg.log_dir.as_ref().map(|dir| crate::sublog::SubLogConfig {
+            fsync: cfg.fsync,
+            min_isr: cfg.min_isr,
+            epoch,
+            ..crate::sublog::SubLogConfig::new(dir.clone())
+        }),
+    }
 }
 
 impl Cluster {
@@ -719,19 +743,7 @@ impl Cluster {
             let addr = matcher_addr(id);
             shared.matcher_addrs.write().insert(id, addr.clone());
             let node = MatcherNode::spawn(
-                MatcherNodeConfig {
-                    id,
-                    addr: addr.clone(),
-                    index: cfg.engine.index,
-                    stats_interval: cfg.stats_interval,
-                    gossip_interval: cfg.gossip_interval,
-                    gossip_seeds: seeds.clone(),
-                    generation: 1,
-                    failure_detector: cfg.failure_detector,
-                    dedup_window: cfg.engine.dedup_window,
-                    batch: cfg.engine.batch,
-                    sublog: sublog_config(&cfg, 1),
-                },
+                matcher_config(&cfg, id, seeds.clone(), 1, 1),
                 shared.clone(),
                 scope(&addr),
             );
@@ -771,8 +783,7 @@ impl Cluster {
                     seed: cfg.seed ^ (i as u64).wrapping_mul(0x9E37_79B9),
                     bootstrap: bootstrap.clone(),
                     table_pull_interval: cfg.table_pull_interval,
-                    reliability: ReliabilityConfig::from_engine(&cfg.engine),
-                    batch: cfg.engine.batch,
+                    engine: cfg.engine.clone(),
                 },
                 shared.clone(),
                 scope(&addr),
@@ -852,6 +863,17 @@ impl Cluster {
         }
     }
 
+    /// Blocks until `n` donors have acknowledged their hand-over on the
+    /// control inbox (other control traffic sharing it is skipped).
+    fn await_handovers(&self, n: usize) -> Result<(), ClusterError> {
+        for _ in 0..n {
+            await_reply(&self.ctl_rx, 10, "hand-over ack", |m| {
+                matches!(m, ControlMsg::HandOverDone { .. }).then_some(())
+            })?;
+        }
+        Ok(())
+    }
+
     /// A transport scoped to `origin` for a node spawned after start.
     fn scoped_transport(&self, origin: &str) -> Arc<dyn Transport> {
         match &self.fault {
@@ -928,17 +950,10 @@ impl Cluster {
             reply_to: telemetry_addr(),
         };
         self.transport.send(&target, to_bytes(&pull).freeze())?;
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let payload = self
-                .tel_rx
-                .recv_timeout(remaining)
-                .map_err(|_| ClusterError::Timeout("telemetry exposition"))?;
-            if let Ok(ControlMsg::TelemetryText { text }) = from_bytes(&payload) {
-                return Ok(text);
-            }
-        }
+        await_reply(&self.tel_rx, 5, "telemetry exposition", |m| match m {
+            ControlMsg::TelemetryText { text } => Some(text),
+            _ => None,
+        })
     }
 
     /// Per-matcher gossip peer counts, as last reported by each matcher's
@@ -994,27 +1009,21 @@ impl Cluster {
         )?;
         // Wait for the ack (skipping nothing: the ack is the first thing
         // this fresh endpoint can receive).
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let payload = rx
-                .recv_timeout(remaining)
-                .map_err(|_| ClusterError::Timeout("subscription ack"))?;
-            if let Ok(ControlMsg::SubAck { sub: id }) = from_bytes(&payload) {
-                sub.id = id;
-                self.sub_registry.insert(id, sub.clone());
-                return Ok(SubscriberHandle {
-                    id: subscriber,
-                    subscription: id,
-                    sub,
-                    rx,
-                    e2e: crate::shared::e2e_latency_histogram(&self.shared.telemetry),
-                    shared: self.shared.clone(),
-                    dedup: Mutex::new(SeenWindow::new(self.cfg.engine.dedup_window)),
-                    pending: Mutex::new(VecDeque::new()),
-                });
-            }
-        }
+        sub.id = await_reply(&rx, 5, "subscription ack", |m| match m {
+            ControlMsg::SubAck { sub } => Some(sub),
+            _ => None,
+        })?;
+        self.sub_registry.insert(sub.id, sub.clone());
+        Ok(SubscriberHandle {
+            id: subscriber,
+            subscription: sub.id,
+            sub,
+            rx,
+            e2e: crate::shared::e2e_latency_histogram(&self.shared.telemetry),
+            shared: self.shared.clone(),
+            dedup: Mutex::new(SeenWindow::new(self.cfg.engine.dedup_window)),
+            pending: Mutex::new(VecDeque::new()),
+        })
     }
 
     /// Unregisters the subscription behind `handle`: every copy is removed
@@ -1151,19 +1160,7 @@ impl Cluster {
         // gossip mesh immediately.
         let seeds = self.membership_seeds();
         let node = MatcherNode::spawn(
-            MatcherNodeConfig {
-                id: new_id,
-                addr: addr.clone(),
-                index: self.cfg.engine.index,
-                stats_interval: self.cfg.stats_interval,
-                gossip_interval: self.cfg.gossip_interval,
-                gossip_seeds: seeds,
-                generation: 1,
-                failure_detector: self.cfg.failure_detector,
-                dedup_window: self.cfg.engine.dedup_window,
-                batch: self.cfg.engine.batch,
-                sublog: sublog_config(&self.cfg, 1),
-            },
+            matcher_config(&self.cfg, new_id, seeds, 1, 1),
             self.shared.clone(),
             self.scoped_transport(&addr),
         );
@@ -1187,18 +1184,7 @@ impl Cluster {
             self.transport
                 .send(&donor_addr, to_bytes(&handover).freeze())?;
         }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut acks = 0;
-        while acks < moves.len() {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let payload = self
-                .ctl_rx
-                .recv_timeout(remaining)
-                .map_err(|_| ClusterError::Timeout("hand-over ack"))?;
-            if let Ok(ControlMsg::HandOverDone { .. }) = from_bytes(&payload) {
-                acks += 1;
-            }
-        }
+        self.await_handovers(moves.len())?;
 
         // Flip the routing table: install the new table on every matcher
         // (dispatchers pick it up at their next pull) and record it as the
@@ -1328,18 +1314,7 @@ impl Cluster {
             self.transport
                 .send(&victim_addr, to_bytes(&handover).freeze())?;
         }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut acks = 0;
-        while acks < merges.len() {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let payload = self
-                .ctl_rx
-                .recv_timeout(remaining)
-                .map_err(|_| ClusterError::Timeout("hand-over ack"))?;
-            if let Ok(ControlMsg::HandOverDone { .. }) = from_bytes(&payload) {
-                acks += 1;
-            }
-        }
+        self.await_handovers(merges.len())?;
 
         // Flip the routing table with the victim deregistered. Matchers
         // get the authoritative TableUpdate; dispatchers get the same book
@@ -1348,7 +1323,7 @@ impl Cluster {
         // recompute candidates from this table too, so the ledger re-homes
         // its in-flight publications onto the heirs. Management-plane
         // traffic goes over the raw channel (see restart_matcher).
-        *self.shared.strategy.write() = new_strategy.clone();
+        *self.shared.strategy.write() = new_strategy;
         self.shared.matcher_addrs.write().remove(&victim);
         // A graceful leave retires the victim's stream with it: its
         // segments (and their copies) have been handed to the heirs, so
@@ -1356,32 +1331,7 @@ impl Cluster {
         self.epochs.remove(&victim);
         self.stream_leader.remove(&victim);
         self.stream_leader.retain(|_, l| *l != victim);
-        self.table_version += 1;
-        let addr_book: Vec<(MatcherId, String)> = self
-            .shared
-            .matcher_addrs
-            .read()
-            .iter()
-            .map(|(&m, a)| (m, a.clone()))
-            .collect();
-        let update = ControlMsg::TableUpdate {
-            version: self.table_version,
-            strategy: new_strategy.clone(),
-            addrs: addr_book.clone(),
-            epochs: self.epochs_book(),
-        };
-        for (_, a) in &addr_book {
-            let _ = self.base.send(a, to_bytes(&update).freeze());
-        }
-        let state = ControlMsg::TableState {
-            version: self.table_version,
-            strategy: Some(new_strategy),
-            addrs: addr_book,
-            epochs: self.epochs_book(),
-        };
-        for d in &self.dispatchers {
-            let _ = self.base.send(&d.addr, to_bytes(&state).freeze());
-        }
+        self.broadcast_table();
 
         // Publications routed by the old table may still arrive for up to
         // one pull interval; the victim serves them from the copies it
@@ -1421,13 +1371,15 @@ impl Cluster {
             return Err(ClusterError::Invalid("no autoscaler configured"));
         }
         while let Ok(payload) = self.ctl_rx.try_recv() {
-            if let Ok(ControlMsg::LoadReport {
-                matcher,
-                dim,
-                stats,
-            }) = from_bytes(&payload)
-            {
-                self.load_view.insert((matcher, dim), stats);
+            for msg in frames(payload) {
+                if let ControlMsg::LoadReport {
+                    matcher,
+                    dim,
+                    stats,
+                } = msg
+                {
+                    self.load_view.insert((matcher, dim), stats);
+                }
             }
         }
         let members: HashSet<MatcherId> = self
@@ -1594,19 +1546,13 @@ impl Cluster {
         // before the loop starts closes that window: the loop drains its
         // whole inbox before serving anything.
         let bound = MatcherNode::bind(
-            MatcherNodeConfig {
-                id: m,
-                addr: addr.clone(),
-                index: self.cfg.engine.index,
-                stats_interval: self.cfg.stats_interval,
-                gossip_interval: self.cfg.gossip_interval,
-                gossip_seeds: self.membership_seeds(),
+            matcher_config(
+                &self.cfg,
+                m,
+                self.membership_seeds(),
                 generation,
-                failure_detector: self.cfg.failure_detector,
-                dedup_window: self.cfg.engine.dedup_window,
-                batch: self.cfg.engine.batch,
-                sublog: rejoin_epoch.and_then(|e| sublog_config(&self.cfg, e)),
-            },
+                rejoin_epoch.unwrap_or(1),
+            ),
             self.scoped_transport(&addr),
         );
 
@@ -1628,28 +1574,19 @@ impl Cluster {
                         reply_to: control_addr(),
                     };
                     let _ = self.base.send(&leader_addr, to_bytes(&fetch).freeze());
-                    let deadline = Instant::now() + Duration::from_secs(5);
-                    while Instant::now() < deadline {
-                        let remaining = deadline.saturating_duration_since(Instant::now());
-                        let Ok(payload) = self.ctl_rx.recv_timeout(remaining) else {
-                            break;
-                        };
-                        if let Ok(ControlMsg::SubLogAppend {
-                            stream, records, ..
-                        }) = from_bytes(&payload)
-                        {
-                            if stream == m {
-                                let install = ControlMsg::SubLogInstall {
-                                    stream: m,
-                                    epoch: e_new,
-                                    records,
-                                };
-                                let _ = self.base.send(&addr, to_bytes(&install).freeze());
-                                break;
-                            }
+                    let delta = await_reply(&self.ctl_rx, 5, "sub-log delta", |msg| match msg {
+                        ControlMsg::SubLogAppend { append, .. } if append.stream == m => {
+                            Some(append.records)
                         }
-                        // Stray control traffic (load reports, late acks)
-                        // shares this inbox: skip and keep waiting.
+                        _ => None,
+                    });
+                    if let Ok(records) = delta {
+                        let install = ControlMsg::SubLogInstall {
+                            stream: m,
+                            epoch: e_new,
+                            records,
+                        };
+                        let _ = self.base.send(&addr, to_bytes(&install).freeze());
                     }
                     let demote = ControlMsg::SubLogDemote { stream: m };
                     let _ = self.base.send(&leader_addr, to_bytes(&demote).freeze());

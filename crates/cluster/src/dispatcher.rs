@@ -1,4 +1,4 @@
-//! The dispatcher node: a thin threaded host around the sans-IO
+//! The dispatcher node: the threaded host around the sans-IO
 //! [`DispatcherEngine`] (§II-B).
 //!
 //! All forwarding decisions — candidate choice, fail-over, the
@@ -9,25 +9,25 @@
 //! port's fallible `send`, id stamping from the shared allocators, the
 //! periodic table pull, and the mapping of engine effects onto the
 //! cluster's counters and histograms. The simulator drives the *same*
-//! engine under virtual time (see `bluedove_sim::cluster`).
+//! engine under virtual time (see `bluedove_sim::cluster`). The loop
+//! itself is [`crate::node::run`].
 
-use crate::batchio::{send_flush, stage_or_send, wake_in, BatchMetrics};
+use crate::batchio::{wake_in, BatchMetrics, Outbox};
+use crate::node::{Node, Step};
 use crate::proto::ControlMsg;
-use crate::shared::{ReliabilityConfig, Shared};
+use crate::shared::Shared;
 use bluedove_baselines::AnyStrategy;
 use bluedove_core::{ForwardingPolicy, MatcherId, MessageId, SubscriberId, SubscriptionId, Time};
 use bluedove_engine::{
-    BatchCfg, Coalescer, DispatcherEffect, DispatcherEngine, DispatcherEngineConfig,
-    DispatcherEvent, DispatcherOut, DispatcherPort, Flush,
+    Coalescer, DispatcherEffect, DispatcherEngine, DispatcherEngineConfig, DispatcherEvent,
+    DispatcherOut, DispatcherPort, EngineConfig, Flush,
 };
-use bluedove_net::{from_bytes_shared, to_bytes, Transport};
+use bluedove_net::Transport;
 use bluedove_telemetry::{Counter, Histogram};
-use bytes::Bytes;
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -49,10 +49,10 @@ pub struct DispatcherNodeConfig {
     /// How often this dispatcher pulls a fresh table from a random
     /// matcher (§III-C; the paper uses 10 s).
     pub table_pull_interval: Duration,
-    /// Ack/retry/dedup knobs for the at-least-once pipeline.
-    pub reliability: ReliabilityConfig,
-    /// Hot-path coalescing knobs (`max_batch = 1` turns batching off).
-    pub batch: BatchCfg,
+    /// The deployment's engine knobs. The dispatcher uses the retry
+    /// policy of the at-least-once pipeline and the coalescing of
+    /// outbound `Match` frames.
+    pub engine: EngineConfig,
 }
 
 /// The dispatcher's private routing state, refreshed by table pulls.
@@ -84,7 +84,11 @@ impl DispatcherNode {
         let addr = cfg.addr.clone();
         let join = std::thread::Builder::new()
             .name(format!("dispatcher-{}", cfg.index))
-            .spawn(move || run(cfg, shared, transport, rx))
+            .spawn(move || {
+                let node = Dispatcher::new(cfg, shared.clone(), transport);
+                // Dispatchers are never crashed: they stop on `Shutdown`.
+                crate::node::run(node, &shared, &rx, &AtomicBool::new(false))
+            })
             .expect("spawn dispatcher thread");
         DispatcherNode {
             addr,
@@ -160,46 +164,48 @@ impl DispatcherMetrics {
 /// of sent; a size-triggered flush still reports the transport result
 /// synchronously (the flush contains the frame just pushed), while a
 /// later idle or deadline flush that fails is surfaced by queueing the
-/// matcher onto `failed` — the run loop turns those into `MatcherDown`
+/// matcher onto `failed` — the node turns those into `MatcherDown`
 /// events, and the ack ledger re-forwards whatever the lost batch
 /// carried.
-struct HostPort<'a> {
-    shared: &'a Arc<Shared>,
-    transport: &'a Arc<dyn Transport>,
-    metrics: &'a DispatcherMetrics,
+struct HostPort {
+    shared: Arc<Shared>,
+    metrics: DispatcherMetrics,
     /// This dispatcher's own address, stamped as `ack_to` on acked sends.
-    self_addr: &'a str,
-    /// Host-clock time of the event being handled (the stage time of
-    /// whatever it forwards).
-    now: Time,
-    /// Per-matcher-address coalescer for `Match` frames.
-    batcher: &'a mut Coalescer<ControlMsg>,
-    batch_metrics: &'a BatchMetrics,
+    self_addr: String,
+    /// The transport, and the per-matcher-address coalescer for `Match`
+    /// frames.
+    out: Outbox,
     /// Which matcher each lane address belongs to (failure attribution
     /// for flushes that happen outside an engine `send`).
-    lane_matcher: &'a mut HashMap<String, MatcherId>,
+    lane_matcher: HashMap<String, MatcherId>,
     /// Matchers whose flush failed; drained into `MatcherDown` events.
-    failed: &'a mut Vec<MatcherId>,
+    failed: Vec<MatcherId>,
 }
 
-impl DispatcherPort for HostPort<'_> {
+impl HostPort {
+    /// Sends flushes made outside an engine `send`; a refused one queues
+    /// its matcher on `failed`.
+    fn send_flushes(&mut self, flushes: Vec<Flush<ControlMsg>>) {
+        for flush in flushes {
+            let target = self.lane_matcher.get(&flush.dest).copied();
+            if !self.out.send_flush(flush) {
+                self.failed.extend(target);
+            }
+        }
+    }
+}
+
+impl DispatcherPort for HostPort {
     fn send(&mut self, to: MatcherId, addr: &str, out: DispatcherOut) -> bool {
-        let wire = ControlMsg::from_dispatcher_out(out, self.self_addr);
+        let wire = ControlMsg::from_dispatcher_out(out, &self.self_addr);
         match wire {
             m @ ControlMsg::MatchMsg { .. } => {
                 // A refused size flush is this frame's synchronous send
                 // result: the engine fails over, and the ledger recovers
                 // the earlier frames the flush also carried.
-                let lanes = self.batcher.lanes();
-                let ok = stage_or_send(
-                    self.transport.as_ref(),
-                    self.batch_metrics,
-                    self.batcher,
-                    self.now,
-                    addr,
-                    m,
-                );
-                if self.batcher.lanes() > lanes {
+                let lanes = self.out.batcher.lanes();
+                let ok = self.out.stage(addr, m);
+                if self.out.batcher.lanes() > lanes {
                     self.lane_matcher.insert(addr.to_string(), to);
                 }
                 ok
@@ -209,20 +215,19 @@ impl DispatcherPort for HostPort<'_> {
                 // drives subscription failover), but anything staged for
                 // this destination must go first: per-destination FIFO is
                 // part of the transport contract batching must not break.
-                if let Some(flush) = self.batcher.flush_dest(addr) {
-                    if !send_flush(self.transport.as_ref(), self.batch_metrics, flush) {
+                if let Some(flush) = self.out.batcher.flush_dest(addr) {
+                    if !self.out.send_flush(flush) {
                         self.failed.push(to);
                     }
                 }
-                self.transport.send(addr, to_bytes(&m).freeze()).is_ok()
+                self.out.send(addr, &m)
             }
         }
     }
 
     fn sub_ack(&mut self, subscriber: SubscriberId, sub: SubscriptionId) {
-        let ack = ControlMsg::SubAck { sub };
         let addr = crate::shared::subscriber_addr(subscriber.0);
-        let _ = self.transport.send(&addr, to_bytes(&ack).freeze());
+        self.out.send(&addr, &ControlMsg::SubAck { sub });
     }
 
     fn effect(&mut self, effect: DispatcherEffect) {
@@ -263,48 +268,48 @@ impl DispatcherPort for HostPort<'_> {
 /// Longest the run loop blocks whatever its timers say.
 const MAX_WAIT: Duration = Duration::from_millis(50);
 
-/// One dispatcher's run-loop state.
-struct Node {
-    addr: String,
-    shared: Arc<Shared>,
-    transport: Arc<dyn Transport>,
-    metrics: DispatcherMetrics,
+/// One dispatcher's run-loop state. All times are host-clock seconds
+/// ([`Shared::now`]).
+struct Dispatcher {
     engine: DispatcherEngine,
+    port: HostPort,
     /// Pull-target selection draws from its own stream so host-side
     /// scheduling never perturbs the engine's (replayable) rng.
     pull_rng: StdRng,
     table_pull_interval: Time,
-    /// Host-clock time of the next table pull.
     next_pull: Time,
-    batch_metrics: BatchMetrics,
-    batcher: Coalescer<ControlMsg>,
-    lane_matcher: HashMap<String, MatcherId>,
-    failed: Vec<MatcherId>,
 }
 
-impl Node {
+impl Dispatcher {
     fn new(cfg: DispatcherNodeConfig, shared: Arc<Shared>, transport: Arc<dyn Transport>) -> Self {
         let table_pull_interval = cfg.table_pull_interval.as_secs_f64();
-        Node {
-            metrics: DispatcherMetrics::register(&shared, cfg.policy.name()),
+        let now = shared.now();
+        let metrics = DispatcherMetrics::register(&shared, cfg.policy.name());
+        Dispatcher {
             engine: DispatcherEngine::new(DispatcherEngineConfig {
                 policy: cfg.policy,
                 seed: cfg.seed,
-                retry: cfg.reliability.retry_policy(),
+                retry: cfg.engine.retry,
                 version: cfg.bootstrap.version,
                 strategy: cfg.bootstrap.strategy,
                 addrs: cfg.bootstrap.addrs,
             }),
             pull_rng: StdRng::seed_from_u64(cfg.seed ^ 0xD15),
             table_pull_interval,
-            next_pull: shared.now() + table_pull_interval,
-            batch_metrics: BatchMetrics::register(&shared.telemetry, "dispatcher"),
-            batcher: Coalescer::new(cfg.batch),
-            lane_matcher: HashMap::new(),
-            failed: Vec::new(),
-            addr: cfg.addr,
-            shared,
-            transport,
+            next_pull: now + table_pull_interval,
+            port: HostPort {
+                metrics,
+                self_addr: cfg.addr,
+                out: Outbox {
+                    transport,
+                    metrics: BatchMetrics::register(&shared.telemetry, "dispatcher"),
+                    batcher: Coalescer::new(cfg.engine.batch),
+                    now,
+                },
+                lane_matcher: HashMap::new(),
+                failed: Vec::new(),
+                shared,
+            },
         }
     }
 
@@ -312,43 +317,21 @@ impl Node {
     /// failures it met as `MatcherDown`, promptly, so the rest of a batch
     /// routes around the dead matcher.
     fn feed(&mut self, now: Time, event: DispatcherEvent) {
-        let mut port = HostPort {
-            shared: &self.shared,
-            transport: &self.transport,
-            metrics: &self.metrics,
-            self_addr: &self.addr,
-            now,
-            batcher: &mut self.batcher,
-            batch_metrics: &self.batch_metrics,
-            lane_matcher: &mut self.lane_matcher,
-            failed: &mut self.failed,
-        };
-        self.engine.on_event(now, event, &mut port);
-        while let Some(m) = port.failed.pop() {
+        self.port.out.now = now;
+        self.engine.on_event(now, event, &mut self.port);
+        while let Some(m) = self.port.failed.pop() {
             self.engine
-                .on_event(now, DispatcherEvent::MatcherDown(m), &mut port);
+                .on_event(now, DispatcherEvent::MatcherDown(m), &mut self.port);
         }
     }
+}
 
-    /// Sends flushes made outside an engine `send`; a refused one queues
-    /// its matcher on `failed`.
-    fn send_flushes(&mut self, flushes: Vec<Flush<ControlMsg>>) {
-        for flush in flushes {
-            let target = self.lane_matcher.get(&flush.dest).copied();
-            if !send_flush(self.transport.as_ref(), &self.batch_metrics, flush) {
-                self.failed.extend(target);
-            }
-        }
-    }
-
-    /// Whether [`Self::upkeep`] has anything to do at `now`. Three
-    /// comparisons against a clock reading the caller already holds, so a
-    /// busy node can ask after every frame.
+impl Node for Dispatcher {
     fn timer_due(&self, now: Time) -> bool {
         let due = |deadline: Option<Time>| deadline.is_some_and(|d| d <= now);
         now >= self.next_pull
             || due(self.engine.next_deadline())
-            || due(self.batcher.next_deadline())
+            || due(self.port.out.batcher.next_deadline())
     }
 
     /// The timer work: the periodic table pull, the engine's retransmit
@@ -362,45 +345,41 @@ impl Node {
             if !live.is_empty() {
                 let target = &live[self.pull_rng.gen_range(0..live.len())];
                 let pull = ControlMsg::TablePull {
-                    reply_to: self.addr.clone(),
+                    reply_to: self.port.self_addr.clone(),
                 };
-                let _ = self.transport.send(target, to_bytes(&pull).freeze());
+                self.port.out.send(target, &pull);
             }
             self.next_pull += self.table_pull_interval;
         }
         // Before the flushes: a retransmission staged here leaves with them.
         self.feed(now, DispatcherEvent::Tick);
         if idle {
-            let flushes = self.batcher.drain_idle();
-            self.send_flushes(flushes);
+            let flushes = self.port.out.batcher.drain_idle();
+            self.port.send_flushes(flushes);
         }
-        let flushes = self.batcher.poll(now);
-        self.send_flushes(flushes);
-        if let Some(m) = self.failed.pop() {
+        let flushes = self.port.out.batcher.poll(now);
+        self.port.send_flushes(flushes);
+        if let Some(m) = self.port.failed.pop() {
             self.feed(now, DispatcherEvent::MatcherDown(m));
         }
     }
 
-    /// The inbox ran dry: does the upkeep an idle node owes, so nothing
-    /// staged and no failed flush waits out the sleep, and returns how
-    /// long the node may block — until the next pull or retransmit
-    /// deadline (no coalescer deadline is pending once it is drained).
-    fn idle(&mut self) -> Duration {
-        let now = self.shared.now();
+    /// The upkeep an idle node owes, so nothing staged and no failed
+    /// flush waits out the sleep; then block until the next pull or
+    /// retransmit deadline (no coalescer deadline is pending once it is
+    /// drained).
+    fn idle(&mut self, now: Time) -> Option<Duration> {
         self.upkeep(now, true);
         let pull = wake_in(self.next_pull, now, MAX_WAIT);
-        match self.engine.next_deadline() {
+        Some(match self.engine.next_deadline() {
             Some(deadline) => wake_in(deadline, now, pull),
             None => pull,
-        }
+        })
     }
 
-    /// Handles one decoded frame (a batch, frame by frame); `false` on
-    /// `Shutdown`.
-    fn handle(&mut self, now: Time, msg: ControlMsg) -> bool {
-        let shared = &self.shared;
+    fn handle(&mut self, now: Time, msg: ControlMsg) -> Step {
+        let shared = &self.port.shared;
         let event = match msg {
-            ControlMsg::Batch(inner) => return inner.into_iter().all(|m| self.handle(now, m)),
             ControlMsg::Subscribe(mut sub) => {
                 sub.id = SubscriptionId(shared.next_sub_id.fetch_add(1, Ordering::Relaxed));
                 DispatcherEvent::Subscribe(sub)
@@ -445,49 +424,15 @@ impl Node {
                 strategy,
                 addrs,
             },
-            ControlMsg::Shutdown => return false,
-            _ => return true,
+            ControlMsg::Shutdown => return Step::Exit,
+            _ => return Step::Continue,
         };
         self.feed(now, event);
-        true
+        Step::Continue
     }
-}
 
-fn run(
-    cfg: DispatcherNodeConfig,
-    shared: Arc<Shared>,
-    transport: Arc<dyn Transport>,
-    rx: Receiver<Bytes>,
-) {
-    let mut node = Node::new(cfg, shared, transport);
-    loop {
-        // Frames are taken back to back while there are any; only an
-        // empty inbox pays for the idle upkeep and a timed wait.
-        let payload = match rx.try_recv() {
-            Ok(p) => p,
-            Err(TryRecvError::Disconnected) => break,
-            Err(TryRecvError::Empty) => match rx.recv_timeout(node.idle()) {
-                Ok(p) => p,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            },
-        };
-        // Zero-copy decode: a `Publish` payload stays a window into the
-        // received frame's allocation from here to delivery.
-        let Ok(msg) = from_bytes_shared::<ControlMsg>(payload) else {
-            continue;
-        };
-        let now = node.shared.now();
-        if !node.handle(now, msg) {
-            break;
-        }
-        // A node that never idles still owes its timers.
-        if node.timer_due(now) {
-            node.upkeep(now, false);
-        }
-    }
-    // Orderly exit: whatever is still staged goes out best-effort.
-    for flush in node.batcher.flush_all() {
-        let _ = send_flush(node.transport.as_ref(), &node.batch_metrics, flush);
+    fn flush_all(&mut self) {
+        let flushes = self.port.out.batcher.flush_all();
+        self.port.send_flushes(flushes);
     }
 }

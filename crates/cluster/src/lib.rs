@@ -40,6 +40,7 @@ pub mod dispatcher;
 pub mod log;
 pub mod mailbox;
 pub mod matcher;
+mod node;
 pub mod proto;
 pub mod scenario;
 pub mod shared;
@@ -54,5 +55,5 @@ pub use cluster::{
 };
 pub use log::{FsyncPolicy, Log, LogConfig};
 pub use proto::ControlMsg;
-pub use shared::{ReliabilityConfig, SeenWindow};
+pub use shared::SeenWindow;
 pub use sublog::{SubLogConfig, SubLogRecord};

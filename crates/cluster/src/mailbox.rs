@@ -13,11 +13,11 @@
 //! and stores deliveries per subscriber (bounded FIFO) until the client
 //! polls with [`ControlMsg::MailboxPoll`].
 
-use crate::proto::ControlMsg;
+use crate::proto::{frames, ControlMsg};
 use crate::shared::{e2e_latency_histogram, SeenWindow, Shared};
 use crate::wal::{Wal, WalRecord};
 use bluedove_core::{MessageId, SubscriberId, SubscriptionId};
-use bluedove_net::{from_bytes_shared, to_bytes, Transport};
+use bluedove_net::{to_bytes, Transport};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use std::collections::{HashMap, VecDeque};
@@ -129,15 +129,7 @@ fn run(
 
     'recv: for payload in rx.iter() {
         // Zero-copy decode: stored payloads window the received frame.
-        let Ok(msg) = from_bytes_shared::<ControlMsg>(payload) else {
-            continue;
-        };
-        // Matchers coalesce deliveries; unwrap a batch into its frames.
-        let frames: Vec<ControlMsg> = match msg {
-            ControlMsg::Batch(inner) => inner,
-            m => vec![m],
-        };
-        for msg in frames {
+        for msg in frames(payload) {
             match msg {
                 ControlMsg::Deliver {
                     subscriber,

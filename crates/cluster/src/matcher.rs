@@ -1,28 +1,27 @@
-//! The matcher node: a threaded host around the sans-IO [`MatcherEngine`].
+//! The matcher node: the threaded host around the sans-IO
+//! [`MatcherEngine`] (§II-B, §III-B).
 //!
-//! Mirrors the paper's matcher design: one subscription set and one FIFO
-//! queue per dimension, round-robin service across dimensions, periodic
-//! `(q, λ, µ)` load reports pushed to every dispatcher (§III-B), and
-//! direct delivery to subscriber endpoints (§II-B). The queues, dedup
-//! windows and service order live in `bluedove_engine::MatcherEngine`;
-//! this module supplies the transport, the real clock, measured match
-//! times (fed into `record_service`), and the host-only subsystems the
-//! engine stays out of: the §III-C gossip mesh, table copy/pull serving,
-//! telemetry rendering, and the elastic hand-over legs.
+//! The queues, dedup windows and service order live in
+//! `bluedove_engine::MatcherEngine`; this module supplies the transport,
+//! the real clock, measured match times (fed into `record_service`), and
+//! the host-only subsystems the engine stays out of: the §III-C gossip
+//! mesh, table copy/pull serving, telemetry rendering, the sub-log and
+//! the elastic hand-over legs. The loop itself is [`crate::node::run`].
 
-use crate::batchio::{send_flush, stage_or_send, BatchMetrics};
+use crate::batchio::{flush_frame, wake_in, BatchMetrics, Outbox};
+use crate::node::{Node, Step};
 use crate::proto::ControlMsg;
 use crate::shared::Shared;
 use crate::sublog::{FollowerOutcome, MatcherLog, ReplicatedAppend, SubLogRecord};
 use bluedove_core::{
-    DimIdx, IndexKind, MatchHit, MatcherId, Message, MessageId, SubscriberId, SubscriptionId, Time,
+    DimIdx, MatchHit, MatcherId, Message, MessageId, SubscriberId, SubscriptionId, Time,
 };
-use bluedove_engine::{BatchCfg, Coalescer, MatcherEngine, MatcherPort};
-use bluedove_net::{from_bytes_shared, to_bytes, Transport};
+use bluedove_engine::{Coalescer, EngineConfig, FlushReason, MatcherEngine, MatcherPort};
+use bluedove_net::{to_bytes, Transport};
 use bluedove_overlay::{EndpointState, GossipMsg, GossipNode, NodeId, NodeRole};
 use bluedove_telemetry::{Counter, Gauge, Histogram};
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::Receiver;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -38,8 +37,11 @@ pub struct MatcherNodeConfig {
     pub id: MatcherId,
     /// Transport address the matcher binds.
     pub addr: String,
-    /// Index structure per dimension set.
-    pub index: IndexKind,
+    /// The deployment's engine knobs. The matcher uses the index
+    /// structure per dimension set, the per-dimension dedup window
+    /// (dispatcher retransmissions make duplicates possible) and the
+    /// coalescing of outbound `Deliver`/`MatchAck` frames.
+    pub engine: EngineConfig,
     /// How often load reports are pushed to dispatchers.
     pub stats_interval: Duration,
     /// How often the matcher gossips with `log₂ N` random peers (§III-C).
@@ -55,12 +57,6 @@ pub struct MatcherNodeConfig {
     pub generation: u64,
     /// Failure-detector thresholds applied on each gossip tick.
     pub failure_detector: bluedove_overlay::FailureDetectorConfig,
-    /// Message ids remembered per dimension for duplicate suppression
-    /// (dispatcher retransmissions make duplicates possible).
-    pub dedup_window: usize,
-    /// Hot-path coalescing knobs for outbound `Deliver`/`MatchAck`
-    /// frames (`max_batch = 1` turns batching off).
-    pub batch: BatchCfg,
     /// Durable replicated subscription log. `None` keeps the store
     /// memory-only: mutations are not journaled and recovery falls back
     /// to full re-shipping from the registration store.
@@ -131,7 +127,10 @@ impl BoundMatcher {
         let id = cfg.id;
         let join = std::thread::Builder::new()
             .name(format!("matcher-{}", id.0))
-            .spawn(move || run(cfg, shared, transport, rx, crash2))
+            .spawn(move || {
+                let node = Matcher::new(cfg, shared.clone(), transport);
+                crate::node::run(node, &shared, &rx, &crash2)
+            })
             .expect("spawn matcher thread");
         MatcherNode {
             id,
@@ -223,46 +222,36 @@ impl MatcherTelemetry {
     }
 }
 
-/// The threaded [`MatcherPort`]: deliveries and acks go out over the real
-/// transport; duplicates land on the shared counter.
+/// The threaded [`MatcherPort`] — the matcher's outbound side:
+/// deliveries and acks go out over the real transport; duplicates land
+/// on the shared counter.
 ///
 /// With batching on, `Deliver` and `MatchAck` frames are staged in the
-/// per-destination coalescer instead of sent; the run loop flushes lanes
-/// on size, when it runs out of work, and on deadline. Delivery and ack
+/// per-destination coalescer instead of sent; the node flushes lanes on
+/// size, when it runs out of work, and on deadline. Delivery and ack
 /// sends are already fire-and-forget on this host (a vanished subscriber
 /// is not a matcher error, and a lost ack is recovered by the
 /// dispatcher's retransmit ledger), so a flush failure needs no extra
 /// signalling here.
-struct HostPort<'a> {
+struct HostPort {
     id: MatcherId,
-    shared: &'a Arc<Shared>,
-    transport: &'a Arc<dyn Transport>,
-    /// Host-clock time of the step being served (the stage time of its
-    /// deliveries and ack).
-    now: Time,
-    batcher: &'a mut Coalescer<ControlMsg>,
-    batch_metrics: &'a BatchMetrics,
+    shared: Arc<Shared>,
+    out: Outbox,
     /// Scratch for the subscriber address of the delivery being sent,
     /// reused across hits.
-    addr: &'a mut String,
+    addr: String,
 }
 
-impl HostPort<'_> {
-    /// Stages `frame` for `addr` when batching is on, sends it directly
-    /// otherwise (or when the push filled the lane).
-    fn stage(&mut self, addr: &str, frame: ControlMsg) {
-        stage_or_send(
-            self.transport.as_ref(),
-            self.batch_metrics,
-            self.batcher,
-            self.now,
-            addr,
-            frame,
-        );
+impl HostPort {
+    /// Sends what the coalescer released.
+    fn send_flushes(&self, flushes: Vec<bluedove_engine::Flush<ControlMsg>>) {
+        for flush in flushes {
+            self.out.send_flush(flush);
+        }
     }
 }
 
-impl MatcherPort for HostPort<'_> {
+impl MatcherPort for HostPort {
     fn deliver(
         &mut self,
         subscriber: SubscriberId,
@@ -270,8 +259,8 @@ impl MatcherPort for HostPort<'_> {
         msg: &Message,
         admitted_us: u64,
     ) {
-        crate::shared::write_subscriber_addr(self.addr, subscriber.0);
-        if self.batcher.cfg().enabled() {
+        crate::shared::write_subscriber_addr(&mut self.addr, subscriber.0);
+        if self.out.batcher.cfg().enabled() {
             // A staged frame outlives this call, so it owns its message.
             let deliver = ControlMsg::Deliver {
                 subscriber,
@@ -279,18 +268,11 @@ impl MatcherPort for HostPort<'_> {
                 msg: msg.clone(),
                 admitted_us,
             };
-            stage_or_send(
-                self.transport.as_ref(),
-                self.batch_metrics,
-                self.batcher,
-                self.now,
-                self.addr,
-                deliver,
-            );
+            self.out.stage(&self.addr, deliver);
         } else {
             let mut frame = BytesMut::new();
             ControlMsg::encode_deliver(&mut frame, subscriber, sub, msg, admitted_us);
-            let _ = self.transport.send(self.addr, frame.freeze());
+            let _ = self.out.transport.send(&self.addr, frame.freeze());
         }
         self.shared.counters.deliveries.inc();
     }
@@ -301,7 +283,7 @@ impl MatcherPort for HostPort<'_> {
             matcher: self.id,
             actual_us,
         };
-        self.stage(ack_to, ack);
+        self.out.stage(ack_to, ack);
     }
 
     fn duplicate_suppressed(&mut self) {
@@ -309,299 +291,9 @@ impl MatcherPort for HostPort<'_> {
     }
 }
 
-fn run(
-    cfg: MatcherNodeConfig,
-    shared: Arc<Shared>,
-    transport: Arc<dyn Transport>,
-    rx: Receiver<Bytes>,
-    crash: Arc<AtomicBool>,
-) {
-    let k = shared.space.k();
-    let mut engine = MatcherEngine::new(cfg.id, shared.space.clone(), cfg.index, cfg.dedup_window);
-    // Local-log-first recovery: replay the matcher's own durable stream
-    // into the fresh engine before the inbox drains, so state the log
-    // already holds is never re-shipped (and never served stale).
-    let mut mlog: Option<MatcherLog> = cfg.sublog.clone().map(|slc| {
-        let (ml, replayed) = MatcherLog::open(cfg.id, slc).expect("open subscription log");
-        shared.counters.sublog_replayed.add(replayed.len() as u64);
-        for rec in &replayed {
-            rec.apply(&mut engine);
-        }
-        ml
-    });
-    let mut next_stats = Instant::now() + cfg.stats_interval;
-    let mut hits: Vec<MatchHit> = Vec::new();
-    let mut deliver_addr = String::new();
-    let telemetry = MatcherTelemetry::register(&shared, cfg.id, k);
-    let batch_metrics = BatchMetrics::register(&shared.telemetry, "matcher");
-    let mut batcher: Coalescer<ControlMsg> = Coalescer::new(cfg.batch);
-    // Syn send times awaiting their Ack, keyed by peer address.
-    let mut pending_syns: HashMap<String, Instant> = HashMap::new();
-    // When the failure detector last started seeing a non-live peer; the
-    // initial value times boot → first full convergence.
-    let mut diverged_since: Option<Instant> = Some(Instant::now());
-
-    // The §III-C gossip endpoint: this matcher's own versioned state plus
-    // everything it has heard about the rest of the overlay.
-    let mut gossip = GossipNode::new(EndpointState::new(
-        NodeId(cfg.id.0 as u64),
-        NodeRole::Matcher,
-        cfg.addr.clone(),
-        cfg.generation,
-    ));
-    for seed in &cfg.gossip_seeds {
-        if seed.node != gossip.id() {
-            gossip.learn(seed.clone(), shared.now());
-        }
-    }
-    let mut gossip_rng = StdRng::seed_from_u64(0x60551 ^ cfg.id.0 as u64);
-    let mut next_gossip = Instant::now() + cfg.gossip_interval;
-    let mut last_gossip_bytes = 0u64;
-    // The authoritative table (installed by TableUpdate) that dispatchers
-    // pull from this matcher (§III-C).
-    let mut table: TableCopy = TableCopy {
-        version: 0,
-        strategy: None,
-        addrs: Vec::new(),
-        epochs: Vec::new(),
-    };
-    // Set when a `Leave` arrives: the matcher is draining toward exit.
-    let mut leaving_since: Option<Instant> = None;
-
-    'outer: loop {
-        if crash.load(Ordering::Relaxed) {
-            break;
-        }
-        // Drain everything pending without blocking.
-        while let Ok(payload) = rx.try_recv() {
-            match handle(
-                &cfg,
-                &shared,
-                &transport,
-                &mut engine,
-                &mut gossip,
-                &mut table,
-                &mut mlog,
-                &telemetry,
-                &mut pending_syns,
-                &mut batcher,
-                &batch_metrics,
-                payload,
-            ) {
-                Step::Shutdown => break 'outer,
-                Step::Leaving => {
-                    gossip.announce_leaving();
-                    leaving_since.get_or_insert_with(Instant::now);
-                    // Spread the Leaving bit on the next pass.
-                    next_gossip = next_gossip.min(Instant::now());
-                }
-                Step::Continue => {}
-            }
-        }
-        let now = shared.now();
-        // Deadline flushes for staged deliveries and acks: the bound for
-        // a matcher that never idles.
-        for flush in batcher.poll(now) {
-            let _ = send_flush(transport.as_ref(), &batch_metrics, flush);
-        }
-        // Serve one queued message (round-robin across dimensions): pop,
-        // measure the real match time around the engine's match phase,
-        // feed the measurement into µ, then let the engine emit the
-        // deliveries and the ack.
-        let mut served = false;
-        if let Some(job) = engine.begin_service(now) {
-            telemetry.queue_wait.observe_us((job.waited * 1e6) as u64);
-            hits.clear();
-            let started = Instant::now();
-            let _examined = engine.run_match(&job, now, &mut hits);
-            let match_elapsed = started.elapsed();
-            engine.record_service(job.dim, match_elapsed.as_secs_f64());
-            telemetry
-                .match_time
-                .observe_us(match_elapsed.as_micros() as u64);
-            if !hits.is_empty() {
-                shared.counters.matched.inc();
-            }
-            let mut port = HostPort {
-                id: cfg.id,
-                shared: &shared,
-                transport: &transport,
-                now: now + match_elapsed.as_secs_f64(),
-                batcher: &mut batcher,
-                batch_metrics: &batch_metrics,
-                addr: &mut deliver_addr,
-            };
-            engine.complete(job, &hits, match_elapsed.as_secs_f64(), &mut port);
-            telemetry.served.inc();
-            served = true;
-        }
-        if !served {
-            // Idle: the inbox and the queues are empty, so sending what
-            // is staged is the only useful work left. With nothing left
-            // staged, block until the next message or periodic tick.
-            for flush in batcher.drain_idle() {
-                let _ = send_flush(transport.as_ref(), &batch_metrics, flush);
-            }
-            let timeout = next_stats
-                .min(next_gossip)
-                .saturating_duration_since(Instant::now())
-                .min(Duration::from_millis(20));
-            match rx.recv_timeout(timeout) {
-                Ok(payload) => {
-                    match handle(
-                        &cfg,
-                        &shared,
-                        &transport,
-                        &mut engine,
-                        &mut gossip,
-                        &mut table,
-                        &mut mlog,
-                        &telemetry,
-                        &mut pending_syns,
-                        &mut batcher,
-                        &batch_metrics,
-                        payload,
-                    ) {
-                        Step::Shutdown => break 'outer,
-                        Step::Leaving => {
-                            gossip.announce_leaving();
-                            leaving_since.get_or_insert_with(Instant::now);
-                            next_gossip = next_gossip.min(Instant::now());
-                        }
-                        Step::Continue => {}
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break 'outer,
-            }
-        }
-        // Periodic anti-entropy gossip: heartbeat, then open an exchange
-        // with log₂(N) random live peers.
-        if Instant::now() >= next_gossip {
-            gossip.heartbeat();
-            let now = shared.now();
-            let targets = gossip.pick_targets(&mut gossip_rng);
-            for t in targets {
-                let Some(peer) = gossip.peers().get(&t).map(|p| p.state.addr.clone()) else {
-                    continue;
-                };
-                let syn = gossip.make_syn();
-                let wire = ControlMsg::Gossip {
-                    from_addr: cfg.addr.clone(),
-                    msg: syn,
-                };
-                if transport.send(&peer, to_bytes(&wire).freeze()).is_ok() {
-                    // Time the exchange; the Ack handler observes the
-                    // round trip. A re-Syn to the same peer restarts the
-                    // clock (the earlier exchange is lost anyway).
-                    pending_syns.insert(peer, Instant::now());
-                }
-            }
-            // Exchanges whose peer never answered within a few rounds are
-            // dead, not slow: drop them so the map stays bounded.
-            let stale = cfg.gossip_interval * 8;
-            pending_syns.retain(|_, t| t.elapsed() < stale);
-            bluedove_overlay::sweep(&mut gossip, &cfg.failure_detector, now);
-            // Convergence timing: the detector disagreeing with full
-            // membership opens a divergence window; seeing everyone alive
-            // again closes it.
-            if gossip.live_peers().len() < gossip.peers().len() {
-                diverged_since.get_or_insert(Instant::now());
-            } else if let Some(t0) = diverged_since.take() {
-                telemetry
-                    .reconverge
-                    .observe_us(t0.elapsed().as_micros() as u64);
-            }
-            let sent = gossip.bytes_sent;
-            shared.counters.gossip_bytes.add(sent - last_gossip_bytes);
-            last_gossip_bytes = sent;
-            shared
-                .gossip_peers
-                .write()
-                .insert(cfg.id, gossip.peers().len());
-            shared
-                .gossip_live
-                .write()
-                .insert(cfg.id, gossip.live_peers().len());
-            next_gossip += cfg.gossip_interval;
-        }
-        // Periodic load reports: one frame per dimension, or — with
-        // batching on — the whole per-matcher snapshot as one `Batch`
-        // frame per destination (the paper's k reports ride one send).
-        if Instant::now() >= next_stats {
-            let now = shared.now();
-            let dispatchers = shared.dispatcher_addrs.read().clone();
-            let observers = shared.load_observers.read().clone();
-            telemetry.subs_logical.set(engine.total_subs() as i64);
-            telemetry
-                .subs_physical
-                .set(engine.total_physical_subs() as i64);
-            let mut reports = Vec::with_capacity(k);
-            for d in 0..k {
-                let dim = DimIdx(d as u16);
-                telemetry.queue_depth[d].set(engine.queue_len(dim) as i64);
-                reports.push(ControlMsg::LoadReport {
-                    matcher: cfg.id,
-                    dim,
-                    stats: engine.stats_report(dim, now),
-                });
-            }
-            if cfg.batch.enabled() && reports.len() > 1 {
-                let bytes = to_bytes(&ControlMsg::Batch(reports)).freeze();
-                for addr in dispatchers.iter().chain(observers.iter()) {
-                    batch_metrics.record(k, bluedove_engine::FlushReason::Explicit);
-                    let _ = transport.send(addr, bytes.clone());
-                }
-            } else {
-                for report in &reports {
-                    let bytes = to_bytes(report).freeze();
-                    for addr in dispatchers.iter().chain(observers.iter()) {
-                        let _ = transport.send(addr, bytes.clone());
-                    }
-                }
-            }
-            // Sub-log compaction: once the own stream has accumulated
-            // enough appends, squash its history to the engine's live
-            // snapshot (re-stamped at the tail) and stream the result to
-            // the heir so its replica compacts too.
-            if let Some(ml) = mlog.as_mut() {
-                if ml.own_appended() >= crate::sublog::SUBLOG_COMPACT_THRESHOLD {
-                    let snap: Vec<SubLogRecord> = engine
-                        .snapshot()
-                        .into_iter()
-                        .map(|(dim, sub)| SubLogRecord::Store { dim, sub })
-                        .collect();
-                    if let Ok(append) = ml.compact_own(snap) {
-                        replicate(&cfg, &transport, &table, append);
-                    }
-                }
-            }
-            next_stats += cfg.stats_interval;
-        }
-        // A leaving matcher exits once its inbox and queues are drained
-        // and the Leaving announcement has had a couple of gossip rounds
-        // to spread (peers' sweeps turn Leaving into Dead immediately, so
-        // no failure-detection timeout is burned on an orderly exit).
-        if let Some(t0) = leaving_since {
-            if engine.is_idle() && rx.is_empty() && t0.elapsed() >= cfg.gossip_interval * 2 {
-                break 'outer;
-            }
-        }
-    }
-    // Orderly exit (shutdown or leave): staged frames go out best-effort.
-    // A simulated crash loses them, exactly as a real crash would — the
-    // dispatcher's retransmit ledger recovers acked traffic.
-    if !crash.load(Ordering::Relaxed) {
-        for flush in batcher.flush_all() {
-            let _ = send_flush(transport.as_ref(), &batch_metrics, flush);
-        }
-        if let Some(ml) = mlog.as_mut() {
-            let _ = ml.sync_all();
-        }
-    }
-}
-
-/// The matcher's copy of the authoritative table + address book.
+/// The matcher's copy of the authoritative table + address book
+/// (version 0 = none installed yet).
+#[derive(Default)]
 struct TableCopy {
     version: u64,
     strategy: Option<bluedove_baselines::AnyStrategy>,
@@ -610,277 +302,407 @@ struct TableCopy {
     epochs: Vec<(MatcherId, u64)>,
 }
 
-/// What the serve loop should do after one control message.
-enum Step {
-    /// Keep serving.
-    Continue,
-    /// Stop immediately (orderly `Shutdown`).
-    Shutdown,
-    /// Begin a graceful leave: announce `Leaving` on the overlay, serve
-    /// out the backlog, then exit once the announcement has spread.
-    Leaving,
+/// Longest the matcher blocks whatever its timers say (bounds how late
+/// a crash flag or a finished leave is noticed).
+const MAX_WAIT: Duration = Duration::from_millis(20);
+
+/// One matcher's run-loop state. All times are host-clock seconds
+/// ([`Shared::now`]).
+struct Matcher {
+    cfg: MatcherNodeConfig,
+    engine: MatcherEngine,
+    mlog: Option<MatcherLog>,
+    telemetry: MatcherTelemetry,
+    port: HostPort,
+    /// Scratch for the hits of the job being served.
+    hits: Vec<MatchHit>,
+    /// The §III-C gossip endpoint: this matcher's own versioned state
+    /// plus everything it has heard about the rest of the overlay.
+    gossip: GossipNode,
+    gossip_rng: StdRng,
+    /// Syn send times awaiting their Ack, keyed by peer address.
+    pending_syns: HashMap<String, Time>,
+    /// When the failure detector last started seeing a non-live peer; the
+    /// initial value times boot → first full convergence.
+    diverged_since: Option<Time>,
+    last_gossip_bytes: u64,
+    /// The authoritative table (installed by TableUpdate) that
+    /// dispatchers pull from this matcher (§III-C).
+    table: TableCopy,
+    stats_interval: Time,
+    gossip_interval: Time,
+    next_stats: Time,
+    next_gossip: Time,
+    /// Set when a `Leave` arrives: the matcher is draining toward exit.
+    leaving_since: Option<Time>,
 }
 
-/// Handles one received frame, unwrapping coalesced batches.
-#[allow(clippy::too_many_arguments)]
-fn handle(
-    cfg: &MatcherNodeConfig,
-    shared: &Arc<Shared>,
-    transport: &Arc<dyn Transport>,
-    engine: &mut MatcherEngine,
-    gossip: &mut GossipNode,
-    table: &mut TableCopy,
-    mlog: &mut Option<MatcherLog>,
-    telemetry: &MatcherTelemetry,
-    pending_syns: &mut HashMap<String, Instant>,
-    batcher: &mut Coalescer<ControlMsg>,
-    batch_metrics: &BatchMetrics,
-    payload: Bytes,
-) -> Step {
-    // Zero-copy decode: `MatchMsg` payloads stay windows into the
-    // received frame's allocation through matching and delivery staging.
-    let Ok(msg) = from_bytes_shared::<ControlMsg>(payload) else {
-        return Step::Continue; // corrupt frame: drop, keep serving
-    };
-    match msg {
-        ControlMsg::Batch(inner) => {
-            for m in inner {
-                match handle_msg(
-                    cfg,
-                    shared,
+impl Matcher {
+    fn new(cfg: MatcherNodeConfig, shared: Arc<Shared>, transport: Arc<dyn Transport>) -> Self {
+        let mut engine = Self::fresh_engine(&cfg, &shared);
+        // Local-log-first recovery: replay the matcher's own durable
+        // stream into the fresh engine before the inbox drains, so state
+        // the log already holds is never re-shipped (and never served
+        // stale).
+        let mlog = cfg.sublog.clone().map(|slc| {
+            let (ml, replayed) = MatcherLog::open(cfg.id, slc).expect("open subscription log");
+            shared.counters.sublog_replayed.add(replayed.len() as u64);
+            for rec in &replayed {
+                rec.apply(&mut engine);
+            }
+            ml
+        });
+        let now = shared.now();
+        let mut gossip = GossipNode::new(EndpointState::new(
+            NodeId(cfg.id.0 as u64),
+            NodeRole::Matcher,
+            cfg.addr.clone(),
+            cfg.generation,
+        ));
+        for seed in &cfg.gossip_seeds {
+            if seed.node != gossip.id() {
+                gossip.learn(seed.clone(), now);
+            }
+        }
+        let stats_interval = cfg.stats_interval.as_secs_f64();
+        let gossip_interval = cfg.gossip_interval.as_secs_f64();
+        Matcher {
+            engine,
+            mlog,
+            telemetry: MatcherTelemetry::register(&shared, cfg.id, shared.space.k()),
+            port: HostPort {
+                id: cfg.id,
+                out: Outbox {
                     transport,
-                    engine,
-                    gossip,
-                    table,
-                    mlog,
-                    telemetry,
-                    pending_syns,
-                    batcher,
-                    batch_metrics,
-                    m,
-                ) {
-                    Step::Continue => {}
-                    step => return step,
+                    metrics: BatchMetrics::register(&shared.telemetry, "matcher"),
+                    batcher: Coalescer::new(cfg.engine.batch),
+                    now,
+                },
+                addr: String::new(),
+                shared,
+            },
+            hits: Vec::new(),
+            gossip,
+            gossip_rng: StdRng::seed_from_u64(0x60551 ^ cfg.id.0 as u64),
+            pending_syns: HashMap::new(),
+            diverged_since: Some(now),
+            last_gossip_bytes: 0,
+            table: TableCopy::default(),
+            stats_interval,
+            gossip_interval,
+            next_stats: now + stats_interval,
+            next_gossip: now + gossip_interval,
+            leaving_since: None,
+            cfg,
+        }
+    }
+
+    /// An empty engine with this matcher's identity and knobs.
+    fn fresh_engine(cfg: &MatcherNodeConfig, shared: &Shared) -> MatcherEngine {
+        MatcherEngine::new(
+            cfg.id,
+            shared.space.clone(),
+            cfg.engine.index,
+            cfg.engine.dedup_window,
+        )
+    }
+
+    /// Journals one mutation on this matcher's own stream and streams it
+    /// to the clockwise heir (a no-op with the sub-log off). Called
+    /// *before* the engine mutation, so the durable log is never behind
+    /// the served state. A failed append keeps the matcher serving from
+    /// memory; recovery then degrades to the registry re-ship path.
+    fn log_mutation(&mut self, rec: SubLogRecord) {
+        let Some(ml) = self.mlog.as_mut() else {
+            return;
+        };
+        if let Ok(append) = ml.log_own(rec) {
+            self.port.shared.counters.sublog_appended.inc();
+            self.replicate(append);
+        }
+    }
+
+    /// Sends one stamped append to the first reachable clockwise heir in
+    /// the table's address book (sorted by id, wrapping, skipping self).
+    /// Dead heirs are unbound, so their sends error and the next
+    /// candidate is tried; with no table installed yet there is no heir
+    /// to stream to.
+    fn replicate(&self, append: ReplicatedAppend) {
+        let mut ring: Vec<&(MatcherId, String)> = self.table.addrs.iter().collect();
+        ring.sort_by_key(|e| e.0);
+        let Some(pos) = ring.iter().position(|e| e.0 == self.cfg.id) else {
+            return;
+        };
+        let msg = ControlMsg::SubLogAppend {
+            append,
+            ack_to: self.cfg.addr.clone(),
+        };
+        let bytes = to_bytes(&msg).freeze();
+        for i in 1..ring.len() {
+            let addr = &ring[(pos + i) % ring.len()].1;
+            if self.port.out.transport.send(addr, bytes.clone()).is_ok() {
+                return;
+            }
+        }
+    }
+
+    /// Periodic anti-entropy gossip: heartbeat, then open an exchange
+    /// with log₂(N) random live peers.
+    fn gossip_round(&mut self, now: Time) {
+        self.gossip.heartbeat();
+        for t in self.gossip.pick_targets(&mut self.gossip_rng) {
+            let Some(peer) = self.gossip.peers().get(&t).map(|p| p.state.addr.clone()) else {
+                continue;
+            };
+            let wire = ControlMsg::Gossip {
+                from_addr: self.cfg.addr.clone(),
+                msg: self.gossip.make_syn(),
+            };
+            if self.port.out.send(&peer, &wire) {
+                // Time the exchange; the Ack handler observes the round
+                // trip. A re-Syn to the same peer restarts the clock (the
+                // earlier exchange is lost anyway).
+                self.pending_syns.insert(peer, now);
+            }
+        }
+        // Exchanges whose peer never answered within a few rounds are
+        // dead, not slow: drop them so the map stays bounded.
+        let stale = self.gossip_interval * 8.0;
+        self.pending_syns.retain(|_, t0| now - *t0 < stale);
+        bluedove_overlay::sweep(&mut self.gossip, &self.cfg.failure_detector, now);
+        // Convergence timing: the detector disagreeing with full
+        // membership opens a divergence window; seeing everyone alive
+        // again closes it.
+        let (peers, live) = (self.gossip.peers().len(), self.gossip.live_peers().len());
+        if live < peers {
+            self.diverged_since.get_or_insert(now);
+        } else if let Some(t0) = self.diverged_since.take() {
+            self.telemetry
+                .reconverge
+                .observe_us(((now - t0) * 1e6) as u64);
+        }
+        let shared = &self.port.shared;
+        let sent = self.gossip.bytes_sent;
+        shared
+            .counters
+            .gossip_bytes
+            .add(sent - self.last_gossip_bytes);
+        self.last_gossip_bytes = sent;
+        shared.gossip_peers.write().insert(self.cfg.id, peers);
+        shared.gossip_live.write().insert(self.cfg.id, live);
+        self.next_gossip += self.gossip_interval;
+    }
+
+    /// Periodic load reports: one frame per dimension, or — with batching
+    /// on — the whole per-matcher snapshot as one frame per destination
+    /// (the paper's k reports ride one send). Then sub-log compaction.
+    fn report_load(&mut self, now: Time) {
+        let k = self.port.shared.space.k();
+        self.telemetry
+            .subs_logical
+            .set(self.engine.total_subs() as i64);
+        self.telemetry
+            .subs_physical
+            .set(self.engine.total_physical_subs() as i64);
+        let mut reports = Vec::with_capacity(k);
+        for d in 0..k {
+            let dim = DimIdx(d as u16);
+            self.telemetry.queue_depth[d].set(self.engine.queue_len(dim) as i64);
+            reports.push(ControlMsg::LoadReport {
+                matcher: self.cfg.id,
+                dim,
+                stats: self.engine.stats_report(dim, now),
+            });
+        }
+        let batched = self.cfg.engine.batch.enabled();
+        let frames = if batched {
+            vec![flush_frame(reports)]
+        } else {
+            reports
+        };
+        let frames: Vec<Bytes> = frames.iter().map(|f| to_bytes(f).freeze()).collect();
+        let dispatchers = self.port.shared.dispatcher_addrs.read().clone();
+        let observers = self.port.shared.load_observers.read().clone();
+        for addr in dispatchers.iter().chain(observers.iter()) {
+            if batched {
+                self.port.out.metrics.record(k, FlushReason::Explicit);
+            }
+            for frame in &frames {
+                let _ = self.port.out.transport.send(addr, frame.clone());
+            }
+        }
+        // Sub-log compaction: once the own stream has accumulated enough
+        // appends, squash its history to the engine's live snapshot
+        // (re-stamped at the tail) and stream the result to the heir so
+        // its replica compacts too.
+        if let Some(ml) = self.mlog.as_mut() {
+            if ml.own_appended() >= crate::sublog::SUBLOG_COMPACT_THRESHOLD {
+                let snap: Vec<SubLogRecord> = self
+                    .engine
+                    .snapshot()
+                    .into_iter()
+                    .map(|(dim, sub)| SubLogRecord::Store { dim, sub })
+                    .collect();
+                if let Ok(append) = ml.compact_own(snap) {
+                    self.replicate(append);
                 }
             }
-            Step::Continue
         }
-        m => handle_msg(
-            cfg,
-            shared,
-            transport,
-            engine,
-            gossip,
-            table,
-            mlog,
-            telemetry,
-            pending_syns,
-            batcher,
-            batch_metrics,
-            m,
-        ),
+        self.next_stats += self.stats_interval;
     }
 }
 
-/// Handles one control message.
-#[allow(clippy::too_many_arguments)]
-fn handle_msg(
-    cfg: &MatcherNodeConfig,
-    shared: &Arc<Shared>,
-    transport: &Arc<dyn Transport>,
-    engine: &mut MatcherEngine,
-    gossip: &mut GossipNode,
-    table: &mut TableCopy,
-    mlog: &mut Option<MatcherLog>,
-    telemetry: &MatcherTelemetry,
-    pending_syns: &mut HashMap<String, Instant>,
-    batcher: &mut Coalescer<ControlMsg>,
-    batch_metrics: &BatchMetrics,
-    msg: ControlMsg,
-) -> Step {
-    match msg {
-        ControlMsg::StoreSub { dim, sub } => {
-            if let Some(ml) = mlog.as_mut() {
-                let rec = SubLogRecord::Store {
-                    dim,
-                    sub: sub.clone(),
-                };
-                // A copy that failed over here because its assigned owner
-                // is dead also belongs on the owner's stream, so the
-                // owner's eventual catch-up includes its downtime
-                // mutations. Detectable exactly when this matcher leads
-                // the owner's stream.
-                if let Some(strategy) = &table.strategy {
-                    for a in strategy.as_dyn().assign(&sub) {
-                        if a.dim == dim && a.matcher != cfg.id && ml.leads(a.matcher) {
-                            let _ = ml.log_promoted(a.matcher, rec.clone());
+impl Node for Matcher {
+    fn handle(&mut self, now: Time, msg: ControlMsg) -> Step {
+        match msg {
+            ControlMsg::StoreSub { dim, sub } => {
+                if let Some(ml) = self.mlog.as_mut() {
+                    let rec = SubLogRecord::Store {
+                        dim,
+                        sub: sub.clone(),
+                    };
+                    // A copy that failed over here because its assigned
+                    // owner is dead also belongs on the owner's stream, so
+                    // the owner's eventual catch-up includes its downtime
+                    // mutations. Detectable exactly when this matcher
+                    // leads the owner's stream.
+                    if let Some(strategy) = &self.table.strategy {
+                        for a in strategy.as_dyn().assign(&sub) {
+                            if a.dim == dim && a.matcher != self.cfg.id && ml.leads(a.matcher) {
+                                let _ = ml.log_promoted(a.matcher, rec.clone());
+                            }
                         }
                     }
+                    self.log_mutation(rec);
                 }
-                log_mutation(cfg, shared, transport, table, ml, rec);
+                self.engine.insert(dim, sub);
+                self.port.shared.counters.stored_copies.inc();
             }
-            engine.insert(dim, sub);
-            shared.counters.stored_copies.inc();
-        }
-        ControlMsg::RemoveSub { dim, sub } => {
-            if let Some(ml) = mlog.as_mut() {
-                log_mutation(
-                    cfg,
-                    shared,
-                    transport,
-                    table,
-                    ml,
-                    SubLogRecord::Remove { dim, sub },
-                );
+            ControlMsg::RemoveSub { dim, sub } => {
+                self.log_mutation(SubLogRecord::Remove { dim, sub });
+                self.engine.remove(dim, sub);
             }
-            engine.remove(dim, sub);
-        }
-        ControlMsg::MatchMsg {
-            dim,
-            msg,
-            admitted_us,
-            ack_to,
-        } => {
-            let now = shared.now();
-            let mut port = HostPort {
-                id: cfg.id,
-                shared,
-                transport,
-                now,
-                batcher,
-                batch_metrics,
-                // Admission stages no delivery; the scratch stays empty.
-                addr: &mut String::new(),
-            };
-            engine.on_match_msg(now, dim, msg, admitted_us, ack_to, &mut port);
-        }
-        ControlMsg::HandOver {
-            dim,
-            range,
-            to_addr,
-            reply_to,
-        } => {
-            // Move the overlapping copies to the new matcher, but keep
-            // serving local copies until the Retire arrives (routing may
-            // still point here).
-            let moved = engine.extract_overlapping(dim, &range);
-            let count = moved.len() as u64;
-            for sub in moved {
-                let store = ControlMsg::StoreSub {
-                    dim,
-                    sub: sub.clone(),
-                };
-                let _ = transport.send(&to_addr, to_bytes(&store).freeze());
-                engine.insert(dim, sub);
+            ControlMsg::MatchMsg {
+                dim,
+                msg,
+                admitted_us,
+                ack_to,
+            } => {
+                self.port.out.now = now;
+                self.engine
+                    .on_match_msg(now, dim, msg, admitted_us, ack_to, &mut self.port);
             }
-            let done = ControlMsg::HandOverDone { dim, moved: count };
-            let _ = transport.send(&reply_to, to_bytes(&done).freeze());
-        }
-        ControlMsg::Retire { dim, range, keep } => {
-            if let Some(ml) = mlog.as_mut() {
-                log_mutation(
-                    cfg,
-                    shared,
-                    transport,
-                    table,
-                    ml,
-                    SubLogRecord::Retire {
+            ControlMsg::HandOver {
+                dim,
+                range,
+                to_addr,
+                reply_to,
+            } => {
+                // Move the overlapping copies to the new matcher, but keep
+                // serving local copies until the Retire arrives (routing
+                // may still point here).
+                let moved = self.engine.extract_overlapping(dim, &range);
+                let count = moved.len() as u64;
+                for sub in moved {
+                    let store = ControlMsg::StoreSub {
+                        dim,
+                        sub: sub.clone(),
+                    };
+                    self.port.out.send(&to_addr, &store);
+                    self.engine.insert(dim, sub);
+                }
+                self.port
+                    .out
+                    .send(&reply_to, &ControlMsg::HandOverDone { dim, moved: count });
+            }
+            ControlMsg::Retire { dim, range, keep } => {
+                if self.mlog.is_some() {
+                    self.log_mutation(SubLogRecord::Retire {
                         dim,
                         range,
                         keep: keep.clone(),
-                    },
-                );
+                    });
+                }
+                self.engine.retire(dim, &range, &keep);
             }
-            engine.retire(dim, &range, &keep);
-        }
-        ControlMsg::TableUpdate {
-            version,
-            strategy,
-            addrs,
-            epochs,
-        } if version > table.version => {
-            table.version = version;
-            table.strategy = Some(strategy);
-            table.addrs = addrs;
-            table.epochs = epochs;
-            // Announce the new table version on the gossip mesh too.
-            gossip.set_segments_version(version);
-        }
-        ControlMsg::TablePull { reply_to } => {
-            let state = ControlMsg::TableState {
-                version: table.version,
-                strategy: table.strategy.clone(),
-                addrs: table.addrs.clone(),
-                epochs: table.epochs.clone(),
-            };
-            let _ = transport.send(&reply_to, to_bytes(&state).freeze());
-        }
-        ControlMsg::TelemetryPull { reply_to } => {
-            // Render the process-wide registry and ship it back — the
-            // wire hop is what an external scraper would exercise.
-            let text = shared.telemetry.render();
-            let reply = ControlMsg::TelemetryText { text };
-            let _ = transport.send(&reply_to, to_bytes(&reply).freeze());
-        }
-        ControlMsg::Gossip { from_addr, msg } => {
-            let now = shared.now();
-            let reply = match &msg {
-                GossipMsg::Syn { .. } => Some(gossip.handle_syn(&msg, now)),
-                GossipMsg::Ack { .. } => {
-                    // The Ack closes the exchange this matcher's Syn
-                    // opened: that round trip is the gossip round latency.
-                    if let Some(t0) = pending_syns.remove(&from_addr) {
-                        telemetry
-                            .gossip_round
-                            .observe_us(t0.elapsed().as_micros() as u64);
+            ControlMsg::TableUpdate {
+                version,
+                strategy,
+                addrs,
+                epochs,
+            } if version > self.table.version => {
+                self.table = TableCopy {
+                    version,
+                    strategy: Some(strategy),
+                    addrs,
+                    epochs,
+                };
+                // Announce the new table version on the gossip mesh too.
+                self.gossip.set_segments_version(version);
+            }
+            ControlMsg::TablePull { reply_to } => {
+                let state = ControlMsg::TableState {
+                    version: self.table.version,
+                    strategy: self.table.strategy.clone(),
+                    addrs: self.table.addrs.clone(),
+                    epochs: self.table.epochs.clone(),
+                };
+                self.port.out.send(&reply_to, &state);
+            }
+            ControlMsg::TelemetryPull { reply_to } => {
+                // Render the process-wide registry and ship it back — the
+                // wire hop is what an external scraper would exercise.
+                let text = self.port.shared.telemetry.render();
+                self.port
+                    .out
+                    .send(&reply_to, &ControlMsg::TelemetryText { text });
+            }
+            ControlMsg::Gossip { from_addr, msg } => {
+                let reply = match &msg {
+                    GossipMsg::Syn { .. } => Some(self.gossip.handle_syn(&msg, now)),
+                    GossipMsg::Ack { .. } => {
+                        // The Ack closes the exchange this matcher's Syn
+                        // opened: that round trip is the gossip round
+                        // latency.
+                        if let Some(t0) = self.pending_syns.remove(&from_addr) {
+                            self.telemetry
+                                .gossip_round
+                                .observe_us(((now - t0) * 1e6) as u64);
+                        }
+                        Some(self.gossip.handle_ack(&msg, now))
                     }
-                    Some(gossip.handle_ack(&msg, now))
-                }
-                GossipMsg::Ack2 { .. } => {
-                    gossip.handle_ack2(&msg, now);
-                    None
-                }
-            };
-            if let Some(reply) = reply {
-                let wire = ControlMsg::Gossip {
-                    from_addr: cfg.addr.clone(),
-                    msg: reply,
+                    GossipMsg::Ack2 { .. } => {
+                        self.gossip.handle_ack2(&msg, now);
+                        None
+                    }
                 };
-                let _ = transport.send(&from_addr, to_bytes(&wire).freeze());
+                if let Some(reply) = reply {
+                    let wire = ControlMsg::Gossip {
+                        from_addr: self.cfg.addr.clone(),
+                        msg: reply,
+                    };
+                    self.port.out.send(&from_addr, &wire);
+                }
             }
-        }
-        ControlMsg::SubLogAppend {
-            stream,
-            epoch,
-            base,
-            offset,
-            reset,
-            records,
-            ack_to,
-        } => {
-            if let Some(ml) = mlog.as_mut() {
-                let append = ReplicatedAppend {
-                    stream,
-                    epoch,
-                    base,
-                    offset,
-                    reset,
-                    records,
+            ControlMsg::SubLogAppend { append, ack_to } => {
+                let Some(ml) = self.mlog.as_mut() else {
+                    return Step::Continue;
                 };
+                let stream = append.stream;
                 match ml.follower_accept(stream, &append) {
                     Ok(FollowerOutcome::Acked {
                         epoch,
                         next_offset,
                         stored,
                     }) => {
-                        shared.counters.sublog_replicated.add(stored);
+                        self.port.shared.counters.sublog_replicated.add(stored);
                         let ack = ControlMsg::SubLogAck {
                             stream,
-                            follower: cfg.id,
+                            follower: self.cfg.id,
                             epoch,
                             offset: next_offset,
                         };
-                        let _ = transport.send(&ack_to, to_bytes(&ack).freeze());
+                        self.port.out.send(&ack_to, &ack);
                     }
                     Ok(FollowerOutcome::NeedFetch { from }) => {
                         // A hole precedes this append: pull the missing
@@ -888,171 +710,203 @@ fn handle_msg(
                         let fetch = ControlMsg::SubLogFetch {
                             stream,
                             from,
-                            reply_to: cfg.addr.clone(),
+                            reply_to: self.cfg.addr.clone(),
                         };
-                        let _ = transport.send(&ack_to, to_bytes(&fetch).freeze());
+                        self.port.out.send(&ack_to, &fetch);
                     }
                     Ok(FollowerOutcome::Fenced { .. }) => {
                         // The sender was deposed; dropping its append (and
                         // never acking) is the fence.
-                        shared.counters.sublog_fenced.inc();
+                        self.port.shared.counters.sublog_fenced.inc();
                     }
                     Err(_) => {}
                 }
             }
-        }
-        ControlMsg::SubLogAck {
-            stream,
-            follower,
-            epoch,
-            offset,
-        } => {
-            if let Some(ml) = mlog.as_mut() {
-                ml.record_ack(stream, follower, epoch, offset, shared.now());
+            ControlMsg::SubLogAck {
+                stream,
+                follower,
+                epoch,
+                offset,
+            } => {
+                if let Some(ml) = self.mlog.as_mut() {
+                    ml.record_ack(stream, follower, epoch, offset, now);
+                }
             }
-        }
-        ControlMsg::SubLogFetch {
-            stream,
-            from,
-            reply_to,
-        } => {
-            if let Some(ml) = mlog.as_ref() {
-                if let Some(app) = ml.serve(stream, from) {
+            ControlMsg::SubLogFetch {
+                stream,
+                from,
+                reply_to,
+            } => {
+                if let Some(append) = self.mlog.as_ref().and_then(|ml| ml.serve(stream, from)) {
                     let msg = ControlMsg::SubLogAppend {
-                        stream: app.stream,
-                        epoch: app.epoch,
-                        base: app.base,
-                        offset: app.offset,
-                        reset: app.reset,
-                        records: app.records,
-                        ack_to: cfg.addr.clone(),
+                        append,
+                        ack_to: self.cfg.addr.clone(),
                     };
-                    let _ = transport.send(&reply_to, to_bytes(&msg).freeze());
+                    self.port.out.send(&reply_to, &msg);
                 }
             }
-        }
-        ControlMsg::SubLogPromote { stream, epoch } => {
-            if let Some(ml) = mlog.as_mut() {
-                if let Ok(replay) = ml.promote(stream, epoch) {
-                    if !replay.is_empty() {
-                        // Failover as log replay — but through a scratch
-                        // engine: the dead owner's Retire records carry
-                        // *its* keep ranges, which applied to the live
-                        // engine would delete this matcher's own
-                        // overlapping copies. The scratch's final snapshot
-                        // is adopted and journaled on this matcher's own
-                        // stream, so the inherited copies survive a later
-                        // crash of the heir itself.
-                        let mut scratch = MatcherEngine::new(
-                            cfg.id,
-                            shared.space.clone(),
-                            cfg.index,
-                            cfg.dedup_window,
-                        );
-                        for rec in &replay {
-                            rec.apply(&mut scratch);
-                        }
-                        let inherited = scratch.snapshot();
-                        shared.counters.sublog_promoted.add(inherited.len() as u64);
-                        for (dim, sub) in inherited {
-                            log_mutation(
-                                cfg,
-                                shared,
-                                transport,
-                                table,
-                                ml,
-                                SubLogRecord::Store {
-                                    dim,
-                                    sub: sub.clone(),
-                                },
-                            );
-                            engine.remove(dim, sub.id);
-                            engine.insert(dim, sub);
+            ControlMsg::SubLogPromote { stream, epoch } => {
+                let replay = match self.mlog.as_mut().map(|ml| ml.promote(stream, epoch)) {
+                    Some(Ok(replay)) if !replay.is_empty() => replay,
+                    _ => return Step::Continue,
+                };
+                // Failover as log replay — but through a scratch engine:
+                // the dead owner's Retire records carry *its* keep ranges,
+                // which applied to the live engine would delete this
+                // matcher's own overlapping copies. The scratch's final
+                // snapshot is adopted and journaled on this matcher's own
+                // stream, so the inherited copies survive a later crash
+                // of the heir itself.
+                let mut scratch = Self::fresh_engine(&self.cfg, &self.port.shared);
+                for rec in &replay {
+                    rec.apply(&mut scratch);
+                }
+                let inherited = scratch.snapshot();
+                self.port
+                    .shared
+                    .counters
+                    .sublog_promoted
+                    .add(inherited.len() as u64);
+                for (dim, sub) in inherited {
+                    self.log_mutation(SubLogRecord::Store {
+                        dim,
+                        sub: sub.clone(),
+                    });
+                    self.engine.remove(dim, sub.id);
+                    self.engine.insert(dim, sub);
+                }
+            }
+            ControlMsg::SubLogDemote { stream } => {
+                if let Some(ml) = self.mlog.as_mut() {
+                    ml.demote(stream);
+                }
+            }
+            // Only meaningful for this matcher's own stream: the history
+            // its heir accumulated while it was down, queued on the bound
+            // inbox ahead of any publication. The records are this
+            // matcher's own (its keep ranges, its copies), so they apply
+            // to the live engine directly.
+            ControlMsg::SubLogInstall {
+                stream,
+                epoch,
+                records,
+            } if stream == self.cfg.id => {
+                if let Some(ml) = self.mlog.as_mut() {
+                    if ml.install(epoch, &records).is_ok() {
+                        self.port
+                            .shared
+                            .counters
+                            .sublog_caught_up
+                            .add(records.len() as u64);
+                        for rec in &records {
+                            rec.apply(&mut self.engine);
                         }
                     }
                 }
             }
+            // Begin a graceful leave: announce `Leaving` on the overlay
+            // (spread on the next pass), serve out the backlog, then exit
+            // once the announcement has had time to spread.
+            ControlMsg::Leave => {
+                self.gossip.announce_leaving();
+                self.leaving_since.get_or_insert(now);
+                self.next_gossip = self.next_gossip.min(now);
+            }
+            ControlMsg::Shutdown => return Step::Exit,
+            // Messages not addressed to matchers are ignored defensively.
+            _ => {}
         }
-        ControlMsg::SubLogDemote { stream } => {
-            if let Some(ml) = mlog.as_mut() {
-                ml.demote(stream);
+        Step::Continue
+    }
+
+    /// Serves one queued message (round-robin across dimensions): pop,
+    /// measure the real match time around the engine's match phase, feed
+    /// the measurement into µ, then let the engine emit the deliveries
+    /// and the ack.
+    fn serve(&mut self, now: Time) -> bool {
+        let Some(job) = self.engine.begin_service(now) else {
+            return false;
+        };
+        self.telemetry
+            .queue_wait
+            .observe_us((job.waited * 1e6) as u64);
+        self.hits.clear();
+        let started = Instant::now();
+        self.engine.run_match(&job, now, &mut self.hits);
+        let match_elapsed = started.elapsed();
+        let match_secs = match_elapsed.as_secs_f64();
+        self.engine.record_service(job.dim, match_secs);
+        self.telemetry
+            .match_time
+            .observe_us(match_elapsed.as_micros() as u64);
+        if !self.hits.is_empty() {
+            self.port.shared.counters.matched.inc();
+        }
+        self.port.out.now = now + match_secs;
+        self.engine
+            .complete(job, &self.hits, match_secs, &mut self.port);
+        self.telemetry.served.inc();
+        true
+    }
+
+    fn timer_due(&self, now: Time) -> bool {
+        now >= self.next_stats
+            || now >= self.next_gossip
+            || self
+                .port
+                .out
+                .batcher
+                .next_deadline()
+                .is_some_and(|d| d <= now)
+    }
+
+    /// Flushes — every lane when `idle`, and in any case the lanes whose
+    /// oldest frame has waited `max_delay` (the bound for a matcher that
+    /// never idles) — then the gossip round and the load reports when
+    /// they are due.
+    fn upkeep(&mut self, now: Time, idle: bool) {
+        if idle {
+            let flushes = self.port.out.batcher.drain_idle();
+            self.port.send_flushes(flushes);
+        }
+        let flushes = self.port.out.batcher.poll(now);
+        self.port.send_flushes(flushes);
+        if now >= self.next_gossip {
+            self.gossip_round(now);
+        }
+        if now >= self.next_stats {
+            self.report_load(now);
+        }
+    }
+
+    /// The inbox and the queues are empty, so sending what is staged is
+    /// the only useful work left; then block until the next periodic
+    /// tick. A leaving matcher exits here once the Leaving announcement
+    /// has had a couple of gossip rounds to spread (peers' sweeps turn
+    /// Leaving into Dead immediately, so no failure-detection timeout is
+    /// burned on an orderly exit).
+    fn idle(&mut self, now: Time) -> Option<Duration> {
+        self.upkeep(now, true);
+        if let Some(t0) = self.leaving_since {
+            if self.engine.is_idle() && now - t0 >= self.gossip_interval * 2.0 {
+                return None;
             }
         }
-        // Only meaningful for this matcher's own stream: the history its
-        // heir accumulated while it was down, queued on the bound inbox
-        // ahead of any publication. The records are this matcher's own
-        // (its keep ranges, its copies), so they apply to the live engine
-        // directly.
-        ControlMsg::SubLogInstall {
-            stream,
-            epoch,
-            records,
-        } if stream == cfg.id => {
-            if let Some(ml) = mlog.as_mut() {
-                if ml.install(epoch, &records).is_ok() {
-                    shared.counters.sublog_caught_up.add(records.len() as u64);
-                    for rec in &records {
-                        rec.apply(engine);
-                    }
-                }
-            }
-        }
-        ControlMsg::Leave => return Step::Leaving,
-        ControlMsg::Shutdown => return Step::Shutdown,
-        // Messages not addressed to matchers are ignored defensively.
-        _ => {}
+        Some(wake_in(
+            self.next_stats.min(self.next_gossip),
+            now,
+            MAX_WAIT,
+        ))
     }
-    Step::Continue
-}
 
-/// Journals one mutation on this matcher's own stream and streams it to
-/// the clockwise heir. Called *before* the engine mutation, so the
-/// durable log is never behind the served state. A failed append keeps
-/// the matcher serving from memory; recovery then degrades to the
-/// registry re-ship path.
-fn log_mutation(
-    cfg: &MatcherNodeConfig,
-    shared: &Arc<Shared>,
-    transport: &Arc<dyn Transport>,
-    table: &TableCopy,
-    ml: &mut MatcherLog,
-    rec: SubLogRecord,
-) {
-    if let Ok(append) = ml.log_own(rec) {
-        shared.counters.sublog_appended.inc();
-        replicate(cfg, transport, table, append);
-    }
-}
-
-/// Sends one stamped append to the first reachable clockwise heir in
-/// the table's address book (sorted by id, wrapping, skipping self).
-/// Dead heirs are unbound, so their sends error and the next candidate
-/// is tried; with no table installed yet there is no heir to stream to.
-fn replicate(
-    cfg: &MatcherNodeConfig,
-    transport: &Arc<dyn Transport>,
-    table: &TableCopy,
-    append: ReplicatedAppend,
-) {
-    let mut ring: Vec<&(MatcherId, String)> = table.addrs.iter().collect();
-    ring.sort_by_key(|e| e.0);
-    let Some(pos) = ring.iter().position(|e| e.0 == cfg.id) else {
-        return;
-    };
-    let msg = ControlMsg::SubLogAppend {
-        stream: append.stream,
-        epoch: append.epoch,
-        base: append.base,
-        offset: append.offset,
-        reset: append.reset,
-        records: append.records,
-        ack_to: cfg.addr.clone(),
-    };
-    let bytes = to_bytes(&msg).freeze();
-    for i in 1..ring.len() {
-        let addr = &ring[(pos + i) % ring.len()].1;
-        if transport.send(addr, bytes.clone()).is_ok() {
-            return;
+    /// Staged frames go out best-effort (the dispatcher's retransmit
+    /// ledger recovers acked traffic a crash loses instead) and the
+    /// sub-log reaches the disk.
+    fn flush_all(&mut self) {
+        let flushes = self.port.out.batcher.flush_all();
+        self.port.send_flushes(flushes);
+        if let Some(ml) = self.mlog.as_mut() {
+            let _ = ml.sync_all();
         }
     }
 }

@@ -5,8 +5,8 @@ use bluedove_core::{
     DimIdx, DimStats, MatcherId, Message, MessageId, Range, SubscriberId, Subscription,
     SubscriptionId,
 };
-use bluedove_net::{NetError, NetResult, Wire};
-use bytes::{Buf, BufMut, BytesMut};
+use bluedove_net::{from_bytes_shared, NetError, NetResult, Wire};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Every message exchanged between clients, dispatchers and matchers.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,20 +214,9 @@ pub enum ControlMsg {
     /// (see `bluedove_engine::replication`) and answers with a
     /// [`ControlMsg::SubLogAck`] to `ack_to`.
     SubLogAppend {
-        /// The stream the records belong to (its owner's id).
-        stream: MatcherId,
-        /// Leader epoch of the append.
-        epoch: u64,
-        /// Offset the leader's epoch began at (ghost-tail fencing).
-        base: u64,
-        /// Logical offset of the first record.
-        offset: u64,
-        /// When set, the receiver discards its replica and adopts the
-        /// records as the stream's full retained history (it fell behind
-        /// the leader's compaction horizon).
-        reset: bool,
-        /// The records, at consecutive offsets from `offset`.
-        records: Vec<crate::sublog::SubLogRecord>,
+        /// The records and the `(stream, epoch, base, offset, reset)`
+        /// stamp followers fence on.
+        append: crate::sublog::ReplicatedAppend,
         /// Where to send the ack (empty = no ack wanted).
         ack_to: String,
     },
@@ -338,6 +327,19 @@ impl ControlMsg {
             },
         }
     }
+}
+
+/// The frames of one received payload, in order — the one intake path of
+/// every inbox: a corrupt payload yields none, a [`ControlMsg::Batch`]
+/// its members, anything else itself (no allocation). Zero-copy decode:
+/// message payloads stay windows into `payload`'s allocation.
+pub(crate) fn frames(payload: Bytes) -> impl Iterator<Item = ControlMsg> {
+    let (one, many) = match from_bytes_shared(payload) {
+        Ok(ControlMsg::Batch(inner)) => (None, inner),
+        Ok(m) => (Some(m), Vec::new()),
+        Err(_) => (None, Vec::new()),
+    };
+    one.into_iter().chain(many)
 }
 
 const TAG_SUBSCRIBE: u8 = 0;
@@ -544,22 +546,14 @@ impl Wire for ControlMsg {
             }
             ControlMsg::Leave => buf.put_u8(TAG_LEAVE),
             ControlMsg::Shutdown => buf.put_u8(TAG_SHUTDOWN),
-            ControlMsg::SubLogAppend {
-                stream,
-                epoch,
-                base,
-                offset,
-                reset,
-                records,
-                ack_to,
-            } => {
+            ControlMsg::SubLogAppend { append, ack_to } => {
                 buf.put_u8(TAG_SUBLOG_APPEND);
-                stream.encode(buf);
-                epoch.encode(buf);
-                base.encode(buf);
-                offset.encode(buf);
-                reset.encode(buf);
-                records.encode(buf);
+                append.stream.encode(buf);
+                append.epoch.encode(buf);
+                append.base.encode(buf);
+                append.offset.encode(buf);
+                append.reset.encode(buf);
+                append.records.encode(buf);
                 ack_to.encode(buf);
             }
             ControlMsg::SubLogAck {
@@ -745,12 +739,14 @@ impl Wire for ControlMsg {
             TAG_LEAVE => ControlMsg::Leave,
             TAG_SHUTDOWN => ControlMsg::Shutdown,
             TAG_SUBLOG_APPEND => ControlMsg::SubLogAppend {
-                stream: MatcherId::decode(buf)?,
-                epoch: u64::decode(buf)?,
-                base: u64::decode(buf)?,
-                offset: u64::decode(buf)?,
-                reset: bool::decode(buf)?,
-                records: Vec::<crate::sublog::SubLogRecord>::decode(buf)?,
+                append: crate::sublog::ReplicatedAppend {
+                    stream: MatcherId::decode(buf)?,
+                    epoch: u64::decode(buf)?,
+                    base: u64::decode(buf)?,
+                    offset: u64::decode(buf)?,
+                    reset: bool::decode(buf)?,
+                    records: Vec::<crate::sublog::SubLogRecord>::decode(buf)?,
+                },
                 ack_to: String::decode(buf)?,
             },
             TAG_SUBLOG_ACK => ControlMsg::SubLogAck {
@@ -934,15 +930,31 @@ mod tests {
                 sub: SubscriptionId(5),
             },
         ];
-        round_trip(ControlMsg::SubLogAppend {
-            stream: MatcherId(2),
-            epoch: 3,
-            base: 7,
-            offset: 9,
-            reset: true,
-            records: records.clone(),
+        let append = ControlMsg::SubLogAppend {
+            append: crate::sublog::ReplicatedAppend {
+                stream: MatcherId(2),
+                epoch: 3,
+                base: 7,
+                offset: 9,
+                reset: true,
+                records: records.clone(),
+            },
             ack_to: "m/1".into(),
-        });
+        };
+        // The wire bytes of the embedded append are those of the flat
+        // seven-field variant it replaced: tag, stream, epoch, base,
+        // offset, reset, records, ack_to.
+        let mut flat = BytesMut::new();
+        flat.put_u8(super::TAG_SUBLOG_APPEND);
+        MatcherId(2).encode(&mut flat);
+        3u64.encode(&mut flat);
+        7u64.encode(&mut flat);
+        9u64.encode(&mut flat);
+        true.encode(&mut flat);
+        records.encode(&mut flat);
+        "m/1".to_string().encode(&mut flat);
+        assert_eq!(to_bytes(&append), flat);
+        round_trip(append);
         round_trip(ControlMsg::SubLogAck {
             stream: MatcherId(2),
             follower: MatcherId(1),
@@ -998,6 +1010,35 @@ mod tests {
             },
             ControlMsg::Shutdown,
         ]));
+    }
+
+    #[test]
+    fn intake_yields_the_frames_of_a_payload() {
+        let matched = ControlMsg::MatchMsg {
+            dim: DimIdx(0),
+            msg: Message::with_payload(vec![2.0], b"windowed".to_vec()),
+            admitted_us: 1,
+            ack_to: "d/0".into(),
+        };
+        let three = vec![ControlMsg::Leave, matched.clone(), ControlMsg::Shutdown];
+        let cases: Vec<(Bytes, Vec<ControlMsg>)> = vec![
+            (Bytes::from_static(&[99, 1, 2]), vec![]),
+            (Bytes::from_static(&[]), vec![]),
+            (to_bytes(&matched).freeze(), vec![matched]),
+            (to_bytes(&ControlMsg::Batch(three.clone())).freeze(), three),
+        ];
+        for (payload, want) in cases {
+            let span = payload.as_ptr() as usize..payload.as_ptr() as usize + payload.len();
+            let got: Vec<ControlMsg> = frames(payload).collect();
+            assert_eq!(got, want);
+            // Zero-copy kept, batched or not: a message payload is a
+            // window into the received buffer, not a copy of it.
+            for m in &got {
+                if let ControlMsg::MatchMsg { msg, .. } = m {
+                    assert!(span.contains(&(msg.payload.as_ptr() as usize)));
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,79 +7,7 @@ use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
 use std::sync::atomic::AtomicU64;
-use std::time::{Duration, Instant};
-
-/// Knobs for the acknowledged at-least-once publication pipeline.
-///
-/// One struct configures every layer of the path: the dispatcher's ack
-/// ledger and retry schedule, how long a suspected matcher is shunned,
-/// and the size of the idempotency windows on matchers, the mailbox and
-/// subscriber handles.
-#[derive(Clone, Debug)]
-pub struct ReliabilityConfig {
-    /// Whether matchers acknowledge publications at all. Off restores the
-    /// fire-and-forget pipeline (one synchronous failover, then drop).
-    pub acks: bool,
-    /// Base ack timeout; retransmission `n` waits `ack_timeout · 2ⁿ` plus
-    /// jitter before declaring the target suspect.
-    pub ack_timeout: Duration,
-    /// Retransmissions allowed per publication before it is counted as
-    /// dead-lettered.
-    pub retry_budget: u32,
-    /// How long a matcher stays suspect after a send error or ack timeout
-    /// before the dispatcher probes it again without orchestrator help.
-    pub suspicion_ttl: Duration,
-    /// Entries remembered per idempotency window (per matcher dimension
-    /// and per subscriber endpoint) for duplicate suppression.
-    pub dedup_window: usize,
-}
-
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig {
-            acks: true,
-            ack_timeout: Duration::from_millis(250),
-            retry_budget: 6,
-            suspicion_ttl: Duration::from_secs(2),
-            dedup_window: 8192,
-        }
-    }
-}
-
-impl ReliabilityConfig {
-    /// The engine-level view of these knobs: the same schedule with
-    /// `Duration`s lowered to [`bluedove_engine::Time`] seconds (the
-    /// dedup window is a matcher-side knob and stays here).
-    pub fn retry_policy(&self) -> bluedove_engine::RetryPolicy {
-        bluedove_engine::RetryPolicy {
-            acks: self.acks,
-            ack_timeout: self.ack_timeout.as_secs_f64(),
-            retry_budget: self.retry_budget,
-            suspicion_ttl: self.suspicion_ttl.as_secs_f64(),
-        }
-    }
-
-    /// Raises the shared [`bluedove_engine::EngineConfig`] knobs into the
-    /// host's `Duration`-based form. An infinite suspicion TTL (the
-    /// simulator's "shun forever") has no `Duration` counterpart and is
-    /// clamped to one hour — effectively permanent at thread-host scale.
-    pub fn from_engine(engine: &bluedove_engine::EngineConfig) -> Self {
-        let secs = |t: f64, inf: Duration| {
-            if t.is_finite() {
-                Duration::from_secs_f64(t)
-            } else {
-                inf
-            }
-        };
-        ReliabilityConfig {
-            acks: engine.retry.acks,
-            ack_timeout: secs(engine.retry.ack_timeout, Duration::from_secs(3600)),
-            retry_budget: engine.retry.retry_budget,
-            suspicion_ttl: secs(engine.retry.suspicion_ttl, Duration::from_secs(3600)),
-            dedup_window: engine.dedup_window,
-        }
-    }
-}
+use std::time::Instant;
 
 /// Cluster-wide counters (all relaxed: they are diagnostics, not
 /// synchronization). Since the telemetry layer landed these are handles

@@ -2,9 +2,18 @@
 //! multi-dispatcher operation, all strategies/policies, elastic join and
 //! crash fail-over.
 
-use bluedove_cluster::{Cluster, ClusterConfig, ClusterError, PolicyKind, StrategyKind};
-use bluedove_core::{AttributeSpace, MatcherId, Message, Subscription};
+use bluedove_cluster::matcher::{MatcherNode, MatcherNodeConfig};
+use bluedove_cluster::shared::{subscriber_addr, Shared};
+use bluedove_cluster::{
+    Cluster, ClusterConfig, ClusterError, ControlMsg, PolicyKind, StrategyKind,
+};
+use bluedove_core::{
+    AttributeSpace, DimIdx, MatcherId, Message, SubscriberId, Subscription, SubscriptionId,
+};
+use bluedove_engine::{AutoscalerConfig, EngineConfig, ScaleOutcome};
+use bluedove_net::{from_bytes, to_bytes, ChannelTransport, Transport};
 use bluedove_workload::PaperWorkload;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn space() -> AttributeSpace {
@@ -49,14 +58,20 @@ fn matching_and_non_matching_messages() {
         ))
         .unwrap();
 
-    let d1 = subscriber
-        .recv_timeout(Duration::from_secs(5))
-        .expect("first delivery");
-    assert_eq!(d1.msg.values[0], 150.0);
-    let d2 = subscriber
-        .recv_timeout(Duration::from_secs(5))
-        .expect("second delivery");
-    assert_eq!(&d2.msg.payload[..], b"hi");
+    // The two matches may be served by different matchers, so they can
+    // arrive in either order: each exactly once, then silence.
+    let got: Vec<_> = (0..2)
+        .map(|_| {
+            subscriber
+                .recv_timeout(Duration::from_secs(5))
+                .expect("two deliveries")
+        })
+        .collect();
+    assert_eq!(got.iter().filter(|d| d.msg.values[0] == 150.0).count(), 1);
+    assert_eq!(
+        got.iter().filter(|d| &d.msg.payload[..] == b"hi").count(),
+        1
+    );
     // No further deliveries.
     assert!(subscriber
         .recv_timeout(Duration::from_millis(300))
@@ -778,4 +793,128 @@ fn size_only_flushing_neither_panics_nor_strands_frames() {
     }
     assert_eq!(batch_flushes(&cluster, "dispatcher", "deadline"), 0);
     cluster.shutdown();
+}
+
+#[test]
+fn autoscale_tick_sees_load_reports_with_batching_on_or_off() {
+    // With batching on a matcher ships its k load reports as one `Batch`
+    // frame; the control inbox must unwrap it like every other inbox, or
+    // the autoscaler never sees a report and holds forever.
+    for max_batch in [1, 8] {
+        let mut cluster = Cluster::start(
+            ClusterConfig::new(space())
+                .matchers(3)
+                .max_batch(max_batch)
+                .stats_interval(Duration::from_millis(20))
+                .autoscaler(AutoscalerConfig {
+                    hysteresis: 1,
+                    cooldown: 0.0,
+                    min_matchers: 2,
+                    ..Default::default()
+                }),
+        );
+        // An idle cluster is over-provisioned: the first tick that has
+        // reports from every matcher scales down.
+        let mut outcome = None;
+        wait_for(
+            || {
+                outcome = cluster.autoscale_tick().expect("autoscaler configured");
+                outcome.is_some()
+            },
+            "the idle cluster to shrink",
+        );
+        assert!(
+            matches!(outcome, Some(ScaleOutcome::Removed(_))),
+            "max_batch {max_batch}: {outcome:?}"
+        );
+        assert_eq!(cluster.matcher_ids().len(), 2);
+        cluster.shutdown();
+    }
+}
+
+#[test]
+fn unrepresentable_timeouts_start_and_forward() {
+    // `Duration::MAX` seconds fit an f64 but not a `Duration` built back
+    // from it: the knobs must reach the engine without that round trip.
+    let sp = space();
+    let mut cluster = Cluster::start(
+        ClusterConfig::new(sp.clone())
+            .matchers(2)
+            .ack_timeout(Duration::MAX)
+            .suspicion_ttl(Duration::MAX),
+    );
+    let subscriber = cluster
+        .subscribe(Subscription::builder(&sp).build().unwrap())
+        .unwrap();
+    cluster
+        .publish(Message::new(vec![1.0, 2.0, 3.0, 4.0]))
+        .unwrap();
+    let d = subscriber
+        .recv_timeout(Duration::from_secs(5))
+        .expect("delivery");
+    assert_eq!(d.msg.values[3], 4.0);
+    cluster.shutdown();
+}
+
+#[test]
+fn bound_matcher_handles_its_whole_inbox_before_serving() {
+    // What `restart_matcher` leans on: a publication that reached the
+    // bound inbox *ahead of* the recovery replay is still matched against
+    // the replayed subscription, because the node handles every queued
+    // frame before it serves its first job.
+    let sp = space();
+    let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
+    let shared = Arc::new(Shared::new(
+        sp.clone(),
+        bluedove_baselines::AnyStrategy::full_rep(1),
+    ));
+    let deliveries = transport.bind(&subscriber_addr(7)).unwrap();
+    let bound = MatcherNode::bind(
+        MatcherNodeConfig {
+            id: MatcherId(0),
+            addr: "m/0".into(),
+            engine: EngineConfig::default(),
+            stats_interval: Duration::from_secs(60),
+            gossip_interval: Duration::from_secs(60),
+            gossip_seeds: Vec::new(),
+            generation: 1,
+            failure_detector: Default::default(),
+            sublog: None,
+        },
+        transport.clone(),
+    );
+    let mut sub = Subscription::builder(&sp).build().unwrap();
+    sub.id = SubscriptionId(1);
+    sub.subscriber = SubscriberId(7);
+    let mut msg = Message::new(vec![1.0, 2.0, 3.0, 4.0]);
+    msg.id = bluedove_core::MessageId(1);
+    for frame in [
+        ControlMsg::MatchMsg {
+            dim: DimIdx(0),
+            msg,
+            admitted_us: 0,
+            ack_to: String::new(),
+        },
+        ControlMsg::StoreSub {
+            dim: DimIdx(0),
+            sub,
+        },
+    ] {
+        transport.send("m/0", to_bytes(&frame).freeze()).unwrap();
+    }
+    let node = bound.start(shared);
+    let payload = deliveries
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the queued publication matched the queued subscription");
+    assert!(matches!(
+        from_bytes(&payload),
+        Ok(ControlMsg::Deliver {
+            sub: SubscriptionId(1),
+            ..
+        })
+    ));
+    transport
+        .send("m/0", to_bytes(&ControlMsg::Shutdown).freeze())
+        .unwrap();
+    node.join();
 }

@@ -9,8 +9,8 @@
 use bluedove_core::Time;
 
 /// Engine-level knobs of the acknowledged at-least-once pipeline, all in
-/// [`Time`] seconds. The threaded cluster converts its `Duration`-based
-/// `ReliabilityConfig` into this; the simulator constructs it directly.
+/// [`Time`] seconds. Both hosts hand it to the dispatch engine as it is;
+/// the threaded cluster's `Duration` setters lower into it once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Whether forwards request acknowledgements at all. Off restores the
