@@ -702,9 +702,11 @@ fn reliability() {
 /// Recovery smoke: kill-and-replay at bench scale. With the durable
 /// subscription log on, acked traffic is published across a matcher
 /// crash and its restart; the run verifies zero loss, exactly-once
-/// observation, and that the restarted matcher recovered by replaying
-/// its local log rather than a bulk registry re-ship. Returns `false`
-/// on any violation — the CI step turns that into a nonzero exit.
+/// observation, that the restarted matcher recovered by replaying its
+/// local log rather than a bulk registry re-ship, and that it installed
+/// from its heir no more than the subscription mutations made while it
+/// was down. Returns `false` on any violation — the CI step turns that
+/// into a nonzero exit.
 fn recovery(cfg: &ExpConfig) -> bool {
     use bluedove_cluster::chaos::await_membership;
     use bluedove_cluster::{Cluster, ClusterConfig};
@@ -770,6 +772,9 @@ fn recovery(cfg: &ExpConfig) -> bool {
     publish_batch(&mut cluster, N / 3);
     std::thread::sleep(Duration::from_millis(300));
     cluster.kill_matcher(MatcherId(1));
+    // Publications only: no subscription changes while m/1 is down, so
+    // its restart has nothing to install from the heir.
+    let downtime_mutations = 0u64;
     publish_batch(&mut cluster, 2 * N / 3);
     std::thread::sleep(Duration::from_millis(500));
     cluster
@@ -799,6 +804,7 @@ fn recovery(cfg: &ExpConfig) -> bool {
     let appended = counter("bluedove_sublog_appended_total");
     let replayed = counter("bluedove_sublog_replayed_total");
     let reshipped = counter("bluedove_sublog_reshipped_total");
+    let caught_up = counter("bluedove_sublog_caught_up_total");
     println!("    {subs} subscriptions, {N} publications, kill + restart of one matcher");
     println!(
         "    lost {lost}, duplicated {duped}, retried {retried}, dead_lettered {dead_lettered}"
@@ -806,9 +812,17 @@ fn recovery(cfg: &ExpConfig) -> bool {
     println!(
         "    sub-log: appended {appended}, replayed on restart {replayed}, registry re-ships {reshipped}"
     );
+    println!(
+        "    bluedove_sublog_caught_up_total {caught_up} (downtime subscription mutations {downtime_mutations})"
+    );
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&log_dir);
-    let ok = lost == 0 && duped == 0 && dead_lettered == 0 && appended > 0 && replayed > 0;
+    let ok = lost == 0
+        && duped == 0
+        && dead_lettered == 0
+        && appended > 0
+        && replayed > 0
+        && caught_up <= downtime_mutations;
     println!("    recovery smoke: {}", if ok { "PASS" } else { "FAIL" });
     ok
 }

@@ -1559,10 +1559,12 @@ impl Cluster {
         // Local-log-first recovery: the bound matcher replays its own
         // durable stream when its serve loop opens the log, so only the
         // *delta* — mutations that landed on the heir while this matcher
-        // was down — needs the network. Pull the heir's copy of the
-        // stream, queue it as a `SubLogInstall` ahead of any traffic,
-        // and step the heir down; its next-seen appends from the rejoin
-        // epoch re-fence the replica.
+        // was down — is installed from the network. Pull the heir's copy
+        // of the stream (stamped with its promotion point), queue it as a
+        // `SubLogInstall` ahead of any traffic — the matcher installs only
+        // the records past its divergence point — and step the heir down;
+        // the rejoin epoch's first append truncates the heir's replica to
+        // that point and a gap fetch realigns it.
         let watermark = self.crash_watermark.remove(&m);
         if let Some(e_new) = rejoin_epoch {
             let leader = self.stream_leader.get(&m).copied().unwrap_or(m);
@@ -1574,17 +1576,16 @@ impl Cluster {
                         reply_to: control_addr(),
                     };
                     let _ = self.base.send(&leader_addr, to_bytes(&fetch).freeze());
-                    let delta = await_reply(&self.ctl_rx, 5, "sub-log delta", |msg| match msg {
+                    let served = await_reply(&self.ctl_rx, 5, "sub-log delta", |msg| match msg {
                         ControlMsg::SubLogAppend { append, .. } if append.stream == m => {
-                            Some(append.records)
+                            Some(append)
                         }
                         _ => None,
                     });
-                    if let Ok(records) = delta {
+                    if let Ok(served) = served {
                         let install = ControlMsg::SubLogInstall {
-                            stream: m,
                             epoch: e_new,
-                            records,
+                            served,
                         };
                         let _ = self.base.send(&addr, to_bytes(&install).freeze());
                     }

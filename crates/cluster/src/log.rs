@@ -32,6 +32,7 @@
 //! complete (rename is atomic) — open picks the highest complete
 //! generation and sweeps the rest.
 
+use bluedove_engine::replication::Journal;
 use bluedove_net::{frame, NetError, NetResult, Wire};
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Seek, SeekFrom, Write};
@@ -312,6 +313,19 @@ impl<R: Wire> Log<R> {
     /// injection writes garbage here).
     pub fn current_segment(&self) -> &Path {
         &self.seg_path
+    }
+}
+
+/// The durable journal under a replicated sub-log stream.
+impl<R: Wire> Journal<R> for Log<R> {
+    type Error = NetError;
+
+    fn append(&mut self, rec: &R) -> NetResult<()> {
+        Log::append(self, rec).map(drop)
+    }
+
+    fn rewrite(&mut self, records: &[R], base: u64) -> NetResult<()> {
+        self.compact(records, base)
     }
 }
 

@@ -12,11 +12,14 @@ use crate::batchio::{flush_frame, wake_in, BatchMetrics, Outbox};
 use crate::node::{Node, Step};
 use crate::proto::ControlMsg;
 use crate::shared::Shared;
-use crate::sublog::{FollowerOutcome, MatcherLog, ReplicatedAppend, SubLogRecord};
+use crate::sublog::{MatcherLog, SubLogRecord};
 use bluedove_core::{
     DimIdx, MatchHit, MatcherId, Message, MessageId, SubscriberId, SubscriptionId, Time,
 };
-use bluedove_engine::{Coalescer, EngineConfig, FlushReason, MatcherEngine, MatcherPort};
+use bluedove_engine::{
+    Coalescer, EngineConfig, FlushReason, FollowerOutcome, MatcherEngine, MatcherPort,
+    ReplicatedAppend,
+};
 use bluedove_net::{to_bytes, Transport};
 use bluedove_overlay::{EndpointState, GossipMsg, GossipNode, NodeId, NodeRole};
 use bluedove_telemetry::{Counter, Gauge, Histogram};
@@ -345,7 +348,7 @@ impl Matcher {
         // the log already holds is never re-shipped (and never served
         // stale).
         let mlog = cfg.sublog.clone().map(|slc| {
-            let (ml, replayed) = MatcherLog::open(cfg.id, slc).expect("open subscription log");
+            let (ml, replayed) = crate::sublog::open(cfg.id, slc).expect("open subscription log");
             shared.counters.sublog_replayed.add(replayed.len() as u64);
             for rec in &replayed {
                 rec.apply(&mut engine);
@@ -416,7 +419,7 @@ impl Matcher {
         let Some(ml) = self.mlog.as_mut() else {
             return;
         };
-        if let Ok(append) = ml.log_own(rec) {
+        if let Ok(Some(append)) = ml.own_mut().append(rec) {
             self.port.shared.counters.sublog_appended.inc();
             self.replicate(append);
         }
@@ -427,7 +430,7 @@ impl Matcher {
     /// Dead heirs are unbound, so their sends error and the next
     /// candidate is tried; with no table installed yet there is no heir
     /// to stream to.
-    fn replicate(&self, append: ReplicatedAppend) {
+    fn replicate(&self, append: ReplicatedAppend<SubLogRecord>) {
         let mut ring: Vec<&(MatcherId, String)> = self.table.addrs.iter().collect();
         ring.sort_by_key(|e| e.0);
         let Some(pos) = ring.iter().position(|e| e.0 == self.cfg.id) else {
@@ -536,14 +539,14 @@ impl Matcher {
         // (re-stamped at the tail) and stream the result to the heir so
         // its replica compacts too.
         if let Some(ml) = self.mlog.as_mut() {
-            if ml.own_appended() >= crate::sublog::SUBLOG_COMPACT_THRESHOLD {
+            if ml.own().journal().appended() >= crate::sublog::SUBLOG_COMPACT_THRESHOLD {
                 let snap: Vec<SubLogRecord> = self
                     .engine
                     .snapshot()
                     .into_iter()
                     .map(|(dim, sub)| SubLogRecord::Store { dim, sub })
                     .collect();
-                if let Ok(append) = ml.compact_own(snap) {
+                if let Ok(Some(append)) = ml.own_mut().compact(snap) {
                     self.replicate(append);
                 }
             }
@@ -569,7 +572,7 @@ impl Node for Matcher {
                     if let Some(strategy) = &self.table.strategy {
                         for a in strategy.as_dyn().assign(&sub) {
                             if a.dim == dim && a.matcher != self.cfg.id && ml.leads(a.matcher) {
-                                let _ = ml.log_promoted(a.matcher, rec.clone());
+                                let _ = ml.get_mut(a.matcher).map(|s| s.append(rec.clone()));
                             }
                         }
                     }
@@ -689,7 +692,7 @@ impl Node for Matcher {
                     return Step::Continue;
                 };
                 let stream = append.stream;
-                match ml.follower_accept(stream, &append) {
+                match ml.accept(&append) {
                     Ok(FollowerOutcome::Acked {
                         epoch,
                         next_offset,
@@ -728,8 +731,8 @@ impl Node for Matcher {
                 epoch,
                 offset,
             } => {
-                if let Some(ml) = self.mlog.as_mut() {
-                    ml.record_ack(stream, follower, epoch, offset, now);
+                if let Some(s) = self.mlog.as_mut().and_then(|ml| ml.get_mut(stream)) {
+                    s.record_ack(follower, epoch, offset, now);
                 }
             }
             ControlMsg::SubLogFetch {
@@ -737,7 +740,8 @@ impl Node for Matcher {
                 from,
                 reply_to,
             } => {
-                if let Some(append) = self.mlog.as_ref().and_then(|ml| ml.serve(stream, from)) {
+                if let Some(s) = self.mlog.as_ref().and_then(|ml| ml.get(stream)) {
+                    let append = s.serve(from);
                     let msg = ControlMsg::SubLogAppend {
                         append,
                         ack_to: self.cfg.addr.clone(),
@@ -758,7 +762,7 @@ impl Node for Matcher {
                 // stream, so the inherited copies survive a later crash
                 // of the heir itself.
                 let mut scratch = Self::fresh_engine(&self.cfg, &self.port.shared);
-                for rec in &replay {
+                for rec in replay {
                     rec.apply(&mut scratch);
                 }
                 let inherited = scratch.snapshot();
@@ -781,26 +785,24 @@ impl Node for Matcher {
                     ml.demote(stream);
                 }
             }
-            // Only meaningful for this matcher's own stream: the history
-            // its heir accumulated while it was down, queued on the bound
-            // inbox ahead of any publication. The records are this
-            // matcher's own (its keep ranges, its copies), so they apply
-            // to the live engine directly.
-            ControlMsg::SubLogInstall {
-                stream,
-                epoch,
-                records,
-            } if stream == self.cfg.id => {
-                if let Some(ml) = self.mlog.as_mut() {
-                    if ml.install(epoch, &records).is_ok() {
-                        self.port
-                            .shared
-                            .counters
-                            .sublog_caught_up
-                            .add(records.len() as u64);
-                        for rec in &records {
-                            rec.apply(&mut self.engine);
-                        }
+            // Only meaningful for this matcher's own stream: the copy its
+            // heir led while it was down, queued on the bound inbox ahead
+            // of any publication. The delta installed from it is this
+            // matcher's own history (its keep ranges, its copies), so it
+            // applies to the live engine directly.
+            ControlMsg::SubLogInstall { epoch, served } if served.stream == self.cfg.id => {
+                if let Some(Ok(delta)) = self
+                    .mlog
+                    .as_mut()
+                    .map(|ml| ml.own_mut().install(epoch, &served))
+                {
+                    self.port
+                        .shared
+                        .counters
+                        .sublog_caught_up
+                        .add(delta.len() as u64);
+                    for rec in delta {
+                        rec.apply(&mut self.engine);
                     }
                 }
             }
@@ -905,8 +907,8 @@ impl Node for Matcher {
     fn flush_all(&mut self) {
         let flushes = self.port.out.batcher.flush_all();
         self.port.send_flushes(flushes);
-        if let Some(ml) = self.mlog.as_mut() {
-            let _ = ml.sync_all();
+        for s in self.mlog.iter_mut().flat_map(|ml| ml.iter_mut()) {
+            let _ = s.journal_mut().sync();
         }
     }
 }

@@ -1,10 +1,12 @@
 //! Control-plane and data-plane messages of the threaded cluster, plus
 //! their wire encoding.
 
+use crate::sublog::SubLogRecord;
 use bluedove_core::{
     DimIdx, DimStats, MatcherId, Message, MessageId, Range, SubscriberId, Subscription,
     SubscriptionId,
 };
+use bluedove_engine::replication::ReplicatedAppend;
 use bluedove_net::{from_bytes_shared, NetError, NetResult, Wire};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -216,7 +218,7 @@ pub enum ControlMsg {
     SubLogAppend {
         /// The records and the `(stream, epoch, base, offset, reset)`
         /// stamp followers fence on.
-        append: crate::sublog::ReplicatedAppend,
+        append: ReplicatedAppend<SubLogRecord>,
         /// Where to send the ack (empty = no ack wanted).
         ack_to: String,
     },
@@ -261,17 +263,16 @@ pub enum ControlMsg {
         /// The recovered owner's stream.
         stream: MatcherId,
     },
-    /// Control plane → recovering matcher: the delta of your own stream
-    /// fetched from your heir while you were down. Appended to the local
-    /// log and applied before serving resumes; the matcher then leads
-    /// its stream under `epoch`.
+    /// Control plane → recovering matcher: the copy of your own stream
+    /// served by the heir that led it while you were down. The matcher
+    /// installs the records past its divergence point (the downtime
+    /// delta) before serving resumes, then leads its stream under
+    /// `epoch`.
     SubLogInstall {
-        /// The recovering matcher's own stream.
-        stream: MatcherId,
         /// The fresh leader epoch to resume under.
         epoch: u64,
-        /// The downtime mutations, oldest first.
-        records: Vec<crate::sublog::SubLogRecord>,
+        /// The heir's copy, stamped with its promotion point.
+        served: ReplicatedAppend<SubLogRecord>,
     },
     /// A coalesced run of frames for one destination, flushed by the
     /// sender's size/idle/deadline policy (see `bluedove_engine::Coalescer`).
@@ -377,6 +378,28 @@ const TAG_SUBLOG_INSTALL: u8 = 29;
 /// decoder pre-allocate more than this many slots, and well-formed
 /// senders never coalesce more (the engine clamps `max_batch` too).
 pub const MAX_BATCH_FRAMES: usize = 4096;
+
+/// A replicated append's fields, inline: stream, epoch, base, offset,
+/// reset, records.
+fn encode_append(a: &ReplicatedAppend<SubLogRecord>, buf: &mut BytesMut) {
+    a.stream.encode(buf);
+    a.epoch.encode(buf);
+    a.base.encode(buf);
+    a.offset.encode(buf);
+    a.reset.encode(buf);
+    a.records.encode(buf);
+}
+
+fn decode_append(buf: &mut impl Buf) -> NetResult<ReplicatedAppend<SubLogRecord>> {
+    Ok(ReplicatedAppend {
+        stream: MatcherId::decode(buf)?,
+        epoch: u64::decode(buf)?,
+        base: u64::decode(buf)?,
+        offset: u64::decode(buf)?,
+        reset: bool::decode(buf)?,
+        records: Vec::<SubLogRecord>::decode(buf)?,
+    })
+}
 
 impl Wire for ControlMsg {
     fn encode(&self, buf: &mut BytesMut) {
@@ -548,12 +571,7 @@ impl Wire for ControlMsg {
             ControlMsg::Shutdown => buf.put_u8(TAG_SHUTDOWN),
             ControlMsg::SubLogAppend { append, ack_to } => {
                 buf.put_u8(TAG_SUBLOG_APPEND);
-                append.stream.encode(buf);
-                append.epoch.encode(buf);
-                append.base.encode(buf);
-                append.offset.encode(buf);
-                append.reset.encode(buf);
-                append.records.encode(buf);
+                encode_append(append, buf);
                 ack_to.encode(buf);
             }
             ControlMsg::SubLogAck {
@@ -587,15 +605,10 @@ impl Wire for ControlMsg {
                 buf.put_u8(TAG_SUBLOG_DEMOTE);
                 stream.encode(buf);
             }
-            ControlMsg::SubLogInstall {
-                stream,
-                epoch,
-                records,
-            } => {
+            ControlMsg::SubLogInstall { epoch, served } => {
                 buf.put_u8(TAG_SUBLOG_INSTALL);
-                stream.encode(buf);
                 epoch.encode(buf);
-                records.encode(buf);
+                encode_append(served, buf);
             }
             ControlMsg::Batch(inner) => {
                 debug_assert!(!inner.is_empty(), "encoder never emits an empty batch");
@@ -739,14 +752,7 @@ impl Wire for ControlMsg {
             TAG_LEAVE => ControlMsg::Leave,
             TAG_SHUTDOWN => ControlMsg::Shutdown,
             TAG_SUBLOG_APPEND => ControlMsg::SubLogAppend {
-                append: crate::sublog::ReplicatedAppend {
-                    stream: MatcherId::decode(buf)?,
-                    epoch: u64::decode(buf)?,
-                    base: u64::decode(buf)?,
-                    offset: u64::decode(buf)?,
-                    reset: bool::decode(buf)?,
-                    records: Vec::<crate::sublog::SubLogRecord>::decode(buf)?,
-                },
+                append: decode_append(buf)?,
                 ack_to: String::decode(buf)?,
             },
             TAG_SUBLOG_ACK => ControlMsg::SubLogAck {
@@ -768,9 +774,8 @@ impl Wire for ControlMsg {
                 stream: MatcherId::decode(buf)?,
             },
             TAG_SUBLOG_INSTALL => ControlMsg::SubLogInstall {
-                stream: MatcherId::decode(buf)?,
                 epoch: u64::decode(buf)?,
-                records: Vec::<crate::sublog::SubLogRecord>::decode(buf)?,
+                served: decode_append(buf)?,
             },
             TAG_BATCH => {
                 let n = u32::decode(buf)? as usize;
@@ -921,24 +926,25 @@ mod tests {
             predicates: vec![Range::new(0.0, 10.0)],
         };
         let records = vec![
-            crate::sublog::SubLogRecord::Store {
+            SubLogRecord::Store {
                 dim: DimIdx(0),
                 sub,
             },
-            crate::sublog::SubLogRecord::Remove {
+            SubLogRecord::Remove {
                 dim: DimIdx(1),
                 sub: SubscriptionId(5),
             },
         ];
+        let served = ReplicatedAppend {
+            stream: MatcherId(2),
+            epoch: 3,
+            base: 7,
+            offset: 9,
+            reset: true,
+            records: records.clone(),
+        };
         let append = ControlMsg::SubLogAppend {
-            append: crate::sublog::ReplicatedAppend {
-                stream: MatcherId(2),
-                epoch: 3,
-                base: 7,
-                offset: 9,
-                reset: true,
-                records: records.clone(),
-            },
+            append: served.clone(),
             ack_to: "m/1".into(),
         };
         // The wire bytes of the embedded append are those of the flat
@@ -973,11 +979,7 @@ mod tests {
         round_trip(ControlMsg::SubLogDemote {
             stream: MatcherId(2),
         });
-        round_trip(ControlMsg::SubLogInstall {
-            stream: MatcherId(2),
-            epoch: 5,
-            records,
-        });
+        round_trip(ControlMsg::SubLogInstall { epoch: 5, served });
         round_trip(ControlMsg::TableState {
             version: 6,
             strategy: None,

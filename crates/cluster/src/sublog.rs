@@ -9,14 +9,13 @@
 //! ([`bluedove_engine::replication`]). Failover and graceful `Leave`
 //! become log replay: the heir promotes at its replicated offset and
 //! replays the replica into its own index; a recovered matcher replays
-//! its local log first and only fetches the delta it missed from the
+//! its local log first and installs only the records it missed from the
 //! heir, instead of being re-shipped a full subscription copy.
 //!
-//! [`MatcherLog`] is the host-side harness tying the pure replication
-//! state machines to real files: one [`LeaderStream`] for the matcher's
-//! own stream (plus any streams it leads after promotion) and one
-//! [`FollowerStream`] per stream it replicates. The same state machines
-//! drive the simulator against in-memory logs.
+//! [`MatcherLog`] is the engine's [`StreamSet`] over [`Log`] journals:
+//! every append / accept / serve / promote / demote / install / compact
+//! is the engine's, the simulator drives the same types over in-memory
+//! streams, and this module owns only the record codec and the files.
 //!
 //! On-disk layout under [`SubLogConfig::dir`] (one directory per
 //! matcher is *not* required — bases disambiguate):
@@ -31,12 +30,11 @@
 //! fetch re-fills it) rather than trusting a possibly stale epoch.
 
 use crate::log::{FsyncPolicy, Log, LogConfig};
-use bluedove_core::{DimIdx, MatcherId, Range, Subscription, SubscriptionId, Time};
-use bluedove_engine::replication::{AppendVerdict, Epoch, FollowerLog, ReplicaSet};
+use bluedove_core::{DimIdx, MatcherId, Range, Subscription, SubscriptionId};
+use bluedove_engine::replication::{Epoch, ReplicatedStream, StreamSet};
 use bluedove_engine::MatcherEngine;
 use bluedove_net::{NetError, NetResult, Wire};
 use bytes::{Buf, BufMut, BytesMut};
-use std::collections::HashMap;
 use std::path::PathBuf;
 
 /// Compact a matcher's own stream once this many records accumulated
@@ -163,82 +161,8 @@ impl SubLogConfig {
     }
 }
 
-/// One replicated append, ready to be lowered onto the wire: the records
-/// plus the `(epoch, epoch-base, offset)` stamp followers fence on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplicatedAppend {
-    /// Which stream the records belong to (the stream owner's id).
-    pub stream: MatcherId,
-    /// Leader epoch the records were appended under.
-    pub epoch: Epoch,
-    /// Offset the leader's epoch began at (ghost-tail fencing input).
-    pub base: u64,
-    /// Logical offset of `records[0]`.
-    pub offset: u64,
-    /// When set, the receiver discards its replica and adopts this
-    /// append as the stream's full retained history (it had fallen
-    /// behind the leader's compaction horizon).
-    pub reset: bool,
-    /// The records, at consecutive offsets from `offset`.
-    pub records: Vec<SubLogRecord>,
-}
-
-/// A follower's reaction to one replicated append.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FollowerOutcome {
-    /// Stored; acknowledge `(epoch, next_offset)` to the leader.
-    Acked {
-        /// Epoch the replica now follows.
-        epoch: Epoch,
-        /// Offset the replica expects next (== records held).
-        next_offset: u64,
-        /// How many records of this append were fresh (not duplicates).
-        stored: u64,
-    },
-    /// A hole precedes the append: fetch records from `from` first.
-    NeedFetch {
-        /// First missing offset.
-        from: u64,
-    },
-    /// The sender's epoch is behind: it was deposed and must stop.
-    Fenced {
-        /// The epoch this replica currently follows.
-        current: Epoch,
-    },
-}
-
-/// Leader-side state of one stream: the ISR tracker plus the durable
-/// log and the retained records served to catching-up followers.
-struct LeaderStream {
-    set: ReplicaSet,
-    log: Log<SubLogRecord>,
-    /// Logical offset of `records[0]`.
-    base: u64,
-    records: Vec<SubLogRecord>,
-}
-
-/// Follower-side replica of a peer's stream.
-struct FollowerStream {
-    state: FollowerLog,
-    log: Log<SubLogRecord>,
-    /// Logical offset of `records[0]`.
-    base: u64,
-    records: Vec<SubLogRecord>,
-}
-
-impl FollowerStream {
-    /// Discards every record at offsets `>= t` (a deposed leader's
-    /// uncommitted tail), rewriting the disk log to match.
-    fn truncate_to(&mut self, t: u64) -> NetResult<()> {
-        if t <= self.base {
-            self.records.clear();
-            self.base = t;
-        } else {
-            self.records.truncate((t - self.base) as usize);
-        }
-        self.log.compact(&self.records, self.base)
-    }
-}
+/// One of a matcher's streams, journaled to a [`Log`].
+type SubLogStream = ReplicatedStream<SubLogRecord, Log<SubLogRecord>>;
 
 /// Base name of a matcher's own stream log.
 fn own_base(id: MatcherId) -> String {
@@ -258,381 +182,58 @@ fn parse_follow(id: MatcherId, name: &str) -> Option<MatcherId> {
     Some(MatcherId(stream.parse().ok()?))
 }
 
-/// The host harness for one matcher's replicated subscription logs:
-/// its own stream (always led), streams it leads after promotion, and
-/// replicas of the streams it follows as a clockwise heir.
-pub struct MatcherLog {
-    id: MatcherId,
-    cfg: SubLogConfig,
-    own: LeaderStream,
-    leads: HashMap<MatcherId, LeaderStream>,
-    follows: HashMap<MatcherId, FollowerStream>,
+/// Opens `id`'s copy of `stream` from its log (empty when new), as a
+/// replica rejoining at epoch 0.
+fn open_stream(cfg: &SubLogConfig, id: MatcherId, stream: MatcherId) -> NetResult<SubLogStream> {
+    let base = if stream == id {
+        own_base(id)
+    } else {
+        follow_base(id, stream)
+    };
+    let lc = LogConfig {
+        segment_bytes: cfg.segment_bytes,
+        fsync: cfg.fsync,
+    };
+    let (log, records) = Log::open(&cfg.dir, &base, lc)?;
+    Ok(ReplicatedStream::follower(
+        stream,
+        cfg.min_isr,
+        log.first_offset(),
+        records,
+        log,
+    ))
 }
 
-impl MatcherLog {
-    fn log_config(cfg: &SubLogConfig) -> LogConfig {
-        LogConfig {
-            segment_bytes: cfg.segment_bytes,
-            fsync: cfg.fsync,
-        }
-    }
+/// One matcher's replicated subscription logs: the engine's
+/// [`StreamSet`] — its own stream, streams it leads after promotion and
+/// replicas it follows as a clockwise heir — over [`Log`] journals.
+pub type MatcherLog = StreamSet<SubLogRecord, Log<SubLogRecord>>;
 
-    /// Opens (or creates) matcher `id`'s logs under the config's
-    /// directory. Returns the harness and the matcher's own replayed
-    /// records — the host applies them to its engine before serving
-    /// (local-log-first recovery). Replica logs found on disk are
-    /// reopened as followers rejoining at epoch 0.
-    pub fn open(id: MatcherId, cfg: SubLogConfig) -> NetResult<(Self, Vec<SubLogRecord>)> {
-        let lc = Self::log_config(&cfg);
-        let (own_log, own_records) = Log::open(&cfg.dir, &own_base(id), lc)?;
-        let own = LeaderStream {
-            set: ReplicaSet::lead(cfg.epoch, own_log.next_offset(), cfg.min_isr),
-            base: own_log.first_offset(),
-            records: own_records.clone(),
-            log: own_log,
-        };
-        let mut follows = HashMap::new();
-        let mut streams: Vec<MatcherId> = std::fs::read_dir(&cfg.dir)?
-            .filter_map(|e| parse_follow(id, e.ok()?.file_name().to_str()?))
-            .collect();
-        streams.sort_unstable();
-        streams.dedup();
-        for stream in streams {
-            let (log, records) = Log::open(&cfg.dir, &follow_base(id, stream), lc)?;
-            follows.insert(
-                stream,
-                FollowerStream {
-                    state: FollowerLog::at(0, log.next_offset()),
-                    base: log.first_offset(),
-                    records,
-                    log,
-                },
-            );
-        }
-        Ok((
-            MatcherLog {
-                id,
-                cfg,
-                own,
-                leads: HashMap::new(),
-                follows,
-            },
-            own_records,
-        ))
+/// Opens (or creates) matcher `id`'s logs under the config's directory
+/// and leads the own stream at the config's epoch. Returns the set and
+/// the matcher's own replayed records — the host applies them to its
+/// engine before serving (local-log-first recovery). Replica logs found
+/// on disk are reopened as followers rejoining at epoch 0; new ones are
+/// created on first contact.
+pub fn open(id: MatcherId, cfg: SubLogConfig) -> NetResult<(MatcherLog, Vec<SubLogRecord>)> {
+    let mut own = open_stream(&cfg, id, id)?;
+    let replay = own.promote(cfg.epoch).to_vec();
+    let found: Vec<MatcherId> = std::fs::read_dir(&cfg.dir)?
+        .flatten()
+        .filter_map(|e| parse_follow(id, e.file_name().to_str()?))
+        .collect();
+    let mut streams = StreamSet::new(own, Box::new(move |s| open_stream(&cfg, id, s)));
+    for stream in found {
+        streams.entry(stream)?;
     }
-
-    /// The epoch this matcher's own stream currently writes under.
-    pub fn own_epoch(&self) -> Epoch {
-        self.own.set.epoch()
-    }
-
-    /// The own stream's append tail.
-    pub fn own_next_offset(&self) -> u64 {
-        self.own.set.next_offset()
-    }
-
-    /// Records appended to the own stream since open/compaction
-    /// (compaction heuristic).
-    pub fn own_appended(&self) -> u64 {
-        self.own.log.appended()
-    }
-
-    /// The own stream's commit point under the configured `min_isr`.
-    pub fn own_committed(&self) -> u64 {
-        self.own.set.committed()
-    }
-
-    /// The own stream's in-sync follower set.
-    pub fn own_isr(&self, now: Time, max_lag: u64, stale_after: Time) -> Vec<MatcherId> {
-        self.own.set.isr(now, max_lag, stale_after)
-    }
-
-    /// Whether this matcher currently leads `stream` (its own stream or
-    /// one it was promoted into).
-    pub fn leads(&self, stream: MatcherId) -> bool {
-        stream == self.id || self.leads.contains_key(&stream)
-    }
-
-    /// Streams this matcher holds replicas of.
-    pub fn followed_streams(&self) -> Vec<MatcherId> {
-        let mut s: Vec<MatcherId> = self.follows.keys().copied().collect();
-        s.sort_unstable();
-        s
-    }
-
-    /// Appends one mutation to the matcher's own stream (durably, per
-    /// the fsync policy) and returns the stamped append to stream to the
-    /// heir. Must be called *before* the mutation touches the engine.
-    pub fn log_own(&mut self, rec: SubLogRecord) -> NetResult<ReplicatedAppend> {
-        let pos = self.own.set.append(1);
-        self.own.log.append(&rec)?;
-        self.own.records.push(rec.clone());
-        Ok(ReplicatedAppend {
-            stream: self.id,
-            epoch: pos.epoch,
-            base: self.own.set.epoch_base(),
-            offset: pos.offset,
-            reset: false,
-            records: vec![rec],
-        })
-    }
-
-    /// Appends a mutation to a promoted stream this matcher leads (a
-    /// failover write on behalf of the dead owner, so the owner's
-    /// eventual catch-up includes its downtime mutations). Returns
-    /// `false` when this matcher does not lead `stream`.
-    pub fn log_promoted(&mut self, stream: MatcherId, rec: SubLogRecord) -> NetResult<bool> {
-        let Some(ls) = self.leads.get_mut(&stream) else {
-            return Ok(false);
-        };
-        ls.set.append(1);
-        ls.log.append(&rec)?;
-        ls.records.push(rec);
-        Ok(true)
-    }
-
-    /// Accepts one replicated append as a follower of `stream`: fences
-    /// on `(epoch, offset)`, truncates deposed tails, persists the fresh
-    /// suffix. The replica log is created lazily on first contact.
-    pub fn follower_accept(
-        &mut self,
-        stream: MatcherId,
-        append: &ReplicatedAppend,
-    ) -> NetResult<FollowerOutcome> {
-        let lc = Self::log_config(&self.cfg);
-        let id = self.id;
-        let dir = self.cfg.dir.clone();
-        let fs = match self.follows.entry(stream) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let (log, records) = Log::open(&dir, &follow_base(id, stream), lc)?;
-                v.insert(FollowerStream {
-                    state: FollowerLog::at(0, log.next_offset()),
-                    base: log.first_offset(),
-                    records,
-                    log,
-                })
-            }
-        };
-        let count = append.records.len() as u64;
-        let base = if append.reset {
-            // The leader compacted below our position: adopt the append
-            // as the full retained history.
-            fs.state = FollowerLog::at(0, append.offset);
-            fs.records.clear();
-            fs.base = append.offset;
-            fs.log.compact(&[], append.offset)?;
-            append.offset
-        } else {
-            append.base
-        };
-        match fs.state.accept(append.epoch, base, append.offset, count) {
-            AppendVerdict::Accepted {
-                fresh_from,
-                truncate,
-            } => {
-                if let Some(t) = truncate {
-                    fs.truncate_to(t)?;
-                }
-                let skip = (fresh_from - append.offset) as usize;
-                for rec in &append.records[skip..] {
-                    fs.log.append(rec)?;
-                    fs.records.push(rec.clone());
-                }
-                debug_assert_eq!(
-                    fs.base + fs.records.len() as u64,
-                    fs.state.next_offset(),
-                    "replica store tracks the fencing state machine"
-                );
-                Ok(FollowerOutcome::Acked {
-                    epoch: fs.state.epoch(),
-                    next_offset: fs.state.next_offset(),
-                    stored: count - skip as u64,
-                })
-            }
-            AppendVerdict::Gap { expected, truncate } => {
-                if let Some(t) = truncate {
-                    fs.truncate_to(t)?;
-                }
-                Ok(FollowerOutcome::NeedFetch { from: expected })
-            }
-            AppendVerdict::Fenced { current } => Ok(FollowerOutcome::Fenced { current }),
-        }
-    }
-
-    /// Records a follower's ack against a stream this matcher leads.
-    /// Returns `false` for unknown streams or stale-epoch acks.
-    pub fn record_ack(
-        &mut self,
-        stream: MatcherId,
-        follower: MatcherId,
-        epoch: Epoch,
-        offset: u64,
-        now: Time,
-    ) -> bool {
-        let set = if stream == self.id {
-            &mut self.own.set
-        } else if let Some(ls) = self.leads.get_mut(&stream) {
-            &mut ls.set
-        } else {
-            return false;
-        };
-        set.record_ack(follower, epoch, offset, now)
-    }
-
-    /// Serves a catch-up fetch for `stream` from offset `from`: the
-    /// retained records past `from`, or the full history flagged `reset`
-    /// when `from` fell behind the compaction horizon. Falls back to a
-    /// replica copy when this matcher only follows the stream (control
-    /// plane pulls during recovery). `None` when the stream is unknown.
-    pub fn serve(&self, stream: MatcherId, from: u64) -> Option<ReplicatedAppend> {
-        let ls = if stream == self.id {
-            &self.own
-        } else if let Some(ls) = self.leads.get(&stream) {
-            ls
-        } else {
-            let fs = self.follows.get(&stream)?;
-            return Some(ReplicatedAppend {
-                stream,
-                epoch: fs.state.epoch(),
-                base: fs.base,
-                offset: fs.base,
-                reset: true,
-                records: fs.records.clone(),
-            });
-        };
-        if from < ls.base {
-            return Some(ReplicatedAppend {
-                stream,
-                epoch: ls.set.epoch(),
-                base: ls.set.epoch_base(),
-                offset: ls.base,
-                reset: true,
-                records: ls.records.clone(),
-            });
-        }
-        let idx = (from - ls.base).min(ls.records.len() as u64) as usize;
-        Some(ReplicatedAppend {
-            stream,
-            epoch: ls.set.epoch(),
-            base: ls.set.epoch_base(),
-            offset: ls.base + idx as u64,
-            reset: false,
-            records: ls.records[idx..].to_vec(),
-        })
-    }
-
-    /// Promotes this matcher to leader of `stream` at `epoch` (control
-    /// plane decision after the owner died): the replica becomes a led
-    /// stream resuming at its replicated offset, and the returned
-    /// records are replayed into the host's engine — failover as log
-    /// replay. Promoting a stream with no replica starts an empty one.
-    pub fn promote(&mut self, stream: MatcherId, epoch: Epoch) -> NetResult<Vec<SubLogRecord>> {
-        if stream == self.id {
-            return Ok(Vec::new());
-        }
-        if let Some(ls) = self.leads.get_mut(&stream) {
-            // Re-promotion at a higher epoch: keep leading from the tail.
-            ls.set = ReplicaSet::lead(epoch, ls.set.next_offset(), self.cfg.min_isr);
-            return Ok(Vec::new());
-        }
-        let fs = match self.follows.remove(&stream) {
-            Some(fs) => fs,
-            None => {
-                let (log, records) = Log::open(
-                    &self.cfg.dir,
-                    &follow_base(self.id, stream),
-                    Self::log_config(&self.cfg),
-                )?;
-                FollowerStream {
-                    state: FollowerLog::at(0, log.next_offset()),
-                    base: log.first_offset(),
-                    records,
-                    log,
-                }
-            }
-        };
-        let replay = fs.records.clone();
-        self.leads.insert(
-            stream,
-            LeaderStream {
-                set: fs.state.promote(epoch, self.cfg.min_isr),
-                log: fs.log,
-                base: fs.base,
-                records: fs.records,
-            },
-        );
-        Ok(replay)
-    }
-
-    /// Steps down from leading `stream` (its owner recovered): the led
-    /// stream reverts to a replica, which the returning owner's
-    /// higher-epoch appends will re-fence.
-    pub fn demote(&mut self, stream: MatcherId) {
-        if let Some(ls) = self.leads.remove(&stream) {
-            self.follows.insert(
-                stream,
-                FollowerStream {
-                    state: FollowerLog::at(ls.set.epoch(), ls.set.next_offset()),
-                    log: ls.log,
-                    base: ls.base,
-                    records: ls.records,
-                },
-            );
-        }
-    }
-
-    /// Installs the delta a recovered matcher fetched from its heir:
-    /// appends the records to the own stream (the host applies them to
-    /// its engine) and re-leads at `epoch` with the epoch base at the
-    /// new tail.
-    pub fn install(&mut self, epoch: Epoch, records: &[SubLogRecord]) -> NetResult<()> {
-        for rec in records {
-            self.own.log.append(rec)?;
-            self.own.records.push(rec.clone());
-        }
-        self.own.set = ReplicaSet::lead(epoch, self.own.log.next_offset(), self.cfg.min_isr);
-        Ok(())
-    }
-
-    /// Compacts the own stream down to an engine snapshot, re-stamped as
-    /// fresh appends at the tail so followers absorb it through the
-    /// normal append path. Returns the stamped append to stream to the
-    /// heir (followers behind the old tail catch up into it; followers
-    /// at the old tail accept it directly).
-    pub fn compact_own(&mut self, snapshot: Vec<SubLogRecord>) -> NetResult<ReplicatedAppend> {
-        let tail = self.own.log.next_offset();
-        self.own.log.compact(&snapshot, tail)?;
-        let pos = self.own.set.append(snapshot.len() as u64);
-        self.own.base = tail;
-        self.own.records = snapshot.clone();
-        Ok(ReplicatedAppend {
-            stream: self.id,
-            epoch: pos.epoch,
-            base: self.own.set.epoch_base(),
-            offset: pos.offset,
-            reset: false,
-            records: snapshot,
-        })
-    }
-
-    /// Flushes and fsyncs every open log (graceful shutdown).
-    pub fn sync_all(&mut self) -> NetResult<()> {
-        self.own.log.sync()?;
-        for ls in self.leads.values_mut() {
-            ls.log.sync()?;
-        }
-        for fs in self.follows.values_mut() {
-            fs.log.sync()?;
-        }
-        Ok(())
-    }
+    Ok((streams, replay))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bluedove_core::AttributeSpace;
+    use bluedove_engine::replication::{FollowerOutcome, ReplicatedAppend};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -766,32 +367,39 @@ mod tests {
     fn own_appends_survive_reopen() {
         let dir = tmpdir("own");
         {
-            let (mut ml, replayed) = MatcherLog::open(MatcherId(1), cfg(&dir)).unwrap();
+            let (mut ml, replayed) = open(MatcherId(1), cfg(&dir)).unwrap();
             assert!(replayed.is_empty());
-            let a = ml.log_own(store(1, 0.0, 1.0)).unwrap();
+            let a = own_append(&mut ml, store(1, 0.0, 1.0));
             assert_eq!(a.stream, MatcherId(1));
             assert_eq!((a.epoch, a.base, a.offset), (1, 0, 0));
-            let b = ml.log_own(store(2, 1.0, 2.0)).unwrap();
+            let b = own_append(&mut ml, store(2, 1.0, 2.0));
             assert_eq!(b.offset, 1);
-            assert_eq!(ml.own_next_offset(), 2);
+            assert_eq!(ml.own().next_offset(), 2);
         }
-        let (ml, replayed) = MatcherLog::open(MatcherId(1), cfg(&dir)).unwrap();
+        let (ml, replayed) = open(MatcherId(1), cfg(&dir)).unwrap();
         assert_eq!(replayed.len(), 2);
-        assert_eq!(ml.own_next_offset(), 2);
+        assert_eq!(ml.own().next_offset(), 2);
+    }
+
+    fn own_append(ml: &mut MatcherLog, rec: SubLogRecord) -> ReplicatedAppend<SubLogRecord> {
+        ml.own_mut()
+            .append(rec)
+            .unwrap()
+            .expect("own stream is led")
     }
 
     #[test]
     fn follower_accept_ack_and_gap_repair() {
         let dir_a = tmpdir("repl-a");
         let dir_b = tmpdir("repl-b");
-        let (mut leader, _) = MatcherLog::open(MatcherId(1), cfg(&dir_a)).unwrap();
-        let (mut heir, _) = MatcherLog::open(MatcherId(2), cfg(&dir_b)).unwrap();
+        let (mut leader, _) = open(MatcherId(1), cfg(&dir_a)).unwrap();
+        let (mut heir, _) = open(MatcherId(2), cfg(&dir_b)).unwrap();
 
-        let a0 = leader.log_own(store(1, 0.0, 1.0)).unwrap();
-        let a1 = leader.log_own(store(2, 1.0, 2.0)).unwrap();
+        let a0 = own_append(&mut leader, store(1, 0.0, 1.0));
+        let a1 = own_append(&mut leader, store(2, 1.0, 2.0));
         // In-order replication acks.
         assert_eq!(
-            heir.follower_accept(MatcherId(1), &a0).unwrap(),
+            heir.accept(&a0).unwrap(),
             FollowerOutcome::Acked {
                 epoch: 1,
                 next_offset: 1,
@@ -799,44 +407,44 @@ mod tests {
             }
         );
         // A lost append surfaces as a gap on the next one…
-        let a2 = leader.log_own(store(3, 2.0, 3.0)).unwrap();
+        let a2 = own_append(&mut leader, store(3, 2.0, 3.0));
         assert_eq!(
-            heir.follower_accept(MatcherId(1), &a2).unwrap(),
+            heir.accept(&a2).unwrap(),
             FollowerOutcome::NeedFetch { from: 1 }
         );
         // …and the leader's serve() fills it.
-        let fill = leader.serve(MatcherId(1), 1).unwrap();
+        let fill = leader.own().serve(1);
         assert_eq!(fill.offset, 1);
         assert_eq!(
             fill.records,
             vec![a1.records[0].clone(), a2.records[0].clone()]
         );
-        match heir.follower_accept(MatcherId(1), &fill).unwrap() {
+        match heir.accept(&fill).unwrap() {
             FollowerOutcome::Acked { next_offset, .. } => assert_eq!(next_offset, 3),
             other => panic!("expected ack, got {other:?}"),
         }
-        assert!(leader.record_ack(MatcherId(1), MatcherId(2), 1, 3, 0.0));
-        assert_eq!(leader.own_isr(0.0, 0, 1.0), vec![MatcherId(2)]);
+        assert!(leader.own_mut().record_ack(MatcherId(2), 1, 3, 0.0));
+        let isr = leader.own().leader().unwrap().isr(0.0, 0, 1.0);
+        assert_eq!(isr, vec![MatcherId(2)]);
     }
 
     #[test]
     fn promote_replays_and_fences_then_demote_refollows() {
         let dir_a = tmpdir("promo-a");
         let dir_b = tmpdir("promo-b");
-        let (mut leader, _) = MatcherLog::open(MatcherId(1), cfg(&dir_a)).unwrap();
-        let (mut heir, _) = MatcherLog::open(MatcherId(2), cfg(&dir_b)).unwrap();
+        let (mut leader, _) = open(MatcherId(1), cfg(&dir_a)).unwrap();
+        let (mut heir, _) = open(MatcherId(2), cfg(&dir_b)).unwrap();
         for i in 0..3u64 {
-            let a = leader.log_own(store(i, i as f64, i as f64 + 1.0)).unwrap();
-            heir.follower_accept(MatcherId(1), &a).unwrap();
+            let a = own_append(&mut leader, store(i, i as f64, i as f64 + 1.0));
+            heir.accept(&a).unwrap();
         }
         // Owner dies; heir promotes at its replicated offset and replays.
         let replay = heir.promote(MatcherId(1), 2).unwrap();
         assert_eq!(replay.len(), 3);
         assert!(heir.leads(MatcherId(1)));
         // Failover writes land on the promoted stream.
-        assert!(heir
-            .log_promoted(MatcherId(1), store(9, 9.0, 10.0))
-            .unwrap());
+        let promoted = heir.get_mut(MatcherId(1)).unwrap();
+        assert!(promoted.append(store(9, 9.0, 10.0)).unwrap().is_some());
         // The deposed owner's retransmission is fenced.
         let stale = ReplicatedAppend {
             stream: MatcherId(1),
@@ -849,7 +457,7 @@ mod tests {
         heir.demote(MatcherId(1));
         assert!(!heir.leads(MatcherId(1)));
         assert_eq!(
-            heir.follower_accept(MatcherId(1), &stale).unwrap(),
+            heir.accept(&stale).unwrap(),
             FollowerOutcome::Fenced { current: 2 }
         );
         // The recovered owner (epoch 3, base at the heir's tail) resumes.
@@ -861,7 +469,7 @@ mod tests {
             reset: false,
             records: vec![store(10, 10.0, 11.0)],
         };
-        match heir.follower_accept(MatcherId(1), &resume).unwrap() {
+        match heir.accept(&resume).unwrap() {
             FollowerOutcome::Acked {
                 epoch, next_offset, ..
             } => {
@@ -876,24 +484,25 @@ mod tests {
     fn restarted_replica_rejoins_conservatively_and_refetches() {
         let dir_a = tmpdir("rejoin-a");
         let dir_b = tmpdir("rejoin-b");
-        let (mut leader, _) = MatcherLog::open(MatcherId(1), cfg(&dir_a)).unwrap();
+        let (mut leader, _) = open(MatcherId(1), cfg(&dir_a)).unwrap();
         {
-            let (mut heir, _) = MatcherLog::open(MatcherId(2), cfg(&dir_b)).unwrap();
-            let a = leader.log_own(store(1, 0.0, 1.0)).unwrap();
-            heir.follower_accept(MatcherId(1), &a).unwrap();
+            let (mut heir, _) = open(MatcherId(2), cfg(&dir_b)).unwrap();
+            let a = own_append(&mut leader, store(1, 0.0, 1.0));
+            heir.accept(&a).unwrap();
         }
         // Heir restarts: its replica is found on disk, followed at epoch 0.
-        let (mut heir, _) = MatcherLog::open(MatcherId(2), cfg(&dir_b)).unwrap();
-        assert_eq!(heir.followed_streams(), vec![MatcherId(1)]);
+        let (mut heir, _) = open(MatcherId(2), cfg(&dir_b)).unwrap();
+        let replica = heir.get(MatcherId(1)).expect("replica reopened");
+        assert_eq!((replica.epoch(), replica.next_offset()), (0, 1));
         // The leader's next live append re-fences the replica; the
         // epoch-adoption truncation sends it through a full refetch.
-        let a = leader.log_own(store(2, 1.0, 2.0)).unwrap();
+        let a = own_append(&mut leader, store(2, 1.0, 2.0));
         assert_eq!(
-            heir.follower_accept(MatcherId(1), &a).unwrap(),
+            heir.accept(&a).unwrap(),
             FollowerOutcome::NeedFetch { from: 0 }
         );
-        let fill = leader.serve(MatcherId(1), 0).unwrap();
-        match heir.follower_accept(MatcherId(1), &fill).unwrap() {
+        let fill = leader.own().serve(0);
+        match heir.accept(&fill).unwrap() {
             FollowerOutcome::Acked { next_offset, .. } => assert_eq!(next_offset, 2),
             other => panic!("expected ack, got {other:?}"),
         }
@@ -903,36 +512,36 @@ mod tests {
     fn compaction_restamps_and_followers_absorb_it() {
         let dir_a = tmpdir("compact-a");
         let dir_b = tmpdir("compact-b");
-        let (mut leader, _) = MatcherLog::open(MatcherId(1), cfg(&dir_a)).unwrap();
-        let (mut heir, _) = MatcherLog::open(MatcherId(2), cfg(&dir_b)).unwrap();
+        let (mut leader, _) = open(MatcherId(1), cfg(&dir_a)).unwrap();
+        let (mut heir, _) = open(MatcherId(2), cfg(&dir_b)).unwrap();
         for i in 0..4u64 {
-            let a = leader.log_own(store(i, 0.0, 1.0)).unwrap();
-            heir.follower_accept(MatcherId(1), &a).unwrap();
+            let a = own_append(&mut leader, store(i, 0.0, 1.0));
+            heir.accept(&a).unwrap();
         }
         // Snapshot down to one live record, re-stamped at the tail.
         let snap = vec![store(3, 0.0, 1.0)];
-        let a = leader.compact_own(snap.clone()).unwrap();
+        let a = leader.own_mut().compact(snap.clone()).unwrap().unwrap();
         assert_eq!(a.offset, 4);
-        assert_eq!(leader.own_next_offset(), 5);
+        assert_eq!(leader.own().next_offset(), 5);
         // The up-to-date follower absorbs it as a normal append.
-        match heir.follower_accept(MatcherId(1), &a).unwrap() {
+        match heir.accept(&a).unwrap() {
             FollowerOutcome::Acked { next_offset, .. } => assert_eq!(next_offset, 5),
             other => panic!("expected ack, got {other:?}"),
         }
         // A fresh follower behind the horizon gets the reset copy.
         let dir_c = tmpdir("compact-c");
-        let (mut fresh, _) = MatcherLog::open(MatcherId(3), cfg(&dir_c)).unwrap();
-        let serve = leader.serve(MatcherId(1), 0).unwrap();
+        let (mut fresh, _) = open(MatcherId(3), cfg(&dir_c)).unwrap();
+        let serve = leader.own().serve(0);
         assert!(serve.reset);
         assert_eq!(serve.offset, 4);
-        match fresh.follower_accept(MatcherId(1), &serve).unwrap() {
+        match fresh.accept(&serve).unwrap() {
             FollowerOutcome::Acked { next_offset, .. } => assert_eq!(next_offset, 5),
             other => panic!("expected ack, got {other:?}"),
         }
         // And the leader's own reopen replays only the retained history.
         drop(leader);
-        let (leader, replayed) = MatcherLog::open(MatcherId(1), cfg(&dir_a)).unwrap();
+        let (leader, replayed) = open(MatcherId(1), cfg(&dir_a)).unwrap();
         assert_eq!(replayed, snap);
-        assert_eq!(leader.own_next_offset(), 5);
+        assert_eq!(leader.own().next_offset(), 5);
     }
 }

@@ -61,7 +61,10 @@ pub use dispatcher::{
     DispatcherPort,
 };
 pub use matcher::{MatcherEngine, MatcherPort, ServiceJob};
-pub use replication::{AppendVerdict, CatchUpPlan, Epoch, FollowerLog, LogPos, ReplicaSet};
+pub use replication::{
+    AppendVerdict, Epoch, FollowerLog, FollowerOutcome, Journal, ReplicaSet, ReplicatedAppend,
+    ReplicatedStream, StreamSet,
+};
 pub use suspect::SuspectList;
 pub use timer::{backoff_delay, jitter_bound, retransmit_delay, RetryPolicy};
 

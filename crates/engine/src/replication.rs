@@ -3,11 +3,14 @@
 //!
 //! Each matcher leads one append-only *stream* — the log of every
 //! mutation applied to its own subscription store — and streams records
-//! to its clockwise heirs, which maintain in-sync replicas. The state
-//! machines here are deliberately record-agnostic: they reason about
-//! epochs, offsets and counts only, so the threaded cluster (real files
-//! and TCP) and the simulator (virtual time and in-memory logs) drive the
-//! exact same logic and the hosts own serialization.
+//! to its clockwise heirs, which maintain in-sync replicas.
+//! [`FollowerLog`] and [`ReplicaSet`] reason about epochs, offsets and
+//! counts only; [`ReplicatedStream`] holds the records on top of them and
+//! is the one place a verdict turns into truncate / skip / store, and
+//! [`StreamSet`] is one matcher's streams. Both hosts drive these same
+//! types — the threaded cluster over a file-backed [`Journal`] and TCP,
+//! the simulator over the no-op `()` journal and virtual time — and own
+//! only the record codec, the transport and the orchestration.
 //!
 //! Fencing invariant: a replica's accepted sequence is monotone in
 //! `(epoch, offset)`. A deposed leader (lower epoch) can never append
@@ -17,22 +20,13 @@
 //! accepted offset `o` therefore hold the record of the same writer.
 
 use bluedove_core::{MatcherId, Time};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// A leader-epoch number. Each promotion (failover or restart) bumps the
 /// stream's epoch by at least one; epochs are assigned by the control
 /// plane and never reused.
 pub type Epoch = u64;
-
-/// A position in a replicated stream: the fencing order is lexicographic
-/// on `(epoch, offset)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct LogPos {
-    /// Leader epoch the record was appended under.
-    pub epoch: Epoch,
-    /// Logical record offset within the stream.
-    pub offset: u64,
-}
 
 /// A follower's verdict on one replicated append. `Accepted` and `Gap`
 /// both carry an optional truncation obligation: when `truncate` is
@@ -70,29 +64,16 @@ pub enum AppendVerdict {
 }
 
 /// Follower-side state of one replicated stream: the epoch it follows
-/// and the next offset it expects. Pure fencing logic — record storage
-/// belongs to the host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// and the next offset it expects. Pure fencing logic — the records live
+/// in a [`ReplicatedStream`]. The default is an empty replica: epoch 0,
+/// expecting offset 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FollowerLog {
     epoch: Epoch,
     next_offset: u64,
 }
 
-impl Default for FollowerLog {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FollowerLog {
-    /// An empty replica: epoch 0, expecting offset 0.
-    pub fn new() -> Self {
-        FollowerLog {
-            epoch: 0,
-            next_offset: 0,
-        }
-    }
-
     /// A replica resuming at a known position (e.g. rebuilt from a local
     /// log holding `offset` records appended under `epoch`).
     pub fn at(epoch: Epoch, offset: u64) -> Self {
@@ -164,7 +145,7 @@ impl FollowerLog {
     /// by the control plane, strictly above the followed epoch): the new
     /// leader starts appending at the replica's replicated offset.
     pub fn promote(&self, epoch: Epoch, min_isr: usize) -> ReplicaSet {
-        ReplicaSet::lead(epoch, self.next_offset, min_isr)
+        ReplicaSet::lead(epoch, self.next_offset, self.next_offset, min_isr)
     }
 }
 
@@ -175,16 +156,6 @@ struct FollowerAck {
     acked: u64,
     /// When that ack arrived (host clock; ISR staleness input).
     last_ack: Time,
-}
-
-/// A catch-up plan for one lagging follower: the half-open offset range
-/// the leader must re-send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CatchUpPlan {
-    /// First offset to re-send.
-    pub from: u64,
-    /// One past the last offset to re-send (the leader's tail).
-    pub to: u64,
 }
 
 /// Leader-side state of one replicated stream: the epoch it writes
@@ -205,12 +176,15 @@ pub struct ReplicaSet {
 }
 
 impl ReplicaSet {
-    /// A leader starting at `epoch` with its tail at `start_offset`.
-    pub fn lead(epoch: Epoch, start_offset: u64, min_isr: usize) -> Self {
+    /// A leader at `epoch` whose tail is `next_offset` and whose epoch
+    /// began at `epoch_base`: followers holding anything past
+    /// `epoch_base` truncate back to it on its first append (the
+    /// ghost-tail rule).
+    pub fn lead(epoch: Epoch, epoch_base: u64, next_offset: u64, min_isr: usize) -> Self {
         ReplicaSet {
             epoch,
-            epoch_base: start_offset,
-            next_offset: start_offset,
+            epoch_base,
+            next_offset,
             followers: BTreeMap::new(),
             min_isr: min_isr.max(1),
         }
@@ -231,16 +205,11 @@ impl ReplicaSet {
         self.next_offset
     }
 
-    /// Reserves positions for `count` records and returns the position
-    /// of the first: the host appends the records to its durable log and
-    /// streams them to the followers stamped with this `(epoch, offset)`.
-    pub fn append(&mut self, count: u64) -> LogPos {
-        let pos = LogPos {
-            epoch: self.epoch,
-            offset: self.next_offset,
-        };
+    /// Reserves offsets for `count` records and returns the first; the
+    /// records are streamed stamped with it and this leader's epoch.
+    pub fn append(&mut self, count: u64) -> u64 {
         self.next_offset += count;
-        pos
+        self.next_offset - count
     }
 
     /// Records a follower's acknowledgement of offsets up to `offset`
@@ -301,25 +270,441 @@ impl ReplicaSet {
         acks.sort_unstable_by(|a, b| b.cmp(a));
         acks[need - 1].min(self.next_offset)
     }
+}
 
-    /// The catch-up range for a follower that acked (or reported a gap
-    /// at) `follower_offset`, or `None` when it is already at the tail.
-    pub fn catch_up(&self, follower_offset: u64) -> Option<CatchUpPlan> {
-        if follower_offset >= self.next_offset {
-            return None;
+/// The durable backing of a [`ReplicatedStream`]: every retained record
+/// goes through `append`, every truncation, reset or compaction through
+/// `rewrite`, so reopening the journal replays exactly the retained
+/// records.
+pub trait Journal<R> {
+    /// Why a journal write failed.
+    type Error;
+    /// Persists `rec` at the stream's tail.
+    fn append(&mut self, rec: &R) -> Result<(), Self::Error>;
+    /// Replaces the history with `records`, the first at offset `base`.
+    fn rewrite(&mut self, records: &[R], base: u64) -> Result<(), Self::Error>;
+}
+
+/// No journal: the stream lives in memory only (the simulator).
+impl<R> Journal<R> for () {
+    type Error = std::convert::Infallible;
+    fn append(&mut self, _: &R) -> Result<(), Self::Error> {
+        Ok(())
+    }
+    fn rewrite(&mut self, _: &[R], _: u64) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+/// One replicated append: the records plus the `(epoch, epoch-base,
+/// offset)` stamp followers fence on.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplicatedAppend<R> {
+    /// Which stream the records belong to (the stream owner's id).
+    pub stream: MatcherId,
+    /// Leader epoch the records were appended under.
+    pub epoch: Epoch,
+    /// Offset the sender's epoch began at (ghost-tail fencing input).
+    pub base: u64,
+    /// Logical offset of `records[0]`.
+    pub offset: u64,
+    /// When set, the receiver discards its copy and adopts this append
+    /// as the stream's whole retained history (it had fallen behind the
+    /// sender's compaction horizon).
+    pub reset: bool,
+    /// The records, at consecutive offsets from `offset`.
+    pub records: Vec<R>,
+}
+
+/// What a stream holder makes of one [`ReplicatedAppend`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FollowerOutcome {
+    /// Stored; acknowledge `(epoch, next_offset)` to the leader.
+    Acked {
+        /// Epoch the replica now follows.
+        epoch: Epoch,
+        /// Offset the replica expects next.
+        next_offset: u64,
+        /// How many records of this append were fresh (not duplicates).
+        stored: u64,
+    },
+    /// A hole precedes the append: fetch records from `from` first.
+    NeedFetch {
+        /// First missing offset.
+        from: u64,
+    },
+    /// Rejected: the sender was deposed, or this holder leads the stream.
+    Fenced {
+        /// The epoch this holder follows or leads.
+        current: Epoch,
+    },
+}
+
+#[derive(Debug, Clone)]
+enum Role {
+    Leading(ReplicaSet),
+    Following(FollowerLog),
+}
+
+/// One holder's copy of a replicated stream: its role, the records it
+/// retains from offset `base`, and their journal. Every way records enter
+/// or leave the copy is a method here, so `base + records.len()` is the
+/// role's tail and the journal always replays `records`.
+#[derive(Debug)]
+pub struct ReplicatedStream<R, J = ()> {
+    id: MatcherId,
+    min_isr: usize,
+    role: Role,
+    base: u64,
+    records: Vec<R>,
+    journal: J,
+}
+
+impl<R: Clone, J: Journal<R>> ReplicatedStream<R, J> {
+    /// A replica of stream `id` holding `records` from offset `base`,
+    /// following at epoch 0 so the leader's first append re-fences it;
+    /// once promoted it commits at `min_isr`.
+    pub fn follower(id: MatcherId, min_isr: usize, base: u64, records: Vec<R>, journal: J) -> Self {
+        let tail = base + records.len() as u64;
+        ReplicatedStream {
+            id,
+            min_isr,
+            role: Role::Following(FollowerLog::at(0, tail)),
+            base,
+            records,
+            journal,
         }
-        Some(CatchUpPlan {
-            from: follower_offset,
-            to: self.next_offset,
-        })
     }
 
-    /// Steps this leader down to a follower of a successor at
-    /// `epoch` (strictly higher) whose tail is `offset` — the demotion
-    /// half of a failback: the returned replica state fences any of this
-    /// leader's own queued appends.
-    pub fn demote(&self, epoch: Epoch, offset: u64) -> FollowerLog {
-        FollowerLog::at(epoch.max(self.epoch), offset)
+    /// The stream's id (its owner's).
+    pub fn id(&self) -> MatcherId {
+        self.id
+    }
+
+    /// Offset of the first retained record.
+    pub fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// The retained records, from [`Self::base`] on.
+    pub fn records(&self) -> &[R] {
+        &self.records
+    }
+
+    /// One past the last retained record.
+    pub fn next_offset(&self) -> u64 {
+        self.base + self.records.len() as u64
+    }
+
+    /// The epoch this holder leads or follows.
+    pub fn epoch(&self) -> Epoch {
+        match &self.role {
+            Role::Leading(set) => set.epoch(),
+            Role::Following(f) => f.epoch(),
+        }
+    }
+
+    /// The leader-side state (ISR, commit point), when this holder leads.
+    pub fn leader(&self) -> Option<&ReplicaSet> {
+        match &self.role {
+            Role::Leading(set) => Some(set),
+            Role::Following(_) => None,
+        }
+    }
+
+    /// The leader-side state, mutably.
+    pub fn leader_mut(&mut self) -> Option<&mut ReplicaSet> {
+        match &mut self.role {
+            Role::Leading(set) => Some(set),
+            Role::Following(_) => None,
+        }
+    }
+
+    /// The journal.
+    pub fn journal(&self) -> &J {
+        &self.journal
+    }
+
+    /// The journal, mutably (flush/sync).
+    pub fn journal_mut(&mut self) -> &mut J {
+        &mut self.journal
+    }
+
+    /// Stamps `records` starting at `offset`. A replica stamps its tail
+    /// as the epoch base: it wrote nothing under an epoch of its own.
+    fn stamp(&self, offset: u64, reset: bool, records: Vec<R>) -> ReplicatedAppend<R> {
+        let (epoch, base) = match &self.role {
+            Role::Leading(set) => (set.epoch(), set.epoch_base()),
+            Role::Following(f) => (f.epoch(), self.next_offset()),
+        };
+        ReplicatedAppend {
+            stream: self.id,
+            epoch,
+            base,
+            offset,
+            reset,
+            records,
+        }
+    }
+
+    /// Journals and retains `rec` and returns the append to ship to the
+    /// followers; `None` unless this holder leads the stream.
+    pub fn append(&mut self, rec: R) -> Result<Option<ReplicatedAppend<R>>, J::Error> {
+        let Role::Leading(set) = &mut self.role else {
+            return Ok(None);
+        };
+        self.journal.append(&rec)?;
+        let offset = set.append(1);
+        self.records.push(rec.clone());
+        Ok(Some(self.stamp(offset, false, vec![rec])))
+    }
+
+    /// Fences on the append's `(epoch, offset)`, truncates a deposed
+    /// leader's tail, skips duplicates and stores the fresh suffix. A
+    /// `reset` at the followed epoch or above replaces the whole copy
+    /// first; a holder that leads the stream fences every append.
+    pub fn accept(&mut self, append: &ReplicatedAppend<R>) -> Result<FollowerOutcome, J::Error> {
+        let f = match &mut self.role {
+            Role::Leading(set) => {
+                return Ok(FollowerOutcome::Fenced {
+                    current: set.epoch(),
+                })
+            }
+            Role::Following(f) => f,
+        };
+        let count = append.records.len() as u64;
+        let mut base = append.base;
+        if append.reset && append.epoch >= f.epoch() {
+            *f = FollowerLog::at(0, append.offset);
+            self.records.clear();
+            self.base = append.offset;
+            self.journal.rewrite(&[], append.offset)?;
+            base = append.offset;
+        }
+        let verdict = f.accept(append.epoch, base, append.offset, count);
+        let (epoch, next_offset) = (f.epoch(), f.next_offset());
+        match verdict {
+            AppendVerdict::Fenced { current } => Ok(FollowerOutcome::Fenced { current }),
+            AppendVerdict::Gap { expected, truncate } => {
+                self.truncate(truncate)?;
+                Ok(FollowerOutcome::NeedFetch { from: expected })
+            }
+            AppendVerdict::Accepted {
+                fresh_from,
+                truncate,
+            } => {
+                self.truncate(truncate)?;
+                let skip = (fresh_from - append.offset) as usize;
+                for rec in &append.records[skip..] {
+                    self.journal.append(rec)?;
+                    self.records.push(rec.clone());
+                }
+                debug_assert_eq!(self.next_offset(), next_offset, "store tracks the fencing");
+                let stored = count - skip as u64;
+                Ok(FollowerOutcome::Acked {
+                    epoch,
+                    next_offset,
+                    stored,
+                })
+            }
+        }
+    }
+
+    /// Discards every record at offsets `>= t`, when set.
+    fn truncate(&mut self, t: Option<u64>) -> Result<(), J::Error> {
+        let Some(t) = t else {
+            return Ok(());
+        };
+        if t <= self.base {
+            self.records.clear();
+            self.base = t;
+        } else {
+            self.records.truncate((t - self.base) as usize);
+        }
+        self.journal.rewrite(&self.records, self.base)
+    }
+
+    /// Records a follower's ack; `false` unless this holder leads at
+    /// `epoch`.
+    pub fn record_ack(&mut self, from: MatcherId, epoch: Epoch, offset: u64, now: Time) -> bool {
+        let set = self.leader_mut();
+        set.is_some_and(|set| set.record_ack(from, epoch, offset, now))
+    }
+
+    /// Serves a fetch from `from`: a leader's records past it, or — when
+    /// `from` is behind the compaction horizon, or this holder only
+    /// follows — the whole retained copy flagged `reset`.
+    pub fn serve(&self, from: u64) -> ReplicatedAppend<R> {
+        if self.leader().is_some() && from >= self.base {
+            let idx = ((from - self.base) as usize).min(self.records.len());
+            return self.stamp(self.base + idx as u64, false, self.records[idx..].to_vec());
+        }
+        self.stamp(self.base, true, self.records.clone())
+    }
+
+    /// Leads the stream at `epoch`. A replica resumes at its tail and
+    /// returns its records for the host to replay (failover as log
+    /// replay); re-promoting a led stream keeps its epoch base and
+    /// replays nothing.
+    pub fn promote(&mut self, epoch: Epoch) -> &[R] {
+        let set = match &self.role {
+            Role::Following(f) => f.promote(epoch, self.min_isr),
+            Role::Leading(set) => {
+                let (base, tail) = (set.epoch_base(), set.next_offset());
+                self.role = Role::Leading(ReplicaSet::lead(epoch, base, tail, self.min_isr));
+                return &[];
+            }
+        };
+        self.role = Role::Leading(set);
+        &self.records
+    }
+
+    /// Steps down to a replica at the epoch it led; the recovered
+    /// owner's higher-epoch appends re-fence it.
+    pub fn demote(&mut self) {
+        if let Role::Leading(set) = &self.role {
+            self.role = Role::Following(FollowerLog::at(set.epoch(), self.next_offset()));
+        }
+    }
+
+    /// Failback: re-leads at `epoch` after installing the copy `served`
+    /// by the interim leader. Only the records past the divergence point
+    /// `min(own tail, served promotion point)` are appended, after the
+    /// own history, so an unreplicated own tail survives ahead of the
+    /// downtime writes. The new epoch begins at the divergence point, so
+    /// the interim leader's replica truncates there (ghost-tail rule) and
+    /// refetches. Returns the installed records for the host to apply.
+    pub fn install<'a>(
+        &mut self,
+        epoch: Epoch,
+        served: &'a ReplicatedAppend<R>,
+    ) -> Result<&'a [R], J::Error> {
+        let diverge = self.next_offset().min(served.base);
+        let skip = (diverge.saturating_sub(served.offset) as usize).min(served.records.len());
+        let delta = &served.records[skip..];
+        for rec in delta {
+            self.journal.append(rec)?;
+            self.records.push(rec.clone());
+        }
+        let tail = self.next_offset();
+        self.role = Role::Leading(ReplicaSet::lead(epoch, diverge, tail, self.min_isr));
+        Ok(delta)
+    }
+
+    /// Compacts a led stream down to `snapshot`, re-stamped as fresh
+    /// appends at the tail so followers absorb it like any append.
+    /// Returns the append to ship; `None` unless this holder leads.
+    pub fn compact(&mut self, snapshot: Vec<R>) -> Result<Option<ReplicatedAppend<R>>, J::Error> {
+        let tail = self.next_offset();
+        let Role::Leading(set) = &mut self.role else {
+            return Ok(None);
+        };
+        self.journal.rewrite(&snapshot, tail)?;
+        let offset = set.append(snapshot.len() as u64);
+        self.base = tail;
+        self.records = snapshot.clone();
+        Ok(Some(self.stamp(offset, false, snapshot)))
+    }
+}
+
+/// Opens a matcher's copy of a stream it held nothing of: the host's
+/// journal factory (a replica's log file, or nothing in memory).
+pub type Open<R, J> = Box<
+    dyn Fn(MatcherId) -> Result<ReplicatedStream<R, J>, <J as Journal<R>>::Error> + Send + Sync,
+>;
+
+/// One matcher's replicated streams: its own (always led), the streams
+/// it leads after promotion, and the replicas it follows as a clockwise
+/// heir, opened on first contact.
+pub struct StreamSet<R, J: Journal<R> = ()> {
+    id: MatcherId,
+    streams: BTreeMap<MatcherId, ReplicatedStream<R, J>>,
+    open: Open<R, J>,
+}
+
+impl<R: Clone, J: Journal<R>> StreamSet<R, J> {
+    /// A set holding only `own`, the matcher's own stream; other streams
+    /// are opened with `open`.
+    pub fn new(own: ReplicatedStream<R, J>, open: Open<R, J>) -> Self {
+        StreamSet {
+            id: own.id,
+            streams: BTreeMap::from([(own.id, own)]),
+            open,
+        }
+    }
+
+    /// The matcher's own stream.
+    pub fn own(&self) -> &ReplicatedStream<R, J> {
+        &self.streams[&self.id]
+    }
+
+    /// The matcher's own stream, mutably.
+    pub fn own_mut(&mut self) -> &mut ReplicatedStream<R, J> {
+        self.streams.get_mut(&self.id).expect("never removed")
+    }
+
+    /// The copy of `stream` held here, if any.
+    pub fn get(&self, stream: MatcherId) -> Option<&ReplicatedStream<R, J>> {
+        self.streams.get(&stream)
+    }
+
+    /// The copy of `stream` held here, mutably.
+    pub fn get_mut(&mut self, stream: MatcherId) -> Option<&mut ReplicatedStream<R, J>> {
+        self.streams.get_mut(&stream)
+    }
+
+    /// The copy of `stream`, opened on first contact.
+    pub fn entry(&mut self, stream: MatcherId) -> Result<&mut ReplicatedStream<R, J>, J::Error> {
+        match self.streams.entry(stream) {
+            Entry::Occupied(e) => Ok(e.into_mut()),
+            Entry::Vacant(v) => Ok(v.insert((self.open)(stream)?)),
+        }
+    }
+
+    /// Every stream held here, by id.
+    pub fn iter(&self) -> impl Iterator<Item = &ReplicatedStream<R, J>> {
+        self.streams.values()
+    }
+
+    /// Every stream held here, mutably.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut ReplicatedStream<R, J>> {
+        self.streams.values_mut()
+    }
+
+    /// Whether this matcher leads `stream`.
+    pub fn leads(&self, stream: MatcherId) -> bool {
+        self.get(stream).is_some_and(|s| s.leader().is_some())
+    }
+
+    /// Drops the copy of `stream` (never the own stream).
+    pub fn remove(&mut self, stream: MatcherId) {
+        if stream != self.id {
+            self.streams.remove(&stream);
+        }
+    }
+
+    /// Accepts `append` into this matcher's copy of its stream (see
+    /// [`ReplicatedStream::accept`]).
+    pub fn accept(&mut self, append: &ReplicatedAppend<R>) -> Result<FollowerOutcome, J::Error> {
+        self.entry(append.stream)?.accept(append)
+    }
+
+    /// Promotes this matcher to leader of `stream` at `epoch` (its owner
+    /// died), starting from an empty replica when none is held. Returns
+    /// the records to replay; the own stream is never promoted.
+    pub fn promote(&mut self, stream: MatcherId, epoch: Epoch) -> Result<&[R], J::Error> {
+        if stream == self.id {
+            return Ok(&[]);
+        }
+        Ok(self.entry(stream)?.promote(epoch))
+    }
+
+    /// Steps down from leading `stream` (its owner recovered); the own
+    /// stream is never demoted.
+    pub fn demote(&mut self, stream: MatcherId) {
+        if let Some(s) = self.streams.get_mut(&stream).filter(|_| stream != self.id) {
+            s.demote();
+        }
     }
 }
 
@@ -329,7 +714,7 @@ mod tests {
 
     #[test]
     fn follower_accepts_in_order_appends() {
-        let mut f = FollowerLog::new();
+        let mut f = FollowerLog::default();
         assert_eq!(
             f.accept(1, 0, 0, 3),
             AppendVerdict::Accepted {
@@ -350,7 +735,7 @@ mod tests {
 
     #[test]
     fn overlapping_retransmission_yields_only_the_fresh_suffix() {
-        let mut f = FollowerLog::new();
+        let mut f = FollowerLog::default();
         f.accept(1, 0, 0, 4);
         // Retransmission of [2, 6): offsets 2..4 are already held.
         assert_eq!(
@@ -374,7 +759,7 @@ mod tests {
 
     #[test]
     fn stale_epoch_is_fenced() {
-        let mut f = FollowerLog::new();
+        let mut f = FollowerLog::default();
         f.accept(2, 0, 0, 3);
         assert_eq!(f.accept(1, 0, 3, 1), AppendVerdict::Fenced { current: 2 });
         assert_eq!(f.next_offset(), 3);
@@ -382,7 +767,7 @@ mod tests {
 
     #[test]
     fn gap_adopts_the_higher_epoch_before_catching_up() {
-        let mut f = FollowerLog::new();
+        let mut f = FollowerLog::default();
         f.accept(1, 0, 0, 2);
         assert_eq!(
             f.accept(3, 2, 5, 1),
@@ -399,7 +784,7 @@ mod tests {
 
     #[test]
     fn higher_epoch_truncates_the_uncommitted_tail() {
-        let mut f = FollowerLog::new();
+        let mut f = FollowerLog::default();
         f.accept(1, 0, 0, 5); // offsets 0..5 under epoch 1
                               // New leader promoted at offset 3 rewrites history from there.
         assert_eq!(
@@ -422,7 +807,7 @@ mod tests {
         // Offsets 2..10 were never replicated into the new leader —
         // accepting at 5 without truncating to the base would strand
         // epoch-1 ghosts at 2..5 under epoch 2.
-        let mut f = FollowerLog::new();
+        let mut f = FollowerLog::default();
         f.accept(1, 0, 0, 10);
         assert_eq!(
             f.accept(2, 2, 5, 1),
@@ -446,19 +831,13 @@ mod tests {
 
     #[test]
     fn promotion_resumes_at_the_replicated_offset() {
-        let mut f = FollowerLog::new();
+        let mut f = FollowerLog::default();
         f.accept(1, 0, 0, 7);
         let mut set = f.promote(2, 1);
         assert_eq!(set.epoch(), 2);
         assert_eq!(set.epoch_base(), 7);
         assert_eq!(set.next_offset(), 7);
-        assert_eq!(
-            set.append(2),
-            LogPos {
-                epoch: 2,
-                offset: 7
-            }
-        );
+        assert_eq!(set.append(2), 7);
         assert_eq!(set.next_offset(), 9);
     }
 
@@ -466,7 +845,7 @@ mod tests {
     fn commit_point_tracks_min_isr() {
         let a = MatcherId(1);
         let b = MatcherId(2);
-        let mut set = ReplicaSet::lead(1, 0, 2);
+        let mut set = ReplicaSet::lead(1, 0, 0, 2);
         set.append(10);
         // No follower acks yet: nothing is committed beyond the leader.
         assert_eq!(set.committed(), 0);
@@ -476,13 +855,13 @@ mod tests {
         assert_eq!(set.committed(), 8);
         // min_isr = 3 would need both: the commit point is the 2nd
         // highest ack.
-        let mut strict = ReplicaSet::lead(1, 0, 3);
+        let mut strict = ReplicaSet::lead(1, 0, 0, 3);
         strict.append(10);
         strict.record_ack(a, 1, 4, 0.0);
         strict.record_ack(b, 1, 8, 0.0);
         assert_eq!(strict.committed(), 4);
         // min_isr = 1 commits on the local append alone.
-        let mut lone = ReplicaSet::lead(1, 0, 1);
+        let mut lone = ReplicaSet::lead(1, 0, 0, 1);
         lone.append(3);
         assert_eq!(lone.committed(), 3);
     }
@@ -490,7 +869,7 @@ mod tests {
     #[test]
     fn stale_epoch_acks_are_ignored() {
         let a = MatcherId(1);
-        let mut set = ReplicaSet::lead(3, 0, 2);
+        let mut set = ReplicaSet::lead(3, 0, 0, 2);
         set.append(5);
         assert!(!set.record_ack(a, 2, 5, 0.0));
         assert_eq!(set.committed(), 0);
@@ -501,7 +880,7 @@ mod tests {
         let a = MatcherId(1);
         let b = MatcherId(2);
         let c = MatcherId(3);
-        let mut set = ReplicaSet::lead(1, 0, 1);
+        let mut set = ReplicaSet::lead(1, 0, 0, 1);
         set.append(100);
         set.record_ack(a, 1, 100, 10.0); // caught up, fresh
         set.record_ack(b, 1, 10, 10.0); // lagging
@@ -510,22 +889,5 @@ mod tests {
         assert_eq!(isr, vec![a]);
         set.remove_follower(a);
         assert!(set.isr(10.5, 16, 2.0).is_empty());
-    }
-
-    #[test]
-    fn catch_up_plan_covers_tail() {
-        let mut set = ReplicaSet::lead(1, 0, 1);
-        set.append(8);
-        assert_eq!(set.catch_up(3), Some(CatchUpPlan { from: 3, to: 8 }));
-        assert_eq!(set.catch_up(8), None);
-    }
-
-    #[test]
-    fn demote_fences_the_old_leader() {
-        let mut set = ReplicaSet::lead(2, 0, 1);
-        set.append(6);
-        let f = set.demote(3, 4);
-        assert_eq!(f.epoch(), 3);
-        assert_eq!(f.next_offset(), 4);
     }
 }

@@ -27,7 +27,6 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::events::EventQueue;
 use crate::metrics::Metrics;
-use crate::replication::{AppendOutcome, ReplAppendFrame, ReplRecord, SimReplication};
 use bluedove_core::{
     Assignment, AttributeSpace, DimIdx, DimStats, ForwardingPolicy, MatchHit, MatcherId, Message,
     MessageId, SubscriberId, Subscription, SubscriptionId, Time,
@@ -35,7 +34,8 @@ use bluedove_core::{
 use bluedove_engine::{
     Autoscaler, AutoscalerConfig, Coalescer, DispatcherEffect, DispatcherEngine,
     DispatcherEngineConfig, DispatcherEvent, DispatcherOut, DispatcherPort, Epoch, Flush,
-    LoadSnapshot, MatcherEngine, MatcherPort, ScaleDecision, ScaleOutcome, ScalePlan, ServiceJob,
+    FollowerOutcome, LoadSnapshot, MatcherEngine, MatcherPort, ReplicatedAppend, ReplicatedStream,
+    ScaleDecision, ScaleOutcome, ScalePlan, ServiceJob, StreamSet,
 };
 use bluedove_workload::MessageGenerator;
 use std::collections::{HashMap, HashSet};
@@ -53,11 +53,14 @@ const DISPATCHER_ADDR: &str = "dispatcher";
 
 /// One simulated matcher server: the shared engine plus the two bits of
 /// host state the engine deliberately has no concept of — whether the
-/// single server is mid-service, and whether the process is alive.
+/// single server is mid-service, and whether the process is alive — and,
+/// with replication on, its replicated streams (held in memory: the
+/// engine's stream set over the no-op journal).
 struct SimMatcher {
     engine: MatcherEngine,
     busy: bool,
     alive: bool,
+    repl: Option<StreamSet<ReplRecord>>,
 }
 
 impl SimMatcher {
@@ -71,7 +74,80 @@ impl SimMatcher {
             ),
             busy: false,
             alive: true,
+            repl: None,
         }
+    }
+}
+
+/// One record of a matcher's subscription-mutation stream — the
+/// in-memory analogue of the threaded cluster's `SubLogRecord` (the sim
+/// never hands over segment ranges host-side, so there is no `Retire`).
+#[derive(Debug, Clone)]
+pub struct ReplRecord {
+    /// Dimension the copy lives on.
+    pub dim: DimIdx,
+    /// The subscription copy.
+    pub sub: Subscription,
+    /// `true` for an unsubscribe tombstone, `false` for a store.
+    pub remove: bool,
+}
+
+/// An empty in-memory copy of stream `id`, following at epoch 0.
+fn empty_stream(id: MatcherId, min_isr: usize) -> ReplicatedStream<ReplRecord> {
+    ReplicatedStream::follower(id, min_isr, 0, Vec::new(), ())
+}
+
+/// The replication layer's knob and counters; the streams themselves
+/// live on the matchers.
+struct ReplState {
+    min_isr: usize,
+    fenced: u64,
+    promoted: u64,
+}
+
+/// Matcher `id`'s stream set: its own stream, led at epoch 1; others
+/// start empty.
+fn own_streams(id: MatcherId, min_isr: usize) -> StreamSet<ReplRecord> {
+    let mut own = empty_stream(id, min_isr);
+    own.promote(1);
+    StreamSet::new(own, Box::new(move |s| Ok(empty_stream(s, min_isr))))
+}
+
+/// Read-only view of the simulated replication layer: queries over every
+/// matcher's streams.
+pub struct Replication<'a> {
+    matchers: &'a HashMap<MatcherId, SimMatcher>,
+    /// Appends from deposed leaders rejected so far.
+    pub fenced: u64,
+    /// Records replayed into heirs' engines across all promotions.
+    pub promoted: u64,
+}
+
+impl<'a> Replication<'a> {
+    /// The matcher leading `stream`, and its copy.
+    pub fn leading(
+        &self,
+        stream: MatcherId,
+    ) -> Option<(MatcherId, &'a ReplicatedStream<ReplRecord>)> {
+        self.matchers.iter().find_map(|(&id, m)| {
+            let s = m.repl.as_ref()?.get(stream)?;
+            s.leader().map(|_| (id, s))
+        })
+    }
+
+    /// The matcher currently leading `stream`.
+    pub fn leader_of(&self, stream: MatcherId) -> Option<MatcherId> {
+        self.leading(stream).map(|(id, _)| id)
+    }
+
+    /// `holder`'s replica of `stream` (`None` when it leads the stream).
+    pub fn replica(
+        &self,
+        stream: MatcherId,
+        holder: MatcherId,
+    ) -> Option<&'a ReplicatedStream<ReplRecord>> {
+        let s = self.matchers.get(&holder)?.repl.as_ref()?.get(stream)?;
+        s.leader().is_none().then_some(s)
     }
 }
 
@@ -137,7 +213,7 @@ enum Event {
     /// failover raced it, the stream's new leader — fenced there).
     ReplAppend {
         to: MatcherId,
-        frame: ReplAppendFrame,
+        frame: ReplicatedAppend<ReplRecord>,
     },
     /// A follower's replication ack reaches the stream's leader.
     ReplAck {
@@ -329,10 +405,10 @@ pub struct SimCluster {
     /// Every executed scale operation `(time, outcome)`.
     scale_events: Vec<(Time, ScaleOutcome)>,
     /// The replicated subscription-log layer, when enabled: the
-    /// engine-owned ISR/epoch state machines over in-memory record logs,
-    /// driven by `Repl*` events under virtual time (the sim analogue of
-    /// the threaded cluster's durable sub-logs).
-    replication: Option<SimReplication>,
+    /// engine's stream sets on the matchers, driven by `Repl*` events
+    /// under virtual time (the sim analogue of the threaded cluster's
+    /// durable sub-logs).
+    replication: Option<ReplState>,
     /// Metrics of the whole simulation so far.
     pub metrics: Metrics,
 }
@@ -443,16 +519,25 @@ impl SimCluster {
     /// durable sub-logs), and [`Self::kill_matcher`] fails streams over
     /// by heir promotion instead of losing the copies with the node.
     pub fn enable_replication(&mut self, min_isr: usize) {
-        let mut repl = SimReplication::new(min_isr);
-        for &id in self.matchers.keys() {
-            repl.init_stream(id);
+        let min_isr = min_isr.max(1);
+        for (&id, m) in &mut self.matchers {
+            m.repl = Some(own_streams(id, min_isr));
         }
-        self.replication = Some(repl);
+        self.replication = Some(ReplState {
+            min_isr,
+            fenced: 0,
+            promoted: 0,
+        });
     }
 
     /// The replication layer, when enabled.
-    pub fn replication(&self) -> Option<&SimReplication> {
-        self.replication.as_ref()
+    pub fn replication(&self) -> Option<Replication<'_>> {
+        let state = self.replication.as_ref()?;
+        Some(Replication {
+            matchers: &self.matchers,
+            fenced: state.fenced,
+            promoted: state.promoted,
+        })
     }
 
     /// Every load snapshot the autoscaler observed, in order — replay this
@@ -508,8 +593,7 @@ impl SimCluster {
         if self.matchers.get(&matcher).is_some_and(|m| m.alive) {
             return matcher;
         }
-        self.replication
-            .as_ref()
+        self.replication()
             .and_then(|r| r.leader_of(matcher))
             .unwrap_or(matcher)
     }
@@ -518,7 +602,7 @@ impl SimCluster {
     /// ships the frame to the stream leader's clockwise heir, one
     /// network hop later.
     fn journal(&mut self, owner: MatcherId, dim: DimIdx, sub: &Subscription, remove: bool) {
-        let Some(repl) = self.replication.as_mut() else {
+        let Some(leader) = self.replication().and_then(|r| r.leader_of(owner)) else {
             return;
         };
         let rec = ReplRecord {
@@ -526,16 +610,21 @@ impl SimCluster {
             sub: sub.clone(),
             remove,
         };
-        let Some(frame) = repl.append(owner, rec) else {
+        let stream = self.streams_mut(leader).and_then(|r| r.get_mut(owner));
+        let Some(Ok(Some(frame))) = stream.map(|s| s.append(rec)) else {
             return;
         };
-        let leader = repl.leader_of(owner).expect("stream appended to exists");
         if let Some(heir) = self.heir_of(leader) {
             self.queue.push(
                 self.now + self.cfg.net_latency,
                 Event::ReplAppend { to: heir, frame },
             );
         }
+    }
+
+    /// Matcher `m`'s replicated streams, when it holds any.
+    fn streams_mut(&mut self, m: MatcherId) -> Option<&mut StreamSet<ReplRecord>> {
+        self.matchers.get_mut(&m)?.repl.as_mut()
     }
 
     /// The clockwise heir of `m`: the next live matcher id above it,
@@ -859,27 +948,32 @@ impl SimCluster {
                 self.maybe_schedule_tick();
             }
             Event::ReplAppend { to, frame } => {
-                if !self.matchers.get(&to).is_some_and(|m| m.alive) {
-                    // Dropped with the node; the leader's ISR shows the lag.
+                let (Some(repl), Some(m)) = (self.replication.as_mut(), self.matchers.get_mut(&to))
+                else {
                     return;
-                }
-                let Some(repl) = self.replication.as_mut() else {
+                };
+                // A dead (or leaving) holder drops it; the leader's ISR
+                // shows the lag.
+                let Some(streams) = m.repl.as_mut().filter(|_| m.alive) else {
                     return;
                 };
                 let stream = frame.stream;
-                match repl.on_append(to, &frame) {
-                    AppendOutcome::Ack { epoch, offset } => {
+                let Ok(outcome) = streams.accept(&frame);
+                match outcome {
+                    FollowerOutcome::Acked {
+                        epoch, next_offset, ..
+                    } => {
                         self.queue.push(
                             self.now + self.cfg.net_latency,
                             Event::ReplAck {
                                 stream,
                                 follower: to,
                                 epoch,
-                                offset,
+                                offset: next_offset,
                             },
                         );
                     }
-                    AppendOutcome::Fetch { from } => {
+                    FollowerOutcome::NeedFetch { from } => {
                         self.queue.push(
                             self.now + self.cfg.net_latency,
                             Event::ReplFetch {
@@ -889,7 +983,11 @@ impl SimCluster {
                             },
                         );
                     }
-                    AppendOutcome::Fenced => {}
+                    FollowerOutcome::Fenced { current } => {
+                        if frame.epoch < current {
+                            repl.fenced += 1;
+                        }
+                    }
                 }
             }
             Event::ReplAck {
@@ -898,15 +996,19 @@ impl SimCluster {
                 epoch,
                 offset,
             } => {
-                if let Some(repl) = self.replication.as_mut() {
-                    repl.on_ack(stream, follower, epoch, offset, self.now);
+                let now = self.now;
+                if let Some(leader) = self.replication().and_then(|r| r.leader_of(stream)) {
+                    if let Some(s) = self.streams_mut(leader).and_then(|r| r.get_mut(stream)) {
+                        s.record_ack(follower, epoch, offset, now);
+                    }
                 }
             }
             Event::ReplFetch { stream, from, by } => {
-                if let Some(frame) = self
-                    .replication
-                    .as_ref()
-                    .and_then(|r| r.serve(stream, from))
+                let leader = self.replication().and_then(|r| r.leader_of(stream));
+                if let Some(frame) = leader
+                    .and_then(|l| self.matchers[&l].repl.as_ref())
+                    .and_then(|r| r.get(stream))
+                    .map(|s| s.serve(from))
                 {
                     self.queue.push(
                         self.now + self.cfg.net_latency,
@@ -1071,10 +1173,10 @@ impl SimCluster {
                 retire.push((donor, dim, ids));
             }
         }
-        self.matchers.insert(new_id, new_matcher);
-        if let Some(repl) = self.replication.as_mut() {
-            repl.init_stream(new_id);
+        if let Some(repl) = &self.replication {
+            new_matcher.repl = Some(own_streams(new_id, repl.min_isr));
         }
+        self.matchers.insert(new_id, new_matcher);
         // The dispatcher engine keeps routing by its current table until
         // the switch event hands it the post-join one (propagation lag).
         self.queue.push(
@@ -1125,12 +1227,16 @@ impl SimCluster {
                 }
             }
         }
-        // The victim's stream retires with it: graceful leave hands the
+        // The victim's streams retire with it: graceful leave hands the
         // engine copies over above, so there is nothing left to replay,
-        // and replicas the victim held of other streams are forgotten.
-        if let Some(repl) = self.replication.as_mut() {
-            repl.retire_stream(victim);
-            repl.forget_holder(victim);
+        // and the rest of the deployment forgets it as stream and holder.
+        if let Some(v) = self.matchers.get_mut(&victim) {
+            v.repl = None;
+        }
+        for streams in self.matchers.values_mut().filter_map(|m| m.repl.as_mut()) {
+            streams.remove(victim);
+            let led = streams.iter_mut().filter_map(|s| s.leader_mut());
+            led.for_each(|set| set.remove_follower(victim));
         }
         // Nothing to retire at the switch: the heirs keep their new
         // copies, and the victim's disappear at decommission.
@@ -1209,27 +1315,26 @@ impl SimCluster {
         // bumped epoch and replays the stream into its own engine, so
         // the copies survive the crash. In-flight appends from the
         // deposed leader arrive with the old epoch and are fenced.
-        let heir = self.heir_of(m);
-        let streams = self
-            .replication
-            .as_ref()
-            .map(|r| r.streams_led_by(m))
-            .unwrap_or_default();
-        for stream in streams {
-            if let Some(repl) = self.replication.as_mut() {
-                let Some(heir) = heir else {
-                    repl.retire_stream(stream);
-                    continue;
-                };
-                let epoch = repl.epoch_of(stream).unwrap_or(1) + 1;
-                let replay = repl.promote(stream, heir, epoch);
-                if let Some(h) = self.matchers.get_mut(&heir) {
-                    for r in replay {
-                        h.engine.remove(r.dim, r.sub.id);
-                        if !r.remove {
-                            h.engine.insert(r.dim, r.sub);
-                        }
-                    }
+        // The victim's unreplicated tails die with it; with no heir left
+        // its streams retire.
+        let (Some(victim), Some(heir), Some(repl)) = (
+            matcher.repl.take(),
+            self.heir_of(m),
+            self.replication.as_mut(),
+        ) else {
+            return;
+        };
+        let h = self.matchers.get_mut(&heir).expect("a member");
+        let Some(streams) = h.repl.as_mut() else {
+            return; // the heir is leaving: it takes nothing on
+        };
+        for led in victim.iter().filter(|s| s.leader().is_some()) {
+            let Ok(replay) = streams.promote(led.id(), led.epoch() + 1);
+            repl.promoted += replay.len() as u64;
+            for r in replay {
+                h.engine.remove(r.dim, r.sub.id);
+                if !r.remove {
+                    h.engine.insert(r.dim, r.sub.clone());
                 }
             }
         }

@@ -23,13 +23,11 @@ pub mod config;
 pub mod error;
 pub mod events;
 pub mod metrics;
-pub mod replication;
 pub mod saturation;
 pub mod scenario;
 
-pub use cluster::{SimCluster, Strategy};
+pub use cluster::{ReplRecord, Replication, SimCluster, Strategy};
 pub use config::SimConfig;
-pub use replication::{AppendOutcome, ReplAppendFrame, ReplRecord, SimReplication};
 // The shared elasticity/config surface, re-exported so simulator users
 // reach the whole scaling API from one crate.
 pub use bluedove_engine::{

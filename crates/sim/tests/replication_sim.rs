@@ -49,18 +49,20 @@ fn replicas_mirror_the_leader_log_and_failover_replays() {
     for m in 0..4u32 {
         let stream = MatcherId(m);
         let heir = MatcherId((m + 1) % 4);
-        let len = repl.log_len(stream);
+        let (leader, log) = repl.leading(stream).expect("stream is led");
+        let len = log.next_offset();
         journaled += len;
         assert_eq!(
-            repl.replica_len(stream, heir),
-            len,
+            repl.replica(stream, heir).map(|r| r.next_offset()),
+            Some(len),
             "replica of stream {m} lags its leader"
         );
-        assert_eq!(repl.leader_of(stream), Some(stream));
-        assert_eq!(repl.epoch_of(stream), Some(1));
+        assert_eq!(leader, stream);
+        assert_eq!(log.epoch(), 1);
         // All appends happened at t = 0 (pre-load), so judge staleness
         // over the whole run: the replica is fully caught up (lag 0).
-        assert_eq!(repl.isr_of(stream, now, 0, now + 1.0), vec![heir]);
+        let isr = log.leader().unwrap().isr(now, 0, now + 1.0);
+        assert_eq!(isr, vec![heir]);
     }
     assert!(journaled > 800, "assignments journaled: {journaled}");
 
@@ -69,14 +71,15 @@ fn replicas_mirror_the_leader_log_and_failover_replays() {
     let victim = MatcherId(0);
     let heir = MatcherId(1);
     let heir_subs_before = subs_of(&c, heir);
-    let victim_log = c.replication().unwrap().log_len(victim);
+    let log_len = |c: &SimCluster, s| c.replication().unwrap().leading(s).unwrap().1.next_offset();
+    let victim_log = log_len(&c, victim);
     c.kill_matcher(victim);
     let repl = c.replication().unwrap();
     assert_eq!(repl.leader_of(victim), Some(heir), "heir leads the stream");
-    assert_eq!(repl.epoch_of(victim), Some(2), "promotion bumps the epoch");
+    let epoch = repl.leading(victim).map(|(_, s)| s.epoch());
+    assert_eq!(epoch, Some(2), "promotion bumps the epoch");
     assert_eq!(
-        repl.promoted(),
-        victim_log,
+        repl.promoted, victim_log,
         "the whole replicated stream replays"
     );
     assert!(
@@ -103,14 +106,15 @@ fn deposed_leader_in_flight_appends_are_fenced() {
     // arrives at the stream's new leader and must be fenced, not
     // applied.
     c.kill_matcher(MatcherId(0));
-    assert_eq!(c.replication().unwrap().fenced(), 0);
+    assert_eq!(c.replication().unwrap().fenced, 0);
     c.drain(1.0);
     let repl = c.replication().unwrap();
-    assert!(repl.fenced() >= 1, "the stale appends are rejected");
+    assert!(repl.fenced >= 1, "the stale appends are rejected");
     assert_eq!(repl.leader_of(MatcherId(0)), Some(MatcherId(1)));
     // The unreplicated tail died with the node: the promoted stream is
     // still empty, exactly the min_isr = 1 (asynchronous) contract.
-    assert_eq!(repl.log_len(MatcherId(0)), 0);
+    let log = repl.leading(MatcherId(0)).unwrap().1;
+    assert_eq!(log.next_offset(), 0);
 }
 
 #[test]
@@ -124,7 +128,7 @@ fn grown_and_shrunk_matchers_keep_replication_bookkeeping_consistent() {
     let new = c.add_matcher().unwrap();
     let repl = c.replication().unwrap();
     assert_eq!(repl.leader_of(new), Some(new));
-    assert_eq!(repl.epoch_of(new), Some(1));
+    assert_eq!(repl.leading(new).map(|(_, s)| s.epoch()), Some(1));
 
     // A graceful leaver's stream retires (the handover moved its engine
     // copies), and it vanishes from every other stream's ISR.
@@ -136,10 +140,9 @@ fn grown_and_shrunk_matchers_keep_replication_bookkeeping_consistent() {
     let repl = c.replication().unwrap();
     assert_eq!(repl.leader_of(victim), None, "stream retired with the node");
     for m in [MatcherId(0), MatcherId(1), MatcherId(3), new] {
+        let set = repl.leading(m).unwrap().1.leader().unwrap();
         assert!(
-            !repl
-                .isr_of(m, now, u64::MAX, f64::INFINITY)
-                .contains(&victim),
+            !set.isr(now, u64::MAX, f64::INFINITY).contains(&victim),
             "leaver still in stream {m:?}'s ISR"
         );
     }
