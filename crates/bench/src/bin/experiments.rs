@@ -370,7 +370,7 @@ fn elasticity(cfg: &ExpConfig) {
     c.drain(30.0);
     let mut n = start as i64;
     let mut peak = n;
-    for &(_, d) in c.autoscaler_log() {
+    for &(_, d) in c.control().autoscaler_log() {
         match d {
             ScaleDecision::ScaleUp => n += 1,
             ScaleDecision::ScaleDown { .. } => n -= 1,
@@ -378,7 +378,7 @@ fn elasticity(cfg: &ExpConfig) {
         }
         peak = peak.max(n);
     }
-    println!("    decisions: {:?}", c.autoscaler_log());
+    println!("    decisions: {:?}", c.control().autoscaler_log());
     println!(
         "    peak {peak} matchers, {} after hand-back; {} delivered, {} lost",
         c.live_matchers(),

@@ -6,26 +6,28 @@
 //! [`Cluster::publish`] (or a standalone [`Publisher`]); subscribers
 //! receive matching messages directly on their own endpoints.
 //!
-//! Elasticity runs through one plan-driven entry point,
-//! [`Cluster::apply_scale`] (shared with the simulator via
-//! [`bluedove_engine::ScalePlan`]): a `Grow` performs the §III-C join —
-//! split the segment table, hand the affected subscriptions over, swap
-//! the routing table, retire the donors' stale copies — and a `Shrink`
-//! runs the inverse graceful leave — drain the victim's segments into
-//! their clockwise heirs, flip the table, then hand the victim the
-//! `Leave` pill so it exits once idle. An optional load-driven
-//! [`Autoscaler`] ([`ClusterConfig::autoscaler`]) turns gossiped load
-//! reports into those plans on [`Cluster::autoscale_tick`]. Fault
-//! tolerance ([`Cluster::kill_matcher`]) crashes a matcher; dispatchers
-//! fail over on the next send error.
+//! Every control decision — the post-join or post-leave segment table,
+//! table versions, membership, which heir a crash promotes at which
+//! epoch, the autoscaler — is the engine's [`ControlEngine`], the same
+//! one the simulator runs; this module executes its plans over threads
+//! and the transport. Elasticity runs through one plan-driven entry
+//! point, [`Cluster::apply_scale`]: a `Grow` performs the §III-C join —
+//! hand the moved subscriptions over, announce the post-join table,
+//! retire the donors' stale copies — and a `Shrink` runs the inverse
+//! graceful leave — drain the victim's segments into their heirs,
+//! announce the table, then hand the victim the `Leave` pill so it exits
+//! once idle. An optional load-driven autoscaler
+//! ([`ClusterConfig::autoscaler`]) turns gossiped load reports into those
+//! plans on [`Cluster::autoscale_tick`]. Fault tolerance
+//! ([`Cluster::kill_matcher`]) crashes a matcher; dispatchers fail over
+//! on the next send error.
 
 use crate::dispatcher::{DispatcherNode, DispatcherNodeConfig, RoutingState};
 use crate::mailbox::MailboxNode;
 use crate::matcher::{MatcherNode, MatcherNodeConfig};
 use crate::proto::{frames, ControlMsg};
 use crate::shared::{
-    control_addr, dispatcher_addr, matcher_addr, subscriber_addr, telemetry_addr, SeenWindow,
-    Shared,
+    control_addr, dispatcher_addr, matcher_addr, subscriber_addr, telemetry_addr, Shared,
 };
 use bluedove_baselines::AnyStrategy;
 use bluedove_core::{
@@ -34,8 +36,8 @@ use bluedove_core::{
     SubscriptionCountPolicy, SubscriptionId,
 };
 use bluedove_engine::{
-    Autoscaler, AutoscalerConfig, EngineConfig, LoadSnapshot, ScaleDecision, ScaleOutcome,
-    ScalePlan,
+    Announcement, AutoscalerConfig, ControlEngine, EngineConfig, LoadSnapshot, Move, ScaleError,
+    ScaleOutcome, ScalePlan, SeenWindow, DEDUP_WINDOW,
 };
 use bluedove_net::{
     to_bytes, ChannelTransport, FaultHandle, FaultTransport, HostTransport, NetError,
@@ -44,7 +46,7 @@ use bluedove_net::{
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -186,7 +188,7 @@ impl ClusterConfig {
     }
 
     /// Replaces the whole engine-level knob block (index kind, retry
-    /// policy, dedup window, forward recording) with `engine` — the same
+    /// policy, forward recording, batching) with `engine` — the same
     /// [`EngineConfig`] the simulator consumes, so one literal can
     /// configure both hosts identically.
     pub fn engine(mut self, engine: EngineConfig) -> Self {
@@ -197,7 +199,7 @@ impl ClusterConfig {
     /// Enables the load-driven autoscaler: the orchestrator registers its
     /// control inbox as a load observer, and each
     /// [`Cluster::autoscale_tick`] feeds the gossiped `(queue, λ, µ)`
-    /// reports through the shared engine-layer [`Autoscaler`], executing
+    /// reports through the control plane's autoscaler, executing
     /// whatever [`ScalePlan`] it emits.
     pub fn autoscaler(mut self, cfg: AutoscalerConfig) -> Self {
         self.autoscaler = Some(cfg);
@@ -312,13 +314,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the size of the idempotency windows (matcher dims and
-    /// subscriber endpoints).
-    pub fn dedup_window(mut self, n: usize) -> Self {
-        self.engine.dedup_window = n;
-        self
-    }
-
     /// Dumps the final telemetry exposition to `path` on
     /// [`Cluster::shutdown`] (Prometheus text format).
     pub fn telemetry_file(mut self, path: impl Into<std::path::PathBuf>) -> Self {
@@ -342,10 +337,10 @@ pub enum ClusterError {
     Net(NetError),
     /// A synchronous operation timed out waiting for an ack.
     Timeout(&'static str),
-    /// The operation requires the BlueDove strategy.
-    WrongStrategy,
-    /// The operation's precondition does not hold (e.g. restarting a
-    /// matcher that is still running).
+    /// The control plane refused a scale operation or a restart.
+    Scale(ScaleError),
+    /// The operation's precondition does not hold (e.g. unsubscribing an
+    /// unknown subscription).
     Invalid(&'static str),
 }
 
@@ -354,7 +349,7 @@ impl fmt::Display for ClusterError {
         match self {
             ClusterError::Net(e) => write!(f, "net: {e}"),
             ClusterError::Timeout(w) => write!(f, "timed out waiting for {w}"),
-            ClusterError::WrongStrategy => write!(f, "operation requires the BlueDove strategy"),
+            ClusterError::Scale(e) => write!(f, "control plane: {e}"),
             ClusterError::Invalid(w) => write!(f, "invalid operation: {w}"),
         }
     }
@@ -365,6 +360,12 @@ impl std::error::Error for ClusterError {}
 impl From<NetError> for ClusterError {
     fn from(e: NetError) -> Self {
         ClusterError::Net(e)
+    }
+}
+
+impl From<ScaleError> for ClusterError {
+    fn from(e: ScaleError) -> Self {
+        ClusterError::Scale(e)
     }
 }
 
@@ -615,10 +616,10 @@ pub struct Cluster {
     /// Inbox for `TelemetryText` replies to wire pulls.
     tel_rx: Receiver<Bytes>,
     next_subscriber: u64,
-    next_matcher: u32,
     publish_rr: usize,
-    /// Monotone management-plane table version (TableUpdate ordering).
-    table_version: u64,
+    /// The control plane: the authoritative table and its versions,
+    /// membership, the sub-log epoch book and the autoscaler.
+    control: ControlEngine,
     /// Per-matcher gossip incarnation numbers (bumped by
     /// [`restart_matcher`](Self::restart_matcher)).
     generations: HashMap<MatcherId, u64>,
@@ -629,20 +630,9 @@ pub struct Cluster {
     /// restarted matcher whose local log replays a since-unsubscribed
     /// copy gets the matching `RemoveSub` queued behind its recovery.
     unsub_tombstones: Vec<Subscription>,
-    /// The load-driven scaling controller, when configured.
-    autoscaler: Option<Autoscaler>,
     /// Latest gossiped load report per `(matcher, dimension)` — the raw
     /// material [`autoscale_tick`](Self::autoscale_tick) snapshots from.
     load_view: HashMap<(MatcherId, DimIdx), DimStats>,
-    /// Every executed scale operation, in order.
-    scale_events: Vec<ScaleOutcome>,
-    /// Current sub-log leader epoch per stream. Monotone: bumped on
-    /// every promotion (owner crash) and every owner rejoin, so a
-    /// deposed leader's appends always fence.
-    epochs: HashMap<MatcherId, u64>,
-    /// Which matcher currently leads each stream — the owner, until a
-    /// crash promotes its clockwise heir.
-    stream_leader: HashMap<MatcherId, MatcherId>,
     /// Subscription-id watermark at each crash: with the sub-log on, the
     /// registry backstop re-ships only subscriptions registered at or
     /// after it — everything earlier replays from the local log and the
@@ -680,6 +670,30 @@ fn matcher_config(
     }
 }
 
+/// The address book of `members`: each at its conventional address.
+fn address_book(members: &[MatcherId]) -> Vec<(MatcherId, String)> {
+    members.iter().map(|&m| (m, matcher_addr(m))).collect()
+}
+
+/// `members` as gossip bootstrap states, each carrying its current
+/// incarnation number.
+fn gossip_seeds(
+    members: impl IntoIterator<Item = MatcherId>,
+    generations: &HashMap<MatcherId, u64>,
+) -> Vec<bluedove_overlay::EndpointState> {
+    members
+        .into_iter()
+        .map(|m| {
+            bluedove_overlay::EndpointState::new(
+                bluedove_overlay::NodeId(m.0 as u64),
+                bluedove_overlay::NodeRole::Matcher,
+                matcher_addr(m),
+                generations.get(&m).copied().unwrap_or(1),
+            )
+        })
+        .collect()
+}
+
 impl Cluster {
     /// Starts the deployment: binds the control inbox, spawns matchers and
     /// dispatchers, and registers all addresses.
@@ -710,7 +724,14 @@ impl Cluster {
             StrategyKind::P2p => AnyStrategy::p2p(cfg.space.clone(), cfg.matchers),
             StrategyKind::FullReplication => AnyStrategy::full_rep(cfg.matchers),
         };
-        let shared = Arc::new(Shared::new(cfg.space.clone(), strategy));
+        let mut control = ControlEngine::new(strategy);
+        if cfg.log_dir.is_some() {
+            control.replicate();
+        }
+        if let Some(scaler) = &cfg.autoscaler {
+            control.enable_autoscaler(scaler.clone());
+        }
+        let shared = Arc::new(Shared::new(cfg.space.clone()));
         if cfg.engine.record_forwards {
             *shared.forward_log.write() = Some(Vec::new());
         }
@@ -726,50 +747,22 @@ impl Cluster {
 
         // Every initial matcher bootstraps with the endpoint states of the
         // whole initial membership (the paper seeds via a dispatcher).
-        let seeds: Vec<bluedove_overlay::EndpointState> = (0..cfg.matchers)
-            .map(|i| {
-                bluedove_overlay::EndpointState::new(
-                    bluedove_overlay::NodeId(i as u64),
-                    bluedove_overlay::NodeRole::Matcher,
-                    matcher_addr(MatcherId(i)),
-                    1,
-                )
+        let table = control.announce();
+        let generations: HashMap<MatcherId, u64> = table.live.iter().map(|&m| (m, 1)).collect();
+        let seeds = gossip_seeds(table.live.iter().copied(), &generations);
+        let matchers: HashMap<MatcherId, MatcherNode> = table
+            .live
+            .iter()
+            .map(|&id| {
+                let cfg = matcher_config(&cfg, id, seeds.clone(), 1, 1);
+                let transport = scope(&cfg.addr);
+                (id, MatcherNode::spawn(cfg, shared.clone(), transport))
             })
             .collect();
-        let mut matchers = HashMap::new();
-        let mut generations = HashMap::new();
-        for i in 0..cfg.matchers {
-            let id = MatcherId(i);
-            let addr = matcher_addr(id);
-            shared.matcher_addrs.write().insert(id, addr.clone());
-            let node = MatcherNode::spawn(
-                matcher_config(&cfg, id, seeds.clone(), 1, 1),
-                shared.clone(),
-                scope(&addr),
-            );
-            matchers.insert(id, node);
-            generations.insert(id, 1);
-        }
-        // Install the initial table on every matcher so dispatcher pulls
-        // have an authoritative source from the first round.
-        let addr_book: Vec<(MatcherId, String)> = (0..cfg.matchers)
-            .map(|i| (MatcherId(i), matcher_addr(MatcherId(i))))
-            .collect();
-        let initial_epochs: Vec<(MatcherId, u64)> =
-            addr_book.iter().map(|&(m, _)| (m, 1u64)).collect();
-        let initial_update = ControlMsg::TableUpdate {
-            version: 1,
-            strategy: shared.strategy.read().clone(),
-            addrs: addr_book.clone(),
-            epochs: initial_epochs.clone(),
-        };
-        for (_, addr) in &addr_book {
-            let _ = transport.send(addr, to_bytes(&initial_update).freeze());
-        }
         let bootstrap = RoutingState {
-            version: 1,
-            strategy: shared.strategy.read().clone(),
-            addrs: addr_book.iter().cloned().collect(),
+            version: table.version,
+            strategy: table.strategy.clone(),
+            addrs: address_book(&table.live).into_iter().collect(),
         };
         let mut dispatchers = Vec::new();
         for i in 0..cfg.dispatchers {
@@ -790,10 +783,8 @@ impl Cluster {
             ));
         }
         let mailbox = MailboxNode::spawn_shared("mb/0".to_string(), scope("mb/0"), shared.clone());
-        let next_matcher = cfg.matchers;
         shared.matchers_gauge.set(matchers.len() as i64);
-        let autoscaler = cfg.autoscaler.clone().map(Autoscaler::new);
-        Cluster {
+        let cluster = Cluster {
             cfg,
             base,
             transport,
@@ -805,68 +796,68 @@ impl Cluster {
             ctl_rx,
             tel_rx,
             next_subscriber: 1,
-            next_matcher,
             publish_rr: 0,
-            table_version: 1,
+            control,
             generations,
             sub_registry: HashMap::new(),
             unsub_tombstones: Vec::new(),
-            autoscaler,
             load_view: HashMap::new(),
-            scale_events: Vec::new(),
-            epochs: initial_epochs.iter().copied().collect(),
-            stream_leader: initial_epochs.iter().map(|&(m, _)| (m, m)).collect(),
             crash_watermark: HashMap::new(),
-        }
-    }
-
-    /// The epoch book announced on the table path, sorted by stream id.
-    fn epochs_book(&self) -> Vec<(MatcherId, u64)> {
-        let mut v: Vec<(MatcherId, u64)> = self.epochs.iter().map(|(&m, &e)| (m, e)).collect();
-        v.sort_by_key(|e| e.0);
-        v
-    }
-
-    /// Bumps the table version and pushes the current membership (and
-    /// epoch book) to every matcher as the authoritative `TableUpdate`
-    /// and to every dispatcher as a `TableState`. Management-plane
-    /// traffic rides the raw channel: the orchestrator's bookkeeping
-    /// must not be lost to the faults it is recovering from.
-    fn broadcast_table(&mut self) {
-        self.table_version += 1;
-        let strategy = self.shared.strategy.read().clone();
-        let addr_book: Vec<(MatcherId, String)> = self
-            .shared
-            .matcher_addrs
-            .read()
-            .iter()
-            .map(|(&m, a)| (m, a.clone()))
-            .collect();
-        let epochs = self.epochs_book();
-        let update = ControlMsg::TableUpdate {
-            version: self.table_version,
-            strategy: strategy.clone(),
-            addrs: addr_book.clone(),
-            epochs: epochs.clone(),
         };
-        for (_, a) in &addr_book {
+        // Install the initial table on every matcher so dispatcher pulls
+        // have an authoritative source from the first round.
+        cluster.push_table(&table);
+        cluster
+    }
+
+    /// Announces the control plane's current table under a fresh version.
+    fn broadcast_table(&mut self) {
+        let table = self.control.announce();
+        self.push_table(&table);
+    }
+
+    /// Pushes `table` (membership, strategy and epoch book) to every live
+    /// matcher as the authoritative `TableUpdate` and to every dispatcher
+    /// as a `TableState`. Management-plane traffic rides the raw channel:
+    /// the orchestrator's bookkeeping must not be lost to the faults it is
+    /// recovering from.
+    fn push_table(&self, table: &Announcement) {
+        let addrs = address_book(&table.live);
+        let update = ControlMsg::TableUpdate {
+            version: table.version,
+            strategy: table.strategy.clone(),
+            addrs: addrs.clone(),
+            epochs: table.epochs.clone(),
+        };
+        for (_, a) in &addrs {
             let _ = self.base.send(a, to_bytes(&update).freeze());
         }
         let state = ControlMsg::TableState {
-            version: self.table_version,
-            strategy: Some(strategy),
-            addrs: addr_book,
-            epochs,
+            version: table.version,
+            strategy: Some(table.strategy.clone()),
+            addrs,
+            epochs: table.epochs.clone(),
         };
         for d in &self.dispatchers {
             let _ = self.base.send(&d.addr, to_bytes(&state).freeze());
         }
     }
 
-    /// Blocks until `n` donors have acknowledged their hand-over on the
-    /// control inbox (other control traffic sharing it is skipped).
-    fn await_handovers(&self, n: usize) -> Result<(), ClusterError> {
-        for _ in 0..n {
+    /// Ships each move's range from its source to its destination and
+    /// blocks until every source has acknowledged on the control inbox
+    /// (other control traffic sharing it is skipped).
+    fn hand_over(&self, moves: &[Move]) -> Result<(), ClusterError> {
+        for mv in moves {
+            let handover = ControlMsg::HandOver {
+                dim: mv.dim,
+                range: mv.range,
+                to_addr: matcher_addr(mv.to),
+                reply_to: control_addr(),
+            };
+            self.transport
+                .send(&matcher_addr(mv.from), to_bytes(&handover).freeze())?;
+        }
+        for _ in moves {
             await_reply(&self.ctl_rx, 10, "hand-over ack", |m| {
                 matches!(m, ControlMsg::HandOverDone { .. }).then_some(())
             })?;
@@ -941,11 +932,8 @@ impl Cluster {
     /// exercise. The registry is process-wide, so any matcher can serve
     /// the full exposition.
     pub fn pull_telemetry(&self) -> Result<String, ClusterError> {
-        let target = {
-            let ids = self.matcher_ids();
-            let first = ids.first().ok_or(ClusterError::Timeout("live matcher"))?;
-            self.matchers[first].addr.clone()
-        };
+        let first = self.control.live().next();
+        let target = matcher_addr(first.ok_or(ClusterError::Timeout("live matcher"))?);
         let pull = ControlMsg::TelemetryPull {
             reply_to: telemetry_addr(),
         };
@@ -986,11 +974,10 @@ impl Cluster {
         v
     }
 
-    /// Live matcher ids, ascending.
+    /// Live matcher ids — the table members not known to be down —
+    /// ascending.
     pub fn matcher_ids(&self) -> Vec<MatcherId> {
-        let mut v: Vec<MatcherId> = self.matchers.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.control.live().collect()
     }
 
     /// Registers `sub` and returns the subscriber endpoint that will
@@ -1021,7 +1008,7 @@ impl Cluster {
             rx,
             e2e: crate::shared::e2e_latency_histogram(&self.shared.telemetry),
             shared: self.shared.clone(),
-            dedup: Mutex::new(SeenWindow::new(self.cfg.engine.dedup_window)),
+            dedup: Mutex::new(SeenWindow::new(DEDUP_WINDOW)),
             pending: Mutex::new(VecDeque::new()),
         })
     }
@@ -1119,126 +1106,56 @@ impl Cluster {
     /// `Shrink` the graceful leave. Only valid under the BlueDove
     /// strategy.
     pub fn apply_scale(&mut self, plan: &ScalePlan) -> Result<ScaleOutcome, ClusterError> {
-        let outcome = match plan {
-            ScalePlan::Grow { loads } => ScaleOutcome::Added(self.grow(loads)?),
-            ScalePlan::Shrink { victim } => ScaleOutcome::Removed(self.shrink(*victim)?),
-        };
-        self.scale_events.push(outcome);
-        Ok(outcome)
+        match plan {
+            ScalePlan::Grow { loads } => self.grow(loads).map(ScaleOutcome::Added),
+            ScalePlan::Shrink { victim } => self.remove_matcher(*victim).map(ScaleOutcome::Removed),
+        }
     }
 
-    /// Elastic join (§III-C): adds a matcher, splitting the segment of the
-    /// matcher `loads` reports heaviest on each dimension (uniform when
-    /// the snapshot is empty), synchronously handing the affected
-    /// subscriptions over before dispatchers start routing to the new
-    /// matcher.
+    /// Elastic join (§III-C): adds the matcher the control plane plans,
+    /// splitting the segment of the matcher `loads` reports heaviest on
+    /// each dimension (uniform when the snapshot is empty), synchronously
+    /// handing the affected subscriptions over before the post-join table
+    /// is announced — dispatchers keep routing by the old table until
+    /// then.
     fn grow(&mut self, loads: &LoadSnapshot) -> Result<MatcherId, ClusterError> {
-        let new_id = MatcherId(self.next_matcher);
-        // Compute the post-join table on a clone; dispatchers keep routing
-        // by the old table until the handover completes.
-        let (new_strategy, moves) = {
-            let guard = self.shared.strategy.read();
-            let AnyStrategy::BlueDove(mp) = &*guard else {
-                return Err(ClusterError::WrongStrategy);
-            };
-            let mut mp2 = mp.clone();
-            let moves = mp2
-                .table_mut()
-                .split_join(new_id, |m, dim| loads.load_of(m, dim));
-            (AnyStrategy::BlueDove(mp2), moves)
-        };
-        self.next_matcher += 1;
-
-        // Spawn the new matcher and register its address so hand-overs and
-        // future routing can reach it.
-        let addr = matcher_addr(new_id);
-        self.shared
-            .matcher_addrs
-            .write()
-            .insert(new_id, addr.clone());
-        // Seed the newcomer with the current membership so it can join the
-        // gossip mesh immediately.
-        let seeds = self.membership_seeds();
-        let node = MatcherNode::spawn(
-            matcher_config(&self.cfg, new_id, seeds, 1, 1),
-            self.shared.clone(),
-            self.scoped_transport(&addr),
+        let change = self.control.join(loads)?;
+        let new_id = change.outcome.matcher();
+        // Spawn the newcomer, seeded with the current membership so it
+        // can join the gossip mesh immediately, then hand over: donors
+        // ship copies, we await the acks.
+        let cfg = matcher_config(
+            &self.cfg,
+            new_id,
+            gossip_seeds(self.control.live(), &self.generations),
+            1,
+            1,
         );
+        let transport = self.scoped_transport(&cfg.addr);
+        let node = MatcherNode::spawn(cfg, self.shared.clone(), transport);
         self.matchers.insert(new_id, node);
         self.generations.insert(new_id, 1);
-        self.epochs.insert(new_id, 1);
-        self.stream_leader.insert(new_id, new_id);
+        self.hand_over(&change.moves)?;
 
-        // Synchronous hand-over: donors ship copies, we await the acks.
-        for (dim, donor, range) in &moves {
-            let donor_addr = self
-                .shared
-                .matcher_addr(*donor)
-                .ok_or(ClusterError::Timeout("donor address"))?;
-            let handover = ControlMsg::HandOver {
-                dim: *dim,
-                range: *range,
-                to_addr: addr.clone(),
-                reply_to: control_addr(),
-            };
-            self.transport
-                .send(&donor_addr, to_bytes(&handover).freeze())?;
-        }
-        self.await_handovers(moves.len())?;
-
-        // Flip the routing table: install the new table on every matcher
-        // (dispatchers pick it up at their next pull) and record it as the
-        // orchestrator's authoritative copy.
-        let keep_ranges: Vec<(DimIdx, MatcherId, Vec<bluedove_core::Range>)> = {
-            let AnyStrategy::BlueDove(mp2) = &new_strategy else {
-                unreachable!()
-            };
-            moves
-                .iter()
-                .map(|&(dim, donor, _)| {
-                    let keep = mp2
-                        .table()
-                        .segments_of(donor)
-                        .into_iter()
-                        .filter(|(d, _)| *d == dim)
-                        .map(|(_, r)| r)
-                        .collect();
-                    (dim, donor, keep)
-                })
-                .collect()
-        };
-        *self.shared.strategy.write() = new_strategy.clone();
-        self.table_version += 1;
-        let addr_book: Vec<(MatcherId, String)> = self
-            .shared
-            .matcher_addrs
-            .read()
-            .iter()
-            .map(|(&m, a)| (m, a.clone()))
-            .collect();
-        let update = ControlMsg::TableUpdate {
-            version: self.table_version,
-            strategy: new_strategy,
-            addrs: addr_book.clone(),
-            epochs: self.epochs_book(),
-        };
-        for (_, a) in &addr_book {
-            let _ = self.transport.send(a, to_bytes(&update).freeze());
-        }
+        // Flip the routing table: matchers install it and dispatchers get
+        // it pushed (they also pull it) — safe now that every hand-over
+        // has completed.
+        self.control.commit(&change, self.shared.now());
+        self.broadcast_table();
 
         // Dispatchers may route by the old table for up to one pull
         // interval; donors keep their copies until then, so completeness
         // holds throughout. Retire the stale copies afterwards.
         std::thread::sleep(self.cfg.table_pull_interval * 2);
-        for ((dim, donor, range), (_, _, keep)) in moves.iter().zip(keep_ranges) {
-            if let Some(donor_addr) = self.shared.matcher_addr(*donor) {
-                let retire = ControlMsg::Retire {
-                    dim: *dim,
-                    range: *range,
-                    keep,
-                };
-                let _ = self.transport.send(&donor_addr, to_bytes(&retire).freeze());
-            }
+        for mv in &change.moves {
+            let retire = ControlMsg::Retire {
+                dim: mv.dim,
+                range: mv.range,
+                keep: mv.keep.clone(),
+            };
+            let _ = self
+                .transport
+                .send(&matcher_addr(mv.from), to_bytes(&retire).freeze());
         }
         self.shared.counters.scale_ups.inc();
         self.shared.matchers_gauge.set(self.matchers.len() as i64);
@@ -1248,89 +1165,30 @@ impl Cluster {
     /// Elastic join with uniform load (splits the lowest-id matcher's
     /// widest segments). Equivalent to `apply_scale(&ScalePlan::grow())`.
     pub fn add_matcher(&mut self) -> Result<MatcherId, ClusterError> {
-        match self.apply_scale(&ScalePlan::grow())? {
-            ScaleOutcome::Added(id) => Ok(id),
-            ScaleOutcome::Removed(_) => unreachable!("grow plans add"),
-        }
+        self.grow(&LoadSnapshot::empty())
     }
 
     /// Graceful elastic leave — the §III-C join run in reverse: removes
-    /// matcher `m`, handing each of its segments to the clockwise
-    /// neighbour the segment table picks, flipping the routing table, and
-    /// only then telling the victim to drain and exit. Acked in-flight
-    /// publications re-home automatically: once the table switches, the
-    /// dispatcher ledger recomputes candidates from the new table on every
+    /// matcher `victim`, handing each of its segments to the neighbour the
+    /// segment table picks, flipping the routing table, and only then
+    /// telling the victim to drain and exit. Acked in-flight publications
+    /// re-home automatically: once the table switches, the dispatcher
+    /// ledger recomputes candidates from the new table on every
     /// retransmit. Equivalent to `apply_scale` with a `Shrink` plan.
-    pub fn remove_matcher(&mut self, m: MatcherId) -> Result<MatcherId, ClusterError> {
-        match self.apply_scale(&ScalePlan::Shrink { victim: m })? {
-            ScaleOutcome::Removed(id) => Ok(id),
-            ScaleOutcome::Added(_) => unreachable!("shrink plans remove"),
-        }
-    }
-
-    fn shrink(&mut self, victim: MatcherId) -> Result<MatcherId, ClusterError> {
-        if !self.matchers.contains_key(&victim) {
-            return Err(ClusterError::Invalid("matcher is not running"));
-        }
-        // Compute the post-leave table on a clone; dispatchers keep
-        // routing by the old table until every outgoing segment has a
-        // copy on its heir.
-        let (new_strategy, merges) = {
-            let guard = self.shared.strategy.read();
-            let AnyStrategy::BlueDove(mp) = &*guard else {
-                return Err(ClusterError::WrongStrategy);
-            };
-            let mut mp2 = mp.clone();
-            let merges = mp2
-                .table_mut()
-                .remove_matcher(victim)
-                .map_err(|e| match e {
-                    bluedove_core::CoreError::LastMatcher => {
-                        ClusterError::Invalid("cannot remove the last matcher")
-                    }
-                    _ => ClusterError::Invalid("matcher is not in the segment table"),
-                })?;
-            (AnyStrategy::BlueDove(mp2), merges)
-        };
-        let victim_addr = self
-            .shared
-            .matcher_addr(victim)
-            .ok_or(ClusterError::Timeout("victim address"))?;
-
+    pub fn remove_matcher(&mut self, victim: MatcherId) -> Result<MatcherId, ClusterError> {
         // Synchronous hand-over, inverted: the victim ships a copy of each
         // outgoing segment to its heir while continuing to serve its own
         // copies (routing may still point at it for one pull interval).
-        for (dim, heir, range) in &merges {
-            let heir_addr = self
-                .shared
-                .matcher_addr(*heir)
-                .ok_or(ClusterError::Timeout("heir address"))?;
-            let handover = ControlMsg::HandOver {
-                dim: *dim,
-                range: *range,
-                to_addr: heir_addr,
-                reply_to: control_addr(),
-            };
-            self.transport
-                .send(&victim_addr, to_bytes(&handover).freeze())?;
-        }
-        self.await_handovers(merges.len())?;
+        let change = self.control.leave(victim)?;
+        self.hand_over(&change.moves)?;
 
-        // Flip the routing table with the victim deregistered. Matchers
-        // get the authoritative TableUpdate; dispatchers get the same book
-        // pushed as a TableState (they also pull periodically), after
-        // which no *new* work is routed to the victim — retransmissions
-        // recompute candidates from this table too, so the ledger re-homes
-        // its in-flight publications onto the heirs. Management-plane
-        // traffic goes over the raw channel (see restart_matcher).
-        *self.shared.strategy.write() = new_strategy;
-        self.shared.matcher_addrs.write().remove(&victim);
-        // A graceful leave retires the victim's stream with it: its
-        // segments (and their copies) have been handed to the heirs, so
-        // there is nothing left for the stream to replay.
-        self.epochs.remove(&victim);
-        self.stream_leader.remove(&victim);
-        self.stream_leader.retain(|_, l| *l != victim);
+        // Flip the routing table with the victim deregistered and its
+        // streams forgotten (its copies went to the heirs, so there is
+        // nothing left to replay). After the push no *new* work is routed
+        // to the victim — retransmissions recompute candidates from this
+        // table too, so the ledger re-homes its in-flight publications
+        // onto the heirs.
+        self.control.commit(&change, self.shared.now());
         self.broadcast_table();
 
         // Publications routed by the old table may still arrive for up to
@@ -1342,7 +1200,7 @@ impl Cluster {
         std::thread::sleep(self.cfg.table_pull_interval * 2);
         let _ = self
             .base
-            .send(&victim_addr, to_bytes(&ControlMsg::Leave).freeze());
+            .send(&matcher_addr(victim), to_bytes(&ControlMsg::Leave).freeze());
         if let Some(node) = self.matchers.remove(&victim) {
             let addr = node.addr.clone();
             node.join();
@@ -1359,17 +1217,13 @@ impl Cluster {
     }
 
     /// Drains gossiped load reports from the control inbox into the load
-    /// view, assembles one [`LoadSnapshot`] over the current table
-    /// members, and feeds it through the autoscaler, executing whatever
-    /// plan the decision lowers to. Call it on the cadence you would run
-    /// a control loop — every stats interval or two.
+    /// view and feeds it through the control plane's autoscaler,
+    /// executing whatever plan the decision lowers to. Call it on the
+    /// cadence you would run a control loop — every stats interval or two.
     ///
-    /// Returns `Ok(None)` when the controller holds, `Err(Invalid)` when
-    /// no autoscaler was configured.
+    /// Returns `Ok(None)` when the controller holds, and
+    /// [`ScaleError::NoAutoscaler`] when none was configured.
     pub fn autoscale_tick(&mut self) -> Result<Option<ScaleOutcome>, ClusterError> {
-        if self.autoscaler.is_none() {
-            return Err(ClusterError::Invalid("no autoscaler configured"));
-        }
         while let Ok(payload) = self.ctl_rx.try_recv() {
             for msg in frames(payload) {
                 if let ControlMsg::LoadReport {
@@ -1382,21 +1236,9 @@ impl Cluster {
                 }
             }
         }
-        let members: HashSet<MatcherId> = self
-            .shared
-            .strategy
-            .read()
-            .as_dyn()
-            .matchers()
-            .into_iter()
-            .collect();
-        let mut snap = LoadSnapshot::new(self.shared.now());
-        for (&(m, dim), stats) in &self.load_view {
-            if members.contains(&m) {
-                snap.push(m, dim, *stats);
-            }
-        }
-        self.autoscale_with(&snap)
+        let reports = self.load_view.iter().map(|(&(m, dim), &s)| (m, dim, s));
+        let plan = self.control.observe(self.shared.now(), reports)?;
+        plan.map(|p| self.apply_scale(&p)).transpose()
     }
 
     /// Feeds one explicit snapshot through the autoscaler and executes the
@@ -1407,103 +1249,53 @@ impl Cluster {
         &mut self,
         snap: &LoadSnapshot,
     ) -> Result<Option<ScaleOutcome>, ClusterError> {
-        let Some(scaler) = self.autoscaler.as_mut() else {
-            return Err(ClusterError::Invalid("no autoscaler configured"));
-        };
-        let decision = scaler.observe(snap);
-        match ScalePlan::from_decision(decision, snap) {
-            Some(plan) => self.apply_scale(&plan).map(Some),
-            None => Ok(None),
-        }
+        let plan = self
+            .control
+            .observe(snap.now, snap.samples().iter().copied())?;
+        plan.map(|p| self.apply_scale(&p)).transpose()
     }
 
-    /// The non-`Hold` decisions the autoscaler has fired, with their
-    /// snapshot times. Empty when no autoscaler was configured.
-    pub fn autoscaler_log(&self) -> &[(f64, ScaleDecision)] {
-        self.autoscaler.as_ref().map(|a| a.log()).unwrap_or(&[])
-    }
-
-    /// Every executed scale operation, in order (manual and
-    /// autoscaler-driven).
-    pub fn scale_events(&self) -> &[ScaleOutcome] {
-        &self.scale_events
+    /// The control plane: membership, the authoritative table, the
+    /// stream-leader book, and the autoscaler's decision and scale-event
+    /// logs (manual and autoscaler-driven scale operations alike).
+    pub fn control(&self) -> &ControlEngine {
+        &self.control
     }
 
     /// Crashes matcher `m`: its inbox vanishes and its thread stops.
     /// Dispatchers fail over on their next send to it. With the sub-log
-    /// on, every stream the victim led is promoted onto its clockwise
-    /// heir at a bumped epoch — the heir replays its replica into its
-    /// engine (failover as log replay) — and the new epoch book rides
-    /// the next table broadcast.
+    /// on, the control plane promotes every stream the victim led onto
+    /// its clockwise heir at a bumped epoch — the heir replays its replica
+    /// into its engine (failover as log replay) — and the new epoch book
+    /// rides the next table broadcast.
     pub fn kill_matcher(&mut self, m: MatcherId) {
-        if let Some(node) = self.matchers.remove(&m) {
-            self.base.unbind(&node.addr);
-            self.shared.matcher_addrs.write().remove(&m);
-            node.crash();
-            node.join();
-            self.shared.matchers_gauge.set(self.matchers.len() as i64);
-            if self.cfg.log_dir.is_some() {
-                // The registry backstop for the victim's eventual rejoin
-                // covers only subscriptions registered from this instant
-                // on; everything earlier replays from the logs.
-                self.crash_watermark.insert(
-                    m,
-                    self.shared
-                        .next_sub_id
-                        .load(std::sync::atomic::Ordering::Relaxed),
-                );
-                let streams: Vec<MatcherId> = self
-                    .stream_leader
-                    .iter()
-                    .filter(|&(_, &l)| l == m)
-                    .map(|(&s, _)| s)
-                    .collect();
-                if let Some(heir) = self.clockwise_heir(m) {
-                    for stream in streams {
-                        let epoch = self.epochs.entry(stream).or_insert(1);
-                        *epoch += 1;
-                        let promote = ControlMsg::SubLogPromote {
-                            stream,
-                            epoch: *epoch,
-                        };
-                        if let Some(addr) = self.shared.matcher_addr(heir) {
-                            let _ = self.base.send(&addr, to_bytes(&promote).freeze());
-                        }
-                        self.stream_leader.insert(stream, heir);
-                    }
-                }
-                self.broadcast_table();
-            }
+        let Some(node) = self.matchers.remove(&m) else {
+            return;
+        };
+        self.base.unbind(&node.addr);
+        node.crash();
+        node.join();
+        self.shared.matchers_gauge.set(self.matchers.len() as i64);
+        let promotions = self.control.crash(m);
+        if self.cfg.log_dir.is_none() {
+            return;
         }
-    }
-
-    /// The next live matcher clockwise of `of` by id (wrapping), or
-    /// `None` when no matcher is left.
-    fn clockwise_heir(&self, of: MatcherId) -> Option<MatcherId> {
-        let mut ids: Vec<MatcherId> = self.shared.matcher_addrs.read().keys().copied().collect();
-        ids.sort();
-        ids.iter()
-            .copied()
-            .find(|&i| i > of)
-            .or(ids.first().copied())
-    }
-
-    /// The current membership as gossip bootstrap states, each carrying
-    /// its matcher's current incarnation number.
-    fn membership_seeds(&self) -> Vec<bluedove_overlay::EndpointState> {
-        self.shared
-            .matcher_addrs
-            .read()
-            .iter()
-            .map(|(&m, a)| {
-                bluedove_overlay::EndpointState::new(
-                    bluedove_overlay::NodeId(m.0 as u64),
-                    bluedove_overlay::NodeRole::Matcher,
-                    a.clone(),
-                    self.generations.get(&m).copied().unwrap_or(1),
-                )
-            })
-            .collect()
+        // The registry backstop for the victim's eventual rejoin covers
+        // only subscriptions registered from this instant on; everything
+        // earlier replays from the logs.
+        self.crash_watermark.insert(
+            m,
+            self.shared
+                .next_sub_id
+                .load(std::sync::atomic::Ordering::Relaxed),
+        );
+        for (stream, heir, epoch) in promotions {
+            let promote = ControlMsg::SubLogPromote { stream, epoch };
+            let _ = self
+                .base
+                .send(&matcher_addr(heir), to_bytes(&promote).freeze());
+        }
+        self.broadcast_table();
     }
 
     /// Restarts a matcher previously removed by
@@ -1514,29 +1306,20 @@ impl Cluster {
     /// dispatcher (clearing their fail-over dead lists for re-listed
     /// matchers), and replays the subscription copies the strategy assigns
     /// to it from the orchestrator's registration store — a crashed
-    /// matcher's in-memory state is gone.
+    /// matcher's in-memory state is gone. Refused, with nothing spawned or
+    /// announced, unless the control plane lists `m` as a crashed member
+    /// (a matcher that left gracefully is no member).
     pub fn restart_matcher(&mut self, m: MatcherId) -> Result<(), ClusterError> {
-        if self.matchers.contains_key(&m) {
-            return Err(ClusterError::Invalid("matcher is still running"));
-        }
-        if m.0 >= self.next_matcher {
-            return Err(ClusterError::Invalid("matcher id was never started"));
-        }
+        // With the sub-log on, the rejoin epoch is above whatever epoch
+        // the heir was promoted at, so the heir's in-flight appends fence
+        // instead of diverging.
+        let (epoch, interim_leader) = self.control.rejoin(m)?;
         let generation = {
             let g = self.generations.entry(m).or_insert(1);
             *g += 1;
             *g
         };
-        // Rejoin at a bumped epoch: the recovered matcher re-leads its
-        // own stream above whatever epoch its heir was promoted at, so
-        // the heir's in-flight appends fence instead of diverging.
-        let rejoin_epoch = self.cfg.log_dir.as_ref().map(|_| {
-            let e = self.epochs.entry(m).or_insert(1);
-            *e += 1;
-            *e
-        });
         let addr = matcher_addr(m);
-        self.shared.matcher_addrs.write().insert(m, addr.clone());
         // Bind the inbox but do **not** start the serve loop yet: the
         // moment the address is routable again, dispatchers may send it
         // publications (their suspicion of the dead incarnation expires on
@@ -1549,9 +1332,9 @@ impl Cluster {
             matcher_config(
                 &self.cfg,
                 m,
-                self.membership_seeds(),
+                gossip_seeds(self.control.live(), &self.generations),
                 generation,
-                rejoin_epoch.unwrap_or(1),
+                epoch,
             ),
             self.scoped_transport(&addr),
         );
@@ -1566,55 +1349,34 @@ impl Cluster {
         // the rejoin epoch's first append truncates the heir's replica to
         // that point and a gap fetch realigns it.
         let watermark = self.crash_watermark.remove(&m);
-        if let Some(e_new) = rejoin_epoch {
-            let leader = self.stream_leader.get(&m).copied().unwrap_or(m);
-            if leader != m {
-                if let Some(leader_addr) = self.shared.matcher_addr(leader) {
-                    let fetch = ControlMsg::SubLogFetch {
-                        stream: m,
-                        from: 0,
-                        reply_to: control_addr(),
-                    };
-                    let _ = self.base.send(&leader_addr, to_bytes(&fetch).freeze());
-                    let served = await_reply(&self.ctl_rx, 5, "sub-log delta", |msg| match msg {
-                        ControlMsg::SubLogAppend { append, .. } if append.stream == m => {
-                            Some(append)
-                        }
-                        _ => None,
-                    });
-                    if let Ok(served) = served {
-                        let install = ControlMsg::SubLogInstall {
-                            epoch: e_new,
-                            served,
-                        };
-                        let _ = self.base.send(&addr, to_bytes(&install).freeze());
-                    }
-                    let demote = ControlMsg::SubLogDemote { stream: m };
-                    let _ = self.base.send(&leader_addr, to_bytes(&demote).freeze());
+        if self.cfg.log_dir.is_some() {
+            if let Some(leader) = interim_leader {
+                let leader_addr = matcher_addr(leader);
+                let fetch = ControlMsg::SubLogFetch {
+                    stream: m,
+                    from: 0,
+                    reply_to: control_addr(),
+                };
+                let _ = self.base.send(&leader_addr, to_bytes(&fetch).freeze());
+                let served = await_reply(&self.ctl_rx, 5, "sub-log delta", |msg| match msg {
+                    ControlMsg::SubLogAppend { append, .. } if append.stream == m => Some(append),
+                    _ => None,
+                });
+                if let Ok(served) = served {
+                    let install = ControlMsg::SubLogInstall { epoch, served };
+                    let _ = self.base.send(&addr, to_bytes(&install).freeze());
                 }
+                let demote = ControlMsg::SubLogDemote { stream: m };
+                let _ = self.base.send(&leader_addr, to_bytes(&demote).freeze());
             }
-            self.stream_leader.insert(m, m);
             // Unsubscribes the local log predates would resurrect their
             // copies on replay: queue the tombstones' removals behind
             // the recovery stream.
-            let removals: Vec<(DimIdx, SubscriptionId)> = {
-                let guard = self.shared.strategy.read();
-                self.unsub_tombstones
-                    .iter()
-                    .flat_map(|sub| {
-                        guard
-                            .as_dyn()
-                            .assign(sub)
-                            .into_iter()
-                            .filter(|a| a.matcher == m)
-                            .map(|a| (a.dim, sub.id))
-                            .collect::<Vec<_>>()
-                    })
-                    .collect()
-            };
-            for (dim, sub) in removals {
-                let remove = ControlMsg::RemoveSub { dim, sub };
-                let _ = self.base.send(&addr, to_bytes(&remove).freeze());
+            for sub in &self.unsub_tombstones {
+                for dim in self.copies_on(m, sub) {
+                    let remove = ControlMsg::RemoveSub { dim, sub: sub.id };
+                    let _ = self.base.send(&addr, to_bytes(&remove).freeze());
+                }
             }
         }
 
@@ -1635,25 +1397,12 @@ impl Cluster {
         // are re-shipped — everything earlier replayed from the local
         // log and the heir's delta. Without it, the full historical
         // re-ship is preserved.
-        let copies: Vec<(DimIdx, Subscription)> = {
-            let guard = self.shared.strategy.read();
-            self.sub_registry
-                .values()
-                .filter(|sub| match watermark {
-                    Some(w) => sub.id.0 >= w,
-                    None => true,
-                })
-                .flat_map(|sub| {
-                    guard
-                        .as_dyn()
-                        .assign(sub)
-                        .into_iter()
-                        .filter(|a| a.matcher == m)
-                        .map(|a| (a.dim, sub.clone()))
-                        .collect::<Vec<_>>()
-                })
-                .collect()
-        };
+        let copies: Vec<(DimIdx, Subscription)> = self
+            .sub_registry
+            .values()
+            .filter(|sub| watermark.is_none_or(|w| sub.id.0 >= w))
+            .flat_map(|sub| self.copies_on(m, sub).map(|dim| (dim, sub.clone())))
+            .collect();
         if watermark.is_some() {
             self.shared
                 .counters
@@ -1667,6 +1416,18 @@ impl Cluster {
         self.matchers.insert(m, bound.start(self.shared.clone()));
         self.shared.matchers_gauge.set(self.matchers.len() as i64);
         Ok(())
+    }
+
+    /// The dimensions on which the authoritative strategy places a copy
+    /// of `sub` on matcher `m`.
+    fn copies_on(&self, m: MatcherId, sub: &Subscription) -> impl Iterator<Item = DimIdx> {
+        self.control
+            .strategy()
+            .as_dyn()
+            .assign(sub)
+            .into_iter()
+            .filter(move |a| a.matcher == m)
+            .map(|a| a.dim)
     }
 
     /// Orderly shutdown: stops every node and joins the threads.

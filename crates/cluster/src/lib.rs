@@ -55,5 +55,4 @@ pub use cluster::{
 };
 pub use log::{FsyncPolicy, Log, LogConfig};
 pub use proto::ControlMsg;
-pub use shared::SeenWindow;
 pub use sublog::{SubLogConfig, SubLogRecord};

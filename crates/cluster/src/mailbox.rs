@@ -14,9 +14,10 @@
 //! polls with [`ControlMsg::MailboxPoll`].
 
 use crate::proto::{frames, ControlMsg};
-use crate::shared::{e2e_latency_histogram, SeenWindow, Shared};
+use crate::shared::{e2e_latency_histogram, Shared};
 use crate::wal::{Wal, WalRecord};
 use bluedove_core::{MessageId, SubscriberId, SubscriptionId};
+use bluedove_engine::{SeenWindow, DEDUP_WINDOW};
 use bluedove_net::{to_bytes, Transport};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
@@ -29,11 +30,6 @@ use std::thread::JoinHandle;
 /// first when a subscriber stops polling (simple overload protection, the
 /// "message persistence" future-work item in its minimal form).
 pub const MAILBOX_CAPACITY: usize = 16_384;
-
-/// `(subscriber, subscription, message)` triples remembered for duplicate
-/// suppression: dispatcher retransmissions can re-deliver a message the
-/// mailbox already stored, and a poll must hand each pair out once.
-const DEDUP_WINDOW: usize = 8_192;
 
 /// Handle to a running mailbox node.
 pub struct MailboxNode {
@@ -109,7 +105,10 @@ fn run(
         None => HashMap::new(),
     };
     let mut wal = wal_path.and_then(|p| Wal::open(p).ok());
-    // Idempotency over dispatcher retransmissions. Reseeded from the WAL
+    // Idempotency over dispatcher retransmissions, keyed by
+    // `(subscriber, subscription, message)`: a retransmission can
+    // re-deliver a message the mailbox already stored, and a poll must
+    // hand each pair out once. Reseeded from the WAL
     // replay so a restart doesn't re-store what is already boxed (entries
     // polled before the restart are gone from the window, so a very late
     // duplicate of those can slip through — bounded, not exact).

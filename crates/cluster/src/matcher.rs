@@ -17,8 +17,8 @@ use bluedove_core::{
     DimIdx, MatchHit, MatcherId, Message, MessageId, SubscriberId, SubscriptionId, Time,
 };
 use bluedove_engine::{
-    Coalescer, EngineConfig, FlushReason, FollowerOutcome, MatcherEngine, MatcherPort,
-    ReplicatedAppend,
+    clockwise_heir, Coalescer, EngineConfig, FlushReason, FollowerOutcome, MatcherEngine,
+    MatcherPort, ReplicatedAppend, DEDUP_WINDOW,
 };
 use bluedove_net::{to_bytes, Transport};
 use bluedove_overlay::{EndpointState, GossipMsg, GossipNode, NodeId, NodeRole};
@@ -402,12 +402,7 @@ impl Matcher {
 
     /// An empty engine with this matcher's identity and knobs.
     fn fresh_engine(cfg: &MatcherNodeConfig, shared: &Shared) -> MatcherEngine {
-        MatcherEngine::new(
-            cfg.id,
-            shared.space.clone(),
-            cfg.engine.index,
-            cfg.engine.dedup_window,
-        )
+        MatcherEngine::new(cfg.id, shared.space.clone(), cfg.engine.index, DEDUP_WINDOW)
     }
 
     /// Journals one mutation on this matcher's own stream and streams it
@@ -426,26 +421,33 @@ impl Matcher {
     }
 
     /// Sends one stamped append to the first reachable clockwise heir in
-    /// the table's address book (sorted by id, wrapping, skipping self).
-    /// Dead heirs are unbound, so their sends error and the next
-    /// candidate is tried; with no table installed yet there is no heir
-    /// to stream to.
+    /// the table's address book: the heir, else the heir's heir, and so
+    /// on. Dead heirs are unbound, so their sends error and the next
+    /// candidate is tried; with no table listing this matcher yet there is
+    /// no heir to stream to.
     fn replicate(&self, append: ReplicatedAppend<SubLogRecord>) {
-        let mut ring: Vec<&(MatcherId, String)> = self.table.addrs.iter().collect();
-        ring.sort_by_key(|e| e.0);
-        let Some(pos) = ring.iter().position(|e| e.0 == self.cfg.id) else {
+        let book = &self.table.addrs;
+        if !book.iter().any(|e| e.0 == self.cfg.id) {
             return;
-        };
+        }
         let msg = ControlMsg::SubLogAppend {
             append,
             ack_to: self.cfg.addr.clone(),
         };
         let bytes = to_bytes(&msg).freeze();
-        for i in 1..ring.len() {
-            let addr = &ring[(pos + i) % ring.len()].1;
+        let others = || book.iter().filter(|e| e.0 != self.cfg.id);
+        let mut at = self.cfg.id;
+        for _ in 1..book.len() {
+            let Some(heir) = clockwise_heir(at, others().map(|e| e.0)) else {
+                return;
+            };
+            let Some((_, addr)) = others().find(|e| e.0 == heir) else {
+                return;
+            };
             if self.port.out.transport.send(addr, bytes.clone()).is_ok() {
                 return;
             }
+            at = heir;
         }
     }
 

@@ -1,11 +1,9 @@
 //! State shared between the orchestrator, dispatchers and client handles.
 
-use bluedove_baselines::AnyStrategy;
 use bluedove_core::{AttributeSpace, DimIdx, MatcherId, MessageId};
 use bluedove_telemetry::{Counter, Gauge, Histogram, Registry};
 use parking_lot::RwLock;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::Hash;
+use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::time::Instant;
 
@@ -183,52 +181,12 @@ pub fn e2e_latency_histogram(registry: &Registry) -> Histogram {
     )
 }
 
-/// Bounded sliding-window duplicate filter: remembers the last `cap`
-/// distinct keys, FIFO-evicted. Delivery endpoints use it keyed by
-/// `(subscription, message id)` to turn the pipeline's at-least-once
-/// forwarding into exactly-once observation.
-pub struct SeenWindow<K> {
-    seen: HashSet<K>,
-    order: VecDeque<K>,
-    cap: usize,
-}
-
-impl<K: Eq + Hash + Copy> SeenWindow<K> {
-    /// An empty window remembering up to `cap` keys.
-    pub fn new(cap: usize) -> Self {
-        SeenWindow {
-            seen: HashSet::new(),
-            order: VecDeque::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Records `k`; returns `true` when it was already in the window
-    /// (i.e. this occurrence is a duplicate).
-    pub fn check_and_insert(&mut self, k: K) -> bool {
-        if !self.seen.insert(k) {
-            return true;
-        }
-        self.order.push_back(k);
-        while self.order.len() > self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.seen.remove(&old);
-            }
-        }
-        false
-    }
-}
-
-/// Shared cluster state: the routing strategy, the address book and the
-/// clock epoch.
+/// State every node thread shares: the attribute space, the clock epoch,
+/// id allocators, telemetry and the load-report fan-out. Routing state is
+/// not here: the orchestrator's control plane announces it.
 pub struct Shared {
     /// The attribute space of the deployment.
     pub space: AttributeSpace,
-    /// The partition strategy dispatchers route by. Swapped under write
-    /// lock on elastic join/leave.
-    pub strategy: RwLock<AnyStrategy>,
-    /// Matcher transport addresses.
-    pub matcher_addrs: RwLock<HashMap<MatcherId, String>>,
     /// Dispatcher transport addresses (load reports fan out to these).
     pub dispatcher_addrs: RwLock<Vec<String>>,
     /// Extra addresses matcher load reports are mirrored to, beyond the
@@ -265,8 +223,8 @@ pub struct Shared {
 }
 
 impl Shared {
-    /// Creates shared state around an initial strategy.
-    pub fn new(space: AttributeSpace, strategy: AnyStrategy) -> Self {
+    /// Creates shared state for a deployment over `space`.
+    pub fn new(space: AttributeSpace) -> Self {
         let telemetry = std::sync::Arc::new(Registry::new());
         let counters = Counters::register(&telemetry);
         let matchers_gauge = telemetry.gauge(
@@ -276,8 +234,6 @@ impl Shared {
         );
         Shared {
             space,
-            strategy: RwLock::new(strategy),
-            matcher_addrs: RwLock::new(HashMap::new()),
             dispatcher_addrs: RwLock::new(Vec::new()),
             load_observers: RwLock::new(Vec::new()),
             epoch: Instant::now(),
@@ -302,11 +258,6 @@ impl Shared {
     #[inline]
     pub fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
-    }
-
-    /// The transport address of `matcher`, if registered.
-    pub fn matcher_addr(&self, matcher: MatcherId) -> Option<String> {
-        self.matcher_addrs.read().get(&matcher).cloned()
     }
 }
 
@@ -352,10 +303,7 @@ mod tests {
 
     #[test]
     fn clock_is_monotone() {
-        let s = Shared::new(
-            AttributeSpace::uniform(2, 0.0, 1.0),
-            AnyStrategy::full_rep(1),
-        );
+        let s = Shared::new(AttributeSpace::uniform(2, 0.0, 1.0));
         let a = s.now();
         let b = s.now();
         assert!(b >= a);
@@ -392,19 +340,6 @@ mod tests {
         let again = Counters::register(&r);
         again.published.inc();
         assert_eq!(c.published.get(), 4);
-    }
-
-    #[test]
-    fn seen_window_dedups_within_cap() {
-        let mut w = SeenWindow::new(2);
-        assert!(!w.check_and_insert(1u64));
-        assert!(w.check_and_insert(1));
-        assert!(!w.check_and_insert(2));
-        // Inserting a third key evicts the oldest (1), which then reads
-        // as fresh again — the window is bounded, not exact.
-        assert!(!w.check_and_insert(3));
-        assert!(!w.check_and_insert(1));
-        assert!(w.check_and_insert(3));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use bluedove_cluster::{
 use bluedove_core::{
     AttributeSpace, DimIdx, MatcherId, Message, SubscriberId, Subscription, SubscriptionId,
 };
-use bluedove_engine::{AutoscalerConfig, EngineConfig, ScaleOutcome};
+use bluedove_engine::{AutoscalerConfig, EngineConfig, ScaleError, ScaleOutcome};
 use bluedove_net::{from_bytes, to_bytes, ChannelTransport, Transport};
 use bluedove_workload::PaperWorkload;
 use std::sync::Arc;
@@ -302,6 +302,26 @@ fn crash_failover_keeps_delivering() {
     assert_eq!(
         dropped, 0,
         "channel fail-over is immediate; nothing dropped"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn a_matcher_that_left_cannot_be_restarted() {
+    // A graceful leave takes the matcher out of the table for good: a
+    // restart is for crashed members only, so it must neither respawn the
+    // leaver nor put it back in the address book.
+    let mut cluster = Cluster::start(ClusterConfig::new(space()).matchers(3));
+    let m2 = MatcherId(2);
+    assert_eq!(cluster.remove_matcher(m2).unwrap(), m2);
+    assert!(matches!(
+        cluster.restart_matcher(m2),
+        Err(ClusterError::Scale(ScaleError::UnknownMatcher(m))) if m == m2
+    ));
+    assert_eq!(cluster.matcher_ids(), vec![MatcherId(0), MatcherId(1)]);
+    assert_eq!(
+        cluster.telemetry().gauge_value("bluedove_matchers", &[]),
+        Some(2)
     );
     cluster.shutdown();
 }
@@ -864,10 +884,7 @@ fn bound_matcher_handles_its_whole_inbox_before_serving() {
     // frame before it serves its first job.
     let sp = space();
     let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
-    let shared = Arc::new(Shared::new(
-        sp.clone(),
-        bluedove_baselines::AnyStrategy::full_rep(1),
-    ));
+    let shared = Arc::new(Shared::new(sp.clone()));
     let deliveries = transport.bind(&subscriber_addr(7)).unwrap();
     let bound = MatcherNode::bind(
         MatcherNodeConfig {

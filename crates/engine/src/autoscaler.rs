@@ -16,7 +16,8 @@
 //!
 //! Like the dispatcher and matcher engines, the autoscaler never touches
 //! a clock or a transport: time arrives stamped on the snapshot, and the
-//! decision goes back to the host, which owns the join/leave mechanics.
+//! decision goes back to the [`ControlEngine`](crate::ControlEngine),
+//! which plans the join or leave the host executes.
 
 use bluedove_core::{DimIdx, DimStats, MatcherId, Time};
 
@@ -234,6 +235,15 @@ pub enum ScaleOutcome {
     Added(MatcherId),
     /// The matcher was drained and removed.
     Removed(MatcherId),
+}
+
+impl ScaleOutcome {
+    /// The matcher added or removed.
+    pub fn matcher(self) -> MatcherId {
+        match self {
+            ScaleOutcome::Added(m) | ScaleOutcome::Removed(m) => m,
+        }
+    }
 }
 
 /// The deterministic elasticity controller: watermarks + hysteresis +

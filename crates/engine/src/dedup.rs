@@ -1,12 +1,60 @@
-//! Bounded sliding-window duplicate suppression for matcher dimensions.
+//! Bounded sliding-window duplicate suppression.
 //!
-//! Dispatcher retransmissions make duplicate `MatchMsg` arrivals possible;
-//! the per-dimension [`DedupWindow`] classifies each arriving id so the
-//! matcher engine queues a message at most once and re-acks (instead of
-//! re-delivering) ids it already served.
+//! Dispatcher retransmissions make duplicate arrivals possible at every
+//! hop that follows a retransmitting one. [`SeenWindow`] is the one
+//! bounded filter: matcher dimensions keep one per [`DedupWindow`] (so the
+//! engine queues a message at most once and re-acks, instead of
+//! re-delivering, ids it already served), and delivery endpoints keep one
+//! keyed by `(subscription, message)` to turn at-least-once forwarding
+//! into exactly-once observation.
 
 use bluedove_core::MessageId;
 use std::collections::{HashSet, VecDeque};
+use std::hash::Hash;
+
+/// Keys every duplicate filter remembers: a matcher dimension's served
+/// ids, a subscriber endpoint's or the mailbox's deliveries.
+pub const DEDUP_WINDOW: usize = 8_192;
+
+/// Bounded sliding-window duplicate filter: remembers the last `cap`
+/// distinct keys, FIFO-evicted.
+#[derive(Debug)]
+pub struct SeenWindow<K> {
+    seen: HashSet<K>,
+    order: VecDeque<K>,
+    cap: usize,
+}
+
+impl<K: Eq + Hash + Copy> SeenWindow<K> {
+    /// An empty window remembering up to `cap` keys (floored at 1).
+    pub fn new(cap: usize) -> Self {
+        SeenWindow {
+            seen: HashSet::new(),
+            order: VecDeque::new(),
+            cap: cap.max(1),
+        }
+    }
+
+    /// Whether `k` is in the window.
+    pub fn contains(&self, k: &K) -> bool {
+        self.seen.contains(k)
+    }
+
+    /// Records `k`; returns `true` when it was already in the window
+    /// (i.e. this occurrence is a duplicate).
+    pub fn check_and_insert(&mut self, k: K) -> bool {
+        if !self.seen.insert(k) {
+            return true;
+        }
+        self.order.push_back(k);
+        while self.order.len() > self.cap {
+            if let Some(old) = self.order.pop_front() {
+                self.seen.remove(&old);
+            }
+        }
+        false
+    }
+}
 
 /// What to do with an arriving `MatchMsg` according to the per-dim
 /// idempotency window.
@@ -23,16 +71,14 @@ pub enum Admit {
 
 /// Bounded sliding-window dedup for one dimension, keyed by [`MessageId`].
 ///
-/// `pending` tracks ids queued but not yet served; `served` is a FIFO
-/// window of the last `cap` served ids. Id 0 (unstamped, from senders
-/// that bypass a dispatcher) is exempt so such messages are never
+/// `pending` tracks ids queued but not yet served; `served` is a window
+/// of the last `cap` served ids. Id 0 (unstamped, from senders that
+/// bypass a dispatcher) is exempt so such messages are never
 /// misidentified as duplicates of each other.
 #[derive(Debug)]
 pub struct DedupWindow {
     pending: HashSet<MessageId>,
-    served: HashSet<MessageId>,
-    order: VecDeque<MessageId>,
-    cap: usize,
+    served: SeenWindow<MessageId>,
 }
 
 impl DedupWindow {
@@ -40,9 +86,7 @@ impl DedupWindow {
     pub fn new(cap: usize) -> Self {
         DedupWindow {
             pending: HashSet::new(),
-            served: HashSet::new(),
-            order: VecDeque::new(),
-            cap: cap.max(1),
+            served: SeenWindow::new(cap),
         }
     }
 
@@ -66,20 +110,26 @@ impl DedupWindow {
             return;
         }
         self.pending.remove(&id);
-        if self.served.insert(id) {
-            self.order.push_back(id);
-            while self.order.len() > self.cap {
-                if let Some(old) = self.order.pop_front() {
-                    self.served.remove(&old);
-                }
-            }
-        }
+        self.served.check_and_insert(id);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seen_window_dedups_within_cap() {
+        let mut w = SeenWindow::new(2);
+        assert!(!w.check_and_insert(1u64));
+        assert!(w.check_and_insert(1));
+        assert!(!w.check_and_insert(2));
+        // Inserting a third key evicts the oldest (1), which then reads
+        // as fresh again — the window is bounded, not exact.
+        assert!(!w.check_and_insert(3));
+        assert!(!w.check_and_insert(1));
+        assert!(w.check_and_insert(3));
+    }
 
     #[test]
     fn fresh_pending_served_lifecycle() {

@@ -39,10 +39,15 @@
 //! round-robin job, the host times (or models) the match around
 //! [`MatcherEngine::run_match`], and [`MatcherEngine::complete`] emits
 //! deliveries and the `MatchAck` through a [`MatcherPort`].
+//!
+//! [`ControlEngine`] is the control plane both hosts execute: it owns the
+//! segment table, table versions, membership, the stream-leader epoch
+//! book and the autoscaler, and hands back join/leave/crash/rejoin plans.
 
 pub mod autoscaler;
 pub mod batch;
 pub mod config;
+pub mod control;
 pub mod dedup;
 pub mod dispatcher;
 pub mod matcher;
@@ -54,8 +59,9 @@ pub use autoscaler::{
     Autoscaler, AutoscalerConfig, LoadSnapshot, ScaleDecision, ScaleOutcome, ScalePlan,
 };
 pub use batch::{BatchCfg, Coalescer, Flush, FlushReason, MAX_BATCH};
-pub use config::{EngineConfig, EngineConfigBuilder};
-pub use dedup::{Admit, DedupWindow};
+pub use config::EngineConfig;
+pub use control::{clockwise_heir, Announcement, Change, ControlEngine, Move, ScaleError};
+pub use dedup::{Admit, DedupWindow, SeenWindow, DEDUP_WINDOW};
 pub use dispatcher::{
     DispatcherEffect, DispatcherEngine, DispatcherEngineConfig, DispatcherEvent, DispatcherOut,
     DispatcherPort,

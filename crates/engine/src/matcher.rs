@@ -84,14 +84,15 @@ pub struct MatcherEngine {
 
 impl MatcherEngine {
     /// A fresh engine for matcher `id` over `space`, with one queue, one
-    /// subscription set (indexed per `kind`) and one `dedup_window`-sized
-    /// idempotency window per dimension.
-    pub fn new(id: MatcherId, space: AttributeSpace, kind: IndexKind, dedup_window: usize) -> Self {
+    /// subscription set (indexed per `kind`) and one idempotency window of
+    /// `served_ids` ids per dimension (the hosts pass
+    /// [`DEDUP_WINDOW`](crate::DEDUP_WINDOW)).
+    pub fn new(id: MatcherId, space: AttributeSpace, kind: IndexKind, served_ids: usize) -> Self {
         let k = space.k();
         MatcherEngine {
             core: MatcherCore::new(id, space, kind),
             queues: (0..k).map(|_| VecDeque::new()).collect(),
-            dedup: (0..k).map(|_| DedupWindow::new(dedup_window)).collect(),
+            dedup: (0..k).map(|_| DedupWindow::new(served_ids)).collect(),
             rr: 0,
         }
     }

@@ -21,10 +21,13 @@
 //!   dispatchers broadcast reports, so every front-end sees identical
 //!   state at identical staleness), routing by the table it was last
 //!   handed — segment-table propagation lag is modelled by delaying the
-//!   `TableUpdate` event, failure detection by delaying `MatcherDown`.
+//!   `TableUpdate` event, failure detection by delaying `MatcherDown`;
+//! - membership, the authoritative table and its versions, the
+//!   stream-leader epoch book and the autoscaler belong to the engine's
+//!   [`ControlEngine`]; the simulator executes its join/leave/crash plans
+//!   with direct engine copies and `TableSwitch`/`Decommission` events.
 
 use crate::config::SimConfig;
-use crate::error::SimError;
 use crate::events::EventQueue;
 use crate::metrics::Metrics;
 use bluedove_core::{
@@ -32,10 +35,10 @@ use bluedove_core::{
     MessageId, SubscriberId, Subscription, SubscriptionId, Time,
 };
 use bluedove_engine::{
-    Autoscaler, AutoscalerConfig, Coalescer, DispatcherEffect, DispatcherEngine,
+    AutoscalerConfig, Coalescer, ControlEngine, DispatcherEffect, DispatcherEngine,
     DispatcherEngineConfig, DispatcherEvent, DispatcherOut, DispatcherPort, Epoch, Flush,
     FollowerOutcome, LoadSnapshot, MatcherEngine, MatcherPort, ReplicatedAppend, ReplicatedStream,
-    ScaleDecision, ScaleOutcome, ScalePlan, ServiceJob, StreamSet,
+    ScaleError, ScaleOutcome, ScalePlan, ServiceJob, StreamSet, DEDUP_WINDOW,
 };
 use bluedove_workload::MessageGenerator;
 use std::collections::{HashMap, HashSet};
@@ -66,12 +69,7 @@ struct SimMatcher {
 impl SimMatcher {
     fn new(id: MatcherId, space: &AttributeSpace, cfg: &SimConfig) -> Self {
         SimMatcher {
-            engine: MatcherEngine::new(
-                id,
-                space.clone(),
-                cfg.engine.index,
-                cfg.engine.dedup_window,
-            ),
+            engine: MatcherEngine::new(id, space.clone(), cfg.engine.index, DEDUP_WINDOW),
             busy: false,
             alive: true,
             repl: None,
@@ -124,30 +122,14 @@ pub struct Replication<'a> {
 }
 
 impl<'a> Replication<'a> {
-    /// The matcher leading `stream`, and its copy.
-    pub fn leading(
-        &self,
-        stream: MatcherId,
-    ) -> Option<(MatcherId, &'a ReplicatedStream<ReplRecord>)> {
-        self.matchers.iter().find_map(|(&id, m)| {
-            let s = m.repl.as_ref()?.get(stream)?;
-            s.leader().map(|_| (id, s))
-        })
-    }
-
-    /// The matcher currently leading `stream`.
-    pub fn leader_of(&self, stream: MatcherId) -> Option<MatcherId> {
-        self.leading(stream).map(|(id, _)| id)
-    }
-
-    /// `holder`'s replica of `stream` (`None` when it leads the stream).
-    pub fn replica(
+    /// `holder`'s copy of `stream`; the leading copy is the one at the
+    /// holder [`ControlEngine::leader_of`] names.
+    pub fn copy(
         &self,
         stream: MatcherId,
         holder: MatcherId,
     ) -> Option<&'a ReplicatedStream<ReplRecord>> {
-        let s = self.matchers.get(&holder)?.repl.as_ref()?.get(stream)?;
-        s.leader().is_none().then_some(s)
+        self.matchers.get(&holder)?.repl.as_ref()?.get(stream)
     }
 }
 
@@ -367,10 +349,11 @@ impl MatcherPort for SimMatcherPort<'_> {
 pub struct SimCluster {
     cfg: SimConfig,
     space: AttributeSpace,
-    /// Current (authoritative) strategy — new joins are visible here
-    /// first; the dispatcher engine keeps routing by the table it was
-    /// last handed until the `TableSwitch` event (propagation lag).
-    strategy: Strategy,
+    /// The control plane. It holds the authoritative strategy — new joins
+    /// are visible there first; the dispatcher engine keeps routing by
+    /// the table it was last handed until the `TableSwitch` event
+    /// (propagation lag) — and the autoscaler with its logs.
+    control: ControlEngine,
     /// The shared dispatcher-tier engine (reports are broadcast, so every
     /// front-end sees identical state at identical staleness).
     dispatcher: DispatcherEngine,
@@ -382,8 +365,6 @@ pub struct SimCluster {
     queue: EventQueue<Event>,
     now: Time,
     next_msg_id: u64,
-    next_matcher_id: u32,
-    table_version: u64,
     /// Earliest `DispatcherTick` currently scheduled (dedups wake-ups).
     scheduled_tick: Option<Time>,
     /// The dispatcher-tier batcher: the same engine [`Coalescer`] the
@@ -396,14 +377,6 @@ pub struct SimCluster {
     idle_flush_pending: bool,
     /// `(message, matcher, dimension)` per first forward, when enabled.
     forward_log: Option<Vec<(MessageId, MatcherId, DimIdx)>>,
-    /// The elasticity controller, when enabled: observes every stats round
-    /// and its decisions are executed in-line through [`Self::apply_scale`].
-    autoscaler: Option<Autoscaler>,
-    /// Every snapshot the autoscaler observed, in order — the trace the
-    /// cross-host parity test replays against the threaded cluster.
-    snapshot_log: Vec<LoadSnapshot>,
-    /// Every executed scale operation `(time, outcome)`.
-    scale_events: Vec<(Time, ScaleOutcome)>,
     /// The replicated subscription-log layer, when enabled: the
     /// engine's stream sets on the matchers, driven by `Repl*` events
     /// under virtual time (the sim analogue of the threaded cluster's
@@ -421,42 +394,38 @@ impl SimCluster {
         strategy: Strategy,
         policy: Box<dyn ForwardingPolicy>,
     ) -> Self {
-        let ids = strategy.as_dyn().matchers();
-        let matchers = ids
+        let mut control = ControlEngine::new(strategy);
+        let table = control.announce();
+        let matchers = table
+            .live
             .iter()
             .map(|&id| (id, SimMatcher::new(id, &space, &cfg)))
             .collect::<HashMap<_, _>>();
-        let next_matcher_id = ids.iter().map(|m| m.0 + 1).max().unwrap_or(0);
         let dispatcher = DispatcherEngine::new(DispatcherEngineConfig {
             policy,
             seed: cfg.seed,
             retry: cfg.engine.retry.clone(),
-            version: 1,
-            strategy: strategy.clone(),
-            addrs: ids.iter().map(|&m| (m, sim_addr(m))).collect(),
+            version: table.version,
+            strategy: table.strategy,
+            addrs: table.live.iter().map(|&m| (m, sim_addr(m))).collect(),
         });
         let forward_log = cfg.engine.record_forwards.then(Vec::new);
         let batcher = Coalescer::new(cfg.engine.batch.normalized());
         let mut c = SimCluster {
             cfg,
             space,
-            strategy,
+            control,
             dispatcher,
             matchers,
             detected_dead: HashSet::new(),
             queue: EventQueue::new(),
             now: 0.0,
             next_msg_id: 1,
-            next_matcher_id,
-            table_version: 1,
             scheduled_tick: None,
             batcher,
             scheduled_flush: None,
             idle_flush_pending: false,
             forward_log,
-            autoscaler: None,
-            snapshot_log: Vec::new(),
-            scale_events: Vec::new(),
             replication: None,
             metrics: Metrics::new(0.5),
         };
@@ -505,12 +474,7 @@ impl SimCluster {
     /// its ScaleUp/ScaleDown decisions are executed immediately through
     /// [`Self::apply_scale`].
     pub fn enable_autoscaler(&mut self, cfg: AutoscalerConfig) {
-        self.autoscaler = Some(Autoscaler::new(cfg));
-    }
-
-    /// The non-`Hold` decisions the autoscaler has fired, with their times.
-    pub fn autoscaler_log(&self) -> &[(Time, ScaleDecision)] {
-        self.autoscaler.as_ref().map(|a| a.log()).unwrap_or(&[])
+        self.control.enable_autoscaler(cfg);
     }
 
     /// Turns the replicated subscription-log layer on: every matcher's
@@ -523,6 +487,7 @@ impl SimCluster {
         for (&id, m) in &mut self.matchers {
             m.repl = Some(own_streams(id, min_isr));
         }
+        self.control.replicate();
         self.replication = Some(ReplState {
             min_isr,
             fenced: 0,
@@ -540,15 +505,11 @@ impl SimCluster {
         })
     }
 
-    /// Every load snapshot the autoscaler observed, in order — replay this
-    /// through another host's controller to check decision parity.
-    pub fn snapshot_log(&self) -> &[LoadSnapshot] {
-        &self.snapshot_log
-    }
-
-    /// Every executed scale operation, `(time, outcome)`.
-    pub fn scale_events(&self) -> &[(Time, ScaleOutcome)] {
-        &self.scale_events
+    /// The control plane: membership, the authoritative table, the
+    /// stream-leader book, and the autoscaler's decision, snapshot and
+    /// scale-event logs.
+    pub fn control(&self) -> &ControlEngine {
+        &self.control
     }
 
     /// Registers a subscription (instantaneous, like the paper's pre-load
@@ -557,7 +518,7 @@ impl SimCluster {
     /// installed at the stream's promoted leader instead (the analogue of
     /// the threaded dispatcher's store-at-heir failover).
     pub fn subscribe(&mut self, sub: Subscription) {
-        for Assignment { matcher, dim } in self.strategy.as_dyn().assign(&sub) {
+        for Assignment { matcher, dim } in self.control.strategy().as_dyn().assign(&sub) {
             let target = self.install_target(matcher);
             if let Some(m) = self.matchers.get_mut(&target) {
                 m.engine.insert(dim, sub.clone());
@@ -577,7 +538,7 @@ impl SimCluster {
     /// The caller supplies the original subscription (assignment is
     /// deterministic, so the same copies are found).
     pub fn unsubscribe(&mut self, sub: &Subscription) {
-        for Assignment { matcher, dim } in self.strategy.as_dyn().assign(sub) {
+        for Assignment { matcher, dim } in self.control.strategy().as_dyn().assign(sub) {
             let target = self.install_target(matcher);
             if let Some(m) = self.matchers.get_mut(&target) {
                 m.engine.remove(dim, sub.id);
@@ -587,34 +548,32 @@ impl SimCluster {
     }
 
     /// Where a copy assigned to `matcher` is installed: normally the
-    /// assignee itself; with replication on and the assignee dead, the
-    /// current leader of its stream.
+    /// assignee itself; with the assignee dead, the current leader of its
+    /// stream (itself unless replication promoted an heir).
     fn install_target(&self, matcher: MatcherId) -> MatcherId {
         if self.matchers.get(&matcher).is_some_and(|m| m.alive) {
             return matcher;
         }
-        self.replication()
-            .and_then(|r| r.leader_of(matcher))
-            .unwrap_or(matcher)
+        self.control.leader_of(matcher).unwrap_or(matcher)
     }
 
-    /// Appends one mutation to the assignee's replicated stream and
-    /// ships the frame to the stream leader's clockwise heir, one
-    /// network hop later.
+    /// Appends one mutation to the assignee's replicated stream (a no-op
+    /// with replication off) and ships the frame to the stream leader's
+    /// clockwise heir, one network hop later.
     fn journal(&mut self, owner: MatcherId, dim: DimIdx, sub: &Subscription, remove: bool) {
-        let Some(leader) = self.replication().and_then(|r| r.leader_of(owner)) else {
+        let Some(leader) = self.control.leader_of(owner) else {
             return;
         };
-        let rec = ReplRecord {
+        let rec = || ReplRecord {
             dim,
             sub: sub.clone(),
             remove,
         };
         let stream = self.streams_mut(leader).and_then(|r| r.get_mut(owner));
-        let Some(Ok(Some(frame))) = stream.map(|s| s.append(rec)) else {
+        let Some(Ok(Some(frame))) = stream.map(|s| s.append(rec())) else {
             return;
         };
-        if let Some(heir) = self.heir_of(leader) {
+        if let Some(heir) = self.control.heir(leader) {
             self.queue.push(
                 self.now + self.cfg.net_latency,
                 Event::ReplAppend { to: heir, frame },
@@ -625,19 +584,6 @@ impl SimCluster {
     /// Matcher `m`'s replicated streams, when it holds any.
     fn streams_mut(&mut self, m: MatcherId) -> Option<&mut StreamSet<ReplRecord>> {
         self.matchers.get_mut(&m)?.repl.as_mut()
-    }
-
-    /// The clockwise heir of `m`: the next live matcher id above it,
-    /// wrapping around the ring; `None` when `m` is the only live node.
-    fn heir_of(&self, m: MatcherId) -> Option<MatcherId> {
-        let mut ids: Vec<MatcherId> = self
-            .matchers
-            .iter()
-            .filter(|&(&id, mm)| mm.alive && id != m)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        ids.iter().find(|&&id| id > m).or(ids.first()).copied()
     }
 
     /// Runs the cluster for `duration` seconds with messages arriving at
@@ -913,16 +859,23 @@ impl SimCluster {
                     }
                 }
                 // Hand the dispatcher tier the now-authoritative table.
-                // Detected-dead matchers are left out of the address book
-                // so their (permanent) suspicion survives the update's
-                // re-listing amnesty.
-                self.table_version += 1;
-                let version = self.table_version;
-                let strategy = self.strategy.clone();
-                let addrs = self.addr_book();
+                // Its address book is every member whose death the tier
+                // has not detected (not the control plane's live set:
+                // detection lag is what this host models); detected-dead
+                // matchers stay out so their (permanent) suspicion
+                // survives the update's re-listing amnesty.
+                let table = self.control.announce();
+                let addrs = table
+                    .strategy
+                    .as_dyn()
+                    .matchers()
+                    .into_iter()
+                    .filter(|m| !self.detected_dead.contains(m))
+                    .map(|m| (m, sim_addr(m)))
+                    .collect();
                 self.feed_dispatcher(DispatcherEvent::TableUpdate {
-                    version,
-                    strategy,
+                    version: table.version,
+                    strategy: table.strategy,
                     addrs,
                 });
             }
@@ -997,16 +950,17 @@ impl SimCluster {
                 offset,
             } => {
                 let now = self.now;
-                if let Some(leader) = self.replication().and_then(|r| r.leader_of(stream)) {
+                if let Some(leader) = self.control.leader_of(stream) {
                     if let Some(s) = self.streams_mut(leader).and_then(|r| r.get_mut(stream)) {
                         s.record_ack(follower, epoch, offset, now);
                     }
                 }
             }
             Event::ReplFetch { stream, from, by } => {
-                let leader = self.replication().and_then(|r| r.leader_of(stream));
-                if let Some(frame) = leader
-                    .and_then(|l| self.matchers[&l].repl.as_ref())
+                if let Some(frame) = self
+                    .control
+                    .leader_of(stream)
+                    .and_then(|l| self.matchers.get(&l)?.repl.as_ref())
                     .and_then(|r| r.get(stream))
                     .map(|s| s.serve(from))
                 {
@@ -1053,18 +1007,6 @@ impl SimCluster {
         );
     }
 
-    /// The address book of a table update: every strategy-listed matcher
-    /// whose death the dispatcher tier has not detected.
-    fn addr_book(&self) -> Vec<(MatcherId, String)> {
-        self.strategy
-            .as_dyn()
-            .matchers()
-            .into_iter()
-            .filter(|m| !self.detected_dead.contains(m))
-            .map(|m| (m, sim_addr(m)))
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Elasticity (§III-C, Figure 9)
     // ------------------------------------------------------------------
@@ -1073,18 +1015,18 @@ impl SimCluster {
     /// point shared (by name and semantics) with the threaded cluster.
     /// Autoscaler decisions, manual joins and manual leaves all lower
     /// onto this.
-    pub fn apply_scale(&mut self, plan: &ScalePlan) -> Result<ScaleOutcome, SimError> {
+    pub fn apply_scale(&mut self, plan: &ScalePlan) -> Result<ScaleOutcome, ScaleError> {
         match plan {
             ScalePlan::Grow { loads } => self.grow(loads).map(ScaleOutcome::Added),
-            ScalePlan::Shrink { victim } => self.shrink(*victim).map(ScaleOutcome::Removed),
+            ScalePlan::Shrink { victim } => self.remove_matcher(*victim).map(ScaleOutcome::Removed),
         }
     }
 
     /// Adds a matcher to a BlueDove deployment, splitting by the current
     /// per-dimension subscription counts (a [`ScalePlan::Grow`] built from
-    /// live engine state). Fails with [`SimError::WrongStrategy`] on the
+    /// live engine state). Fails with [`ScaleError::WrongStrategy`] on the
     /// static baselines.
-    pub fn add_matcher(&mut self) -> Result<MatcherId, SimError> {
+    pub fn add_matcher(&mut self) -> Result<MatcherId, ScaleError> {
         let k = self.space.k();
         let mut loads = LoadSnapshot::new(self.now);
         for (&id, m) in &self.matchers {
@@ -1109,62 +1051,29 @@ impl SimCluster {
         self.grow(&loads)
     }
 
-    /// Gracefully removes matcher `m` (a [`ScalePlan::Shrink`]): its
-    /// segments merge into the adjacent owners, which receive copies of
-    /// the affected subscriptions immediately; the victim keeps serving
-    /// its queue until the post-leave table has propagated and its
-    /// backlog is drained, then the node is decommissioned.
-    pub fn remove_matcher(&mut self, m: MatcherId) -> Result<MatcherId, SimError> {
-        self.shrink(m)
-    }
-
-    /// The join half of [`Self::apply_scale`]: splits the most loaded
-    /// matcher's segment on every dimension (by the plan's snapshot),
-    /// copies the affected subscriptions to the new matcher immediately,
-    /// and schedules the dispatcher-visible table switch after the
-    /// propagation delay (donors keep serving their copies until then, so
-    /// no message misses matches).
-    fn grow(&mut self, loads: &LoadSnapshot) -> Result<MatcherId, SimError> {
-        if !matches!(self.strategy, Strategy::BlueDove(_)) {
-            return Err(SimError::WrongStrategy);
-        }
-        let new_id = MatcherId(self.next_matcher_id);
-        self.next_matcher_id += 1;
-
-        let Strategy::BlueDove(mp) = &mut self.strategy else {
-            unreachable!("checked above");
-        };
-
-        // Split by the snapshot's per-dimension subscription loads.
-        let moves = mp
-            .table_mut()
-            .split_join(new_id, |m, dim| loads.load_of(m, dim));
-
+    /// The join half of [`Self::apply_scale`]: executes the control
+    /// plane's join at once — copies the moved subscriptions to the new
+    /// matcher and commits the post-join table — and schedules the
+    /// dispatcher-visible table switch after the propagation delay
+    /// (donors keep serving their copies until then, so no message misses
+    /// matches).
+    fn grow(&mut self, loads: &LoadSnapshot) -> Result<MatcherId, ScaleError> {
+        let change = self.control.join(loads)?;
+        let new_id = change.outcome.matcher();
         let mut new_matcher = SimMatcher::new(new_id, &self.space, &self.cfg);
-        let mut retire = Vec::with_capacity(moves.len());
-        for (dim, donor, range) in moves {
-            // The donor's segments on this dimension *after* the split: a
-            // subscription overlapping both halves stays on the donor
-            // permanently (mPartition stores it wherever its predicate
-            // overlaps a segment).
-            let donor_keeps: Vec<bluedove_core::Range> = match &self.strategy {
-                Strategy::BlueDove(mp) => mp
-                    .table()
-                    .segments_of(donor)
-                    .into_iter()
-                    .filter(|(d, _)| *d == dim)
-                    .map(|(_, r)| r)
-                    .collect(),
-                _ => Vec::new(),
-            };
+        let mut retire = Vec::with_capacity(change.moves.len());
+        for mv in &change.moves {
+            let (dim, donor) = (mv.dim, mv.from);
             if let Some(d) = self.matchers.get_mut(&donor) {
                 // Copy to the new matcher; the donor keeps every copy until
                 // the table switch so in-flight routing stays complete.
-                let moved = d.engine.extract_overlapping(dim, &range);
+                let moved = d.engine.extract_overlapping(dim, &mv.range);
                 let mut ids = Vec::new();
                 for sub in moved {
-                    let keep = donor_keeps.iter().any(|r| sub.predicate(dim).overlaps(r));
-                    if !keep {
+                    // A copy overlapping the donor's remaining segments
+                    // stays there permanently (mPartition stores it
+                    // wherever its predicate overlaps a segment).
+                    if !mv.keep.iter().any(|r| sub.predicate(dim).overlaps(r)) {
                         ids.push(sub.id);
                     }
                     d.engine.insert(dim, sub.clone());
@@ -1177,6 +1086,7 @@ impl SimCluster {
             new_matcher.repl = Some(own_streams(new_id, repl.min_isr));
         }
         self.matchers.insert(new_id, new_matcher);
+        self.control.commit(&change, self.now);
         // The dispatcher engine keeps routing by its current table until
         // the switch event hands it the post-join one (propagation lag).
         self.queue.push(
@@ -1186,10 +1096,11 @@ impl SimCluster {
         Ok(new_id)
     }
 
-    /// The leave half of [`Self::apply_scale`]. The drain protocol is the
-    /// inverse of the join:
+    /// Gracefully removes matcher `victim` — the leave half of
+    /// [`Self::apply_scale`]. The drain protocol is the inverse of the
+    /// join:
     ///
-    /// 1. the segment table merges every victim segment into its
+    /// 1. the control plane merges every victim segment into its
     ///    neighbour (predecessor when one exists, successor otherwise);
     /// 2. the heirs receive copies of the affected subscriptions
     ///    immediately, while the victim *keeps* its copies — it must
@@ -1201,29 +1112,21 @@ impl SimCluster {
     ///    re-home onto the heirs without special casing);
     /// 4. once every pre-switch frame has arrived and the victim's queue
     ///    is drained, the node is decommissioned.
-    fn shrink(&mut self, victim: MatcherId) -> Result<MatcherId, SimError> {
-        match self.matchers.get(&victim) {
-            None => return Err(SimError::UnknownMatcher(victim)),
-            Some(m) if !m.alive => return Err(SimError::NotAlive(victim)),
-            Some(_) => {}
-        }
-        let Strategy::BlueDove(mp) = &mut self.strategy else {
-            return Err(SimError::WrongStrategy);
-        };
-        let merges = mp.table_mut().remove_matcher(victim)?;
-        for (dim, heir, range) in merges {
+    pub fn remove_matcher(&mut self, victim: MatcherId) -> Result<MatcherId, ScaleError> {
+        let change = self.control.leave(victim)?;
+        for mv in &change.moves {
             let moved = match self.matchers.get_mut(&victim) {
-                Some(v) => v.engine.extract_overlapping(dim, &range),
+                Some(v) => v.engine.extract_overlapping(mv.dim, &mv.range),
                 None => Vec::new(),
             };
             for sub in moved {
-                if let Some(h) = self.matchers.get_mut(&heir) {
-                    h.engine.insert(dim, sub.clone());
+                if let Some(h) = self.matchers.get_mut(&mv.to) {
+                    h.engine.insert(mv.dim, sub.clone());
                 }
                 // The victim serves its remaining backlog with its full
                 // subscription set; the copies die with the node.
                 if let Some(v) = self.matchers.get_mut(&victim) {
-                    v.engine.insert(dim, sub);
+                    v.engine.insert(mv.dim, sub);
                 }
             }
         }
@@ -1238,6 +1141,7 @@ impl SimCluster {
             let led = streams.iter_mut().filter_map(|s| s.leader_mut());
             led.for_each(|set| set.remove_follower(victim));
         }
+        self.control.commit(&change, self.now);
         // Nothing to retire at the switch: the heirs keep their new
         // copies, and the victim's disappear at decommission.
         self.queue.push(
@@ -1258,27 +1162,12 @@ impl SimCluster {
         Ok(victim)
     }
 
-    /// One autoscaler observation round, fed the same reports the
-    /// dispatcher tier just received. Matchers no longer in the strategy
-    /// (mid-drain leavers) are excluded so the controller never picks a
-    /// victim that is already on its way out.
+    /// One autoscaler observation round (a no-op without an autoscaler),
+    /// fed the same reports the dispatcher tier just received; whatever
+    /// plan it yields executes in-line.
     fn autoscale_round(&mut self, reports: &[(MatcherId, DimIdx, DimStats)]) {
-        if self.autoscaler.is_none() {
-            return;
-        }
-        let members: HashSet<MatcherId> = self.strategy.as_dyn().matchers().into_iter().collect();
-        let mut snap = LoadSnapshot::new(self.now);
-        for &(m, dim, stats) in reports {
-            if members.contains(&m) {
-                snap.push(m, dim, stats);
-            }
-        }
-        let decision = self.autoscaler.as_mut().expect("checked").observe(&snap);
-        self.snapshot_log.push(snap.clone());
-        if let Some(plan) = ScalePlan::from_decision(decision, &snap) {
-            if let Ok(outcome) = self.apply_scale(&plan) {
-                self.scale_events.push((self.now, outcome));
-            }
+        if let Ok(Some(plan)) = self.control.observe(self.now, reports.iter().copied()) {
+            let _ = self.apply_scale(&plan);
         }
     }
 
@@ -1293,13 +1182,12 @@ impl SimCluster {
     /// messages are lost (the Figure 10 window); with acks on the ledger
     /// retransmits them to live candidates.
     pub fn kill_matcher(&mut self, m: MatcherId) {
-        let Some(matcher) = self.matchers.get_mut(&m) else {
+        let Some(matcher) = self.matchers.get_mut(&m).filter(|mm| mm.alive) else {
             return;
         };
-        if !matcher.alive {
-            return;
-        }
         matcher.alive = false;
+        // The victim's replicas and unreplicated tails die with it.
+        matcher.repl = None;
         let dropped = matcher.engine.drop_queued();
         if !self.cfg.engine.retry.acks {
             for _ in 0..dropped {
@@ -1310,26 +1198,20 @@ impl SimCluster {
             self.now + self.cfg.detection_delay,
             Event::DetectFailure { m },
         );
-        // Fail the victim's replicated streams over to its clockwise
-        // heir: the heir promotes at its replicated offset under a
-        // bumped epoch and replays the stream into its own engine, so
-        // the copies survive the crash. In-flight appends from the
-        // deposed leader arrive with the old epoch and are fenced.
-        // The victim's unreplicated tails die with it; with no heir left
-        // its streams retire.
-        let (Some(victim), Some(heir), Some(repl)) = (
-            matcher.repl.take(),
-            self.heir_of(m),
-            self.replication.as_mut(),
-        ) else {
-            return;
-        };
-        let h = self.matchers.get_mut(&heir).expect("a member");
-        let Some(streams) = h.repl.as_mut() else {
-            return; // the heir is leaving: it takes nothing on
-        };
-        for led in victim.iter().filter(|s| s.leader().is_some()) {
-            let Ok(replay) = streams.promote(led.id(), led.epoch() + 1);
+        // With replication on, the control plane fails every stream the
+        // victim led over to its clockwise heir: the heir promotes at its
+        // replicated offset under the bumped epoch and replays the stream
+        // into its own engine, so the copies survive the crash. In-flight
+        // appends from the deposed leader arrive with the old epoch and
+        // are fenced.
+        for (stream, heir, epoch) in self.control.crash(m) {
+            let (Some(repl), Some(h)) = (self.replication.as_mut(), self.matchers.get_mut(&heir))
+            else {
+                continue;
+            };
+            let Some(Ok(replay)) = h.repl.as_mut().map(|s| s.promote(stream, epoch)) else {
+                continue;
+            };
             repl.promoted += replay.len() as u64;
             for r in replay {
                 h.engine.remove(r.dim, r.sub.id);
@@ -1582,28 +1464,28 @@ mod tests {
             Strategy::p2p(w.space(), 4),
             Box::new(bluedove_core::RandomPolicy),
         );
-        assert_eq!(p2p.add_matcher(), Err(SimError::WrongStrategy));
+        assert_eq!(p2p.add_matcher(), Err(ScaleError::WrongStrategy));
         assert_eq!(
             p2p.remove_matcher(MatcherId(0)),
-            Err(SimError::WrongStrategy)
+            Err(ScaleError::WrongStrategy)
         );
 
         let (mut c, _) = small_cluster(2);
         assert_eq!(
             c.remove_matcher(MatcherId(99)),
-            Err(SimError::UnknownMatcher(MatcherId(99)))
+            Err(ScaleError::UnknownMatcher(MatcherId(99)))
         );
         c.kill_matcher(MatcherId(1));
         assert_eq!(
             c.remove_matcher(MatcherId(1)),
-            Err(SimError::NotAlive(MatcherId(1)))
+            Err(ScaleError::NotAlive(MatcherId(1)))
         );
 
         // The table refuses to go below one matcher.
         let (mut solo, _) = small_cluster(1);
         assert_eq!(
             solo.remove_matcher(MatcherId(0)),
-            Err(SimError::LastMatcher)
+            Err(ScaleError::LastMatcher)
         );
     }
 
@@ -1658,11 +1540,14 @@ mod tests {
         };
         let space = w.space();
         let mk = |max_batch: usize| {
-            let engine = bluedove_engine::EngineConfig::builder()
-                .record_forwards(true)
-                .max_batch(max_batch)
-                .max_delay(0.002)
-                .build();
+            let engine = bluedove_engine::EngineConfig {
+                record_forwards: true,
+                batch: bluedove_engine::BatchCfg {
+                    max_batch,
+                    max_delay: 0.002,
+                },
+                ..Default::default()
+            };
             let mut c = SimCluster::new(
                 SimConfig {
                     engine,
@@ -1708,11 +1593,14 @@ mod tests {
         };
         let space = w.space();
         let mk = |max_batch: usize| {
-            let engine = bluedove_engine::EngineConfig::builder()
-                .record_forwards(true)
-                .max_batch(max_batch)
-                .max_delay(0.020)
-                .build();
+            let engine = bluedove_engine::EngineConfig {
+                record_forwards: true,
+                batch: bluedove_engine::BatchCfg {
+                    max_batch,
+                    max_delay: 0.020,
+                },
+                ..Default::default()
+            };
             let mut c = SimCluster::new(
                 SimConfig {
                     engine,

@@ -37,8 +37,8 @@ pub struct SimConfig {
     pub num_dispatchers: usize,
     /// RNG seed for arrival jitter and random policies.
     pub seed: u64,
-    /// The host-independent engine knobs (index kind, retry policy, dedup
-    /// window, forward recording) shared with `ClusterConfig`. The
+    /// The host-independent engine knobs (index kind, retry policy,
+    /// forward recording, batching) shared with `ClusterConfig`. The
     /// simulator's default keeps [`IndexKind::Linear`] — the
     /// `examined`-driven service-time model above *is* the paper's
     /// linear-scan cost model, and sub-linear indexes would decouple

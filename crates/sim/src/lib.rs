@@ -20,7 +20,6 @@
 
 pub mod cluster;
 pub mod config;
-pub mod error;
 pub mod events;
 pub mod metrics;
 pub mod saturation;
@@ -31,10 +30,9 @@ pub use config::SimConfig;
 // The shared elasticity/config surface, re-exported so simulator users
 // reach the whole scaling API from one crate.
 pub use bluedove_engine::{
-    Autoscaler, AutoscalerConfig, EngineConfig, EngineConfigBuilder, LoadSnapshot, RetryPolicy,
-    ScaleDecision, ScaleOutcome, ScalePlan,
+    Autoscaler, AutoscalerConfig, EngineConfig, LoadSnapshot, RetryPolicy, ScaleDecision,
+    ScaleError, ScaleOutcome, ScalePlan,
 };
-pub use error::SimError;
 pub use events::EventQueue;
 pub use metrics::{normalized_std, Bin, Metrics};
 pub use saturation::SaturationProbe;

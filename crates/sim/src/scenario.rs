@@ -161,9 +161,10 @@ mod tests {
         let mk = || {
             SimCluster::new(
                 SimConfig {
-                    engine: bluedove_engine::EngineConfig::builder()
-                        .record_forwards(true)
-                        .build(),
+                    engine: bluedove_engine::EngineConfig {
+                        record_forwards: true,
+                        ..Default::default()
+                    },
                     ..Default::default()
                 },
                 space.clone(),

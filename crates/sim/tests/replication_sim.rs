@@ -49,15 +49,18 @@ fn replicas_mirror_the_leader_log_and_failover_replays() {
     for m in 0..4u32 {
         let stream = MatcherId(m);
         let heir = MatcherId((m + 1) % 4);
-        let (leader, log) = repl.leading(stream).expect("stream is led");
+        assert_eq!(c.control().leader_of(stream), Some(stream));
+        let log = repl
+            .copy(stream, stream)
+            .expect("the owner holds its stream");
         let len = log.next_offset();
         journaled += len;
+        let replica = repl.copy(stream, heir).filter(|r| r.leader().is_none());
         assert_eq!(
-            repl.replica(stream, heir).map(|r| r.next_offset()),
+            replica.map(|r| r.next_offset()),
             Some(len),
             "replica of stream {m} lags its leader"
         );
-        assert_eq!(leader, stream);
         assert_eq!(log.epoch(), 1);
         // All appends happened at t = 0 (pre-load), so judge staleness
         // over the whole run: the replica is fully caught up (lag 0).
@@ -71,12 +74,20 @@ fn replicas_mirror_the_leader_log_and_failover_replays() {
     let victim = MatcherId(0);
     let heir = MatcherId(1);
     let heir_subs_before = subs_of(&c, heir);
-    let log_len = |c: &SimCluster, s| c.replication().unwrap().leading(s).unwrap().1.next_offset();
-    let victim_log = log_len(&c, victim);
+    let victim_log = c
+        .replication()
+        .unwrap()
+        .copy(victim, victim)
+        .unwrap()
+        .next_offset();
     c.kill_matcher(victim);
     let repl = c.replication().unwrap();
-    assert_eq!(repl.leader_of(victim), Some(heir), "heir leads the stream");
-    let epoch = repl.leading(victim).map(|(_, s)| s.epoch());
+    assert_eq!(
+        c.control().leader_of(victim),
+        Some(heir),
+        "heir leads the stream"
+    );
+    let epoch = repl.copy(victim, heir).map(|s| s.epoch());
     assert_eq!(epoch, Some(2), "promotion bumps the epoch");
     assert_eq!(
         repl.promoted, victim_log,
@@ -110,10 +121,10 @@ fn deposed_leader_in_flight_appends_are_fenced() {
     c.drain(1.0);
     let repl = c.replication().unwrap();
     assert!(repl.fenced >= 1, "the stale appends are rejected");
-    assert_eq!(repl.leader_of(MatcherId(0)), Some(MatcherId(1)));
+    assert_eq!(c.control().leader_of(MatcherId(0)), Some(MatcherId(1)));
     // The unreplicated tail died with the node: the promoted stream is
     // still empty, exactly the min_isr = 1 (asynchronous) contract.
-    let log = repl.leading(MatcherId(0)).unwrap().1;
+    let log = repl.copy(MatcherId(0), MatcherId(1)).unwrap();
     assert_eq!(log.next_offset(), 0);
 }
 
@@ -127,8 +138,8 @@ fn grown_and_shrunk_matchers_keep_replication_bookkeeping_consistent() {
     // A joiner gets its own stream, led by itself at epoch 1.
     let new = c.add_matcher().unwrap();
     let repl = c.replication().unwrap();
-    assert_eq!(repl.leader_of(new), Some(new));
-    assert_eq!(repl.leading(new).map(|(_, s)| s.epoch()), Some(1));
+    assert_eq!(c.control().leader_of(new), Some(new));
+    assert_eq!(repl.copy(new, new).map(|s| s.epoch()), Some(1));
 
     // A graceful leaver's stream retires (the handover moved its engine
     // copies), and it vanishes from every other stream's ISR.
@@ -138,9 +149,13 @@ fn grown_and_shrunk_matchers_keep_replication_bookkeeping_consistent() {
     c.drain(2.0);
     let now = c.now();
     let repl = c.replication().unwrap();
-    assert_eq!(repl.leader_of(victim), None, "stream retired with the node");
+    assert_eq!(
+        c.control().leader_of(victim),
+        None,
+        "stream retired with the node"
+    );
     for m in [MatcherId(0), MatcherId(1), MatcherId(3), new] {
-        let set = repl.leading(m).unwrap().1.leader().unwrap();
+        let set = repl.copy(m, m).and_then(|s| s.leader()).unwrap();
         assert!(
             !set.isr(now, u64::MAX, f64::INFINITY).contains(&victim),
             "leaver still in stream {m:?}'s ISR"

@@ -62,7 +62,7 @@ fn main() {
             rate = peak * 0.2;
         }
     }
-    println!("scale events: {:?}", cluster.scale_events());
+    println!("scale events: {:?}", cluster.control().scale_events());
     println!(
         "final: {} live matchers, {} messages delivered, {} lost",
         cluster.live_matchers(),

@@ -11,7 +11,7 @@
 
 use bluedove::cluster::{Cluster, ClusterConfig, PolicyKind};
 use bluedove::core::AdaptivePolicy;
-use bluedove::engine::{AutoscalerConfig, EngineConfig, RetryPolicy, ScaleDecision};
+use bluedove::engine::{AutoscalerConfig, EngineConfig, RetryPolicy, ScaleDecision, ScaleOutcome};
 use bluedove::sim::{SimCluster, SimConfig, Strategy};
 use bluedove::workload::PaperWorkload;
 use std::time::Duration;
@@ -73,7 +73,7 @@ fn surge_sim() -> SimCluster {
 #[test]
 fn autoscaler_tracks_surge_without_flapping_or_loss() {
     let c = surge_sim();
-    let log = c.autoscaler_log();
+    let log = c.control().autoscaler_log();
     assert!(
         log.iter().any(|(_, d)| matches!(d, ScaleDecision::ScaleUp)),
         "surge never tripped a ScaleUp: {log:?}"
@@ -111,7 +111,7 @@ fn autoscaler_tracks_surge_without_flapping_or_loss() {
         "scaled below the floor"
     );
     assert_eq!(
-        c.scale_events().len(),
+        c.control().scale_events().len(),
         log.len(),
         "decisions and executed scale operations must correspond 1:1"
     );
@@ -145,7 +145,7 @@ fn autoscaler_tracks_surge_without_flapping_or_loss() {
 #[test]
 fn cluster_replays_sim_decision_sequence() {
     let sim = surge_sim();
-    let sim_log = sim.autoscaler_log();
+    let sim_log = sim.control().autoscaler_log();
     assert!(
         sim_log.len() >= 2,
         "trace has no decisions to replay: {sim_log:?}"
@@ -165,17 +165,23 @@ fn cluster_replays_sim_decision_sequence() {
             .table_pull_interval(Duration::from_millis(20))
             .autoscaler(autoscaler_config()),
     );
-    for snap in sim.snapshot_log() {
+    for snap in sim.control().snapshot_log() {
         cluster
             .autoscale_with(snap)
             .expect("replayed plan must execute");
     }
     assert_eq!(
-        cluster.autoscaler_log(),
+        cluster.control().autoscaler_log(),
         sim_log,
         "threaded cluster diverged from the simulator's decision sequence"
     );
-    // Each decision was executed for real: live membership matches.
+    // Each decision was executed for real, on the same ids: both control
+    // planes added and removed the same matchers in the same order.
+    let outcomes = |events: &[(f64, ScaleOutcome)]| events.iter().map(|e| e.1).collect::<Vec<_>>();
+    assert_eq!(
+        outcomes(cluster.control().scale_events()),
+        outcomes(sim.control().scale_events())
+    );
     assert_eq!(cluster.matcher_ids().len(), sim.live_matchers());
     cluster.shutdown();
 }
