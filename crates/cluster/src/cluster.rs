@@ -411,10 +411,10 @@ pub struct SubscriberHandle {
     sub: Subscription,
     rx: Receiver<Bytes>,
     shared: Arc<Shared>,
-    /// `(subscription, message)` pairs already observed: retransmissions
+    /// `(message, subscription)` pairs already observed: retransmissions
     /// upstream make duplicate deliveries possible; this endpoint filter
     /// restores exactly-once observation.
-    dedup: Mutex<SeenWindow<(SubscriptionId, MessageId)>>,
+    dedup: Mutex<SeenWindow<(MessageId, SubscriptionId)>>,
     /// Deliveries unwrapped from a coalesced batch but not yet handed to
     /// the caller (`recv_timeout` returns one delivery at a time).
     pending: Mutex<VecDeque<Delivery>>,
@@ -429,7 +429,7 @@ impl SubscriberHandle {
         if msg_id == MessageId(0) {
             return false;
         }
-        if self.dedup.lock().check_and_insert((sub, msg_id)) {
+        if self.dedup.lock().check_and_insert((msg_id, sub)) {
             self.shared.counters.duplicates_suppressed.inc();
             return true;
         }

@@ -90,6 +90,10 @@ impl MailboxNode {
 
 type Stored = (bluedove_core::SubscriptionId, bluedove_core::Message, u64);
 
+/// One mailbox delivery as the duplicate filter keys it, id first so the
+/// window evicts the oldest admission.
+type DeliveryKey = (MessageId, SubscriberId, SubscriptionId);
+
 /// Compact the WAL after this many appended records.
 const WAL_COMPACT_THRESHOLD: u64 = 10_000;
 
@@ -105,26 +109,11 @@ fn run(
         None => HashMap::new(),
     };
     let mut wal = wal_path.and_then(|p| Wal::open(p).ok());
-    // Idempotency over dispatcher retransmissions, keyed by
-    // `(subscriber, subscription, message)`: a retransmission can
-    // re-deliver a message the mailbox already stored, and a poll must
-    // hand each pair out once. Reseeded from the WAL
-    // replay so a restart doesn't re-store what is already boxed (entries
-    // polled before the restart are gone from the window, so a very late
-    // duplicate of those can slip through — bounded, not exact).
-    let mut seen: SeenWindow<(SubscriberId, SubscriptionId, MessageId)> =
-        SeenWindow::new(DEDUP_WINDOW);
+    let mut seen = reseeded_window(&boxes);
     // For the mailbox, "delivered" is when the copy reaches the box — a
     // subscriber's polling cadence is its own choice, not pipeline
     // latency.
     let e2e = shared.as_ref().map(|s| e2e_latency_histogram(&s.telemetry));
-    for (subscriber, q) in &boxes {
-        for &(sub, ref msg, _) in q {
-            if msg.id != MessageId(0) {
-                seen.check_and_insert((*subscriber, sub, msg.id));
-            }
-        }
-    }
 
     'recv: for payload in rx.iter() {
         // Zero-copy decode: stored payloads window the received frame.
@@ -136,7 +125,7 @@ fn run(
                     msg,
                     admitted_us,
                 } => {
-                    if msg.id != MessageId(0) && seen.check_and_insert((subscriber, sub, msg.id)) {
+                    if msg.id != MessageId(0) && seen.check_and_insert((msg.id, subscriber, sub)) {
                         if let Some(s) = &shared {
                             s.counters.duplicates_suppressed.inc();
                         }
@@ -187,5 +176,79 @@ fn run(
                 _ => {}
             }
         }
+    }
+}
+
+/// Idempotency over dispatcher retransmissions, keyed by `(message,
+/// subscriber, subscription)`: a retransmission can re-deliver a message
+/// the mailbox already stored, and a poll must hand each pair out once.
+/// One window serves every subscriber of the mailbox. Reseeded from the
+/// WAL replay so a restart doesn't re-store what is already boxed; the
+/// window keeps the largest keys whatever order they are inserted in, so
+/// the reseeded verdicts do not depend on `boxes`' iteration order.
+/// (Entries polled before the restart are gone from the window, so a very
+/// late duplicate of those can slip through — bounded, not exact.)
+fn reseeded_window(boxes: &HashMap<SubscriberId, VecDeque<Stored>>) -> SeenWindow<DeliveryKey> {
+    let mut seen = SeenWindow::new(DEDUP_WINDOW);
+    for (subscriber, q) in boxes {
+        for &(sub, ref msg, _) in q {
+            if msg.id != MessageId(0) {
+                seen.check_and_insert((msg.id, *subscriber, sub));
+            }
+        }
+    }
+    seen
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bluedove_core::Message;
+
+    #[test]
+    fn wal_reseed_gives_the_same_verdicts_on_every_replay() {
+        let dir =
+            std::env::temp_dir().join(format!("bluedove-mailbox-reseed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("box.wal");
+        // More deliveries than the window holds, spread over many
+        // subscribers so each replay's map iterates them differently.
+        let total = DEDUP_WINDOW as u64 + 2_000;
+        let key = |i: u64| {
+            (
+                MessageId(i + 1),
+                SubscriberId(i % 97),
+                SubscriptionId(i % 5),
+            )
+        };
+        {
+            let mut wal = Wal::open(&path).unwrap();
+            for i in 0..total {
+                let (id, subscriber, sub) = key(i);
+                let mut msg = Message::new(vec![i as f64]);
+                msg.id = id;
+                wal.append(&WalRecord::Deliver {
+                    subscriber,
+                    sub,
+                    msg,
+                    admitted_us: i,
+                })
+                .unwrap();
+            }
+        }
+        let verdicts = || {
+            let seen = reseeded_window(&Wal::replay(&path).unwrap());
+            (0..total)
+                .map(|i| seen.contains(&key(i)))
+                .collect::<Vec<bool>>()
+        };
+        let first = verdicts();
+        assert_eq!(first, verdicts());
+        // Exactly the newest `DEDUP_WINDOW` admissions are remembered.
+        let remembered = first.iter().filter(|&&d| d).count();
+        assert_eq!(remembered, DEDUP_WINDOW);
+        assert!(first[total as usize - DEDUP_WINDOW..].iter().all(|&d| d));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -273,7 +273,7 @@ impl MatcherPort for HostPort {
             };
             self.out.stage(&self.addr, deliver);
         } else {
-            let mut frame = BytesMut::new();
+            let mut frame = BytesMut::with_capacity(ControlMsg::deliver_len(msg));
             ControlMsg::encode_deliver(&mut frame, subscriber, sub, msg, admitted_us);
             let _ = self.out.transport.send(&self.addr, frame.freeze());
         }

@@ -283,6 +283,14 @@ pub enum ControlMsg {
 }
 
 impl ControlMsg {
+    /// Encoded length of a [`ControlMsg::Deliver`] carrying `msg`: tag,
+    /// subscriber, subscription, message id, value count, `8·k` values,
+    /// payload length, payload, admission stamp. A buffer of exactly this
+    /// capacity never regrows under [`encode_deliver`](Self::encode_deliver).
+    pub fn deliver_len(msg: &Message) -> usize {
+        41 + 8 * msg.values.len() + msg.payload.len()
+    }
+
     /// Appends the encoding of a [`ControlMsg::Deliver`] built from
     /// borrowed parts — what a matcher sending one hit unbatched uses, so
     /// the message is not cloned into an owned frame first.
@@ -829,6 +837,29 @@ mod tests {
         let mut borrowed = BytesMut::new();
         ControlMsg::encode_deliver(&mut borrowed, SubscriberId(8), SubscriptionId(3), &msg, 999);
         assert_eq!(borrowed, owned);
+    }
+
+    #[test]
+    fn deliver_len_is_the_encoded_length() {
+        // Pins the matcher's exact `Deliver` buffer size: a codec change
+        // that makes it regrow fails here instead of quietly costing
+        // capacity.
+        for k in [0usize, 1, 4, 8] {
+            for payload in [0usize, 16, 256, 4_096] {
+                let msg = Message {
+                    id: MessageId(u64::MAX),
+                    values: vec![0.5; k],
+                    payload: bytes::Bytes::from(vec![7u8; payload]),
+                };
+                let mut buf = BytesMut::new();
+                ControlMsg::encode_deliver(&mut buf, SubscriberId(1), SubscriptionId(2), &msg, 3);
+                assert_eq!(
+                    ControlMsg::deliver_len(&msg),
+                    buf.len(),
+                    "k={k} payload={payload}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,54 +5,78 @@
 //! bounded filter: matcher dimensions keep one per [`DedupWindow`] (so the
 //! engine queues a message at most once and re-acks, instead of
 //! re-delivering, ids it already served), and delivery endpoints keep one
-//! keyed by `(subscription, message)` to turn at-least-once forwarding
+//! keyed by `(message, subscription)` to turn at-least-once forwarding
 //! into exactly-once observation.
 
 use bluedove_core::MessageId;
 use std::collections::{HashSet, VecDeque};
-use std::hash::Hash;
 
 /// Keys every duplicate filter remembers: a matcher dimension's served
 /// ids, a subscriber endpoint's or the mailbox's deliveries.
 pub const DEDUP_WINDOW: usize = 8_192;
 
-/// Bounded sliding-window duplicate filter: remembers the last `cap`
-/// distinct keys, FIFO-evicted.
+/// Bounded duplicate filter: remembers the `cap` largest distinct keys
+/// seen, in one sorted ring (no per-key allocation, `size_of::<K>()`
+/// bytes per key plus the ring's spare capacity).
+///
+/// Keys lead with a [`MessageId`], and dispatchers allocate ids in
+/// admission order, so arrivals land at or near the tail (a `push_back`)
+/// and the evicted smallest key is the oldest admission — the one least
+/// able to still be retransmitted. Within the window the verdict is exact:
+/// a key never seen is never a duplicate, and a repeat of any of the `cap`
+/// largest keys seen always is.
 #[derive(Debug)]
 pub struct SeenWindow<K> {
-    seen: HashSet<K>,
-    order: VecDeque<K>,
+    /// Strictly increasing.
+    keys: VecDeque<K>,
     cap: usize,
 }
 
-impl<K: Eq + Hash + Copy> SeenWindow<K> {
+impl<K: Ord + Copy> SeenWindow<K> {
     /// An empty window remembering up to `cap` keys (floored at 1).
     pub fn new(cap: usize) -> Self {
         SeenWindow {
-            seen: HashSet::new(),
-            order: VecDeque::new(),
+            keys: VecDeque::new(),
             cap: cap.max(1),
         }
     }
 
     /// Whether `k` is in the window.
     pub fn contains(&self, k: &K) -> bool {
-        self.seen.contains(k)
+        self.keys.binary_search(k).is_ok()
     }
 
     /// Records `k`; returns `true` when it was already in the window
     /// (i.e. this occurrence is a duplicate).
     pub fn check_and_insert(&mut self, k: K) -> bool {
-        if !self.seen.insert(k) {
-            return true;
+        let at = match self.keys.back() {
+            Some(last) if k <= *last => match self.keys.binary_search(&k) {
+                Ok(_) => return true,
+                Err(at) => at,
+            },
+            _ => self.keys.len(),
+        };
+        if self.keys.len() < self.cap {
+            self.keys.insert(at, k);
+        } else if at > 0 {
+            // Full: `k` displaces the smallest key. Evicting before the
+            // insert keeps the ring at `cap`, so it never grows past it.
+            self.keys.pop_front();
+            self.keys.insert(at - 1, k);
         }
-        self.order.push_back(k);
-        while self.order.len() > self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.seen.remove(&old);
-            }
-        }
+        // Else `k` is below everything remembered: fresh, but already
+        // outside the window.
         false
+    }
+
+    /// Keys currently remembered (never above `cap`).
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether nothing is remembered yet.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
     }
 }
 
@@ -71,10 +95,10 @@ pub enum Admit {
 
 /// Bounded sliding-window dedup for one dimension, keyed by [`MessageId`].
 ///
-/// `pending` tracks ids queued but not yet served; `served` is a window
-/// of the last `cap` served ids. Id 0 (unstamped, from senders that
-/// bypass a dispatcher) is exempt so such messages are never
-/// misidentified as duplicates of each other.
+/// `pending` tracks ids queued but not yet served (bounded by the queue);
+/// `served` is a window of the `cap` newest served ids. Id 0 (unstamped,
+/// from senders that bypass a dispatcher) is exempt so such messages are
+/// never misidentified as duplicates of each other.
 #[derive(Debug)]
 pub struct DedupWindow {
     pending: HashSet<MessageId>,
@@ -124,11 +148,30 @@ mod tests {
         assert!(!w.check_and_insert(1u64));
         assert!(w.check_and_insert(1));
         assert!(!w.check_and_insert(2));
-        // Inserting a third key evicts the oldest (1), which then reads
-        // as fresh again — the window is bounded, not exact.
+        // Inserting a third key evicts the smallest (1), which then reads
+        // as fresh again — the window is bounded, not exact — and is not
+        // remembered, since it is below everything kept.
         assert!(!w.check_and_insert(3));
         assert!(!w.check_and_insert(1));
         assert!(w.check_and_insert(3));
+        assert!(w.check_and_insert(2));
+        assert_eq!(w.len(), 2);
+    }
+
+    #[test]
+    fn seen_window_keeps_the_largest_keys_under_reorder() {
+        let mut w = SeenWindow::new(3);
+        for k in [5u64, 2, 9, 7] {
+            assert!(!w.check_and_insert(k));
+        }
+        // 2 was the smallest and went; a late 6 displaces 5.
+        assert!(!w.contains(&2));
+        assert!(!w.check_and_insert(6));
+        assert!(!w.contains(&5));
+        for k in [6, 7, 9] {
+            assert!(w.check_and_insert(k));
+        }
+        assert_eq!(w.len(), 3);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::error::{NetError, NetResult};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,9 +64,14 @@ pub trait HostTransport: Transport {
 
 /// In-process transport backed by crossbeam channels. Cloning shares the
 /// routing table, so one instance serves a whole simulated deployment.
+///
+/// Sends from every thread share the table's read lock and push into the
+/// inbox's channel under it; only `bind`, `alias` and `unbind` take the
+/// write lock. The channel wakes its receiver only when one is blocked, so
+/// a send to an inbox that is being polled makes no syscall.
 #[derive(Clone, Default)]
 pub struct ChannelTransport {
-    routes: Arc<Mutex<HashMap<String, Sender<Bytes>>>>,
+    routes: Arc<RwLock<HashMap<String, Sender<Bytes>>>>,
     /// Frames successfully routed (shared across clones).
     frames_sent: Arc<AtomicU64>,
     /// Payload bytes successfully routed (shared across clones).
@@ -91,7 +96,7 @@ impl ChannelTransport {
 
     /// Removes a binding (simulates a crashed node whose inbox vanishes).
     pub fn unbind(&self, addr: &str) {
-        self.routes.lock().remove(addr);
+        self.routes.write().remove(addr);
     }
 
     /// Routes `addr` to the inbox already bound at `target` — payloads
@@ -99,7 +104,7 @@ impl ChannelTransport {
     /// indirect delivery, where many subscriber addresses funnel into one
     /// mailbox node.
     pub fn alias(&self, addr: &str, target: &str) -> NetResult<()> {
-        let mut routes = self.routes.lock();
+        let mut routes = self.routes.write();
         let tx = routes
             .get(target)
             .cloned()
@@ -112,16 +117,13 @@ impl ChannelTransport {
 impl Transport for ChannelTransport {
     fn bind(&self, addr: &str) -> NetResult<Receiver<Bytes>> {
         let (tx, rx) = unbounded();
-        self.routes.lock().insert(addr.to_string(), tx);
+        self.routes.write().insert(addr.to_string(), tx);
         Ok(rx)
     }
 
     fn send(&self, addr: &str, payload: Bytes) -> NetResult<()> {
-        let tx = {
-            let routes = self.routes.lock();
-            routes.get(addr).cloned()
-        };
-        match tx {
+        let routes = self.routes.read();
+        match routes.get(addr) {
             Some(tx) => {
                 let len = payload.len() as u64;
                 tx.send(payload).map_err(|_| NetError::Disconnected)?;
@@ -203,6 +205,63 @@ mod tests {
         for i in 0..100u8 {
             assert_eq!(rx.recv().unwrap()[0], i);
         }
+    }
+
+    #[test]
+    fn concurrent_sends_survive_route_churn() {
+        const SENDERS: u8 = 8;
+        const FRAMES: u32 = 2_000;
+        let t = ChannelTransport::new();
+        let rx = t.bind("dest").unwrap();
+        let (done_tx, done_rx) = unbounded();
+        let worker = {
+            let t = t.clone();
+            std::thread::spawn(move || {
+                let start = std::sync::Barrier::new(SENDERS as usize + 1);
+                std::thread::scope(|s| {
+                    for i in 0..SENDERS {
+                        let (t, start) = (&t, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            for seq in 0..FRAMES {
+                                let mut frame = vec![i];
+                                frame.extend_from_slice(&seq.to_le_bytes());
+                                t.send("dest", Bytes::from(frame)).unwrap();
+                            }
+                        });
+                    }
+                    // Binds, aliases and unbinds other addresses while the
+                    // senders run: every one takes the write lock.
+                    start.wait();
+                    for j in 0..500 {
+                        let own = format!("tmp/{j}");
+                        let alias = format!("alias/{j}");
+                        let _inbox = t.bind(&own).unwrap();
+                        t.alias(&alias, &own).unwrap();
+                        t.unbind(&alias);
+                        t.unbind(&own);
+                    }
+                });
+                let _ = done_tx.send(());
+            })
+        };
+        assert!(
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .is_ok(),
+            "senders or route churn deadlocked"
+        );
+        worker.join().unwrap();
+        let mut next = [0u32; SENDERS as usize];
+        while let Ok(frame) = rx.try_recv() {
+            let i = frame[0] as usize;
+            let seq = u32::from_le_bytes(frame[1..5].try_into().unwrap());
+            assert_eq!(seq, next[i], "sender {i} out of order");
+            next[i] += 1;
+        }
+        assert!(next.iter().all(|&n| n == FRAMES), "lost frames: {next:?}");
+        let frames = SENDERS as u64 * FRAMES as u64;
+        assert_eq!(t.wire_stats(), (frames, frames * 5));
     }
 
     #[test]
