@@ -29,6 +29,16 @@ impl AnyStrategy {
         }
     }
 
+    /// The attribute space the strategy partitions, or `None` for full
+    /// replication, which places copies without looking at predicates.
+    pub fn space(&self) -> Option<&AttributeSpace> {
+        match self {
+            AnyStrategy::BlueDove(s) => Some(s.table().space()),
+            AnyStrategy::P2p(s) => Some(s.table().space()),
+            AnyStrategy::FullRep(_) => None,
+        }
+    }
+
     /// BlueDove with uniform segments over matchers `0..n`.
     pub fn bluedove(space: AttributeSpace, n: u32) -> Self {
         let ids: Vec<MatcherId> = (0..n).map(MatcherId).collect();
@@ -61,8 +71,13 @@ mod tests {
             AnyStrategy::bluedove(space.clone(), 3).as_dyn().name(),
             "bluedove"
         );
-        assert_eq!(AnyStrategy::p2p(space, 3).as_dyn().name(), "p2p");
+        assert_eq!(AnyStrategy::p2p(space.clone(), 3).as_dyn().name(), "p2p");
         assert_eq!(AnyStrategy::full_rep(3).as_dyn().name(), "full-rep");
         assert_eq!(AnyStrategy::full_rep(3).as_dyn().matchers().len(), 3);
+        assert_eq!(
+            AnyStrategy::bluedove(space.clone(), 3).space(),
+            Some(&space)
+        );
+        assert!(AnyStrategy::full_rep(3).space().is_none());
     }
 }

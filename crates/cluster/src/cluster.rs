@@ -31,8 +31,8 @@ use crate::shared::{
 };
 use bluedove_baselines::AnyStrategy;
 use bluedove_core::{
-    AdaptivePolicy, AttributeSpace, DimIdx, DimStats, ForwardingPolicy, IndexKind, MatcherId,
-    Message, MessageId, RandomPolicy, ResponseTimePolicy, SubscriberId, Subscription,
+    AdaptivePolicy, AttributeSpace, CoreError, DimIdx, DimStats, ForwardingPolicy, IndexKind,
+    MatcherId, Message, MessageId, RandomPolicy, ResponseTimePolicy, SubscriberId, Subscription,
     SubscriptionCountPolicy, SubscriptionId,
 };
 use bluedove_engine::{
@@ -342,6 +342,9 @@ pub enum ClusterError {
     /// The operation's precondition does not hold (e.g. unsubscribing an
     /// unknown subscription).
     Invalid(&'static str),
+    /// A publication or subscription does not fit the deployment's
+    /// attribute space (arity, NaN, domain or an empty range).
+    Malformed(CoreError),
 }
 
 impl fmt::Display for ClusterError {
@@ -351,6 +354,7 @@ impl fmt::Display for ClusterError {
             ClusterError::Timeout(w) => write!(f, "timed out waiting for {w}"),
             ClusterError::Scale(e) => write!(f, "control plane: {e}"),
             ClusterError::Invalid(w) => write!(f, "invalid operation: {w}"),
+            ClusterError::Malformed(e) => write!(f, "malformed: {e}"),
         }
     }
 }
@@ -502,6 +506,8 @@ impl SubscriberHandle {
 }
 
 /// A standalone publishing handle (cheap to clone per producer thread).
+/// It sends what it is given; a malformed message is dropped and counted
+/// by the dispatcher that receives it.
 #[derive(Clone)]
 pub struct Publisher {
     transport: Arc<dyn Transport>,
@@ -983,8 +989,12 @@ impl Cluster {
     /// Registers `sub` and returns the subscriber endpoint that will
     /// receive its matching messages. Blocks until the registration is
     /// acknowledged, so a subsequent [`publish`](Self::publish) is
-    /// guaranteed to be matched against the new subscription.
+    /// guaranteed to be matched against the new subscription. A
+    /// subscription that does not fit the space is refused up front with
+    /// [`ClusterError::Malformed`].
     pub fn subscribe(&mut self, mut sub: Subscription) -> Result<SubscriberHandle, ClusterError> {
+        sub.validate(self.space())
+            .map_err(ClusterError::Malformed)?;
         let subscriber = SubscriberId(self.next_subscriber);
         self.next_subscriber += 1;
         sub.subscriber = subscriber;
@@ -1083,7 +1093,11 @@ impl Cluster {
     }
 
     /// Publishes one message through the next dispatcher (round-robin).
+    /// A message that does not fit the space is refused up front with
+    /// [`ClusterError::Malformed`].
     pub fn publish(&mut self, msg: Message) -> Result<(), ClusterError> {
+        msg.validate(self.space())
+            .map_err(ClusterError::Malformed)?;
         let addr = &self.dispatchers[self.publish_rr % self.dispatchers.len()].addr;
         self.publish_rr = self.publish_rr.wrapping_add(1);
         self.transport

@@ -251,6 +251,7 @@ impl DispatcherPort for HostPort {
             DispatcherEffect::Failover => self.metrics.failovers.inc(),
             DispatcherEffect::DeadLettered { .. } => self.shared.counters.dead_lettered.inc(),
             DispatcherEffect::Dropped { .. } => self.shared.counters.dropped.inc(),
+            DispatcherEffect::Rejected(kind) => self.shared.counters.rejected(kind).inc(),
             DispatcherEffect::Estimation { est_us, actual_us } => {
                 self.metrics
                     .est_error

@@ -18,7 +18,7 @@ use bluedove_core::{
 };
 use bluedove_engine::{
     clockwise_heir, Coalescer, EngineConfig, FlushReason, FollowerOutcome, MatcherEngine,
-    MatcherPort, ReplicatedAppend, DEDUP_WINDOW,
+    MatcherPort, Rejected, ReplicatedAppend, DEDUP_WINDOW,
 };
 use bluedove_net::{to_bytes, Transport};
 use bluedove_overlay::{EndpointState, GossipMsg, GossipNode, NodeId, NodeRole};
@@ -292,6 +292,10 @@ impl MatcherPort for HostPort {
     fn duplicate_suppressed(&mut self) {
         self.shared.counters.duplicates_suppressed.inc();
     }
+
+    fn rejected(&mut self, kind: Rejected) {
+        self.shared.counters.rejected(kind).inc();
+    }
 }
 
 /// The matcher's copy of the authoritative table + address book
@@ -561,6 +565,9 @@ impl Node for Matcher {
     fn handle(&mut self, now: Time, msg: ControlMsg) -> Step {
         match msg {
             ControlMsg::StoreSub { dim, sub } => {
+                if !self.engine.admit_store(dim, &sub, &mut self.port) {
+                    return Step::Continue;
+                }
                 if let Some(ml) = self.mlog.as_mut() {
                     let rec = SubLogRecord::Store {
                         dim,

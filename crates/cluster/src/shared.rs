@@ -1,6 +1,7 @@
 //! State shared between the orchestrator, dispatchers and client handles.
 
 use bluedove_core::{AttributeSpace, DimIdx, MatcherId, MessageId};
+use bluedove_engine::Rejected;
 use bluedove_telemetry::{Counter, Gauge, Histogram, Registry};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -56,6 +57,10 @@ pub struct Counters {
     /// Subscription copies re-shipped from the registry backstop at
     /// recovery — zero when the replicated logs covered everything.
     pub sublog_reshipped: Counter,
+    /// Malformed frames dropped by dispatchers and matchers, one
+    /// `bluedove_rejected_total{kind}` series per [`Rejected::ALL`] entry;
+    /// read through [`Counters::rejected`].
+    rejected: [Counter; Rejected::ALL.len()],
 }
 
 impl Counters {
@@ -137,7 +142,19 @@ impl Counters {
                 "bluedove_sublog_reshipped_total",
                 "subscription copies re-shipped from the registry backstop at recovery",
             ),
+            rejected: Rejected::ALL.map(|kind| {
+                registry.counter(
+                    "bluedove_rejected_total",
+                    "malformed frames dropped by dispatchers and matchers",
+                    &[("kind", kind.label().to_string())],
+                )
+            }),
         }
+    }
+
+    /// The `bluedove_rejected_total` series for `kind`.
+    pub fn rejected(&self, kind: Rejected) -> &Counter {
+        &self.rejected[kind as usize]
     }
 
     /// Snapshot of `(published, matched, deliveries, dropped)`.

@@ -10,7 +10,7 @@ use bluedove_cluster::{
 use bluedove_core::{
     AttributeSpace, DimIdx, MatcherId, Message, SubscriberId, Subscription, SubscriptionId,
 };
-use bluedove_engine::{AutoscalerConfig, EngineConfig, ScaleError, ScaleOutcome};
+use bluedove_engine::{AutoscalerConfig, EngineConfig, Rejected, ScaleError, ScaleOutcome};
 use bluedove_net::{from_bytes, to_bytes, ChannelTransport, Transport};
 use bluedove_workload::PaperWorkload;
 use std::sync::Arc;
@@ -930,6 +930,133 @@ fn bound_matcher_handles_its_whole_inbox_before_serving() {
             ..
         })
     ));
+    transport
+        .send("m/0", to_bytes(&ControlMsg::Shutdown).freeze())
+        .unwrap();
+    node.join();
+}
+
+#[test]
+fn malformed_publish_and_subscribe_are_refused_and_traffic_flows() {
+    let sp = AttributeSpace::uniform(2, 0.0, 100.0);
+    let mut cluster = Cluster::start(ClusterConfig::new(sp.clone()).matchers(2));
+    let sub = cluster
+        .subscribe(
+            Subscription::builder(&sp)
+                .range(0, 10.0, 20.0)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+
+    // The client API refuses both up front.
+    let short = Message::new(vec![15.0]);
+    assert!(matches!(
+        cluster.publish(short.clone()),
+        Err(ClusterError::Malformed(_))
+    ));
+    let one_predicate = Subscription {
+        predicates: vec![bluedove_core::Range::new(10.0, 20.0)],
+        ..Subscription::builder(&sp).build().unwrap()
+    };
+    assert!(matches!(
+        cluster.subscribe(one_predicate),
+        Err(ClusterError::Malformed(_))
+    ));
+
+    // A raw publisher handle does not check: the dispatcher drops the
+    // frame and counts it instead of panicking on it.
+    cluster.publisher().publish(short).unwrap();
+    let telemetry = cluster.telemetry().clone();
+    let rejected = |kind: &str| {
+        telemetry
+            .counter_value("bluedove_rejected_total", &[("kind", kind.to_string())])
+            .unwrap_or(0)
+    };
+    wait_for(|| rejected("publish") == 1, "the dispatcher to reject");
+
+    // The dispatcher survived: well-formed traffic is still delivered.
+    cluster.publish(Message::new(vec![15.0, 50.0])).unwrap();
+    let d = sub
+        .recv_timeout(Duration::from_secs(5))
+        .expect("delivery after the malformed frames");
+    assert_eq!(d.msg.values, vec![15.0, 50.0]);
+    assert_eq!(rejected("subscribe"), 0, "refused before the wire");
+    cluster.shutdown();
+}
+
+#[test]
+fn matcher_drops_malformed_frames_and_keeps_serving() {
+    let sp = AttributeSpace::uniform(2, 0.0, 100.0);
+    let transport: Arc<dyn Transport> = Arc::new(ChannelTransport::new());
+    let shared = Arc::new(Shared::new(sp.clone()));
+    let deliveries = transport.bind(&subscriber_addr(7)).unwrap();
+    let node = MatcherNode::bind(
+        MatcherNodeConfig {
+            id: MatcherId(0),
+            addr: "m/0".into(),
+            engine: EngineConfig::default(),
+            stats_interval: Duration::from_secs(60),
+            gossip_interval: Duration::from_secs(60),
+            gossip_seeds: Vec::new(),
+            generation: 1,
+            failure_detector: Default::default(),
+            sublog: None,
+        },
+        transport.clone(),
+    )
+    .start(shared.clone());
+    let mut sub = Subscription::builder(&sp).build().unwrap();
+    sub.id = SubscriptionId(1);
+    sub.subscriber = SubscriberId(7);
+    let msg = |values: Vec<f64>, id: u64| {
+        let mut m = Message::new(values);
+        m.id = bluedove_core::MessageId(id);
+        ControlMsg::MatchMsg {
+            dim: DimIdx(0),
+            msg: m,
+            admitted_us: 0,
+            ack_to: String::new(),
+        }
+    };
+    let mut inverted = sub.clone();
+    inverted.predicates[1] = bluedove_core::Range::new(50.0, 40.0);
+    for frame in [
+        ControlMsg::StoreSub {
+            dim: DimIdx(5),
+            sub: sub.clone(),
+        },
+        ControlMsg::StoreSub {
+            dim: DimIdx(0),
+            sub: inverted,
+        },
+        msg(vec![15.0], 1),
+        msg(vec![f64::NAN, 1.0], 2),
+        ControlMsg::MatchMsg {
+            dim: DimIdx(9),
+            msg: Message::new(vec![1.0, 1.0]),
+            admitted_us: 0,
+            ack_to: String::new(),
+        },
+        ControlMsg::StoreSub {
+            dim: DimIdx(0),
+            sub,
+        },
+        msg(vec![15.0, 50.0], 3),
+    ] {
+        transport.send("m/0", to_bytes(&frame).freeze()).unwrap();
+    }
+    let payload = deliveries
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the well-formed publication is delivered");
+    assert!(matches!(
+        from_bytes(&payload),
+        Ok(ControlMsg::Deliver { msg, .. }) if msg.id == bluedove_core::MessageId(3)
+    ));
+    let counters = &shared.counters;
+    assert_eq!(counters.rejected(Rejected::StoreSub).get(), 2);
+    assert_eq!(counters.rejected(Rejected::MatchMsg).get(), 3);
+    assert_eq!(counters.stored_copies.get(), 1);
     transport
         .send("m/0", to_bytes(&ControlMsg::Shutdown).freeze())
         .unwrap();

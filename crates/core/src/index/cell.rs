@@ -36,7 +36,7 @@ impl CellIndex {
         let d = space.dim(dim);
         CellIndex {
             dim,
-            slab: Slab::default(),
+            slab: Slab::with_k(space.k()),
             min: d.min,
             max: d.max,
             cells: vec![Vec::new(); cells],
@@ -58,10 +58,15 @@ impl CellIndex {
         (first, last.max(first))
     }
 
+    /// Drops `slot` from every cell `r` spans. Each cell lists a slot at
+    /// most once, so the first occurrence is the only one, and removing
+    /// it in place keeps the cell's order (and so the hit order).
     fn unlink(&mut self, slot: usize, r: &Range) {
         let (first, last) = self.cell_span(r);
-        for c in first..=last {
-            self.cells[c].retain(|&s| s != slot);
+        for cell in &mut self.cells[first..=last] {
+            if let Some(pos) = cell.iter().position(|&s| s == slot) {
+                cell.remove(pos);
+            }
         }
     }
 }
@@ -72,23 +77,21 @@ impl MatchIndex for CellIndex {
     }
 
     fn insert(&mut self, sub: Subscription) {
-        let range = sub.predicate(self.dim);
-        let (slot, prev) = self.slab.insert(sub);
+        // Re-registration keeps the slot: unlink it from the cells of its
+        // previous range before linking the new one.
+        let (slot, prev) = self.slab.insert(&sub, self.dim);
         if let Some(prev) = prev {
-            let r = prev.predicate(self.dim);
-            self.unlink(slot, &r);
+            self.unlink(slot, &prev);
         }
-        let (first, last) = self.cell_span(&range);
-        for c in first..=last {
-            self.cells[c].push(slot);
+        let (first, last) = self.cell_span(&self.slab.rows().range(slot, self.dim));
+        for cell in &mut self.cells[first..=last] {
+            cell.push(slot);
         }
     }
 
     fn remove(&mut self, id: SubscriptionId) -> Option<Subscription> {
-        let slot = *self.slab.by_id.get(&id)?;
-        let sub = self.slab.remove(id)?;
-        let r = sub.predicate(self.dim);
-        self.unlink(slot, &r);
+        let (slot, sub) = self.slab.remove(id)?;
+        self.unlink(slot, &sub.predicate(self.dim));
         Some(sub)
     }
 
@@ -97,20 +100,18 @@ impl MatchIndex for CellIndex {
         if v < self.min || v >= self.max {
             return 0;
         }
-        let cell = self.cell_of(v);
-        let mut examined = 0;
-        for &slot in &self.cells[cell] {
-            let Some(sub) = self.slab.get(slot) else {
-                continue;
-            };
-            examined += 1;
-            // Cell overlap does not imply point containment on the copy
-            // dimension, so test the full conjunction.
-            if sub.matches(msg) {
-                out.push((sub.id, sub.subscriber));
+        // A cell lists live slots only, so its population is the examined
+        // count. Cell overlap does not imply point containment on the copy
+        // dimension, so the full row is verified; the hit is loaded only
+        // on a match.
+        let cell = &self.cells[self.cell_of(v)];
+        let rows = self.slab.rows();
+        for &slot in cell {
+            if rows.matches(slot, &msg.values) {
+                out.push(rows.hit(slot));
             }
         }
-        examined
+        cell.len()
     }
 
     fn logical_len(&self) -> usize {
@@ -129,17 +130,15 @@ impl MatchIndex for CellIndex {
     }
 
     fn extract_overlapping(&mut self, range: &Range) -> Vec<Subscription> {
-        let ids: Vec<SubscriptionId> = self
-            .slab
-            .iter()
-            .filter(|s| s.predicate(self.dim).overlaps(range))
-            .map(|s| s.id)
-            .collect();
-        ids.into_iter().filter_map(|id| self.remove(id)).collect()
+        self.slab
+            .overlapping(self.dim, range)
+            .into_iter()
+            .filter_map(|id| self.remove(id))
+            .collect()
     }
 
     fn snapshot(&self) -> Vec<Subscription> {
-        self.slab.iter().cloned().collect()
+        self.slab.snapshot()
     }
 }
 

@@ -15,6 +15,9 @@
 //! autoscaler key on) is the inner entries plus all group members;
 //! physical state (what a probe pays for) is the inner entries alone.
 //!
+//! Members are stored per group as flat rows and verified with the same
+//! branch-free check as the bare indexes.
+//!
 //! Determinism: the representative a subscription joins is the *minimum
 //! id* among stored representatives that cover it. Candidate lookup goes
 //! through a uniform grid over the copy dimension — a covering rep's
@@ -27,7 +30,7 @@
 //! replays the same insert/remove sequence (live path, sublog replay,
 //! handover re-insertion) rebuilds identical groups.
 
-use super::{InnerKind, MatchHit, MatchIndex};
+use super::{InnerKind, MatchHit, MatchIndex, Rows};
 use crate::ids::{DimIdx, SubscriptionId};
 use crate::message::Message;
 use crate::space::AttributeSpace;
@@ -47,10 +50,14 @@ pub struct CoveringIndex {
     /// Representatives by id. The inner index has no get-by-id, so reps
     /// are duplicated here for cover tests; counted in `memory_bytes`.
     reps: HashMap<SubscriptionId, Subscription>,
-    /// Representative id → covered members, in insertion order.
-    groups: HashMap<SubscriptionId, Vec<Subscription>>,
+    /// Representative id → its covered members as flat rows in insertion
+    /// order, verified by the same branch-free [`Rows::matches`] the bare
+    /// indexes use. A representative without members may have no entry.
+    groups: HashMap<SubscriptionId, Rows>,
     /// Covered member id → its representative's id.
     member_to_rep: HashMap<SubscriptionId, SubscriptionId>,
+    /// Predicates per row.
+    k: usize,
     /// `grid[c]` = ids (sorted ascending) of reps whose copy-dimension
     /// range overlaps cell `c`.
     grid: Vec<Vec<SubscriptionId>>,
@@ -69,6 +76,7 @@ impl CoveringIndex {
             reps: HashMap::new(),
             groups: HashMap::new(),
             member_to_rep: HashMap::new(),
+            k: space.k(),
             grid: vec![Vec::new(); GRID_CELLS],
             min: d.min,
             max: d.max,
@@ -136,15 +144,15 @@ impl CoveringIndex {
         match self.find_covering_rep(&sub) {
             Some(rep_id) => {
                 self.member_to_rep.insert(sub.id, rep_id);
+                let k = self.k;
                 self.groups
-                    .get_mut(&rep_id)
-                    .expect("rep found in grid must have a group")
-                    .push(sub);
+                    .entry(rep_id)
+                    .or_insert_with(|| Rows::new(k))
+                    .push(&sub);
             }
             None => {
                 let r = sub.predicate(self.dim);
                 self.link_rep(sub.id, &r);
-                self.groups.insert(sub.id, Vec::new());
                 self.reps.insert(sub.id, sub.clone());
                 self.inner.insert(sub);
             }
@@ -174,8 +182,7 @@ impl MatchIndex for CoveringIndex {
                 .get_mut(&rep_id)
                 .expect("member's rep must have a group");
             let pos = members
-                .iter()
-                .position(|m| m.id == id)
+                .position(id)
                 .expect("member must be in its rep's group");
             return Some(members.remove(pos));
         }
@@ -186,10 +193,11 @@ impl MatchIndex for CoveringIndex {
         let r = removed.predicate(self.dim);
         self.unlink_rep(id, &r);
         self.reps.remove(&id);
-        let members = self.groups.remove(&id).unwrap_or_default();
-        for m in members {
-            self.member_to_rep.remove(&m.id);
-            self.insert_fresh(m);
+        if let Some(members) = self.groups.remove(&id) {
+            for m in members.subscriptions() {
+                self.member_to_rep.remove(&m.id);
+                self.insert_fresh(m);
+            }
         }
         Some(removed)
     }
@@ -204,10 +212,10 @@ impl MatchIndex for CoveringIndex {
         for i in start..matched_reps {
             let rep_id = out[i].0;
             if let Some(members) = self.groups.get(&rep_id) {
-                for m in members {
-                    examined += 1;
-                    if m.matches(msg) {
-                        out.push((m.id, m.subscriber));
+                examined += members.len();
+                for row in 0..members.len() {
+                    if members.matches(row, &msg.values) {
+                        out.push(members.hit(row));
                     }
                 }
             }
@@ -230,16 +238,8 @@ impl MatchIndex for CoveringIndex {
         }
         let reps = self.reps.capacity() * (size_of::<(SubscriptionId, Subscription)>() + 1)
             + self.reps.values().map(sub_heap).sum::<usize>();
-        let groups = self.groups.capacity()
-            * (size_of::<(SubscriptionId, Vec<Subscription>)>() + 1)
-            + self
-                .groups
-                .values()
-                .map(|ms| {
-                    ms.capacity() * size_of::<Subscription>()
-                        + ms.iter().map(sub_heap).sum::<usize>()
-                })
-                .sum::<usize>();
+        let groups = self.groups.capacity() * (size_of::<(SubscriptionId, Rows)>() + 1)
+            + self.groups.values().map(Rows::memory_bytes).sum::<usize>();
         let map =
             self.member_to_rep.capacity() * (size_of::<(SubscriptionId, SubscriptionId)>() + 1);
         let grid = self.grid.capacity() * size_of::<Vec<SubscriptionId>>()
@@ -253,9 +253,18 @@ impl MatchIndex for CoveringIndex {
 
     fn covering_groups(&self) -> Option<Vec<(SubscriptionId, Vec<SubscriptionId>)>> {
         let mut v: Vec<(SubscriptionId, Vec<SubscriptionId>)> = self
-            .groups
-            .iter()
-            .map(|(rid, ms)| (*rid, ms.iter().map(|m| m.id).collect()))
+            .reps
+            .keys()
+            .map(|rid| {
+                (
+                    *rid,
+                    self.groups
+                        .get(rid)
+                        .into_iter()
+                        .flat_map(Rows::ids)
+                        .collect(),
+                )
+            })
             .collect();
         v.sort_unstable_by_key(|g| g.0);
         Some(v)
@@ -276,7 +285,7 @@ impl MatchIndex for CoveringIndex {
             self.reps.remove(&rep.id);
             let members = self.groups.remove(&rep.id).unwrap_or_default();
             out.push(rep);
-            for m in members {
+            for m in members.subscriptions() {
                 self.member_to_rep.remove(&m.id);
                 if m.predicate(self.dim).overlaps(range) {
                     out.push(m);
@@ -296,9 +305,9 @@ impl MatchIndex for CoveringIndex {
         // its members in insertion order.
         let mut out = Vec::new();
         for rep in self.inner.snapshot() {
-            let members = self.groups.get(&rep.id).cloned().unwrap_or_default();
+            let members = self.groups.get(&rep.id);
             out.push(rep);
-            out.extend(members);
+            out.extend(members.into_iter().flat_map(Rows::subscriptions));
         }
         out
     }

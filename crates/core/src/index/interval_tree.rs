@@ -46,12 +46,12 @@ impl IntervalTreeIndex {
     fn rebuild(&mut self) {
         let mut items: Vec<(Range, usize)> = self
             .slab
-            .by_id
-            .values()
-            .map(|&slot| (self.slab.get(slot).unwrap().predicate(self.dim), slot))
+            .live_slots()
+            .into_iter()
+            .map(|slot| (self.slab.rows().range(slot, self.dim), slot))
             .collect();
         // Sort by lo for deterministic construction.
-        items.sort_by(|a, b| a.0.lo.partial_cmp(&b.0.lo).unwrap().then(a.1.cmp(&b.1)));
+        items.sort_by(|a, b| a.0.lo.total_cmp(&b.0.lo).then(a.1.cmp(&b.1)));
         self.root = Self::build(&mut items);
         self.dirty = false;
     }
@@ -62,7 +62,7 @@ impl IntervalTreeIndex {
         }
         // Median endpoint as the center keeps the tree balanced.
         let mut endpoints: Vec<f64> = items.iter().flat_map(|(r, _)| [r.lo, r.hi]).collect();
-        endpoints.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        endpoints.sort_by(f64::total_cmp);
         let center = endpoints[endpoints.len() / 2];
 
         let mut here = Vec::new();
@@ -86,9 +86,9 @@ impl IntervalTreeIndex {
             here.extend(std::mem::take(&mut right_items));
         }
         let mut by_lo: Vec<(f64, usize)> = here.iter().map(|(r, s)| (r.lo, *s)).collect();
-        by_lo.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        by_lo.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut by_hi: Vec<(f64, usize)> = here.iter().map(|(r, s)| (r.hi, *s)).collect();
-        by_hi.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+        by_hi.sort_by(|a, b| b.0.total_cmp(&a.0));
 
         Some(Box::new(Node {
             center,
@@ -137,12 +137,12 @@ impl MatchIndex for IntervalTreeIndex {
     }
 
     fn insert(&mut self, sub: Subscription) {
-        self.slab.insert(sub);
+        self.slab.insert(&sub, self.dim);
         self.dirty = true;
     }
 
     fn remove(&mut self, id: SubscriptionId) -> Option<Subscription> {
-        let sub = self.slab.remove(id)?;
+        let (_, sub) = self.slab.remove(id)?;
         self.dirty = true;
         Some(sub)
     }
@@ -156,16 +156,14 @@ impl MatchIndex for IntervalTreeIndex {
         let mut slots = Vec::new();
         let mut examined = 0;
         Self::stab(root, v, &mut slots, &mut examined);
+        let rows = self.slab.rows();
         for slot in slots {
-            let Some(sub) = self.slab.get(slot) else {
-                continue;
-            };
             // Verify the full conjunction: the degenerate-partition guard in
             // `build` can park intervals at a node whose center they do not
             // span, so the stab alone does not prove copy-dimension
             // containment.
-            if sub.matches(msg) {
-                out.push((sub.id, sub.subscriber));
+            if rows.matches(slot, &msg.values) {
+                out.push(rows.hit(slot));
             }
         }
         examined
@@ -187,24 +185,15 @@ impl MatchIndex for IntervalTreeIndex {
     }
 
     fn extract_overlapping(&mut self, range: &Range) -> Vec<Subscription> {
-        let ids: Vec<SubscriptionId> = self
-            .slab
-            .iter()
-            .filter(|s| s.predicate(self.dim).overlaps(range))
-            .map(|s| s.id)
-            .collect();
-        let out: Vec<Subscription> = ids
+        self.slab
+            .overlapping(self.dim, range)
             .into_iter()
-            .filter_map(|id| self.slab.remove(id))
-            .collect();
-        if !out.is_empty() {
-            self.dirty = true;
-        }
-        out
+            .filter_map(|id| self.remove(id))
+            .collect()
     }
 
     fn snapshot(&self) -> Vec<Subscription> {
-        self.slab.iter().cloned().collect()
+        self.slab.snapshot()
     }
 }
 

@@ -34,22 +34,24 @@ impl MatchIndex for LinearScanIndex {
     }
 
     fn insert(&mut self, sub: Subscription) {
-        self.slab.insert(sub);
+        self.slab.insert(&sub, self.dim);
     }
 
     fn remove(&mut self, id: SubscriptionId) -> Option<Subscription> {
-        self.slab.remove(id)
+        self.slab.remove(id).map(|(_, sub)| sub)
     }
 
     fn matching(&mut self, msg: &Message, out: &mut Vec<MatchHit>) -> usize {
-        let mut examined = 0;
-        for sub in self.slab.iter() {
-            examined += 1;
-            if sub.matches(msg) {
-                out.push((sub.id, sub.subscriber));
+        // Freed slots hold empty rows, so the scan runs over every slot
+        // without a liveness test; only live subscriptions count as
+        // examined.
+        let rows = self.slab.rows();
+        for slot in 0..rows.len() {
+            if rows.matches(slot, &msg.values) {
+                out.push(rows.hit(slot));
             }
         }
-        examined
+        self.slab.len()
     }
 
     fn logical_len(&self) -> usize {
@@ -61,19 +63,15 @@ impl MatchIndex for LinearScanIndex {
     }
 
     fn extract_overlapping(&mut self, range: &Range) -> Vec<Subscription> {
-        let ids: Vec<SubscriptionId> = self
-            .slab
-            .iter()
-            .filter(|s| s.predicate(self.dim).overlaps(range))
-            .map(|s| s.id)
-            .collect();
-        ids.into_iter()
-            .filter_map(|id| self.slab.remove(id))
+        self.slab
+            .overlapping(self.dim, range)
+            .into_iter()
+            .filter_map(|id| self.remove(id))
             .collect()
     }
 
     fn snapshot(&self) -> Vec<Subscription> {
-        self.slab.iter().cloned().collect()
+        self.slab.snapshot()
     }
 }
 

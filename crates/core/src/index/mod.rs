@@ -25,6 +25,29 @@
 //! inner structure, so physical state and per-message examined counts
 //! shrink with workload redundancy while the logical subscription set — and
 //! every match set — is unchanged.
+//!
+//! ## Storage and verification
+//!
+//! Every structure stores subscriptions as flat `Rows`: row `i` is the
+//! `(subscription, subscriber)` hit plus `k` contiguous `lo, hi` pairs of
+//! `f64`. The bare indexes address rows by stable slot through a `Slab`
+//! (id → slot map, free list); a freed slot holds an empty range on every
+//! dimension, so it never matches and a scan needs no liveness test.
+//! Cells and tree nodes list slots; covering groups hold their members as
+//! rows of their own, in insertion order.
+//!
+//! `Rows::matches` is the one verifier. It compares all `k` predicates
+//! and combines them with a non-short-circuit `&`, so verifying a
+//! candidate is one contiguous load of its row and no data-dependent
+//! branch; the hit is loaded only on a match. A [`Subscription`] is
+//! rebuilt from its row only when it leaves the index (`remove`,
+//! `extract_overlapping`) or is snapshotted.
+//!
+//! The layout does not change what is examined: linear scans count the
+//! live subscriptions, a cell probe counts the probed cell's population
+//! (cells list live slots only), the tree counts its stabbed intervals,
+//! and covering adds the members of matched representatives. Match sets
+//! and hit order are those of the slot and cell order, as before.
 
 mod cell;
 mod covering;
@@ -40,6 +63,8 @@ use crate::ids::{DimIdx, SubscriberId, SubscriptionId};
 use crate::message::Message;
 use crate::space::AttributeSpace;
 use crate::subscription::{Range, Subscription};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// A match result: which subscription matched and whose subscriber to
 /// notify.
@@ -167,37 +192,198 @@ impl IndexKind {
     }
 }
 
-/// Shared storage used by all index implementations: a slab of
-/// subscriptions with an id → slot map.
+/// Flat subscription rows: row `i` is `hits[i]`, the `(subscription,
+/// subscriber)` pair a match reports, plus `k` predicates stored as
+/// contiguous `lo, hi` pairs at `bounds[2k·i .. 2k·i + 2k]`.
+///
+/// A row always holds `k` predicates: extra ones are dropped and missing
+/// ones are unbounded. Arity is checked before a subscription reaches an
+/// index (`Subscription::validate`), so neither happens on a validated
+/// path, and no arity can make a row operation panic.
+#[derive(Debug, Default)]
+pub(crate) struct Rows {
+    k: usize,
+    hits: Vec<MatchHit>,
+    bounds: Vec<f64>,
+}
+
+/// The `[lo, hi)` pair of a row that must never match.
+const EMPTY: [f64; 2] = [f64::INFINITY, f64::NEG_INFINITY];
+
+impl Rows {
+    /// No rows, each `k` predicates wide.
+    pub(crate) fn new(k: usize) -> Self {
+        Rows {
+            k,
+            ..Rows::default()
+        }
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.hits.len()
+    }
+
+    /// Appends `sub` as the last row and returns its index.
+    pub(crate) fn push(&mut self, sub: &Subscription) -> usize {
+        self.hits.push((sub.id, sub.subscriber));
+        self.bounds.resize(self.bounds.len() + 2 * self.k, 0.0);
+        let row = self.hits.len() - 1;
+        self.set(row, sub);
+        row
+    }
+
+    /// Overwrites row `row` with `sub`.
+    pub(crate) fn set(&mut self, row: usize, sub: &Subscription) {
+        self.hits[row] = (sub.id, sub.subscriber);
+        let unbounded = Range::new(f64::NEG_INFINITY, f64::INFINITY);
+        let preds = sub.predicates.iter().chain(std::iter::repeat(&unbounded));
+        for (pair, p) in self.row_mut(row).chunks_exact_mut(2).zip(preds) {
+            pair.copy_from_slice(&[p.lo, p.hi]);
+        }
+    }
+
+    /// Makes row `row` empty on every dimension, so it never matches.
+    pub(crate) fn clear(&mut self, row: usize) {
+        for pair in self.row_mut(row).chunks_exact_mut(2) {
+            pair.copy_from_slice(&EMPTY);
+        }
+    }
+
+    /// Removes row `row`, shifting the later rows down (their order is
+    /// kept), and returns it as a subscription.
+    pub(crate) fn remove(&mut self, row: usize) -> Subscription {
+        let sub = self.subscription(row);
+        self.hits.remove(row);
+        self.bounds.drain(2 * self.k * row..2 * self.k * (row + 1));
+        sub
+    }
+
+    /// The first row holding `id`.
+    pub(crate) fn position(&self, id: SubscriptionId) -> Option<usize> {
+        self.hits.iter().position(|h| h.0 == id)
+    }
+
+    /// Whether row `row` contains the point `values`. Every predicate is
+    /// compared and the results are combined with a non-short-circuit
+    /// `&`, so the loop has no data-dependent branch. This is the one
+    /// verifier every index calls.
+    #[inline]
+    pub(crate) fn matches(&self, row: usize, values: &[f64]) -> bool {
+        self.row(row)
+            .chunks_exact(2)
+            .zip(values)
+            .fold(true, |ok, (b, &v)| ok & (v >= b[0]) & (v < b[1]))
+    }
+
+    /// The hit a match on row `row` reports.
+    #[inline]
+    pub(crate) fn hit(&self, row: usize) -> MatchHit {
+        self.hits[row]
+    }
+
+    /// The predicate of row `row` on dimension `dim`; unbounded past the
+    /// row's `k`, as a missing predicate is.
+    pub(crate) fn range(&self, row: usize, dim: DimIdx) -> Range {
+        if dim.index() >= self.k {
+            return Range::new(f64::NEG_INFINITY, f64::INFINITY);
+        }
+        let at = 2 * (self.k * row + dim.index());
+        Range::new(self.bounds[at], self.bounds[at + 1])
+    }
+
+    /// Row `row`, rebuilt as a subscription.
+    pub(crate) fn subscription(&self, row: usize) -> Subscription {
+        let (id, subscriber) = self.hits[row];
+        let predicates = self
+            .row(row)
+            .chunks_exact(2)
+            .map(|b| Range::new(b[0], b[1]))
+            .collect();
+        Subscription {
+            id,
+            subscriber,
+            predicates,
+        }
+    }
+
+    /// The subscription ids of every row, in row order.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = SubscriptionId> + '_ {
+        self.hits.iter().map(|h| h.0)
+    }
+
+    /// Every row, rebuilt as subscriptions in row order.
+    pub(crate) fn subscriptions(&self) -> impl Iterator<Item = Subscription> + '_ {
+        (0..self.len()).map(|row| self.subscription(row))
+    }
+
+    /// Estimated resident bytes of the hit and bounds vectors.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.hits.capacity() * size_of::<MatchHit>() + self.bounds.capacity() * size_of::<f64>()
+    }
+
+    #[inline]
+    fn row(&self, row: usize) -> &[f64] {
+        &self.bounds[2 * self.k * row..][..2 * self.k]
+    }
+
+    fn row_mut(&mut self, row: usize) -> &mut [f64] {
+        &mut self.bounds[2 * self.k * row..][..2 * self.k]
+    }
+}
+
+/// Shared storage of the bare indexes: [`Rows`] addressed by stable
+/// slots, with an id → slot map and a free list.
+///
+/// A slot keeps its row until its subscription is removed; a freed slot
+/// holds an empty range on every dimension, so it can never match and a
+/// full scan needs no liveness test. Cells and tree nodes link slots, and
+/// every probe verifies through [`Rows::matches`].
 #[derive(Debug, Default)]
 pub(crate) struct Slab {
-    pub(crate) subs: Vec<Option<Subscription>>,
-    pub(crate) by_id: std::collections::HashMap<SubscriptionId, usize>,
+    rows: Rows,
+    by_id: HashMap<SubscriptionId, usize>,
     free: Vec<usize>,
 }
 
 impl Slab {
-    pub(crate) fn insert(&mut self, sub: Subscription) -> (usize, Option<Subscription>) {
-        use std::collections::hash_map::Entry;
+    /// An empty slab whose rows hold `k` predicates. A slab built with
+    /// `k = 0` takes its `k` from the first insert.
+    pub(crate) fn with_k(k: usize) -> Self {
+        Slab {
+            rows: Rows::new(k),
+            ..Slab::default()
+        }
+    }
+
+    /// The rows, indexed by slot.
+    #[inline]
+    pub(crate) fn rows(&self) -> &Rows {
+        &self.rows
+    }
+
+    /// Stores `sub` and returns its slot. A re-registered id keeps its
+    /// slot and has its row overwritten; its previous predicate on `dim`
+    /// is returned too, for structures that link the slot by that range.
+    pub(crate) fn insert(&mut self, sub: &Subscription, dim: DimIdx) -> (usize, Option<Range>) {
+        if self.rows.k == 0 && self.rows.len() == 0 {
+            self.rows.k = sub.k();
+        }
         match self.by_id.entry(sub.id) {
-            // Re-registration: the id keeps its slot, so callers that
-            // track slot-linked structure see the same slot with the
-            // previous subscription returned for unlinking.
             Entry::Occupied(e) => {
                 let slot = *e.get();
-                let prev = self.subs[slot].replace(sub);
-                (slot, prev)
+                let prev = self.rows.range(slot, dim);
+                self.rows.set(slot, sub);
+                (slot, Some(prev))
             }
             Entry::Vacant(e) => {
                 let slot = match self.free.pop() {
-                    Some(s) => {
-                        self.subs[s] = Some(sub);
-                        s
+                    Some(slot) => {
+                        self.rows.set(slot, sub);
+                        slot
                     }
-                    None => {
-                        self.subs.push(Some(sub));
-                        self.subs.len() - 1
-                    }
+                    None => self.rows.push(sub),
                 };
                 e.insert(slot);
                 (slot, None)
@@ -205,37 +391,53 @@ impl Slab {
         }
     }
 
-    pub(crate) fn remove(&mut self, id: SubscriptionId) -> Option<Subscription> {
+    /// Removes `id`, returning its former slot and the subscription
+    /// rebuilt from the row. The slot's row becomes empty.
+    pub(crate) fn remove(&mut self, id: SubscriptionId) -> Option<(usize, Subscription)> {
         let slot = self.by_id.remove(&id)?;
-        let sub = self.subs[slot].take();
+        let sub = self.rows.subscription(slot);
+        self.rows.clear(slot);
         self.free.push(slot);
-        sub
+        Some((slot, sub))
     }
 
-    pub(crate) fn get(&self, slot: usize) -> Option<&Subscription> {
-        self.subs.get(slot).and_then(|s| s.as_ref())
-    }
-
+    /// Number of stored subscriptions.
     pub(crate) fn len(&self) -> usize {
         self.by_id.len()
     }
 
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &Subscription> {
-        self.subs.iter().filter_map(|s| s.as_ref())
+    /// Live slots in ascending order.
+    pub(crate) fn live_slots(&self) -> Vec<usize> {
+        let mut slots: Vec<usize> = self.by_id.values().copied().collect();
+        slots.sort_unstable();
+        slots
     }
 
-    /// Estimated resident bytes: slot vector, out-of-line predicate
-    /// ranges, id map (entry + one control byte per bucket), free list.
+    /// Ids of the stored subscriptions whose `dim` predicate overlaps
+    /// `range`, in slot order: what `extract_overlapping` removes.
+    pub(crate) fn overlapping(&self, dim: DimIdx, range: &Range) -> Vec<SubscriptionId> {
+        self.live_slots()
+            .into_iter()
+            .filter(|&s| self.rows.range(s, dim).overlaps(range))
+            .map(|s| self.rows.hit(s).0)
+            .collect()
+    }
+
+    /// Every stored subscription, rebuilt in slot order.
+    pub(crate) fn snapshot(&self) -> Vec<Subscription> {
+        self.live_slots()
+            .into_iter()
+            .map(|s| self.rows.subscription(s))
+            .collect()
+    }
+
+    /// Estimated resident bytes: rows, id map (entry + one control byte
+    /// per bucket), free list.
     pub(crate) fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        let slots = self.subs.capacity() * size_of::<Option<Subscription>>();
-        let ranges: usize = self
-            .iter()
-            .map(|s| s.predicates.capacity() * size_of::<Range>())
-            .sum();
         let map = self.by_id.capacity() * (size_of::<(SubscriptionId, usize)>() + 1);
         let free = self.free.capacity() * size_of::<usize>();
-        slots + ranges + map + free
+        self.rows.memory_bytes() + map + free
     }
 }
 
@@ -323,6 +525,7 @@ pub(crate) mod test_support {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::SubscriberId;
 
     #[test]
     fn slab_reuses_slots() {
@@ -330,12 +533,13 @@ mod tests {
         let mut slab = Slab::default();
         let s1 = test_support::sub(&space, 1, &[(0, 0.0, 10.0)]);
         let s2 = test_support::sub(&space, 2, &[(0, 20.0, 30.0)]);
-        let (slot1, prev) = slab.insert(s1);
-        assert!(prev.is_none());
-        slab.remove(SubscriptionId(1)).unwrap();
-        let (slot2, _) = slab.insert(s2);
+        let (slot1, _) = slab.insert(&s1, DimIdx(0));
+        assert_eq!(slab.remove(SubscriptionId(1)), Some((slot1, s1)));
+        let (slot2, _) = slab.insert(&s2, DimIdx(0));
         assert_eq!(slot1, slot2, "freed slot should be reused");
         assert_eq!(slab.len(), 1);
+        assert_eq!(slab.rows().len(), 1);
+        assert_eq!(slab.snapshot(), vec![s2]);
     }
 
     #[test]
@@ -344,10 +548,74 @@ mod tests {
         let mut slab = Slab::default();
         let s1 = test_support::sub(&space, 7, &[(0, 0.0, 10.0)]);
         let s1b = test_support::sub(&space, 7, &[(0, 50.0, 60.0)]);
-        slab.insert(s1);
-        let (_, prev) = slab.insert(s1b);
-        assert!(prev.is_some());
+        let (slot, prev) = slab.insert(&s1, DimIdx(0));
+        assert_eq!(prev, None);
+        let replaced = slab.insert(&s1b, DimIdx(0));
+        assert_eq!(replaced, (slot, Some(Range::new(0.0, 10.0))), "same slot");
         assert_eq!(slab.len(), 1);
+        assert_eq!(slab.rows().range(slot, DimIdx(0)), Range::new(50.0, 60.0));
+        assert_eq!(slab.snapshot(), vec![s1b]);
+    }
+
+    #[test]
+    fn rows_remove_keeps_order() {
+        let space = AttributeSpace::uniform(2, 0.0, 1000.0);
+        let mut rows = Rows::new(2);
+        let subs: Vec<Subscription> = (0..4)
+            .map(|i| test_support::sub(&space, i, &[(0, i as f64, 10.0 + i as f64)]))
+            .collect();
+        for s in &subs {
+            rows.push(s);
+        }
+        assert_eq!(rows.position(SubscriptionId(1)), Some(1));
+        assert_eq!(rows.remove(1), subs[1]);
+        let left: Vec<Subscription> = (0..rows.len()).map(|r| rows.subscription(r)).collect();
+        assert_eq!(
+            left,
+            vec![subs[0].clone(), subs[2].clone(), subs[3].clone()]
+        );
+        assert!(rows.matches(1, &[5.0, 0.0]), "row 1 is now subscription 2");
+        assert!(!rows.matches(1, &[1.0, 0.0]));
+    }
+
+    #[test]
+    fn slab_rows_verify_half_open_and_free_slots_never_match() {
+        let space = AttributeSpace::uniform(2, 0.0, 1000.0);
+        let mut slab = Slab::with_k(2);
+        let s = test_support::sub(&space, 3, &[(0, 100.0, 200.0), (1, 0.0, 50.0)]);
+        let (slot, _) = slab.insert(&s, DimIdx(0));
+        let rows = slab.rows();
+        assert!(rows.matches(slot, &[100.0, 0.0]), "lo is inclusive");
+        assert!(!rows.matches(slot, &[200.0, 0.0]), "hi is exclusive");
+        assert!(!rows.matches(slot, &[150.0, 50.0]), "every predicate");
+        assert_eq!(rows.hit(slot), (SubscriptionId(3), SubscriberId(3)));
+        slab.remove(SubscriptionId(3)).unwrap();
+        for v in [0.0, 100.0, 999.0, f64::INFINITY, f64::NEG_INFINITY] {
+            let freed = slab.rows().matches(slot, &[v, v]);
+            assert!(!freed, "freed slot matched {v}");
+        }
+        assert!(slab.live_slots().is_empty());
+    }
+
+    #[test]
+    fn slab_pads_and_truncates_rows_to_its_arity() {
+        let mut slab = Slab::with_k(2);
+        let narrow = Subscription {
+            id: SubscriptionId(1),
+            subscriber: SubscriberId(1),
+            predicates: vec![Range::new(0.0, 10.0)],
+        };
+        let (slot, _) = slab.insert(&narrow, DimIdx(0));
+        assert!(slab.rows().matches(slot, &[5.0, 1e300]));
+        let wide = Subscription {
+            id: SubscriptionId(2),
+            subscriber: SubscriberId(2),
+            predicates: vec![Range::new(0.0, 10.0); 3],
+        };
+        let (slot, _) = slab.insert(&wide, DimIdx(0));
+        assert_eq!(slab.snapshot()[1].k(), 2);
+        assert_eq!(slab.rows().range(slot, DimIdx(2)).width(), f64::INFINITY);
+        assert!(slab.rows().matches(slot, &[5.0, 5.0]));
     }
 
     #[test]

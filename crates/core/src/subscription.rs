@@ -92,8 +92,9 @@ impl Subscription {
     /// Whether the message satisfies **all** predicates (the definition of
     /// matching, `m ∈ S`).
     ///
-    /// This is the innermost hot loop of every matcher; it short-circuits
-    /// on the first failing dimension.
+    /// The indexes do not call this: they verify against their flat rows
+    /// with a branch-free check (`index` module docs). This is the
+    /// reference the property tests hold every index to.
     #[inline]
     pub fn matches(&self, msg: &Message) -> bool {
         debug_assert_eq!(self.predicates.len(), msg.values.len());
@@ -103,17 +104,35 @@ impl Subscription {
             .all(|(p, &v)| p.contains(v))
     }
 
-    /// Like [`matches`](Self::matches) but skips dimension `skip`, which the
-    /// caller has already verified (matchers use this after an index lookup
-    /// on the copy dimension).
-    #[inline]
-    pub fn matches_except(&self, msg: &Message, skip: DimIdx) -> bool {
-        debug_assert_eq!(self.predicates.len(), msg.values.len());
-        self.predicates
-            .iter()
-            .zip(&msg.values)
-            .enumerate()
-            .all(|(i, (p, &v))| i == skip.index() || p.contains(v))
+    /// Validates the subscription against a space: one predicate per
+    /// dimension, no NaN bound, and `min ≤ lo < hi ≤ max` on every
+    /// dimension. The builder guarantees all of this; copies that arrive
+    /// off the wire are checked again before they reach an index.
+    pub fn validate(&self, space: &AttributeSpace) -> CoreResult<()> {
+        if self.predicates.len() != space.k() {
+            return Err(CoreError::DimensionMismatch {
+                expected: space.k(),
+                got: self.predicates.len(),
+            });
+        }
+        for (i, (p, d)) in self.predicates.iter().zip(space.dims()).enumerate() {
+            let dim = DimIdx(i as u16);
+            if p.lo.is_nan() || p.hi.is_nan() {
+                return Err(CoreError::NotANumber { dim });
+            }
+            if p.lo >= p.hi {
+                return Err(CoreError::EmptyRange {
+                    dim,
+                    lo: p.lo,
+                    hi: p.hi,
+                });
+            }
+            if p.lo < d.min || p.hi > d.max {
+                let value = if p.lo < d.min { p.lo } else { p.hi };
+                return Err(CoreError::OutOfDomain { dim, value });
+            }
+        }
+        Ok(())
     }
 
     /// Approximate wire size in bytes: id + subscriber + 16 per predicate.
@@ -256,6 +275,44 @@ mod tests {
     }
 
     #[test]
+    fn validate_accepts_built_and_rejects_malformed() {
+        let sp = space();
+        let built = Subscription::builder(&sp)
+            .range(0, 10.0, 20.0)
+            .build()
+            .unwrap();
+        assert_eq!(built.validate(&sp), Ok(()));
+        let with = |predicates: Vec<Range>| Subscription {
+            predicates,
+            ..built.clone()
+        };
+        let full = Range::new(0.0, 1000.0);
+        assert!(matches!(
+            with(vec![full]).validate(&sp),
+            Err(CoreError::DimensionMismatch {
+                expected: 3,
+                got: 1
+            })
+        ));
+        assert!(matches!(
+            with(vec![full, Range::new(f64::NAN, 5.0), full]).validate(&sp),
+            Err(CoreError::NotANumber { dim: DimIdx(1) })
+        ));
+        assert!(matches!(
+            with(vec![full, full, Range::new(5.0, 5.0)]).validate(&sp),
+            Err(CoreError::EmptyRange { .. })
+        ));
+        assert!(matches!(
+            with(vec![Range::new(-1.0, 5.0), full, full]).validate(&sp),
+            Err(CoreError::OutOfDomain { value, .. }) if value == -1.0
+        ));
+        assert!(matches!(
+            with(vec![full, full, Range::new(5.0, 1000.5)]).validate(&sp),
+            Err(CoreError::OutOfDomain { value, .. }) if value == 1000.5
+        ));
+    }
+
+    #[test]
     fn matching_is_conjunctive() {
         let s = Subscription::builder(&space())
             .range(0, 10.0, 20.0)
@@ -265,20 +322,6 @@ mod tests {
         assert!(s.matches(&Message::new(vec![15.0, 150.0, 999.0])));
         assert!(!s.matches(&Message::new(vec![15.0, 99.0, 999.0])));
         assert!(!s.matches(&Message::new(vec![25.0, 150.0, 999.0])));
-    }
-
-    #[test]
-    fn matches_except_skips_verified_dimension() {
-        let s = Subscription::builder(&space())
-            .range(0, 10.0, 20.0)
-            .range(1, 100.0, 200.0)
-            .build()
-            .unwrap();
-        // Value on dim 0 violates the predicate, but we claim it was
-        // already verified by the index — matches_except must skip it.
-        let m = Message::new(vec![999.0, 150.0, 0.0]);
-        assert!(s.matches_except(&m, DimIdx(0)));
-        assert!(!s.matches_except(&m, DimIdx(1)));
     }
 
     #[test]

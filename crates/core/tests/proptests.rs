@@ -3,18 +3,22 @@
 //! 1. **Single-candidate completeness** — for any subscriptions and any
 //!    message, matching via any one candidate's `(matcher, dim)` set finds
 //!    exactly the globally matching subscriptions (§III-A-1).
-//! 2. **Index equivalence** — every index structure returns the same match
-//!    set as the linear scan reference.
+//! 2. **Index equivalence** — under random insert / remove / re-insert
+//!    sequences, every index kind (bare and covering) returns the match
+//!    set a brute-force `Subscription::matches` over the live set returns,
+//!    including on predicate bounds and domain edges; linear and cell
+//!    indexes examine exactly the live set and the probed cell's
+//!    population; snapshots hold exactly the live set.
 //! 3. **Segment-table coverage** — after arbitrary join/leave sequences,
 //!    every dimension stays contiguous, hole-free and fully covering.
 
-use bluedove_core::index::{CellIndex, IntervalTreeIndex, LinearScanIndex, MatchIndex};
+use bluedove_core::index::MatchIndex;
 use bluedove_core::{
-    Assignment, AttributeSpace, DimIdx, MPartition, MatcherId, Message, PartitionStrategy,
-    SegmentTable, SubscriberId, Subscription, SubscriptionId,
+    Assignment, AttributeSpace, DimIdx, IndexKind, InnerKind, MPartition, MatcherId, Message,
+    PartitionStrategy, SegmentTable, SubscriberId, Subscription, SubscriptionId,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 const DOMAIN: f64 = 1000.0;
 
@@ -38,6 +42,57 @@ fn make_sub(space: &AttributeSpace, id: u64, ranges: &[(f64, f64)]) -> Subscript
 
 fn arb_point(k: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0..DOMAIN, k)
+}
+
+/// One mutation of an index: a fresh id, a removal of a live id, or a
+/// re-insertion of any id issued so far (picked modulo the live or issued
+/// count when the op is applied).
+#[derive(Debug, Clone)]
+enum Op {
+    Insert(Vec<(f64, f64)>),
+    Remove(usize),
+    Reinsert(usize, Vec<(f64, f64)>),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    // Weighted 3 : 1 : 1 over insert / remove / re-insert.
+    (0u8..5, any::<usize>(), arb_sub(2)).prop_map(|(tag, pick, r)| match tag {
+        0..=2 => Op::Insert(r),
+        3 => Op::Remove(pick),
+        _ => Op::Reinsert(pick, r),
+    })
+}
+
+fn every_kind(cells: usize) -> Vec<IndexKind> {
+    let inner = [
+        InnerKind::Linear,
+        InnerKind::Cell(cells),
+        InnerKind::IntervalTree,
+    ];
+    inner
+        .iter()
+        .map(|i| i.bare())
+        .chain(inner.iter().map(|&inner| IndexKind::Covering { inner }))
+        .collect()
+}
+
+fn id_of(id: u64) -> SubscriptionId {
+    SubscriptionId(id)
+}
+
+/// Live subscriptions whose `dim` predicate overlaps the uniform cell of
+/// `[0, DOMAIN)` holding `v` (none outside the domain): what a cell index
+/// probe at `v` must examine.
+fn cell_population(live: &BTreeMap<u64, Subscription>, dim: DimIdx, cells: usize, v: f64) -> usize {
+    if !(0.0..DOMAIN).contains(&v) {
+        return 0;
+    }
+    let n = cells as f64;
+    let c = ((v * n / DOMAIN) as usize).min(cells - 1);
+    let cell = bluedove_core::Range::new(c as f64 * DOMAIN / n, (c + 1) as f64 * DOMAIN / n);
+    live.values()
+        .filter(|s| s.predicate(dim).overlaps(&cell))
+        .count()
 }
 
 proptest! {
@@ -91,35 +146,121 @@ proptest! {
     }
 
     #[test]
-    fn indexes_agree_with_linear_reference(
-        subs in proptest::collection::vec(arb_sub(2), 0..80),
-        points in proptest::collection::vec(arb_point(2), 1..20),
+    fn indexes_agree_with_brute_force_reference(
+        ops in proptest::collection::vec(arb_op(), 0..120),
+        points in proptest::collection::vec(arb_point(2), 1..12),
         dim in 0usize..2,
         cells in 1usize..64,
     ) {
         let space = AttributeSpace::uniform(2, 0.0, DOMAIN);
         let dim = DimIdx(dim as u16);
-        let mut linear = LinearScanIndex::new(dim);
-        let mut cell = CellIndex::new(&space, dim, cells);
-        let mut tree = IntervalTreeIndex::new(dim);
-        for (i, r) in subs.iter().enumerate() {
-            let s = make_sub(&space, i as u64 + 1, r);
-            linear.insert(s.clone());
-            cell.insert(s.clone());
-            tree.insert(s);
-        }
-        for p in points {
-            let msg = Message::new(p);
-            let collect = |idx: &mut dyn MatchIndex| {
-                let mut out = Vec::new();
-                idx.matching(&msg, &mut out);
-                let mut ids: Vec<u64> = out.into_iter().map(|h| h.0 .0).collect();
-                ids.sort_unstable();
-                ids
+        let mut indexes: Vec<(IndexKind, Box<dyn MatchIndex>)> = every_kind(cells)
+            .into_iter()
+            .map(|kind| (kind, kind.build(&space, dim)))
+            .collect();
+
+        // The reference is the live set itself, matched by brute force.
+        let mut live: BTreeMap<u64, Subscription> = BTreeMap::new();
+        let mut next_id = 1u64;
+        for op in ops {
+            let (id, sub) = match op {
+                Op::Insert(r) => {
+                    next_id += 1;
+                    (next_id - 1, Some(r))
+                }
+                Op::Remove(pick) if !live.is_empty() => {
+                    (*live.keys().nth(pick % live.len()).unwrap(), None)
+                }
+                // Any id ever issued: a removed one reuses a freed slot,
+                // a live one replaces its row in place.
+                Op::Reinsert(pick, r) if next_id > 1 => (1 + pick as u64 % (next_id - 1), Some(r)),
+                Op::Remove(_) | Op::Reinsert(..) => continue,
             };
-            let reference = collect(&mut linear);
-            prop_assert_eq!(collect(&mut cell), reference.clone(), "cell index diverged");
-            prop_assert_eq!(collect(&mut tree), reference, "interval tree diverged");
+            match sub {
+                Some(r) => {
+                    let s = make_sub(&space, id, &r);
+                    for (_, idx) in &mut indexes {
+                        idx.insert(s.clone());
+                    }
+                    live.insert(id, s);
+                }
+                None => {
+                    let expect = live.remove(&id);
+                    for (kind, idx) in &mut indexes {
+                        prop_assert_eq!(idx.remove(id_of(id)), expect.clone(), "{:?} remove", kind);
+                    }
+                }
+            }
+        }
+
+        let mut probes: Vec<Vec<f64>> = points;
+        // Exactly on predicate bounds: lo is inside, hi is outside.
+        for s in live.values().take(8) {
+            for d in 0..2 {
+                let p = s.predicate(DimIdx(d as u16));
+                for v in [p.lo, p.hi] {
+                    let mut at = s.predicates.iter().map(|r| r.lo).collect::<Vec<_>>();
+                    at[d] = v;
+                    probes.push(at);
+                }
+            }
+        }
+        // Domain edges, and the first value past the domain.
+        let top = DOMAIN - DOMAIN * f64::EPSILON;
+        for v in [0.0, top, DOMAIN] {
+            probes.push(vec![v, v]);
+            probes.push(vec![v, DOMAIN / 2.0]);
+        }
+
+        for p in probes {
+            let msg = Message::new(p);
+            let truth: Vec<u64> = live
+                .values()
+                .filter(|s| s.matches(&msg))
+                .map(|s| s.id.0)
+                .collect();
+            for (kind, idx) in &mut indexes {
+                let mut out = Vec::new();
+                let examined = idx.matching(&msg, &mut out);
+                let mut ids: Vec<u64> = out.iter().map(|h| h.0 .0).collect();
+                ids.sort_unstable();
+                prop_assert_eq!(&ids, &truth, "{:?} diverged on {:?}", kind, &msg.values);
+                for (id, subscriber) in out {
+                    prop_assert_eq!(subscriber, live[&id.0].subscriber, "{:?} hit", kind);
+                }
+                prop_assert!(examined >= truth.len(), "{:?} examined < matched", kind);
+                match kind {
+                    IndexKind::Linear => prop_assert_eq!(examined, live.len()),
+                    IndexKind::Cell(n) => prop_assert_eq!(
+                        examined,
+                        cell_population(&live, dim, *n, msg.value(dim)),
+                        "cell examined is its population"
+                    ),
+                    _ => {}
+                }
+            }
+        }
+
+        // Snapshots hold exactly the live set and rebuild an index that
+        // matches the same way.
+        for (kind, idx) in &mut indexes {
+            let mut snap = idx.snapshot();
+            snap.sort_unstable_by_key(|s| s.id);
+            prop_assert_eq!(&snap, &live.values().cloned().collect::<Vec<_>>(), "{:?} snapshot", kind);
+            prop_assert_eq!(idx.logical_len(), live.len());
+            let mut rebuilt = kind.build(&space, dim);
+            for s in snap {
+                rebuilt.insert(s);
+            }
+            for v in [0.0, 250.0, 500.0, 750.0, top] {
+                let msg = Message::new(vec![v, v]);
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                idx.matching(&msg, &mut a);
+                rebuilt.matching(&msg, &mut b);
+                a.sort_unstable_by_key(|h| h.0);
+                b.sort_unstable_by_key(|h| h.0);
+                prop_assert_eq!(a, b, "{:?} rebuilt from its snapshot", kind);
+            }
         }
     }
 

@@ -8,6 +8,7 @@
 //! retransmit-timer heap — nothing in here blocks, sleeps or reads a
 //! clock.
 
+use crate::reject::Rejected;
 use crate::suspect::SuspectList;
 use crate::timer::{retransmit_delay, RetryPolicy};
 use bluedove_baselines::AnyStrategy;
@@ -145,6 +146,8 @@ pub enum DispatcherEffect {
         /// The dropped publication.
         msg_id: MessageId,
     },
+    /// A malformed client frame was dropped before routing.
+    Rejected(Rejected),
     /// An ack carrying a real measurement landed for a send the policy
     /// had estimated: the §III-B accuracy sample.
     Estimation {
@@ -272,8 +275,34 @@ impl DispatcherEngine {
         }
     }
 
-    /// Feeds one event at `now`, acting through `port`.
+    /// The kind to reject `event` as, when it carries a publication or
+    /// subscription that does not fit the routed space. Full replication
+    /// never reads values or predicates, so it has nothing to check here;
+    /// its matchers check what they are sent.
+    fn malformed(&self, event: &DispatcherEvent) -> Option<Rejected> {
+        let space = self.strategy.space()?;
+        match event {
+            DispatcherEvent::Publish { msg, .. } => {
+                msg.validate(space).err().map(|_| Rejected::Publish)
+            }
+            DispatcherEvent::Subscribe(sub) => {
+                sub.validate(space).err().map(|_| Rejected::Subscribe)
+            }
+            DispatcherEvent::Unsubscribe(sub) => {
+                sub.validate(space).err().map(|_| Rejected::Unsubscribe)
+            }
+            _ => None,
+        }
+    }
+
+    /// Feeds one event at `now`, acting through `port`. A malformed
+    /// publication or (un)subscription is dropped and reported as a
+    /// [`DispatcherEffect::Rejected`].
     pub fn on_event(&mut self, now: Time, event: DispatcherEvent, port: &mut dyn DispatcherPort) {
+        if let Some(kind) = self.malformed(&event) {
+            port.effect(DispatcherEffect::Rejected(kind));
+            return;
+        }
         match event {
             DispatcherEvent::Tick => self.tick(now, port),
             DispatcherEvent::Publish { msg, admitted_us } => {

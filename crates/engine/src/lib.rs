@@ -40,6 +40,9 @@
 //! [`MatcherEngine::run_match`], and [`MatcherEngine::complete`] emits
 //! deliveries and the `MatchAck` through a [`MatcherPort`].
 //!
+//! Both engines drop malformed publications and subscriptions at the edge
+//! and report them as [`Rejected`] kinds instead of acting on them.
+//!
 //! [`ControlEngine`] is the control plane both hosts execute: it owns the
 //! segment table, table versions, membership, the stream-leader epoch
 //! book and the autoscaler, and hands back join/leave/crash/rejoin plans.
@@ -51,6 +54,7 @@ pub mod control;
 pub mod dedup;
 pub mod dispatcher;
 pub mod matcher;
+pub mod reject;
 pub mod replication;
 pub mod suspect;
 pub mod timer;
@@ -67,6 +71,7 @@ pub use dispatcher::{
     DispatcherPort,
 };
 pub use matcher::{MatcherEngine, MatcherPort, ServiceJob};
+pub use reject::Rejected;
 pub use replication::{
     AppendVerdict, Epoch, FollowerLog, FollowerOutcome, Journal, ReplicaSet, ReplicatedAppend,
     ReplicatedStream, StreamSet,

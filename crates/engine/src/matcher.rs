@@ -15,6 +15,7 @@
 //!    per hit and the `MatchAck` through the [`MatcherPort`].
 
 use crate::dedup::{Admit, DedupWindow};
+use crate::reject::Rejected;
 use bluedove_core::{
     AttributeSpace, DimIdx, DimStats, IndexKind, MatchHit, MatcherCore, MatcherId, Message,
     MessageId, Range, SubscriberId, Subscription, SubscriptionId, Time,
@@ -68,6 +69,11 @@ pub trait MatcherPort {
     fn ack(&mut self, ack_to: &str, msg_id: MessageId, actual_us: u64);
     /// A duplicate `MatchMsg` arrival was suppressed.
     fn duplicate_suppressed(&mut self);
+    /// A malformed frame was dropped. Hosts that count rejections
+    /// override this; the default ignores it.
+    fn rejected(&mut self, kind: Rejected) {
+        let _ = kind;
+    }
 }
 
 /// The matcher's transport- and clock-agnostic state machine: the
@@ -105,6 +111,23 @@ impl MatcherEngine {
     /// The attribute space the matcher operates in.
     pub fn space(&self) -> &AttributeSpace {
         self.core.space()
+    }
+
+    /// Whether `dim` names a dimension of this matcher's space.
+    fn has_dim(&self, dim: DimIdx) -> bool {
+        dim.index() < self.space().k()
+    }
+
+    /// Checks an arriving `StoreSub` before the host logs and stores it:
+    /// `dim` must name a dimension of the space and `sub` must validate
+    /// against it. A malformed copy is reported through `port` and the
+    /// host drops it.
+    pub fn admit_store(&self, dim: DimIdx, sub: &Subscription, port: &mut dyn MatcherPort) -> bool {
+        let ok = self.has_dim(dim) && sub.validate(self.space()).is_ok();
+        if !ok {
+            port.rejected(Rejected::StoreSub);
+        }
+        ok
     }
 
     /// Stores a subscription copy in the per-`dim` set.
@@ -211,6 +234,8 @@ impl MatcherEngine {
     /// window, queue fresh ids (recording the arrival for λ), suppress
     /// pending duplicates, and re-ack served ones with `actual_us = 0`
     /// (nothing was measured — the dispatcher skips estimation recording).
+    /// A message on an unknown dimension or one that does not fit the
+    /// space is dropped unacked and reported through `port`.
     pub fn on_match_msg(
         &mut self,
         now: Time,
@@ -220,6 +245,10 @@ impl MatcherEngine {
         ack_to: String,
         port: &mut dyn MatcherPort,
     ) {
+        if !self.has_dim(dim) || msg.validate(self.space()).is_err() {
+            port.rejected(Rejected::MatchMsg);
+            return;
+        }
         match self.dedup[dim.index()].admit(msg.id) {
             Admit::Fresh => {
                 self.core.record_arrival(dim, now);

@@ -103,7 +103,9 @@ impl DispatcherPort for Blackhole {
             }
             DispatcherEffect::DeadLettered { msg_id } => self.dead_lettered.push(msg_id),
             DispatcherEffect::Dropped { msg_id } => self.dropped.push(msg_id),
-            DispatcherEffect::Failover | DispatcherEffect::Estimation { .. } => {}
+            DispatcherEffect::Failover
+            | DispatcherEffect::Estimation { .. }
+            | DispatcherEffect::Rejected(_) => {}
         }
     }
 }

@@ -304,7 +304,7 @@ impl DispatcherPort for SimDispatcherPort<'_> {
             DispatcherEffect::Dropped { .. } | DispatcherEffect::DeadLettered { .. } => {
                 self.metrics.record_lost(self.now);
             }
-            DispatcherEffect::Estimation { .. } => {}
+            DispatcherEffect::Estimation { .. } | DispatcherEffect::Rejected(_) => {}
         }
     }
 }
