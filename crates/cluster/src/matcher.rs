@@ -346,19 +346,17 @@ struct Matcher {
 
 impl Matcher {
     fn new(cfg: MatcherNodeConfig, shared: Arc<Shared>, transport: Arc<dyn Transport>) -> Self {
-        let mut engine = Self::fresh_engine(&cfg, &shared);
-        // Local-log-first recovery: replay the matcher's own durable
-        // stream into the fresh engine before the inbox drains, so state
-        // the log already holds is never re-shipped (and never served
-        // stale).
-        let mlog = cfg.sublog.clone().map(|slc| {
-            let (ml, replayed) = crate::sublog::open(cfg.id, slc).expect("open subscription log");
-            shared.counters.sublog_replayed.add(replayed.len() as u64);
-            for rec in &replayed {
-                rec.apply(&mut engine);
+        let engine =
+            MatcherEngine::new(cfg.id, shared.space.clone(), cfg.engine.index, DEDUP_WINDOW);
+        let (mlog, replayed) = match cfg.sublog.clone() {
+            Some(slc) => {
+                let (ml, replayed) =
+                    crate::sublog::open(cfg.id, slc).expect("open subscription log");
+                shared.counters.sublog_replayed.add(replayed.len() as u64);
+                (Some(ml), replayed)
             }
-            ml
-        });
+            None => (None, Vec::new()),
+        };
         let now = shared.now();
         let mut gossip = GossipNode::new(EndpointState::new(
             NodeId(cfg.id.0 as u64),
@@ -373,7 +371,7 @@ impl Matcher {
         }
         let stats_interval = cfg.stats_interval.as_secs_f64();
         let gossip_interval = cfg.gossip_interval.as_secs_f64();
-        Matcher {
+        let mut matcher = Matcher {
             engine,
             mlog,
             telemetry: MatcherTelemetry::register(&shared, cfg.id, shared.space.k()),
@@ -401,24 +399,45 @@ impl Matcher {
             next_gossip: now + gossip_interval,
             leaving_since: None,
             cfg,
+        };
+        // Local-log-first recovery: replay the matcher's own durable
+        // stream into the fresh engine before the inbox drains, so state
+        // the log already holds is never re-shipped (and never served
+        // stale).
+        for rec in &replayed {
+            matcher.engine.apply(rec, &mut matcher.port);
         }
+        matcher
     }
 
-    /// An empty engine with this matcher's identity and knobs.
-    fn fresh_engine(cfg: &MatcherNodeConfig, shared: &Shared) -> MatcherEngine {
-        MatcherEngine::new(cfg.id, shared.space.clone(), cfg.engine.index, DEDUP_WINDOW)
+    /// Applies one record to the engine and, when it took, journals it
+    /// on this matcher's own stream and on every stream the engine's
+    /// journal rule names (a no-op with the sub-log off). The journal
+    /// catches up within the same step, before anything is served from
+    /// the new state.
+    fn apply(&mut self, rec: SubLogRecord) -> bool {
+        if !self.engine.apply(&rec, &mut self.port) {
+            return false;
+        }
+        if let Some(ml) = &self.mlog {
+            let strategy = self.table.strategy.as_ref();
+            for stream in self.engine.journal_streams(&rec, strategy, |s| ml.leads(s)) {
+                self.journal(stream, rec.clone());
+            }
+            self.journal(self.cfg.id, rec);
+        }
+        true
     }
 
-    /// Journals one mutation on this matcher's own stream and streams it
-    /// to the clockwise heir (a no-op with the sub-log off). Called
-    /// *before* the engine mutation, so the durable log is never behind
-    /// the served state. A failed append keeps the matcher serving from
-    /// memory; recovery then degrades to the registry re-ship path.
-    fn log_mutation(&mut self, rec: SubLogRecord) {
-        let Some(ml) = self.mlog.as_mut() else {
+    /// Appends `rec` to `stream` — this matcher's own, or one it leads
+    /// since a promotion — and streams the append to the clockwise heir.
+    /// A failed append keeps the matcher serving from memory; recovery
+    /// then degrades to the registry re-ship path.
+    fn journal(&mut self, stream: MatcherId, rec: SubLogRecord) {
+        let Some(s) = self.mlog.as_mut().and_then(|ml| ml.get_mut(stream)) else {
             return;
         };
-        if let Ok(Some(append)) = ml.own_mut().append(rec) {
+        if let Ok(Some(append)) = s.append(rec) {
             self.port.shared.counters.sublog_appended.inc();
             self.replicate(append);
         }
@@ -565,34 +584,13 @@ impl Node for Matcher {
     fn handle(&mut self, now: Time, msg: ControlMsg) -> Step {
         match msg {
             ControlMsg::StoreSub { dim, sub } => {
-                if !self.engine.admit_store(dim, &sub, &mut self.port) {
+                if !self.apply(SubLogRecord::Store { dim, sub }) {
                     return Step::Continue;
                 }
-                if let Some(ml) = self.mlog.as_mut() {
-                    let rec = SubLogRecord::Store {
-                        dim,
-                        sub: sub.clone(),
-                    };
-                    // A copy that failed over here because its assigned
-                    // owner is dead also belongs on the owner's stream, so
-                    // the owner's eventual catch-up includes its downtime
-                    // mutations. Detectable exactly when this matcher
-                    // leads the owner's stream.
-                    if let Some(strategy) = &self.table.strategy {
-                        for a in strategy.as_dyn().assign(&sub) {
-                            if a.dim == dim && a.matcher != self.cfg.id && ml.leads(a.matcher) {
-                                let _ = ml.get_mut(a.matcher).map(|s| s.append(rec.clone()));
-                            }
-                        }
-                    }
-                    self.log_mutation(rec);
-                }
-                self.engine.insert(dim, sub);
                 self.port.shared.counters.stored_copies.inc();
             }
             ControlMsg::RemoveSub { dim, sub } => {
-                self.log_mutation(SubLogRecord::Remove { dim, sub });
-                self.engine.remove(dim, sub);
+                self.apply(SubLogRecord::Remove { dim, sub });
             }
             ControlMsg::MatchMsg {
                 dim,
@@ -610,32 +608,19 @@ impl Node for Matcher {
                 to_addr,
                 reply_to,
             } => {
-                // Move the overlapping copies to the new matcher, but keep
-                // serving local copies until the Retire arrives (routing
-                // may still point here).
-                let moved = self.engine.extract_overlapping(dim, &range);
+                let moved = self.engine.hand_over(dim, &range, &mut self.port);
                 let count = moved.len() as u64;
                 for sub in moved {
-                    let store = ControlMsg::StoreSub {
-                        dim,
-                        sub: sub.clone(),
-                    };
-                    self.port.out.send(&to_addr, &store);
-                    self.engine.insert(dim, sub);
+                    self.port
+                        .out
+                        .send(&to_addr, &ControlMsg::StoreSub { dim, sub });
                 }
                 self.port
                     .out
                     .send(&reply_to, &ControlMsg::HandOverDone { dim, moved: count });
             }
             ControlMsg::Retire { dim, range, keep } => {
-                if self.mlog.is_some() {
-                    self.log_mutation(SubLogRecord::Retire {
-                        dim,
-                        range,
-                        keep: keep.clone(),
-                    });
-                }
-                self.engine.retire(dim, &range, &keep);
+                self.apply(SubLogRecord::Retire { dim, range, keep });
             }
             ControlMsg::TableUpdate {
                 version,
@@ -758,35 +743,22 @@ impl Node for Matcher {
                     self.port.out.send(&reply_to, &msg);
                 }
             }
+            // Failover as log replay: the engine adopts the dead
+            // leader's stream and hands back the inherited copies, which
+            // go on this matcher's own stream.
             ControlMsg::SubLogPromote { stream, epoch } => {
-                let replay = match self.mlog.as_mut().map(|ml| ml.promote(stream, epoch)) {
-                    Some(Ok(replay)) if !replay.is_empty() => replay,
-                    _ => return Step::Continue,
+                let Some(Ok(replay)) = self.mlog.as_mut().map(|ml| ml.promote(stream, epoch))
+                else {
+                    return Step::Continue;
                 };
-                // Failover as log replay — but through a scratch engine:
-                // the dead owner's Retire records carry *its* keep ranges,
-                // which applied to the live engine would delete this
-                // matcher's own overlapping copies. The scratch's final
-                // snapshot is adopted and journaled on this matcher's own
-                // stream, so the inherited copies survive a later crash
-                // of the heir itself.
-                let mut scratch = Self::fresh_engine(&self.cfg, &self.port.shared);
-                for rec in replay {
-                    rec.apply(&mut scratch);
-                }
-                let inherited = scratch.snapshot();
+                let inherited = self.engine.adopt(replay, &mut self.port);
                 self.port
                     .shared
                     .counters
                     .sublog_promoted
                     .add(inherited.len() as u64);
-                for (dim, sub) in inherited {
-                    self.log_mutation(SubLogRecord::Store {
-                        dim,
-                        sub: sub.clone(),
-                    });
-                    self.engine.remove(dim, sub.id);
-                    self.engine.insert(dim, sub);
+                for rec in inherited {
+                    self.journal(self.cfg.id, rec);
                 }
             }
             ControlMsg::SubLogDemote { stream } => {
@@ -811,7 +783,7 @@ impl Node for Matcher {
                         .sublog_caught_up
                         .add(delta.len() as u64);
                     for rec in delta {
-                        rec.apply(&mut self.engine);
+                        self.engine.apply(rec, &mut self.port);
                     }
                 }
             }

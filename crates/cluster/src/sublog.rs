@@ -1,21 +1,23 @@
-//! Log-structured subscription stores with ISR-style replication
-//! (ISSUE 7 tentpole).
+//! Log-structured subscription stores with ISR-style replication.
 //!
 //! Every mutation a matcher applies to its per-dim subscription index —
-//! store, unsubscribe, retire-after-handover — is first appended as a
+//! store, unsubscribe, retire-after-handover — is appended as a
 //! [`SubLogRecord`] to the matcher's own durable *stream* (a segmented
 //! [`Log`]), then streamed to its clockwise heir, which maintains an
 //! in-sync replica fenced by `(epoch, offset)`
 //! ([`bluedove_engine::replication`]). Failover and graceful `Leave`
 //! become log replay: the heir promotes at its replicated offset and
-//! replays the replica into its own index; a recovered matcher replays
+//! adopts the replica into its own index; a recovered matcher replays
 //! its local log first and installs only the records it missed from the
 //! heir, instead of being re-shipped a full subscription copy.
 //!
-//! [`MatcherLog`] is the engine's [`StreamSet`] over [`Log`] journals:
-//! every append / accept / serve / promote / demote / install / compact
-//! is the engine's, the simulator drives the same types over in-memory
-//! streams, and this module owns only the record codec and the files.
+//! [`MatcherLog`] is the engine's [`StreamSet`] over [`Log`] journals.
+//! The record type lives in `bluedove-core` and its codec in
+//! `bluedove-net`; what a record does, and which streams it is journaled
+//! on, is [`MatcherEngine`](bluedove_engine::MatcherEngine)'s; every
+//! append / accept / serve / promote / demote / install / compact is
+//! [`ReplicatedStream`]'s, and the simulator drives the same types over
+//! in-memory streams. This module owns the files and opening them.
 //!
 //! On-disk layout under [`SubLogConfig::dir`] (one directory per
 //! matcher is *not* required — bases disambiguate):
@@ -30,105 +32,15 @@
 //! fetch re-fills it) rather than trusting a possibly stale epoch.
 
 use crate::log::{FsyncPolicy, Log, LogConfig};
-use bluedove_core::{DimIdx, MatcherId, Range, Subscription, SubscriptionId};
+use bluedove_core::MatcherId;
+pub use bluedove_core::SubLogRecord;
 use bluedove_engine::replication::{Epoch, ReplicatedStream, StreamSet};
-use bluedove_engine::MatcherEngine;
-use bluedove_net::{NetError, NetResult, Wire};
-use bytes::{Buf, BufMut, BytesMut};
+use bluedove_net::NetResult;
 use std::path::PathBuf;
 
 /// Compact a matcher's own stream once this many records accumulated
 /// since open/compaction (mirrors the mailbox WAL threshold).
 pub const SUBLOG_COMPACT_THRESHOLD: u64 = 10_000;
-
-/// One replayable mutation of a matcher's subscription store. Replaying
-/// a stream from its first retained offset rebuilds the store exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SubLogRecord {
-    /// A subscription copy was installed on dimension `dim`.
-    Store {
-        /// Dimension the copy lives on.
-        dim: DimIdx,
-        /// The full subscription (identity + predicate).
-        sub: Subscription,
-    },
-    /// A subscription was removed from dimension `dim`.
-    Remove {
-        /// Dimension the copy lived on.
-        dim: DimIdx,
-        /// Which subscription.
-        sub: SubscriptionId,
-    },
-    /// Subscriptions overlapping `range` on `dim` were retired after a
-    /// hand-over, except those still overlapping a retained range.
-    Retire {
-        /// Dimension being shrunk.
-        dim: DimIdx,
-        /// The donated range.
-        range: Range,
-        /// Ranges this matcher still serves on `dim`.
-        keep: Vec<Range>,
-    },
-}
-
-impl SubLogRecord {
-    /// Applies this record to a subscription index. Idempotent: `Store`
-    /// removes any stale copy before inserting, so replaying a record
-    /// the engine already absorbed (catch-up overlap, promotion replay)
-    /// cannot duplicate state.
-    pub fn apply(&self, engine: &mut MatcherEngine) {
-        match self {
-            SubLogRecord::Store { dim, sub } => {
-                engine.remove(*dim, sub.id);
-                engine.insert(*dim, sub.clone());
-            }
-            SubLogRecord::Remove { dim, sub } => engine.remove(*dim, *sub),
-            SubLogRecord::Retire { dim, range, keep } => engine.retire(*dim, range, keep),
-        }
-    }
-}
-
-impl Wire for SubLogRecord {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            SubLogRecord::Store { dim, sub } => {
-                buf.put_u8(0);
-                dim.encode(buf);
-                sub.encode(buf);
-            }
-            SubLogRecord::Remove { dim, sub } => {
-                buf.put_u8(1);
-                dim.encode(buf);
-                sub.encode(buf);
-            }
-            SubLogRecord::Retire { dim, range, keep } => {
-                buf.put_u8(2);
-                dim.encode(buf);
-                range.encode(buf);
-                keep.encode(buf);
-            }
-        }
-    }
-
-    fn decode(buf: &mut impl Buf) -> NetResult<Self> {
-        match u8::decode(buf)? {
-            0 => Ok(SubLogRecord::Store {
-                dim: DimIdx::decode(buf)?,
-                sub: Subscription::decode(buf)?,
-            }),
-            1 => Ok(SubLogRecord::Remove {
-                dim: DimIdx::decode(buf)?,
-                sub: SubscriptionId::decode(buf)?,
-            }),
-            2 => Ok(SubLogRecord::Retire {
-                dim: DimIdx::decode(buf)?,
-                range: Range::decode(buf)?,
-                keep: Vec::<Range>::decode(buf)?,
-            }),
-            t => Err(NetError::BadTag(t)),
-        }
-    }
-}
 
 /// Durability and replication knobs for a matcher's subscription log.
 #[derive(Debug, Clone)]
@@ -232,7 +144,7 @@ pub fn open(id: MatcherId, cfg: SubLogConfig) -> NetResult<(MatcherLog, Vec<SubL
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bluedove_core::AttributeSpace;
+    use bluedove_core::{AttributeSpace, DimIdx, Subscription, SubscriptionId};
     use bluedove_engine::replication::{FollowerOutcome, ReplicatedAppend};
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -263,104 +175,6 @@ mod tests {
 
     fn cfg(dir: &PathBuf) -> SubLogConfig {
         SubLogConfig::new(dir)
-    }
-
-    #[test]
-    fn record_wire_round_trips() {
-        for rec in [
-            store(7, 1.0, 2.0),
-            SubLogRecord::Remove {
-                dim: DimIdx(1),
-                sub: SubscriptionId(9),
-            },
-            SubLogRecord::Retire {
-                dim: DimIdx(0),
-                range: Range { lo: 0.0, hi: 10.0 },
-                keep: vec![Range { lo: 5.0, hi: 10.0 }],
-            },
-        ] {
-            let bytes = bluedove_net::to_bytes(&rec);
-            let back: SubLogRecord = bluedove_net::from_bytes(&bytes).unwrap();
-            assert_eq!(back, rec);
-        }
-    }
-
-    #[test]
-    fn replay_rebuilds_the_engine_exactly() {
-        let mut engine =
-            MatcherEngine::new(MatcherId(1), space(), bluedove_core::IndexKind::Linear, 64);
-        let recs = vec![
-            store(1, 0.0, 10.0),
-            store(2, 20.0, 30.0),
-            SubLogRecord::Remove {
-                dim: DimIdx(0),
-                sub: SubscriptionId(1),
-            },
-            store(2, 20.0, 30.0), // duplicate replay must not double-count
-        ];
-        for r in &recs {
-            r.apply(&mut engine);
-        }
-        assert_eq!(engine.total_subs(), 1);
-    }
-
-    /// Covering is derived state: the unchanged Store/Remove record
-    /// stream must rebuild identical covering groups on replay — the
-    /// live insert path, a clean replay on a fresh engine, and an
-    /// overlapping catch-up replay (crash recovery re-applying records
-    /// the engine already holds) all converge to the same groups.
-    #[test]
-    fn replay_rebuilds_covering_groups_identically() {
-        let kind = bluedove_core::IndexKind::Covering {
-            inner: bluedove_core::InnerKind::Cell(8),
-        };
-        let recs = vec![
-            store(1, 0.0, 50.0),  // template A
-            store(2, 5.0, 20.0),  // covered by A
-            store(3, 10.0, 40.0), // covered by A
-            store(4, 60.0, 90.0), // template B
-            store(5, 70.0, 80.0), // covered by B
-            SubLogRecord::Remove {
-                dim: DimIdx(0),
-                sub: SubscriptionId(1),
-            }, // dissolves A: 2 promoted, 3 re-covered under... 2? (5..20 vs 10..40: no) → both reps
-            store(6, 0.0, 45.0),  // new cover arrives *after* the dissolution
-            store(3, 10.0, 40.0), // re-registration joins 6's group
-        ];
-
-        // Live path: the host applies each record as it logs it.
-        let mut live = MatcherEngine::new(MatcherId(1), space(), kind, 64);
-        for r in &recs {
-            r.apply(&mut live);
-        }
-        // Clean replay on a fresh engine (failover heir).
-        let mut replayed = MatcherEngine::new(MatcherId(2), space(), kind, 64);
-        for r in &recs {
-            r.apply(&mut replayed);
-        }
-        // Catch-up replay: a restarted matcher re-applies the whole log
-        // over state it already holds from a partial run.
-        let mut caught_up = MatcherEngine::new(MatcherId(3), space(), kind, 64);
-        for r in recs.iter().take(5) {
-            r.apply(&mut caught_up);
-        }
-        for r in &recs {
-            r.apply(&mut caught_up);
-        }
-
-        let groups = live.covering_groups(DimIdx(0)).expect("covering enabled");
-        assert!(!groups.is_empty());
-        assert!(
-            groups
-                .iter()
-                .any(|(rep, members)| *rep == SubscriptionId(6)
-                    && members.contains(&SubscriptionId(3))),
-            "re-registered member should join the later cover: {groups:?}"
-        );
-        assert_eq!(groups, replayed.covering_groups(DimIdx(0)).unwrap());
-        assert_eq!(groups, caught_up.covering_groups(DimIdx(0)).unwrap());
-        assert_eq!(live.total_subs(), replayed.total_subs());
-        assert_eq!(live.total_subs(), caught_up.total_subs());
     }
 
     #[test]

@@ -1038,6 +1038,21 @@ fn matcher_drops_malformed_frames_and_keeps_serving() {
             admitted_us: 0,
             ack_to: String::new(),
         },
+        ControlMsg::RemoveSub {
+            dim: DimIdx(9),
+            sub: SubscriptionId(1),
+        },
+        ControlMsg::Retire {
+            dim: DimIdx(7),
+            range: bluedove_core::Range::new(0.0, 100.0),
+            keep: Vec::new(),
+        },
+        ControlMsg::HandOver {
+            dim: DimIdx(4),
+            range: bluedove_core::Range::new(0.0, 100.0),
+            to_addr: "m/1".into(),
+            reply_to: "control".into(),
+        },
         ControlMsg::StoreSub {
             dim: DimIdx(0),
             sub,
@@ -1056,6 +1071,9 @@ fn matcher_drops_malformed_frames_and_keeps_serving() {
     let counters = &shared.counters;
     assert_eq!(counters.rejected(Rejected::StoreSub).get(), 2);
     assert_eq!(counters.rejected(Rejected::MatchMsg).get(), 3);
+    for kind in [Rejected::RemoveSub, Rejected::Retire, Rejected::HandOver] {
+        assert_eq!(counters.rejected(kind).get(), 1, "{kind:?}");
+    }
     assert_eq!(counters.stored_copies.get(), 1);
     transport
         .send("m/0", to_bytes(&ControlMsg::Shutdown).freeze())

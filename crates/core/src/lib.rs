@@ -51,4 +51,4 @@ pub use policy::{
 };
 pub use space::{AttributeSpace, Dimension};
 pub use stats::{DimStats, RateEstimator, StatsView, Time};
-pub use subscription::{Range, Subscription, SubscriptionBuilder};
+pub use subscription::{Range, SubLogRecord, Subscription, SubscriptionBuilder};

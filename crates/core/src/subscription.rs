@@ -203,6 +203,38 @@ impl<'a> SubscriptionBuilder<'a> {
     }
 }
 
+/// One replayable mutation of a matcher's subscription store: the record
+/// type of every matcher's journal (stream), on disk and on the wire, in
+/// both hosts. Replaying a stream from its first retained offset rebuilds
+/// the store exactly.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SubLogRecord {
+    /// A subscription copy was installed on dimension `dim`.
+    Store {
+        /// Dimension the copy lives on.
+        dim: DimIdx,
+        /// The full subscription (identity + predicate).
+        sub: Subscription,
+    },
+    /// A subscription was removed from dimension `dim`.
+    Remove {
+        /// Dimension the copy lived on.
+        dim: DimIdx,
+        /// Which subscription.
+        sub: SubscriptionId,
+    },
+    /// Subscriptions overlapping `range` on `dim` were retired after a
+    /// hand-over, except those still overlapping a retained range.
+    Retire {
+        /// Dimension being shrunk.
+        dim: DimIdx,
+        /// The donated range.
+        range: Range,
+        /// Ranges this matcher still serves on `dim`.
+        keep: Vec<Range>,
+    },
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

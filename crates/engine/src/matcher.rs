@@ -13,12 +13,21 @@
 //!    [`MatcherEngine::record_service`];
 //! 3. [`MatcherEngine::complete`] marks the id served, emits one delivery
 //!    per hit and the `MatchAck` through the [`MatcherPort`].
+//!
+//! The engine also owns the subscription journal's semantics, for both
+//! hosts: every copy a matcher gains, loses or retires is one
+//! [`SubLogRecord`] that [`MatcherEngine::apply`] checks and applies;
+//! [`MatcherEngine::journal_streams`] names the streams it is journaled
+//! on; [`MatcherEngine::hand_over`] is the donor side of an elastic move
+//! and [`MatcherEngine::adopt`] the heir side of a promotion. Hosts
+//! journal exactly what these hand back.
 
 use crate::dedup::{Admit, DedupWindow};
 use crate::reject::Rejected;
+use bluedove_baselines::AnyStrategy;
 use bluedove_core::{
     AttributeSpace, DimIdx, DimStats, IndexKind, MatchHit, MatcherCore, MatcherId, Message,
-    MessageId, Range, SubscriberId, Subscription, SubscriptionId, Time,
+    MessageId, Range, SubLogRecord, SubscriberId, Subscription, SubscriptionId, Time,
 };
 use std::collections::VecDeque;
 
@@ -81,6 +90,9 @@ pub trait MatcherPort {
 /// dedup windows and the round-robin service pointer.
 pub struct MatcherEngine {
     core: MatcherCore,
+    /// The index structure, for the scratch store [`adopt`](Self::adopt)
+    /// replays into.
+    kind: IndexKind,
     queues: Vec<VecDeque<QueuedMsg>>,
     dedup: Vec<DedupWindow>,
     /// Round-robin dimension pointer: the dimension the next
@@ -97,6 +109,7 @@ impl MatcherEngine {
         let k = space.k();
         MatcherEngine {
             core: MatcherCore::new(id, space, kind),
+            kind,
             queues: (0..k).map(|_| VecDeque::new()).collect(),
             dedup: (0..k).map(|_| DedupWindow::new(served_ids)).collect(),
             rr: 0,
@@ -118,44 +131,98 @@ impl MatcherEngine {
         dim.index() < self.space().k()
     }
 
-    /// Checks an arriving `StoreSub` before the host logs and stores it:
-    /// `dim` must name a dimension of the space and `sub` must validate
-    /// against it. A malformed copy is reported through `port` and the
-    /// host drops it.
-    pub fn admit_store(&self, dim: DimIdx, sub: &Subscription, port: &mut dyn MatcherPort) -> bool {
-        let ok = self.has_dim(dim) && sub.validate(self.space()).is_ok();
-        if !ok {
-            port.rejected(Rejected::StoreSub);
+    /// Applies one journal record — a copy stored, removed or retired —
+    /// and returns whether it took. A record naming a dimension outside
+    /// the space, or storing a subscription that does not validate
+    /// against it, is dropped and reported through `port`: records arrive
+    /// from peers and disks. Idempotent: a `Store` replaces any copy with
+    /// the same id, so replaying a record the store already absorbed
+    /// (catch-up overlap, promotion replay) cannot duplicate state.
+    pub fn apply(&mut self, rec: &SubLogRecord, port: &mut dyn MatcherPort) -> bool {
+        let applied = apply(&mut self.core, rec);
+        if let Err(kind) = applied {
+            port.rejected(kind);
         }
-        ok
+        applied.is_ok()
     }
 
-    /// Stores a subscription copy in the per-`dim` set.
-    pub fn insert(&mut self, dim: DimIdx, sub: Subscription) {
-        self.core.insert(dim, sub);
+    /// The streams, besides this matcher's own, that a record it applied
+    /// is journaled on: for a `Store`, those of the copy's other assignees
+    /// on its dimension (per `strategy`) whose streams this matcher
+    /// `leads`. A copy that failed over here because its assignee is down
+    /// belongs on the assignee's stream too, so the assignee's catch-up on
+    /// restart includes it. Empty, and allocation-free, otherwise.
+    pub fn journal_streams(
+        &self,
+        rec: &SubLogRecord,
+        strategy: Option<&AnyStrategy>,
+        leads: impl Fn(MatcherId) -> bool,
+    ) -> Vec<MatcherId> {
+        let (SubLogRecord::Store { dim, sub }, Some(strategy)) = (rec, strategy) else {
+            return Vec::new();
+        };
+        let me = self.id();
+        strategy
+            .as_dyn()
+            .assign(sub)
+            .into_iter()
+            .filter(|a| a.dim == *dim && a.matcher != me && leads(a.matcher))
+            .map(|a| a.matcher)
+            .collect()
     }
 
-    /// Removes the subscription copy with id `sub` from the per-`dim` set.
-    pub fn remove(&mut self, dim: DimIdx, sub: SubscriptionId) {
-        self.core.remove(dim, sub);
+    /// The donor side of an elastic move: copies of every subscription on
+    /// `dim` overlapping `range`, for the range's new owner to store. The
+    /// donor keeps serving its own copies (routing may still point here)
+    /// until a `Retire` drops them. A `dim` outside the space is dropped
+    /// and reported through `port`.
+    pub fn hand_over(
+        &mut self,
+        dim: DimIdx,
+        range: &Range,
+        port: &mut dyn MatcherPort,
+    ) -> Vec<Subscription> {
+        if !self.has_dim(dim) {
+            port.rejected(Rejected::HandOver);
+            return Vec::new();
+        }
+        let moved = self.core.extract_overlapping(dim, range);
+        for sub in &moved {
+            self.core.insert(dim, sub.clone());
+        }
+        moved
     }
 
-    /// Extracts (removes and returns) every copy in the per-`dim` set
-    /// whose predicate overlaps `range` — the handover donor side.
-    pub fn extract_overlapping(&mut self, dim: DimIdx, range: &Range) -> Vec<Subscription> {
-        self.core.extract_overlapping(dim, range)
-    }
-
-    /// Retires this matcher from `range` on `dim`: drops every copy
-    /// overlapping it except those still overlapping a `keep` range the
-    /// matcher continues to own.
-    pub fn retire(&mut self, dim: DimIdx, range: &Range, keep: &[Range]) {
-        let extracted = self.core.extract_overlapping(dim, range);
-        for sub in extracted {
-            if keep.iter().any(|r| sub.predicate(dim).overlaps(r)) {
-                self.core.insert(dim, sub);
+    /// The heir side of a promotion: replays `replay` — the stream of a
+    /// dead matcher this one now leads — into a scratch store and adopts
+    /// the result. Not into the live store: the dead owner's `Retire`
+    /// keep ranges would delete this matcher's own overlapping copies.
+    /// Returns the adopted copies as `Store` records for the host to
+    /// journal on this matcher's own stream, so they survive its crash
+    /// too. Malformed records are dropped and reported through `port`.
+    pub fn adopt(
+        &mut self,
+        replay: &[SubLogRecord],
+        port: &mut dyn MatcherPort,
+    ) -> Vec<SubLogRecord> {
+        let mut scratch = MatcherCore::new(self.id(), self.space().clone(), self.kind);
+        for rec in replay {
+            if let Err(kind) = apply(&mut scratch, rec) {
+                port.rejected(kind);
             }
         }
+        let adopted = scratch.snapshot().into_iter().map(|(dim, sub)| {
+            self.core.insert(dim, sub.clone());
+            SubLogRecord::Store { dim, sub }
+        });
+        adopted.collect()
+    }
+
+    /// Stores a subscription copy in the per-`dim` set, unchecked — for
+    /// callers that build a store from a trusted workload; hosts go
+    /// through [`apply`](Self::apply).
+    pub fn insert(&mut self, dim: DimIdx, sub: Subscription) {
+        self.core.insert(dim, sub);
     }
 
     /// Copies stored in the per-`dim` set.
@@ -330,4 +397,36 @@ impl MatcherEngine {
             port.ack(&job.ack_to, job.msg.id, actual_us);
         }
     }
+}
+
+/// Applies `rec` to `core`, or names the kind of a malformed record.
+fn apply(core: &mut MatcherCore, rec: &SubLogRecord) -> Result<(), Rejected> {
+    let k = core.space().k();
+    match rec {
+        SubLogRecord::Store { dim, sub } => {
+            if dim.index() >= k || sub.validate(core.space()).is_err() {
+                return Err(Rejected::StoreSub);
+            }
+            core.insert(*dim, sub.clone());
+        }
+        SubLogRecord::Remove { dim, sub } => {
+            if dim.index() >= k {
+                return Err(Rejected::RemoveSub);
+            }
+            core.remove(*dim, *sub);
+        }
+        // Drops every copy overlapping the donated range except those
+        // still overlapping a range the matcher keeps serving.
+        SubLogRecord::Retire { dim, range, keep } => {
+            if dim.index() >= k {
+                return Err(Rejected::Retire);
+            }
+            for sub in core.extract_overlapping(*dim, range) {
+                if keep.iter().any(|r| sub.predicate(*dim).overlaps(r)) {
+                    core.insert(*dim, sub);
+                }
+            }
+        }
+    }
+    Ok(())
 }

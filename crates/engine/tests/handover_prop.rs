@@ -1,15 +1,16 @@
-//! Property tests over the hand-over primitive the elastic join/leave
-//! protocols are built on: for every index structure, extracting the
-//! copies overlapping a range and re-inserting them is lossless, free of
-//! duplicates, and **boundary-exact** — `Range::overlaps` is strict
+//! Property tests over the hand-over primitives the elastic join/leave
+//! protocols are built on: for every index structure, handing the copies
+//! overlapping a range over, storing them at the recipient and retiring
+//! the range at the donor is lossless, free of duplicates, and
+//! **boundary-exact** — `Range::overlaps` is strict
 //! (`lo < other.hi && other.lo < hi`), so a predicate that merely touches
 //! the moved segment's endpoint stays where it is.
 
 use bluedove_core::{
-    AttributeSpace, DimIdx, IndexKind, InnerKind, MatcherId, Range, SubscriberId, Subscription,
-    SubscriptionId,
+    AttributeSpace, DimIdx, IndexKind, InnerKind, MatcherId, Message, MessageId, Range,
+    SubLogRecord, SubscriberId, Subscription, SubscriptionId,
 };
-use bluedove_engine::MatcherEngine;
+use bluedove_engine::{MatcherEngine, MatcherPort, Rejected};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -23,6 +24,35 @@ fn space() -> AttributeSpace {
 
 fn engine(kind: IndexKind, id: u32) -> MatcherEngine {
     MatcherEngine::new(MatcherId(id), space(), kind, 64)
+}
+
+/// Every frame here is well formed, so a rejection is a bug.
+struct Port;
+
+impl MatcherPort for Port {
+    fn deliver(&mut self, _: SubscriberId, _: SubscriptionId, _: &Message, _: u64) {}
+    fn ack(&mut self, _: &str, _: MessageId, _: u64) {}
+    fn duplicate_suppressed(&mut self) {}
+    fn rejected(&mut self, kind: Rejected) {
+        panic!("well-formed input rejected as {kind:?}");
+    }
+}
+
+fn store(e: &mut MatcherEngine, sub: Subscription) {
+    assert!(e.apply(&SubLogRecord::Store { dim: DIM, sub }, &mut Port));
+}
+
+/// The donor side: hand the copies overlapping `cut` over, then retire
+/// the range with nothing kept.
+fn move_out(e: &mut MatcherEngine, cut: Range) -> Vec<Subscription> {
+    let moved = e.hand_over(DIM, &cut, &mut Port);
+    let retire = SubLogRecord::Retire {
+        dim: DIM,
+        range: cut,
+        keep: Vec::new(),
+    };
+    assert!(e.apply(&retire, &mut Port));
+    moved
 }
 
 // Covering-wrapped kinds ride the same properties: extraction must
@@ -59,9 +89,9 @@ fn sub(space: &AttributeSpace, id: u64, lo: f64, hi: f64) -> Subscription {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Extract + re-insert round-trips the full copy set for every index
-    /// kind: nothing lost, nothing duplicated, and the split is exactly
-    /// the strict-overlap partition.
+    /// Hand-over + store + retire round-trips the full copy set for every
+    /// index kind: nothing lost, nothing duplicated, and the split is
+    /// exactly the strict-overlap partition.
     #[test]
     fn extract_reinsert_is_lossless_and_boundary_exact(
         cut_a in 100f64..900.0,
@@ -95,13 +125,13 @@ proptest! {
             let mut heir = engine(kind, 1);
             let mut all_ids = BTreeSet::new();
             for (i, &(lo, hi)) in ranges.iter().enumerate() {
-                donor.insert(DIM, sub(&sp, i as u64 + 1, lo, hi));
+                store(&mut donor, sub(&sp, i as u64 + 1, lo, hi));
                 all_ids.insert(SubscriptionId(i as u64 + 1));
             }
             let before = donor.sub_count(DIM);
             prop_assert_eq!(before, all_ids.len(), "{:?}: duplicate-id inserts must replace", kind);
 
-            let moved = donor.extract_overlapping(DIM, &cut);
+            let moved = move_out(&mut donor, cut);
 
             // Boundary-exactness: moved ⟺ strictly overlapping the cut.
             for s in &moved {
@@ -130,10 +160,10 @@ proptest! {
             // Re-insert the moved copies into the heir (the hand-over) and
             // once more into the heir (duplicate delivery): idempotent.
             for s in &moved {
-                heir.insert(DIM, s.clone());
+                store(&mut heir, s.clone());
             }
             for s in &moved {
-                heir.insert(DIM, s.clone());
+                store(&mut heir, s.clone());
             }
             prop_assert_eq!(heir.sub_count(DIM), moved.len(), "{:?}: heir insert not idempotent", kind);
 
@@ -152,10 +182,10 @@ proptest! {
         let sp = space();
         for kind in every_kind() {
             let mut e = engine(kind, 0);
-            e.insert(DIM, sub(&sp, 1, (cut.lo - 40.0).max(LO), cut.lo)); // touches from below
-            e.insert(DIM, sub(&sp, 2, cut.hi, (cut.hi + 40.0).min(HI))); // touches from above
-            e.insert(DIM, sub(&sp, 3, cut.lo, cut.hi)); // the segment itself
-            let moved = e.extract_overlapping(DIM, &cut);
+            store(&mut e, sub(&sp, 1, (cut.lo - 40.0).max(LO), cut.lo)); // touches from below
+            store(&mut e, sub(&sp, 2, cut.hi, (cut.hi + 40.0).min(HI))); // touches from above
+            store(&mut e, sub(&sp, 3, cut.lo, cut.hi)); // the segment itself
+            let moved = move_out(&mut e, cut);
             prop_assert_eq!(moved.len(), 1, "{:?}: only the in-cut copy moves", kind);
             prop_assert_eq!(moved[0].id, SubscriptionId(3));
             prop_assert_eq!(e.sub_count(DIM), 2);

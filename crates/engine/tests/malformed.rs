@@ -1,10 +1,11 @@
-//! Malformed publications and subscriptions are dropped at the engine
-//! edge and reported by kind; well-formed traffic after them is served.
+//! Malformed publications, subscriptions and store mutations are dropped
+//! at the engine edge and reported by kind; well-formed traffic after
+//! them is served.
 
 use bluedove_baselines::AnyStrategy;
 use bluedove_core::{
-    AttributeSpace, DimIdx, IndexKind, MatcherId, Message, MessageId, RandomPolicy, Range,
-    SubscriberId, Subscription, SubscriptionId,
+    AttributeSpace, DimIdx, IndexKind, InnerKind, MatcherId, Message, MessageId, RandomPolicy,
+    Range, SubLogRecord, SubscriberId, Subscription, SubscriptionId,
 };
 use bluedove_engine::{
     DispatcherEffect, DispatcherEngine, DispatcherEngineConfig, DispatcherEvent, DispatcherOut,
@@ -126,10 +127,11 @@ fn matcher_drops_malformed_frames_and_serves_the_rest() {
     let mut engine = MatcherEngine::new(MatcherId(0), space(), IndexKind::Cell(8), 64);
     let mut port = Recorder::default();
     let good = sub(vec![Range::new(10.0, 20.0), Range::new(0.0, 100.0)]);
-    assert!(!engine.admit_store(DimIdx(2), &good, &mut port));
-    assert!(!engine.admit_store(DimIdx(0), &sub(vec![Range::new(10.0, 20.0)]), &mut port));
-    assert!(engine.admit_store(DimIdx(0), &good, &mut port));
-    engine.insert(DimIdx(0), good);
+    let store = |dim, sub| SubLogRecord::Store { dim, sub };
+    assert!(!engine.apply(&store(DimIdx(2), good.clone()), &mut port));
+    let narrow = sub(vec![Range::new(10.0, 20.0)]);
+    assert!(!engine.apply(&store(DimIdx(0), narrow), &mut port));
+    assert!(engine.apply(&store(DimIdx(0), good), &mut port));
 
     for (dim, values, id) in [
         (DimIdx(0), vec![15.0], 1),
@@ -155,4 +157,89 @@ fn matcher_drops_malformed_frames_and_serves_the_rest() {
     engine.run_match(&job, 0.0, &mut hits);
     engine.complete(job, &hits, 0.0, &mut port);
     assert_eq!(port.deliveries, [(SubscriptionId(1), MessageId(4))]);
+}
+
+/// Every store mutation a peer or a disk can hand a matcher — a
+/// `RemoveSub` / `Retire` / `HandOver` frame, or a record replayed from a
+/// replica, a promotion or an install — naming a dimension outside the
+/// space, and a replayed `Store` whose subscription does not validate,
+/// is dropped and counted instead of indexing out of bounds; the store
+/// is untouched, for every index kind.
+#[test]
+fn matcher_drops_malformed_store_mutations() {
+    let kinds = [
+        IndexKind::Linear,
+        IndexKind::Cell(8),
+        IndexKind::IntervalTree,
+        IndexKind::Covering {
+            inner: InnerKind::Linear,
+        },
+        IndexKind::Covering {
+            inner: InnerKind::Cell(8),
+        },
+        IndexKind::Covering {
+            inner: InnerKind::IntervalTree,
+        },
+    ];
+    let full = Range::new(0.0, 100.0);
+    let good = sub(vec![Range::new(10.0, 20.0), full]);
+    let bad = [
+        SubLogRecord::Remove {
+            dim: DimIdx(2),
+            sub: SubscriptionId(1),
+        },
+        SubLogRecord::Retire {
+            dim: DimIdx(9),
+            range: full,
+            keep: Vec::new(),
+        },
+        SubLogRecord::Store {
+            dim: DimIdx(0),
+            sub: sub(vec![Range::new(20.0, 10.0), full]),
+        },
+        SubLogRecord::Store {
+            dim: DimIdx(5),
+            sub: good.clone(),
+        },
+    ];
+    for kind in kinds {
+        let mut engine = MatcherEngine::new(MatcherId(0), space(), kind, 64);
+        let mut port = Recorder::default();
+        let store = SubLogRecord::Store {
+            dim: DimIdx(0),
+            sub: good.clone(),
+        };
+        assert!(engine.apply(&store, &mut port));
+        for rec in &bad {
+            assert!(!engine.apply(rec, &mut port), "{kind:?}: applied {rec:?}");
+        }
+        assert!(engine.hand_over(DimIdx(4), &full, &mut port).is_empty());
+        assert!(engine.adopt(&bad, &mut port).is_empty());
+        // A NaN or inverted range on a real dimension is matched by no
+        // copy: nothing moves and nothing panics.
+        let nan = Range::new(f64::NAN, 50.0);
+        assert!(engine.hand_over(DimIdx(0), &nan, &mut port).is_empty());
+        let inverted = SubLogRecord::Retire {
+            dim: DimIdx(0),
+            range: Range::new(90.0, 5.0),
+            keep: Vec::new(),
+        };
+        assert!(engine.apply(&inverted, &mut port));
+        assert_eq!(
+            port.rejected,
+            [
+                Rejected::RemoveSub,
+                Rejected::Retire,
+                Rejected::StoreSub,
+                Rejected::StoreSub,
+                Rejected::HandOver,
+                Rejected::RemoveSub,
+                Rejected::Retire,
+                Rejected::StoreSub,
+                Rejected::StoreSub,
+            ],
+            "{kind:?}"
+        );
+        assert_eq!(engine.total_subs(), 1, "{kind:?}: the good copy survives");
+    }
 }

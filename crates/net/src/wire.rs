@@ -8,8 +8,8 @@
 
 use crate::error::{NetError, NetResult};
 use bluedove_core::{
-    DimIdx, DimStats, MatcherId, Message, MessageId, Range, SubscriberId, Subscription,
-    SubscriptionId,
+    DimIdx, DimStats, MatcherId, Message, MessageId, Range, SubLogRecord, SubscriberId,
+    Subscription, SubscriptionId,
 };
 use bluedove_overlay::{Digest, EndpointState, GossipMsg, NodeId, NodeRole};
 use bytes::{Buf, BufMut, BytesMut};
@@ -229,6 +229,48 @@ impl Wire for Subscription {
             subscriber: SubscriberId::decode(buf)?,
             predicates: Vec::<Range>::decode(buf)?,
         })
+    }
+}
+
+impl Wire for SubLogRecord {
+    fn encode(&self, buf: &mut BytesMut) {
+        match self {
+            SubLogRecord::Store { dim, sub } => {
+                buf.put_u8(0);
+                dim.encode(buf);
+                sub.encode(buf);
+            }
+            SubLogRecord::Remove { dim, sub } => {
+                buf.put_u8(1);
+                dim.encode(buf);
+                sub.encode(buf);
+            }
+            SubLogRecord::Retire { dim, range, keep } => {
+                buf.put_u8(2);
+                dim.encode(buf);
+                range.encode(buf);
+                keep.encode(buf);
+            }
+        }
+    }
+
+    fn decode(buf: &mut impl Buf) -> NetResult<Self> {
+        match u8::decode(buf)? {
+            0 => Ok(SubLogRecord::Store {
+                dim: DimIdx::decode(buf)?,
+                sub: Subscription::decode(buf)?,
+            }),
+            1 => Ok(SubLogRecord::Remove {
+                dim: DimIdx::decode(buf)?,
+                sub: SubscriptionId::decode(buf)?,
+            }),
+            2 => Ok(SubLogRecord::Retire {
+                dim: DimIdx::decode(buf)?,
+                range: Range::decode(buf)?,
+                keep: Vec::<Range>::decode(buf)?,
+            }),
+            t => Err(NetError::BadTag(t)),
+        }
     }
 }
 

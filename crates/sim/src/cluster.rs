@@ -13,10 +13,12 @@
 //! time (the model the paper's scalability reasoning is built on).
 //!
 //! Host-side division of labour:
-//! - subscriptions are installed directly into matcher engines from the
-//!   *authoritative* strategy (the paper's pre-load phase is
-//!   instantaneous), so `StoreSub`/`RemoveSub` frames never ride the
-//!   simulated wire;
+//! - subscriptions are placed by the *authoritative* strategy and each
+//!   copy is applied at its matcher at once (the paper's pre-load phase
+//!   is instantaneous), so `StoreSub`/`RemoveSub` frames never ride the
+//!   simulated wire — but every copy a matcher gains, loses or retires is
+//!   the engine's `SubLogRecord`, applied and (with replication on)
+//!   journaled exactly as the threaded matcher does;
 //! - the dispatcher tier is one shared [`DispatcherEngine`] (the real
 //!   dispatchers broadcast reports, so every front-end sees identical
 //!   state at identical staleness), routing by the table it was last
@@ -25,20 +27,22 @@
 //! - membership, the authoritative table and its versions, the
 //!   stream-leader epoch book and the autoscaler belong to the engine's
 //!   [`ControlEngine`]; the simulator executes its join/leave/crash plans
-//!   with direct engine copies and `TableSwitch`/`Decommission` events.
+//!   at once through the engine's `hand_over` / `apply` / `adopt`, and
+//!   with `TableSwitch` (donors retire the moved ranges) and
+//!   `Decommission` events.
 
 use crate::config::SimConfig;
 use crate::events::EventQueue;
 use crate::metrics::Metrics;
 use bluedove_core::{
     Assignment, AttributeSpace, DimIdx, DimStats, ForwardingPolicy, MatchHit, MatcherId, Message,
-    MessageId, SubscriberId, Subscription, SubscriptionId, Time,
+    MessageId, SubLogRecord, SubscriberId, Subscription, SubscriptionId, Time,
 };
 use bluedove_engine::{
     AutoscalerConfig, Coalescer, ControlEngine, DispatcherEffect, DispatcherEngine,
     DispatcherEngineConfig, DispatcherEvent, DispatcherOut, DispatcherPort, Epoch, Flush,
-    FollowerOutcome, LoadSnapshot, MatcherEngine, MatcherPort, ReplicatedAppend, ReplicatedStream,
-    ScaleError, ScaleOutcome, ScalePlan, ServiceJob, StreamSet, DEDUP_WINDOW,
+    FollowerOutcome, LoadSnapshot, MatcherEngine, MatcherPort, Move, ReplicatedAppend,
+    ReplicatedStream, ScaleError, ScaleOutcome, ScalePlan, ServiceJob, StreamSet, DEDUP_WINDOW,
 };
 use bluedove_workload::MessageGenerator;
 use std::collections::{HashMap, HashSet};
@@ -63,7 +67,7 @@ struct SimMatcher {
     engine: MatcherEngine,
     busy: bool,
     alive: bool,
-    repl: Option<StreamSet<ReplRecord>>,
+    repl: Option<StreamSet<SubLogRecord>>,
 }
 
 impl SimMatcher {
@@ -77,21 +81,8 @@ impl SimMatcher {
     }
 }
 
-/// One record of a matcher's subscription-mutation stream — the
-/// in-memory analogue of the threaded cluster's `SubLogRecord` (the sim
-/// never hands over segment ranges host-side, so there is no `Retire`).
-#[derive(Debug, Clone)]
-pub struct ReplRecord {
-    /// Dimension the copy lives on.
-    pub dim: DimIdx,
-    /// The subscription copy.
-    pub sub: Subscription,
-    /// `true` for an unsubscribe tombstone, `false` for a store.
-    pub remove: bool,
-}
-
 /// An empty in-memory copy of stream `id`, following at epoch 0.
-fn empty_stream(id: MatcherId, min_isr: usize) -> ReplicatedStream<ReplRecord> {
+fn empty_stream(id: MatcherId, min_isr: usize) -> ReplicatedStream<SubLogRecord> {
     ReplicatedStream::follower(id, min_isr, 0, Vec::new(), ())
 }
 
@@ -105,7 +96,7 @@ struct ReplState {
 
 /// Matcher `id`'s stream set: its own stream, led at epoch 1; others
 /// start empty.
-fn own_streams(id: MatcherId, min_isr: usize) -> StreamSet<ReplRecord> {
+fn own_streams(id: MatcherId, min_isr: usize) -> StreamSet<SubLogRecord> {
     let mut own = empty_stream(id, min_isr);
     own.promote(1);
     StreamSet::new(own, Box::new(move |s| Ok(empty_stream(s, min_isr))))
@@ -117,7 +108,7 @@ pub struct Replication<'a> {
     matchers: &'a HashMap<MatcherId, SimMatcher>,
     /// Appends from deposed leaders rejected so far.
     pub fenced: u64,
-    /// Records replayed into heirs' engines across all promotions.
+    /// Records replayed into heirs' scratch stores across all promotions.
     pub promoted: u64,
 }
 
@@ -128,7 +119,7 @@ impl<'a> Replication<'a> {
         &self,
         stream: MatcherId,
         holder: MatcherId,
-    ) -> Option<&'a ReplicatedStream<ReplRecord>> {
+    ) -> Option<&'a ReplicatedStream<SubLogRecord>> {
         self.matchers.get(&holder)?.repl.as_ref()?.get(stream)
     }
 }
@@ -180,10 +171,8 @@ enum Event {
     /// Dispatchers learn that a matcher died.
     DetectFailure { m: MatcherId },
     /// Dispatchers adopt a pending segment-table change (join/leave) and
-    /// donors drop the subscription copies they handed over.
-    TableSwitch {
-        retire: Vec<(MatcherId, DimIdx, Vec<SubscriptionId>)>,
-    },
+    /// each join donor retires the range it handed over.
+    TableSwitch { retire: Vec<Move> },
     /// A gracefully leaving matcher may retire: once the post-leave table
     /// has propagated and its queues have drained, the node is removed.
     /// Reschedules itself while the matcher still has work.
@@ -195,7 +184,7 @@ enum Event {
     /// failover raced it, the stream's new leader — fenced there).
     ReplAppend {
         to: MatcherId,
-        frame: ReplicatedAppend<ReplRecord>,
+        frame: ReplicatedAppend<SubLogRecord>,
     },
     /// A follower's replication ack reaches the stream's leader.
     ReplAck {
@@ -319,6 +308,18 @@ struct SimMatcherPort<'a> {
     now: Time,
     net_latency: Time,
     queue: &'a mut EventQueue<Event>,
+}
+
+impl<'a> SimMatcherPort<'a> {
+    fn new(m: MatcherId, now: Time, cfg: &SimConfig, queue: &'a mut EventQueue<Event>) -> Self {
+        let net_latency = cfg.net_latency;
+        SimMatcherPort {
+            m,
+            now,
+            net_latency,
+            queue,
+        }
+    }
 }
 
 impl MatcherPort for SimMatcherPort<'_> {
@@ -513,17 +514,15 @@ impl SimCluster {
     }
 
     /// Registers a subscription (instantaneous, like the paper's pre-load
-    /// phase). With replication on, each copy's mutation is journaled to
-    /// the assignee's stream, and a copy assigned to a dead matcher is
-    /// installed at the stream's promoted leader instead (the analogue of
-    /// the threaded dispatcher's store-at-heir failover).
+    /// phase): each copy is stored as a `StoreSub` would store it. A copy
+    /// assigned to a dead matcher is stored at its stream's promoted
+    /// leader instead (the analogue of the threaded dispatcher's
+    /// store-at-heir failover).
     pub fn subscribe(&mut self, sub: Subscription) {
         for Assignment { matcher, dim } in self.control.strategy().as_dyn().assign(&sub) {
             let target = self.install_target(matcher);
-            if let Some(m) = self.matchers.get_mut(&target) {
-                m.engine.insert(dim, sub.clone());
-            }
-            self.journal(matcher, dim, &sub, false);
+            let sub = sub.clone();
+            self.apply(target, SubLogRecord::Store { dim, sub });
         }
     }
 
@@ -540,10 +539,7 @@ impl SimCluster {
     pub fn unsubscribe(&mut self, sub: &Subscription) {
         for Assignment { matcher, dim } in self.control.strategy().as_dyn().assign(sub) {
             let target = self.install_target(matcher);
-            if let Some(m) = self.matchers.get_mut(&target) {
-                m.engine.remove(dim, sub.id);
-            }
-            self.journal(matcher, dim, sub, true);
+            self.apply(target, SubLogRecord::Remove { dim, sub: sub.id });
         }
     }
 
@@ -557,23 +553,52 @@ impl SimCluster {
         self.control.leader_of(matcher).unwrap_or(matcher)
     }
 
-    /// Appends one mutation to the assignee's replicated stream (a no-op
-    /// with replication off) and ships the frame to the stream leader's
-    /// clockwise heir, one network hop later.
-    fn journal(&mut self, owner: MatcherId, dim: DimIdx, sub: &Subscription, remove: bool) {
-        let Some(leader) = self.control.leader_of(owner) else {
+    /// A `StoreSub`, `RemoveSub` or `Retire` frame arriving at matcher
+    /// `m`, as the threaded matcher handles it: the engine applies `rec`
+    /// and, with replication on, `m` journals it on its own stream and on
+    /// every stream the engine's journal rule names.
+    fn apply(&mut self, m: MatcherId, rec: SubLogRecord) {
+        let Some(matcher) = self.matchers.get_mut(&m) else {
             return;
         };
-        let rec = || ReplRecord {
-            dim,
-            sub: sub.clone(),
-            remove,
-        };
-        let stream = self.streams_mut(leader).and_then(|r| r.get_mut(owner));
-        let Some(Ok(Some(frame))) = stream.map(|s| s.append(rec())) else {
+        let mut port = SimMatcherPort::new(m, self.now, &self.cfg, &mut self.queue);
+        if !matcher.engine.apply(&rec, &mut port) {
+            return;
+        }
+        let Some(streams) = &matcher.repl else {
             return;
         };
-        if let Some(heir) = self.control.heir(leader) {
+        let strategy = Some(self.control.strategy());
+        for stream in matcher
+            .engine
+            .journal_streams(&rec, strategy, |s| streams.leads(s))
+        {
+            self.journal(m, stream, rec.clone());
+        }
+        self.journal(m, m, rec);
+    }
+
+    /// A `HandOver` frame at the move's donor: the donor keeps serving its
+    /// copies overlapping the range, and the recipient stores them.
+    fn hand_over(&mut self, mv: &Move) {
+        let Some(donor) = self.matchers.get_mut(&mv.from) else {
+            return;
+        };
+        let mut port = SimMatcherPort::new(mv.from, self.now, &self.cfg, &mut self.queue);
+        for sub in donor.engine.hand_over(mv.dim, &mv.range, &mut port) {
+            self.apply(mv.to, SubLogRecord::Store { dim: mv.dim, sub });
+        }
+    }
+
+    /// Appends `rec` to `stream` at matcher `m` — its own, or one it leads
+    /// since a promotion — and ships the frame to `m`'s clockwise heir,
+    /// one network hop later.
+    fn journal(&mut self, m: MatcherId, stream: MatcherId, rec: SubLogRecord) {
+        let stream = self.streams_mut(m).and_then(|r| r.get_mut(stream));
+        let Some(Ok(Some(frame))) = stream.map(|s| s.append(rec)) else {
+            return;
+        };
+        if let Some(heir) = self.control.heir(m) {
             self.queue.push(
                 self.now + self.cfg.net_latency,
                 Event::ReplAppend { to: heir, frame },
@@ -582,7 +607,7 @@ impl SimCluster {
     }
 
     /// Matcher `m`'s replicated streams, when it holds any.
-    fn streams_mut(&mut self, m: MatcherId) -> Option<&mut StreamSet<ReplRecord>> {
+    fn streams_mut(&mut self, m: MatcherId) -> Option<&mut StreamSet<SubLogRecord>> {
         self.matchers.get_mut(&m)?.repl.as_mut()
     }
 
@@ -747,12 +772,7 @@ impl SimCluster {
             return;
         }
         let matcher = self.matchers.get_mut(&m).expect("alive checked");
-        let mut port = SimMatcherPort {
-            m,
-            now: self.now,
-            net_latency: self.cfg.net_latency,
-            queue: &mut self.queue,
-        };
+        let mut port = SimMatcherPort::new(m, self.now, &self.cfg, &mut self.queue);
         matcher
             .engine
             .on_match_msg(self.now, dim, msg, admitted_us, ack_to, &mut port);
@@ -794,12 +814,7 @@ impl SimCluster {
                     return;
                 }
                 let admitted_at = job.admitted_us as f64 / 1e6;
-                let mut port = SimMatcherPort {
-                    m,
-                    now: self.now,
-                    net_latency: self.cfg.net_latency,
-                    queue: &mut self.queue,
-                };
+                let mut port = SimMatcherPort::new(m, self.now, &self.cfg, &mut self.queue);
                 matcher.engine.complete(job, &hits, service, &mut port);
                 self.queue.push(
                     self.now + self.cfg.net_latency,
@@ -851,12 +866,9 @@ impl SimCluster {
                 self.feed_dispatcher(DispatcherEvent::MatcherDown(m));
             }
             Event::TableSwitch { retire } => {
-                for (donor, dim, ids) in retire {
-                    if let Some(matcher) = self.matchers.get_mut(&donor) {
-                        for id in ids {
-                            matcher.engine.remove(dim, id);
-                        }
-                    }
+                for mv in retire {
+                    let (dim, range, keep) = (mv.dim, mv.range, mv.keep);
+                    self.apply(mv.from, SubLogRecord::Retire { dim, range, keep });
                 }
                 // Hand the dispatcher tier the now-authoritative table.
                 // Its address book is every member whose death the tier
@@ -1052,46 +1064,30 @@ impl SimCluster {
     }
 
     /// The join half of [`Self::apply_scale`]: executes the control
-    /// plane's join at once — copies the moved subscriptions to the new
-    /// matcher and commits the post-join table — and schedules the
-    /// dispatcher-visible table switch after the propagation delay
-    /// (donors keep serving their copies until then, so no message misses
-    /// matches).
+    /// plane's join at once — hands the moved subscriptions over to the
+    /// new matcher and commits the post-join table — and schedules the
+    /// dispatcher-visible table switch after the propagation delay, when
+    /// donors retire the moved ranges (they keep serving their copies
+    /// until then, so no message misses matches).
     fn grow(&mut self, loads: &LoadSnapshot) -> Result<MatcherId, ScaleError> {
         let change = self.control.join(loads)?;
         let new_id = change.outcome.matcher();
         let mut new_matcher = SimMatcher::new(new_id, &self.space, &self.cfg);
-        let mut retire = Vec::with_capacity(change.moves.len());
-        for mv in &change.moves {
-            let (dim, donor) = (mv.dim, mv.from);
-            if let Some(d) = self.matchers.get_mut(&donor) {
-                // Copy to the new matcher; the donor keeps every copy until
-                // the table switch so in-flight routing stays complete.
-                let moved = d.engine.extract_overlapping(dim, &mv.range);
-                let mut ids = Vec::new();
-                for sub in moved {
-                    // A copy overlapping the donor's remaining segments
-                    // stays there permanently (mPartition stores it
-                    // wherever its predicate overlaps a segment).
-                    if !mv.keep.iter().any(|r| sub.predicate(dim).overlaps(r)) {
-                        ids.push(sub.id);
-                    }
-                    d.engine.insert(dim, sub.clone());
-                    new_matcher.engine.insert(dim, sub);
-                }
-                retire.push((donor, dim, ids));
-            }
-        }
         if let Some(repl) = &self.replication {
             new_matcher.repl = Some(own_streams(new_id, repl.min_isr));
         }
         self.matchers.insert(new_id, new_matcher);
+        for mv in &change.moves {
+            self.hand_over(mv);
+        }
         self.control.commit(&change, self.now);
         // The dispatcher engine keeps routing by its current table until
         // the switch event hands it the post-join one (propagation lag).
         self.queue.push(
             self.now + self.cfg.table_propagation_delay,
-            Event::TableSwitch { retire },
+            Event::TableSwitch {
+                retire: change.moves,
+            },
         );
         Ok(new_id)
     }
@@ -1114,21 +1110,10 @@ impl SimCluster {
     ///    is drained, the node is decommissioned.
     pub fn remove_matcher(&mut self, victim: MatcherId) -> Result<MatcherId, ScaleError> {
         let change = self.control.leave(victim)?;
+        // The victim serves its remaining backlog with its full
+        // subscription set; its copies die with the node.
         for mv in &change.moves {
-            let moved = match self.matchers.get_mut(&victim) {
-                Some(v) => v.engine.extract_overlapping(mv.dim, &mv.range),
-                None => Vec::new(),
-            };
-            for sub in moved {
-                if let Some(h) = self.matchers.get_mut(&mv.to) {
-                    h.engine.insert(mv.dim, sub.clone());
-                }
-                // The victim serves its remaining backlog with its full
-                // subscription set; the copies die with the node.
-                if let Some(v) = self.matchers.get_mut(&victim) {
-                    v.engine.insert(mv.dim, sub);
-                }
-            }
+            self.hand_over(mv);
         }
         // The victim's streams retire with it: graceful leave hands the
         // engine copies over above, so there is nothing left to replay,
@@ -1200,10 +1185,11 @@ impl SimCluster {
         );
         // With replication on, the control plane fails every stream the
         // victim led over to its clockwise heir: the heir promotes at its
-        // replicated offset under the bumped epoch and replays the stream
-        // into its own engine, so the copies survive the crash. In-flight
-        // appends from the deposed leader arrive with the old epoch and
-        // are fenced.
+        // replicated offset under the bumped epoch, its engine adopts the
+        // stream, and the heir journals the inherited copies on its own
+        // stream — a `SubLogPromote` at a threaded matcher — so they
+        // survive the heir's crash too. In-flight appends from the
+        // deposed leader arrive with the old epoch and are fenced.
         for (stream, heir, epoch) in self.control.crash(m) {
             let (Some(repl), Some(h)) = (self.replication.as_mut(), self.matchers.get_mut(&heir))
             else {
@@ -1213,11 +1199,9 @@ impl SimCluster {
                 continue;
             };
             repl.promoted += replay.len() as u64;
-            for r in replay {
-                h.engine.remove(r.dim, r.sub.id);
-                if !r.remove {
-                    h.engine.insert(r.dim, r.sub.clone());
-                }
+            let mut port = SimMatcherPort::new(heir, self.now, &self.cfg, &mut self.queue);
+            for rec in h.engine.adopt(replay, &mut port) {
+                self.journal(heir, heir, rec);
             }
         }
     }
@@ -1231,6 +1215,19 @@ impl SimCluster {
             .map(|(&id, m)| (id, m.engine.total_subs()))
             .collect();
         v.sort_unstable_by_key(|&(m, _)| m);
+        v
+    }
+
+    /// Matcher `m`'s stored copies as sorted `(dimension, subscription)`
+    /// pairs; empty for an unknown matcher.
+    pub fn copies(&self, m: MatcherId) -> Vec<(DimIdx, SubscriptionId)> {
+        let snapshot = self.matchers.get(&m).map(|m| m.engine.snapshot());
+        let mut v: Vec<_> = snapshot
+            .into_iter()
+            .flatten()
+            .map(|(d, s)| (d, s.id))
+            .collect();
+        v.sort_unstable();
         v
     }
 

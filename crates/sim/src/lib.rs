@@ -25,7 +25,7 @@ pub mod metrics;
 pub mod saturation;
 pub mod scenario;
 
-pub use cluster::{ReplRecord, Replication, SimCluster, Strategy};
+pub use cluster::{Replication, SimCluster, Strategy};
 pub use config::SimConfig;
 // The shared elasticity/config surface, re-exported so simulator users
 // reach the whole scaling API from one crate.

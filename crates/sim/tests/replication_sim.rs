@@ -8,6 +8,7 @@ use bluedove_core::{AdaptivePolicy, MatcherId, Subscription, Time};
 use bluedove_engine::RetryPolicy;
 use bluedove_sim::{SimCluster, SimConfig, Strategy};
 use bluedove_workload::PaperWorkload;
+use std::collections::BTreeSet;
 
 fn replicated_cluster(n: u32) -> (SimCluster, PaperWorkload) {
     let w = PaperWorkload {
@@ -162,6 +163,74 @@ fn grown_and_shrunk_matchers_keep_replication_bookkeeping_consistent() {
         );
     }
     assert_eq!(c.metrics.total_lost, 0, "graceful leave must not lose");
+}
+
+/// A joiner's copies arrive by hand-over, and a hand-over recipient
+/// journals what it stores: crashing the joiner promotes its stream at
+/// its heir, which inherits every copy the joiner held.
+#[test]
+fn crashed_joiner_hands_its_copies_to_its_heir() {
+    let (mut c, w) = replicated_cluster(4);
+    c.subscribe_all(w.subscriptions().take(800));
+    let mut gen = w.messages();
+    c.run(300.0, 1.0, &mut gen);
+    let joiner = c.add_matcher().unwrap();
+    c.run(300.0, 2.0, &mut gen);
+    let held = c.copies(joiner);
+    assert!(
+        held.len() > 50,
+        "the joiner took over copies: {}",
+        held.len()
+    );
+
+    c.kill_matcher(joiner);
+    let heir = c.control().leader_of(joiner).expect("stream promoted");
+    assert_ne!(heir, joiner);
+    let repl = c.replication().unwrap();
+    assert!(repl.promoted > 0, "the joiner's stream replays");
+    let inherited: BTreeSet<_> = c.copies(heir).into_iter().collect();
+    let lost: Vec<_> = held.iter().filter(|c| !inherited.contains(c)).collect();
+    assert!(
+        lost.is_empty(),
+        "{} copies lost with the joiner",
+        lost.len()
+    );
+
+    c.run(300.0, 5.0, &mut gen);
+    c.drain(40.0);
+    assert_eq!(c.metrics.total_lost, 0, "acked pipeline must not lose");
+    assert_eq!(c.metrics.total_delivered, c.metrics.total_sent);
+}
+
+/// The leader-and-heir double crash in virtual time: the heir journals
+/// the copies it inherits on its own stream, so when it crashes too its
+/// own heir inherits both victims' copies.
+#[test]
+fn leader_and_heir_double_crash_loses_no_copy() {
+    let (mut c, w) = replicated_cluster(4);
+    c.subscribe_all(w.subscriptions().take(800));
+    let mut gen = w.messages();
+    c.run(300.0, 1.0, &mut gen);
+    let (first, second) = (MatcherId(0), MatcherId(1));
+    let held: BTreeSet<_> = c
+        .copies(first)
+        .into_iter()
+        .chain(c.copies(second))
+        .collect();
+
+    c.kill_matcher(first);
+    assert_eq!(c.control().leader_of(first), Some(second));
+    c.run(300.0, 1.0, &mut gen);
+    c.kill_matcher(second);
+    let survivor = c.control().leader_of(second).expect("stream promoted");
+    assert_eq!(c.control().leader_of(first), Some(survivor));
+    let inherited: BTreeSet<_> = c.copies(survivor).into_iter().collect();
+    let lost: Vec<_> = held.difference(&inherited).collect();
+    assert!(
+        lost.is_empty(),
+        "{} copies lost in the double crash",
+        lost.len()
+    );
 }
 
 fn subs_of(c: &SimCluster, m: MatcherId) -> usize {

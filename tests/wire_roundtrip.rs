@@ -6,7 +6,8 @@
 
 use bluedove::cluster::ControlMsg;
 use bluedove::core::{
-    DimStats, Message, MessageId, Range, SubscriberId, Subscription, SubscriptionId,
+    DimIdx, DimStats, Message, MessageId, Range, SubLogRecord, SubscriberId, Subscription,
+    SubscriptionId,
 };
 use bluedove::overlay::{Digest, EndpointState, GossipMsg, NodeId, NodeRole};
 use bluedove_net::frame::{read_frame, write_frame, MAX_FRAME};
@@ -104,6 +105,48 @@ fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: &T) {
     let bytes = to_bytes(v);
     let back: T = from_bytes(&bytes).expect("decode");
     assert_eq!(&back, v);
+}
+
+/// Sub-log records are read back from files written by earlier
+/// builds, so their bytes are pinned, not just round-tripped.
+#[test]
+fn sub_log_record_encoding_is_pinned() {
+    let sub = Subscription {
+        id: SubscriptionId(7),
+        subscriber: SubscriberId(3),
+        predicates: vec![Range::new(1.0, 2.0), Range::new(0.0, 100.0)],
+    };
+    let golden = [
+        (
+            SubLogRecord::Store {
+                dim: DimIdx(1),
+                sub,
+            },
+            "0001000700000000000000030000000000000002000000000000000000f03f\
+             000000000000004000000000000000000000000000005940",
+        ),
+        (
+            SubLogRecord::Remove {
+                dim: DimIdx(1),
+                sub: SubscriptionId(9),
+            },
+            "0101000900000000000000",
+        ),
+        (
+            SubLogRecord::Retire {
+                dim: DimIdx(0),
+                range: Range::new(0.0, 10.0),
+                keep: vec![Range::new(5.0, 10.0)],
+            },
+            "020000000000000000000000000000000024400100000000000000000014400000000000002440",
+        ),
+    ];
+    for (rec, hex) in golden {
+        let bytes = to_bytes(&rec);
+        let got: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(got, hex, "{rec:?}");
+        round_trip(&rec);
+    }
 }
 
 proptest! {
