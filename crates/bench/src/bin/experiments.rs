@@ -604,23 +604,17 @@ fn reliability() {
             .subscribe(Subscription::builder(&sp).build().unwrap())
             .unwrap();
         for s in w.subscriptions().take(SUBS) {
-            let mut b = Subscription::builder(&sp);
-            for (d, p) in s.predicates.iter().enumerate() {
-                b = b.range(d, p.lo, p.hi);
-            }
-            cluster.subscribe(b.build().unwrap()).unwrap();
+            cluster.subscribe(s).unwrap();
         }
         let mut publisher = cluster.publisher();
         let start = Instant::now();
         for m in w.messages().take(MESSAGES) {
             publisher.publish(m).unwrap();
         }
-        let mut got = 0usize;
-        while got < MESSAGES {
+        for _ in 0..MESSAGES {
             if wildcard.recv_timeout(Duration::from_secs(10)).is_none() {
                 break;
             }
-            got += 1;
         }
         let took = start.elapsed().as_secs_f64();
         cluster.shutdown();
@@ -671,13 +665,9 @@ fn reliability() {
     }
     std::thread::sleep(Duration::from_millis(400));
     faults.clear_rules();
-    let mut got = 0usize;
-    while got < PROBES {
-        if wildcard.recv_timeout(Duration::from_secs(10)).is_none() {
-            break;
-        }
-        got += 1;
-    }
+    let got = (0..PROBES)
+        .take_while(|_| wildcard.recv_timeout(Duration::from_secs(10)).is_some())
+        .count();
     // Grace drain: anything extra is a duplicate the windows let through.
     let mut dups = 0usize;
     while wildcard.recv_timeout(Duration::from_millis(300)).is_some() {
@@ -803,15 +793,12 @@ fn recovery(cfg: &ExpConfig) -> bool {
     let counter = |name: &str| cluster.telemetry().counter_value(name, &[]).unwrap_or(0);
     let appended = counter("bluedove_sublog_appended_total");
     let replayed = counter("bluedove_sublog_replayed_total");
-    let reshipped = counter("bluedove_sublog_reshipped_total");
     let caught_up = counter("bluedove_sublog_caught_up_total");
     println!("    {subs} subscriptions, {N} publications, kill + restart of one matcher");
     println!(
         "    lost {lost}, duplicated {duped}, retried {retried}, dead_lettered {dead_lettered}"
     );
-    println!(
-        "    sub-log: appended {appended}, replayed on restart {replayed}, registry re-ships {reshipped}"
-    );
+    println!("    sub-log: appended {appended}, replayed on restart {replayed}");
     println!(
         "    bluedove_sublog_caught_up_total {caught_up} (downtime subscription mutations {downtime_mutations})"
     );
@@ -894,11 +881,7 @@ fn telemetry(cfg: &ExpConfig) {
             .subscribe(Subscription::builder(&sp).build().unwrap())
             .unwrap();
         for s in w.subscriptions().take(subs) {
-            let mut b = Subscription::builder(&sp);
-            for (d, p) in s.predicates.iter().enumerate() {
-                b = b.range(d, p.lo, p.hi);
-            }
-            cluster.subscribe(b.build().unwrap()).unwrap();
+            cluster.subscribe(s).unwrap();
         }
         // Pace the publishing across several load-report intervals: the
         // estimator only produces a time estimate once a report with a
@@ -912,12 +895,10 @@ fn telemetry(cfg: &ExpConfig) {
                 std::thread::sleep(Duration::from_millis(20));
             }
         }
-        let mut got = 0usize;
-        while got < MESSAGES {
+        for _ in 0..MESSAGES {
             if wildcard.recv_timeout(Duration::from_secs(10)).is_none() {
                 break;
             }
-            got += 1;
         }
         // Let the trailing MatchAcks land before reading the registry.
         std::thread::sleep(Duration::from_millis(300));

@@ -29,6 +29,7 @@ use crate::proto::{frames, ControlMsg};
 use crate::shared::{
     control_addr, dispatcher_addr, matcher_addr, subscriber_addr, telemetry_addr, Shared,
 };
+use crate::sublog::SubLogRecord;
 use bluedove_baselines::AnyStrategy;
 use bluedove_core::{
     AdaptivePolicy, AttributeSpace, CoreError, DimIdx, DimStats, ForwardingPolicy, IndexKind,
@@ -36,8 +37,8 @@ use bluedove_core::{
     SubscriptionCountPolicy, SubscriptionId,
 };
 use bluedove_engine::{
-    Announcement, AutoscalerConfig, ControlEngine, EngineConfig, LoadSnapshot, Move, ScaleError,
-    ScaleOutcome, ScalePlan, SeenWindow, DEDUP_WINDOW,
+    Announcement, AutoscalerConfig, ControlEngine, EngineConfig, LoadSnapshot, Move,
+    ReplicatedAppend, ScaleError, ScaleOutcome, ScalePlan, SeenWindow, DEDUP_WINDOW,
 };
 use bluedove_net::{
     to_bytes, ChannelTransport, FaultHandle, FaultTransport, HostTransport, NetError,
@@ -624,26 +625,18 @@ pub struct Cluster {
     next_subscriber: u64,
     publish_rr: usize,
     /// The control plane: the authoritative table and its versions,
-    /// membership, the sub-log epoch book and the autoscaler.
+    /// membership, the sub-log leader book and the autoscaler.
     control: ControlEngine,
     /// Per-matcher gossip incarnation numbers (bumped by
     /// [`restart_matcher`](Self::restart_matcher)).
     generations: HashMap<MatcherId, u64>,
-    /// Every acked subscription, by id — the durable registration store a
-    /// restarted matcher recovers its copies from.
+    /// Every acked subscription, by id — the registration store a
+    /// restarted matcher recovers its copies from when there is no
+    /// sub-log.
     sub_registry: HashMap<SubscriptionId, Subscription>,
-    /// Unsubscribed subscriptions, kept (with the sub-log on) so a
-    /// restarted matcher whose local log replays a since-unsubscribed
-    /// copy gets the matching `RemoveSub` queued behind its recovery.
-    unsub_tombstones: Vec<Subscription>,
     /// Latest gossiped load report per `(matcher, dimension)` — the raw
     /// material [`autoscale_tick`](Self::autoscale_tick) snapshots from.
     load_view: HashMap<(MatcherId, DimIdx), DimStats>,
-    /// Subscription-id watermark at each crash: with the sub-log on, the
-    /// registry backstop re-ships only subscriptions registered at or
-    /// after it — everything earlier replays from the local log and the
-    /// heir's delta.
-    crash_watermark: HashMap<MatcherId, u64>,
 }
 
 /// The node config of matcher `id`: the deployment's knobs plus what
@@ -806,9 +799,7 @@ impl Cluster {
             control,
             generations,
             sub_registry: HashMap::new(),
-            unsub_tombstones: Vec::new(),
             load_view: HashMap::new(),
-            crash_watermark: HashMap::new(),
         };
         // Install the initial table on every matcher so dispatcher pulls
         // have an authoritative source from the first round.
@@ -822,30 +813,21 @@ impl Cluster {
         self.push_table(&table);
     }
 
-    /// Pushes `table` (membership, strategy and epoch book) to every live
-    /// matcher as the authoritative `TableUpdate` and to every dispatcher
-    /// as a `TableState`. Management-plane traffic rides the raw channel:
-    /// the orchestrator's bookkeeping must not be lost to the faults it is
-    /// recovering from.
+    /// Pushes `table` (membership, strategy and leader book) to every live
+    /// matcher and every dispatcher as a `TableState`. Management-plane
+    /// traffic rides the raw channel: the orchestrator's bookkeeping must
+    /// not be lost to the faults it is recovering from.
     fn push_table(&self, table: &Announcement) {
-        let addrs = address_book(&table.live);
-        let update = ControlMsg::TableUpdate {
-            version: table.version,
-            strategy: table.strategy.clone(),
-            addrs: addrs.clone(),
-            epochs: table.epochs.clone(),
-        };
-        for (_, a) in &addrs {
-            let _ = self.base.send(a, to_bytes(&update).freeze());
-        }
         let state = ControlMsg::TableState {
             version: table.version,
             strategy: Some(table.strategy.clone()),
-            addrs,
-            epochs: table.epochs.clone(),
+            addrs: address_book(&table.live),
+            leaders: table.leaders.clone(),
         };
-        for d in &self.dispatchers {
-            let _ = self.base.send(&d.addr, to_bytes(&state).freeze());
+        let state = to_bytes(&state).freeze();
+        let matchers = table.live.iter().map(|&m| matcher_addr(m));
+        for a in matchers.chain(self.dispatchers.iter().map(|d| d.addr.clone())) {
+            let _ = self.base.send(&a, state.clone());
         }
     }
 
@@ -857,7 +839,7 @@ impl Cluster {
             let handover = ControlMsg::HandOver {
                 dim: mv.dim,
                 range: mv.range,
-                to_addr: matcher_addr(mv.to),
+                to: mv.to,
                 reply_to: control_addr(),
             };
             self.transport
@@ -1028,9 +1010,6 @@ impl Cluster {
     /// delivered).
     pub fn unsubscribe(&mut self, handle: &SubscriberHandle) -> Result<(), ClusterError> {
         self.sub_registry.remove(&handle.subscription);
-        if self.cfg.log_dir.is_some() {
-            self.unsub_tombstones.push(handle.sub.clone());
-        }
         let d = &self.dispatchers[(handle.id.0 as usize) % self.dispatchers.len()];
         self.transport.send(
             &d.addr,
@@ -1049,9 +1028,6 @@ impl Cluster {
         let Some(sub) = self.sub_registry.remove(&id) else {
             return Err(ClusterError::Invalid("unsubscribe of unknown subscription"));
         };
-        if self.cfg.log_dir.is_some() {
-            self.unsub_tombstones.push(sub.clone());
-        }
         let d = &self.dispatchers[(sub.subscriber.0 as usize) % self.dispatchers.len()];
         self.transport
             .send(&d.addr, to_bytes(&ControlMsg::Unsubscribe(sub)).freeze())?;
@@ -1196,13 +1172,24 @@ impl Cluster {
         let change = self.control.leave(victim)?;
         self.hand_over(&change.moves)?;
 
-        // Flip the routing table with the victim deregistered and its
-        // streams forgotten (its copies went to the heirs, so there is
-        // nothing left to replay). After the push no *new* work is routed
-        // to the victim — retransmissions recompute candidates from this
-        // table too, so the ledger re-homes its in-flight publications
-        // onto the heirs.
-        self.control.commit(&change, self.shared.now());
+        // Flip the routing table with the victim deregistered and its own
+        // stream forgotten (its copies went to the heirs); a stream it led
+        // for a down owner moves on to its heir, which takes the victim's
+        // copy as its replica and leads. After the push no *new* work is
+        // routed to the victim — retransmissions recompute candidates from
+        // this table too, so the ledger re-homes its in-flight
+        // publications onto the heirs.
+        let mut handed = Ok(victim);
+        for (stream, heir, epoch) in self.control.commit(&change, self.shared.now()) {
+            let (heir, ack_to) = (matcher_addr(heir), String::new());
+            let replica = |append| ControlMsg::SubLogAppend { append, ack_to };
+            handed = handed.and(
+                self.step_down(victim, stream, &heir, replica)
+                    .map(|_| victim),
+            );
+            let promote = ControlMsg::SubLogPromote { stream, epoch };
+            let _ = self.base.send(&heir, to_bytes(&promote).freeze());
+        }
         self.broadcast_table();
 
         // Publications routed by the old table may still arrive for up to
@@ -1227,7 +1214,33 @@ impl Cluster {
         self.load_view.retain(|&(m, _), _| m != victim);
         self.shared.counters.scale_downs.inc();
         self.shared.matchers_gauge.set(self.matchers.len() as i64);
-        Ok(victim)
+        handed
+    }
+
+    /// Steps `leader` down from `stream` and sends its copy of it, taken
+    /// in the same step, to `to` as `relay` frames it: the copy holds
+    /// every write the leader applied, and the leader passes any later
+    /// one on.
+    fn step_down(
+        &self,
+        leader: MatcherId,
+        stream: MatcherId,
+        to: &str,
+        relay: impl FnOnce(ReplicatedAppend<SubLogRecord>) -> ControlMsg,
+    ) -> Result<(), ClusterError> {
+        let fetch = ControlMsg::SubLogFetch {
+            stream,
+            from: 0,
+            reply_to: control_addr(),
+            step_down: true,
+        };
+        self.base
+            .send(&matcher_addr(leader), to_bytes(&fetch).freeze())?;
+        let copy = await_reply(&self.ctl_rx, 5, "sub-log hand-back", |msg| match msg {
+            ControlMsg::SubLogAppend { append, .. } if append.stream == stream => Some(append),
+            _ => None,
+        })?;
+        Ok(self.base.send(to, to_bytes(&relay(copy)).freeze())?)
     }
 
     /// Drains gossiped load reports from the control inbox into the load
@@ -1280,8 +1293,9 @@ impl Cluster {
     /// Dispatchers fail over on their next send to it. With the sub-log
     /// on, the control plane promotes every stream the victim led onto
     /// its clockwise heir at a bumped epoch — the heir replays its replica
-    /// into its engine (failover as log replay) — and the new epoch book
-    /// rides the next table broadcast.
+    /// into its engine (failover as log replay) — and the table broadcast
+    /// at once carries the new leader book, so dispatchers send the
+    /// victim's publications and writes to the heir.
     pub fn kill_matcher(&mut self, m: MatcherId) {
         let Some(node) = self.matchers.remove(&m) else {
             return;
@@ -1294,15 +1308,6 @@ impl Cluster {
         if self.cfg.log_dir.is_none() {
             return;
         }
-        // The registry backstop for the victim's eventual rejoin covers
-        // only subscriptions registered from this instant on; everything
-        // earlier replays from the logs.
-        self.crash_watermark.insert(
-            m,
-            self.shared
-                .next_sub_id
-                .load(std::sync::atomic::Ordering::Relaxed),
-        );
         for (stream, heir, epoch) in promotions {
             let promote = ControlMsg::SubLogPromote { stream, epoch };
             let _ = self
@@ -1318,11 +1323,12 @@ impl Cluster {
     /// that declared the previous incarnation dead re-admit it), installs
     /// the current routing table, pushes the fresh table straight to every
     /// dispatcher (clearing their fail-over dead lists for re-listed
-    /// matchers), and replays the subscription copies the strategy assigns
-    /// to it from the orchestrator's registration store — a crashed
-    /// matcher's in-memory state is gone. Refused, with nothing spawned or
-    /// announced, unless the control plane lists `m` as a crashed member
-    /// (a matcher that left gracefully is no member).
+    /// matchers), and recovers its subscription copies — a crashed
+    /// matcher's in-memory state is gone: from its sub-log and the
+    /// downtime delta when the deployment has one, else from the
+    /// orchestrator's registration store. Refused, with nothing spawned
+    /// or announced, unless the control plane lists `m` as a crashed
+    /// member (a matcher that left gracefully is no member).
     pub fn restart_matcher(&mut self, m: MatcherId) -> Result<(), ClusterError> {
         // With the sub-log on, the rejoin epoch is above whatever epoch
         // the heir was promoted at, so the heir's in-flight appends fence
@@ -1355,93 +1361,50 @@ impl Cluster {
 
         // Local-log-first recovery: the bound matcher replays its own
         // durable stream when its serve loop opens the log, so only the
-        // *delta* — mutations that landed on the heir while this matcher
-        // was down — is installed from the network. Pull the heir's copy
-        // of the stream (stamped with its promotion point), queue it as a
-        // `SubLogInstall` ahead of any traffic — the matcher installs only
-        // the records past its divergence point — and step the heir down;
-        // the rejoin epoch's first append truncates the heir's replica to
-        // that point and a gap fetch realigns it.
-        let watermark = self.crash_watermark.remove(&m);
-        if self.cfg.log_dir.is_some() {
-            if let Some(leader) = interim_leader {
-                let leader_addr = matcher_addr(leader);
-                let fetch = ControlMsg::SubLogFetch {
-                    stream: m,
-                    from: 0,
-                    reply_to: control_addr(),
-                };
-                let _ = self.base.send(&leader_addr, to_bytes(&fetch).freeze());
-                let served = await_reply(&self.ctl_rx, 5, "sub-log delta", |msg| match msg {
-                    ControlMsg::SubLogAppend { append, .. } if append.stream == m => Some(append),
-                    _ => None,
-                });
-                if let Ok(served) = served {
-                    let install = ControlMsg::SubLogInstall { epoch, served };
-                    let _ = self.base.send(&addr, to_bytes(&install).freeze());
-                }
-                let demote = ControlMsg::SubLogDemote { stream: m };
-                let _ = self.base.send(&leader_addr, to_bytes(&demote).freeze());
-            }
-            // Unsubscribes the local log predates would resurrect their
-            // copies on replay: queue the tombstones' removals behind
-            // the recovery stream.
-            for sub in &self.unsub_tombstones {
-                for dim in self.copies_on(m, sub) {
-                    let remove = ControlMsg::RemoveSub { dim, sub: sub.id };
-                    let _ = self.base.send(&addr, to_bytes(&remove).freeze());
-                }
-            }
+        // *delta* — the writes its stream's interim leader journaled
+        // meanwhile — comes from the network: the leader steps down with
+        // its copy, queued here on the bound inbox ahead of any traffic,
+        // and the matcher installs it past the divergence point.
+        let mut handed = Ok(());
+        if let (Some(_), Some(leader)) = (&self.cfg.log_dir, interim_leader) {
+            let install = |served| ControlMsg::SubLogInstall { epoch, served };
+            handed = self.step_down(leader, m, &addr, install);
         }
 
-        // Re-announce the membership (and epoch book) under a fresh
-        // table version: matchers get the authoritative TableUpdate,
-        // dispatchers get the same book pushed as a TableState (they
-        // also pull periodically) and drop re-listed matchers from their
-        // dead lists. Management-plane traffic goes over the raw
-        // channel, not the fault-scoped transport: the orchestrator's
-        // own re-admission bookkeeping must not be lost to the faults it
-        // is recovering from (the periodic pull path still exercises the
-        // faulty links).
+        // Re-announce the membership (and leader book) under a fresh
+        // table version: dispatchers drop re-listed matchers from their
+        // dead lists and route `m`'s assignments to it again.
         self.broadcast_table();
 
-        // Registry backstop, queued on the bound inbox ahead of any
-        // publication (per the ordering argument above): with the
-        // sub-log on, only subscriptions registered *since the crash*
-        // are re-shipped — everything earlier replayed from the local
-        // log and the heir's delta. Without it, the full historical
-        // re-ship is preserved.
-        let copies: Vec<(DimIdx, Subscription)> = self
-            .sub_registry
-            .values()
-            .filter(|sub| watermark.is_none_or(|w| sub.id.0 >= w))
-            .flat_map(|sub| self.copies_on(m, sub).map(|dim| (dim, sub.clone())))
-            .collect();
-        if watermark.is_some() {
-            self.shared
-                .counters
-                .sublog_reshipped
-                .add(copies.len() as u64);
-        }
-        for (dim, sub) in copies {
-            let store = ControlMsg::StoreSub { dim, sub };
-            self.base.send(&addr, to_bytes(&store).freeze())?;
+        // Without a sub-log, or with no live member that led its stream
+        // meanwhile, the registry is the only record of the writes the
+        // matcher missed: re-ship its copies, queued on the bound inbox
+        // ahead of any publication (per the ordering argument above).
+        if self.cfg.log_dir.is_none() || interim_leader.is_none() {
+            for sub in self.sub_registry.values() {
+                let assign = self.control.strategy().as_dyn().assign(sub);
+                for dim in assign.iter().filter(|a| a.matcher == m).map(|a| a.dim) {
+                    let (sub, stream) = (sub.clone(), m);
+                    let store = ControlMsg::StoreSub { dim, sub, stream };
+                    self.base.send(&addr, to_bytes(&store).freeze())?;
+                }
+            }
         }
         self.matchers.insert(m, bound.start(self.shared.clone()));
         self.shared.matchers_gauge.set(self.matchers.len() as i64);
-        Ok(())
-    }
-
-    /// The dimensions on which the authoritative strategy places a copy
-    /// of `sub` on matcher `m`.
-    fn copies_on(&self, m: MatcherId, sub: &Subscription) -> impl Iterator<Item = DimIdx> {
-        self.control
-            .strategy()
-            .as_dyn()
-            .assign(sub)
-            .into_iter()
-            .filter(move |a| a.matcher == m)
-            .map(|a| a.dim)
+        // Leadership is back with `m`: it drops the copies its log kept
+        // from streams it led before its crash, and — once dispatchers
+        // route by the new table, as a join's donor retires — so does the
+        // interim leader with what it held for `m`'s stream.
+        if self.cfg.log_dir.is_some() {
+            let prune = to_bytes(&ControlMsg::Prune).freeze();
+            let _ = self.base.send(&addr, prune.clone());
+            if let Some(leader) = interim_leader {
+                std::thread::sleep(self.cfg.table_pull_interval * 2);
+                let _ = self.base.send(&matcher_addr(leader), prune);
+            }
+        }
+        handed
     }
 
     /// Orderly shutdown: stops every node and joins the threads.

@@ -412,18 +412,19 @@ impl Node for Dispatcher {
                 dim,
                 stats,
             },
-            // Sub-log leader epochs ride the same monotone table path, but
-            // dispatcher routing stays address-driven: a failed send is
-            // the failover trigger, not an epoch comparison.
+            // The leader book rides the same monotone table path: the
+            // engine resolves a down owner's assignments to its stream's
+            // leader for publications and writes alike.
             ControlMsg::TableState {
                 version,
                 strategy: Some(strategy),
                 addrs,
-                epochs: _,
+                leaders,
             } => DispatcherEvent::TableUpdate {
                 version,
                 strategy,
                 addrs,
+                leaders,
             },
             ControlMsg::Shutdown => return Step::Exit,
             _ => return Step::Continue,

@@ -11,7 +11,7 @@
 use crate::batchio::{flush_frame, wake_in, BatchMetrics, Outbox};
 use crate::node::{Node, Step};
 use crate::proto::ControlMsg;
-use crate::shared::Shared;
+use crate::shared::{matcher_addr, Shared};
 use crate::sublog::{MatcherLog, SubLogRecord};
 use bluedove_core::{
     DimIdx, MatchHit, MatcherId, Message, MessageId, SubscriberId, SubscriptionId, Time,
@@ -305,8 +305,8 @@ struct TableCopy {
     version: u64,
     strategy: Option<bluedove_baselines::AnyStrategy>,
     addrs: Vec<(MatcherId, String)>,
-    /// Sub-log leader epochs per stream, as of `version`.
-    epochs: Vec<(MatcherId, u64)>,
+    /// The leader book, `(stream, leader, epoch)`, as of `version`.
+    leaders: Vec<(MatcherId, MatcherId, u64)>,
 }
 
 /// Longest the matcher blocks whatever its timers say (bounds how late
@@ -333,7 +333,7 @@ struct Matcher {
     /// initial value times boot → first full convergence.
     diverged_since: Option<Time>,
     last_gossip_bytes: u64,
-    /// The authoritative table (installed by TableUpdate) that
+    /// The authoritative table (installed from a `TableState`) that
     /// dispatchers pull from this matcher (§III-C).
     table: TableCopy,
     stats_interval: Time,
@@ -410,29 +410,53 @@ impl Matcher {
         matcher
     }
 
+    /// Serves a `StoreSub` or `RemoveSub` for a copy owned by `stream`
+    /// where the engine's write rule puts it: here, or — when this matcher
+    /// stopped leading the stream — at the leader the table names, else
+    /// the owner, behind the copy that handed the stream on. Returns
+    /// whether it took here.
+    fn write(&mut self, rec: SubLogRecord, stream: MatcherId) -> bool {
+        let owner = match self.engine.write_at(&rec, stream, self.mlog.as_ref()) {
+            Ok(also) => return self.apply(rec, also),
+            Err(owner) => owner,
+        };
+        let leader = Some(self.leader(owner)).filter(|&l| l != self.cfg.id);
+        let to = matcher_addr(leader.unwrap_or(owner));
+        let frame = match rec {
+            SubLogRecord::Store { dim, sub } => ControlMsg::StoreSub { dim, sub, stream },
+            SubLogRecord::Remove { dim, sub } => ControlMsg::RemoveSub { dim, sub, stream },
+            SubLogRecord::Retire { .. } => return false,
+        };
+        self.port.out.send(&to, &frame);
+        false
+    }
+
+    /// The leader the table's book names for `stream`, else its owner.
+    fn leader(&self, stream: MatcherId) -> MatcherId {
+        let entry = self.table.leaders.iter().find(|e| e.0 == stream);
+        entry.map_or(stream, |e| e.1)
+    }
+
     /// Applies one record to the engine and, when it took, journals it
-    /// on this matcher's own stream and on every stream the engine's
-    /// journal rule names (a no-op with the sub-log off). The journal
-    /// catches up within the same step, before anything is served from
-    /// the new state.
-    fn apply(&mut self, rec: SubLogRecord) -> bool {
+    /// on this matcher's own stream and on `also`, streams it leads for
+    /// down owners (a no-op with the sub-log off). The journal catches up
+    /// within the same step, before anything is served from the new
+    /// state.
+    fn apply(&mut self, rec: SubLogRecord, also: Vec<MatcherId>) -> bool {
         if !self.engine.apply(&rec, &mut self.port) {
             return false;
         }
-        if let Some(ml) = &self.mlog {
-            let strategy = self.table.strategy.as_ref();
-            for stream in self.engine.journal_streams(&rec, strategy, |s| ml.leads(s)) {
-                self.journal(stream, rec.clone());
-            }
-            self.journal(self.cfg.id, rec);
+        for stream in also {
+            self.journal(stream, rec.clone());
         }
+        self.journal(self.cfg.id, rec);
         true
     }
 
     /// Appends `rec` to `stream` — this matcher's own, or one it leads
     /// since a promotion — and streams the append to the clockwise heir.
-    /// A failed append keeps the matcher serving from memory; recovery
-    /// then degrades to the registry re-ship path.
+    /// A failed append keeps the matcher serving from memory; what it
+    /// missed is lost to a restart.
     fn journal(&mut self, stream: MatcherId, rec: SubLogRecord) {
         let Some(s) = self.mlog.as_mut().and_then(|ml| ml.get_mut(stream)) else {
             return;
@@ -583,14 +607,14 @@ impl Matcher {
 impl Node for Matcher {
     fn handle(&mut self, now: Time, msg: ControlMsg) -> Step {
         match msg {
-            ControlMsg::StoreSub { dim, sub } => {
-                if !self.apply(SubLogRecord::Store { dim, sub }) {
+            ControlMsg::StoreSub { dim, sub, stream } => {
+                if !self.write(SubLogRecord::Store { dim, sub }, stream) {
                     return Step::Continue;
                 }
                 self.port.shared.counters.stored_copies.inc();
             }
-            ControlMsg::RemoveSub { dim, sub } => {
-                self.apply(SubLogRecord::Remove { dim, sub });
+            ControlMsg::RemoveSub { dim, sub, stream } => {
+                self.write(SubLogRecord::Remove { dim, sub }, stream);
             }
             ControlMsg::MatchMsg {
                 dim,
@@ -605,34 +629,46 @@ impl Node for Matcher {
             ControlMsg::HandOver {
                 dim,
                 range,
-                to_addr,
+                to,
                 reply_to,
             } => {
                 let moved = self.engine.hand_over(dim, &range, &mut self.port);
                 let count = moved.len() as u64;
+                let to_addr = matcher_addr(self.leader(to));
                 for sub in moved {
-                    self.port
-                        .out
-                        .send(&to_addr, &ControlMsg::StoreSub { dim, sub });
+                    let store = ControlMsg::StoreSub {
+                        dim,
+                        sub,
+                        stream: to,
+                    };
+                    self.port.out.send(&to_addr, &store);
                 }
                 self.port
                     .out
                     .send(&reply_to, &ControlMsg::HandOverDone { dim, moved: count });
             }
             ControlMsg::Retire { dim, range, keep } => {
-                self.apply(SubLogRecord::Retire { dim, range, keep });
+                self.apply(SubLogRecord::Retire { dim, range, keep }, Vec::new());
             }
-            ControlMsg::TableUpdate {
+            ControlMsg::Prune => {
+                let (Some(ml), Some(strategy)) = (&self.mlog, &self.table.strategy) else {
+                    return Step::Continue;
+                };
+                for rec in self.engine.prune(strategy, ml) {
+                    self.write(rec, self.cfg.id);
+                }
+            }
+            ControlMsg::TableState {
                 version,
-                strategy,
+                strategy: Some(strategy),
                 addrs,
-                epochs,
+                leaders,
             } if version > self.table.version => {
                 self.table = TableCopy {
                     version,
                     strategy: Some(strategy),
                     addrs,
-                    epochs,
+                    leaders,
                 };
                 // Announce the new table version on the gossip mesh too.
                 self.gossip.set_segments_version(version);
@@ -642,7 +678,7 @@ impl Node for Matcher {
                     version: self.table.version,
                     strategy: self.table.strategy.clone(),
                     addrs: self.table.addrs.clone(),
-                    epochs: self.table.epochs.clone(),
+                    leaders: self.table.leaders.clone(),
                 };
                 self.port.out.send(&reply_to, &state);
             }
@@ -708,6 +744,7 @@ impl Node for Matcher {
                             stream,
                             from,
                             reply_to: self.cfg.addr.clone(),
+                            step_down: false,
                         };
                         self.port.out.send(&ack_to, &fetch);
                     }
@@ -733,14 +770,19 @@ impl Node for Matcher {
                 stream,
                 from,
                 reply_to,
+                step_down,
             } => {
-                if let Some(s) = self.mlog.as_ref().and_then(|ml| ml.get(stream)) {
-                    let append = s.serve(from);
-                    let msg = ControlMsg::SubLogAppend {
-                        append,
-                        ack_to: self.cfg.addr.clone(),
-                    };
-                    self.port.out.send(&reply_to, &msg);
+                let Some(ml) = self.mlog.as_mut() else {
+                    return Step::Continue;
+                };
+                if let Some(append) = ml.get(stream).map(|s| s.serve(from)) {
+                    if step_down {
+                        ml.demote(stream);
+                    }
+                    let ack_to = self.cfg.addr.clone();
+                    self.port
+                        .out
+                        .send(&reply_to, &ControlMsg::SubLogAppend { append, ack_to });
                 }
             }
             // Failover as log replay: the engine adopts the dead
@@ -759,11 +801,6 @@ impl Node for Matcher {
                     .add(inherited.len() as u64);
                 for rec in inherited {
                     self.journal(self.cfg.id, rec);
-                }
-            }
-            ControlMsg::SubLogDemote { stream } => {
-                if let Some(ml) = self.mlog.as_mut() {
-                    ml.demote(stream);
                 }
             }
             // Only meaningful for this matcher's own stream: the copy its

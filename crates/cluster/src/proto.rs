@@ -27,6 +27,8 @@ pub enum ControlMsg {
         dim: DimIdx,
         /// The subscription id to drop.
         sub: SubscriptionId,
+        /// The copy's owner, whose stream the removal is journaled on.
+        stream: MatcherId,
     },
     /// Dispatcher → matcher: store a subscription copy in the per-`dim`
     /// set.
@@ -35,6 +37,8 @@ pub enum ControlMsg {
         dim: DimIdx,
         /// The subscription.
         sub: Subscription,
+        /// The copy's owner, whose stream the store is journaled on.
+        stream: MatcherId,
     },
     /// Dispatcher → matcher: match `msg` against the per-`dim` set.
     MatchMsg {
@@ -115,15 +119,15 @@ pub enum ControlMsg {
         sub: SubscriptionId,
     },
     /// Orchestrator → matcher: hand the dimension-`dim` subscriptions
-    /// overlapping `range` to the matcher at `to_addr` (elastic join).
+    /// overlapping `range` to matcher `to` (elastic join).
     /// The donor keeps serving copies until a later `Retire`.
     HandOver {
         /// Dimension of the moved segment.
         dim: DimIdx,
         /// The transferred range.
         range: Range,
-        /// Transport address of the receiving matcher.
-        to_addr: String,
+        /// The receiving matcher, the moved copies' new owner.
+        to: MatcherId,
         /// Where to send the `HandOverDone` ack.
         reply_to: String,
     },
@@ -147,21 +151,6 @@ pub enum ControlMsg {
         /// of these stay).
         keep: Vec<Range>,
     },
-    /// Orchestrator → matcher: install a new authoritative segment table
-    /// (strategy) and matcher address book. `version` is a monotone
-    /// management-plane counter.
-    TableUpdate {
-        /// Monotone table version.
-        version: u64,
-        /// The full strategy (segment table included).
-        strategy: bluedove_baselines::AnyStrategy,
-        /// Matcher address book as of this version.
-        addrs: Vec<(MatcherId, String)>,
-        /// Sub-log leader epochs per stream as of this version —
-        /// dispatchers and matchers learn about promotions through the
-        /// same monotone table path that carries segment ownership.
-        epochs: Vec<(MatcherId, u64)>,
-    },
     /// Dispatcher → matcher: request the current table (§III-C: "each
     /// dispatcher pulls the table from a randomly chosen matcher once a
     /// while").
@@ -169,16 +158,21 @@ pub enum ControlMsg {
         /// Where to send the `TableState` reply.
         reply_to: String,
     },
-    /// Matcher → dispatcher: the current table and address book.
+    /// A routing table: the orchestrator's announcement to every matcher
+    /// and dispatcher, or a matcher's reply to a `TablePull`. A receiver
+    /// installs one newer than its own; dispatchers and matchers learn of
+    /// promotions through this same monotone path that carries segment
+    /// ownership.
     TableState {
-        /// Monotone table version (0 = matcher has no table yet).
+        /// Monotone management-plane version (0 = the replying matcher
+        /// has no table yet).
         version: u64,
-        /// The strategy, when the matcher has one.
+        /// The full strategy (segment table included), when known.
         strategy: Option<bluedove_baselines::AnyStrategy>,
         /// Matcher address book.
         addrs: Vec<(MatcherId, String)>,
-        /// Sub-log leader epochs per stream, as last gossiped/installed.
-        epochs: Vec<(MatcherId, u64)>,
+        /// The leader book, `(stream, leader, epoch)`.
+        leaders: Vec<(MatcherId, MatcherId, u64)>,
     },
     /// Matcher ↔ matcher: one leg of the §III-C anti-entropy gossip
     /// handshake, carried over the regular transport. `from_addr` tells
@@ -237,7 +231,10 @@ pub enum ControlMsg {
     },
     /// Follower (or control plane) → stream leader: re-send the records
     /// from `from` to the tail, as a [`ControlMsg::SubLogAppend`] to
-    /// `reply_to` (gap repair / recovery delta pull).
+    /// `reply_to` (gap repair). With `step_down` (control plane → interim
+    /// leader, when the stream moves on) the leader also steps back down
+    /// to a follower in the same step, so the copy holds every write it
+    /// applied, and passes a later one on to the stream's new leader.
     SubLogFetch {
         /// Which stream.
         stream: MatcherId,
@@ -245,6 +242,8 @@ pub enum ControlMsg {
         from: u64,
         /// Where to send the catch-up append.
         reply_to: String,
+        /// Stop leading the stream.
+        step_down: bool,
     },
     /// Control plane → heir: the owner of `stream` died — promote your
     /// replica at its replicated offset and lead the stream under
@@ -256,13 +255,10 @@ pub enum ControlMsg {
         /// The new leader epoch (strictly above every prior one).
         epoch: u64,
     },
-    /// Control plane → promoted heir: the owner of `stream` recovered
-    /// and resumed leading — step back down to a follower (the owner's
-    /// higher-epoch appends re-fence the replica).
-    SubLogDemote {
-        /// The recovered owner's stream.
-        stream: MatcherId,
-    },
+    /// Control plane → matcher, when leadership returns to a rejoined
+    /// owner: drop the copies no assignment to you or to a stream you
+    /// lead keeps (see `bluedove_engine::MatcherEngine::prune`).
+    Prune,
     /// Control plane → recovering matcher: the copy of your own stream
     /// served by the heir that led it while you were down. The matcher
     /// installs the records past its divergence point (the downtime
@@ -313,11 +309,11 @@ impl ControlMsg {
     /// address, stamped as `ack_to` when the engine requests an ack.
     pub fn from_dispatcher_out(out: bluedove_engine::DispatcherOut, ack_addr: &str) -> Self {
         match out {
-            bluedove_engine::DispatcherOut::StoreSub { dim, sub } => {
-                ControlMsg::StoreSub { dim, sub }
+            bluedove_engine::DispatcherOut::StoreSub { dim, sub, stream } => {
+                ControlMsg::StoreSub { dim, sub, stream }
             }
-            bluedove_engine::DispatcherOut::RemoveSub { dim, sub } => {
-                ControlMsg::RemoveSub { dim, sub }
+            bluedove_engine::DispatcherOut::RemoveSub { dim, sub, stream } => {
+                ControlMsg::RemoveSub { dim, sub, stream }
             }
             bluedove_engine::DispatcherOut::Match {
                 dim,
@@ -367,7 +363,6 @@ const TAG_MAILBOX_BATCH: u8 = 12;
 const TAG_GOSSIP: u8 = 13;
 const TAG_UNSUBSCRIBE: u8 = 14;
 const TAG_REMOVE_SUB: u8 = 15;
-const TAG_TABLE_UPDATE: u8 = 16;
 const TAG_TABLE_PULL: u8 = 17;
 const TAG_TABLE_STATE: u8 = 18;
 const TAG_MATCH_ACK: u8 = 19;
@@ -379,8 +374,8 @@ const TAG_SUBLOG_APPEND: u8 = 24;
 const TAG_SUBLOG_ACK: u8 = 25;
 const TAG_SUBLOG_FETCH: u8 = 26;
 const TAG_SUBLOG_PROMOTE: u8 = 27;
-const TAG_SUBLOG_DEMOTE: u8 = 28;
 const TAG_SUBLOG_INSTALL: u8 = 29;
+const TAG_PRUNE: u8 = 30;
 
 /// Decoder cap on frames per batch: a forged count cannot make the
 /// decoder pre-allocate more than this many slots, and well-formed
@@ -424,15 +419,17 @@ impl Wire for ControlMsg {
                 buf.put_u8(TAG_UNSUBSCRIBE);
                 s.encode(buf);
             }
-            ControlMsg::RemoveSub { dim, sub } => {
+            ControlMsg::RemoveSub { dim, sub, stream } => {
                 buf.put_u8(TAG_REMOVE_SUB);
                 dim.encode(buf);
                 sub.encode(buf);
+                stream.encode(buf);
             }
-            ControlMsg::StoreSub { dim, sub } => {
+            ControlMsg::StoreSub { dim, sub, stream } => {
                 buf.put_u8(TAG_STORE_SUB);
                 dim.encode(buf);
                 sub.encode(buf);
+                stream.encode(buf);
             }
             ControlMsg::MatchMsg {
                 dim,
@@ -484,12 +481,7 @@ impl Wire for ControlMsg {
             }
             ControlMsg::MailboxBatch { entries } => {
                 buf.put_u8(TAG_MAILBOX_BATCH);
-                (entries.len() as u32).encode(buf);
-                for (sub, msg, at) in entries {
-                    sub.encode(buf);
-                    msg.encode(buf);
-                    at.encode(buf);
-                }
+                entries.encode(buf);
             }
             ControlMsg::SubAck { sub } => {
                 buf.put_u8(TAG_SUB_ACK);
@@ -498,13 +490,13 @@ impl Wire for ControlMsg {
             ControlMsg::HandOver {
                 dim,
                 range,
-                to_addr,
+                to,
                 reply_to,
             } => {
                 buf.put_u8(TAG_HAND_OVER);
                 dim.encode(buf);
                 range.encode(buf);
-                to_addr.encode(buf);
+                to.encode(buf);
                 reply_to.encode(buf);
             }
             ControlMsg::HandOverDone { dim, moved } => {
@@ -518,26 +510,6 @@ impl Wire for ControlMsg {
                 range.encode(buf);
                 keep.encode(buf);
             }
-            ControlMsg::TableUpdate {
-                version,
-                strategy,
-                addrs,
-                epochs,
-            } => {
-                buf.put_u8(TAG_TABLE_UPDATE);
-                version.encode(buf);
-                strategy.encode(buf);
-                (addrs.len() as u32).encode(buf);
-                for (m, a) in addrs {
-                    m.encode(buf);
-                    a.encode(buf);
-                }
-                (epochs.len() as u32).encode(buf);
-                for (m, e) in epochs {
-                    m.encode(buf);
-                    e.encode(buf);
-                }
-            }
             ControlMsg::TablePull { reply_to } => {
                 buf.put_u8(TAG_TABLE_PULL);
                 reply_to.encode(buf);
@@ -546,21 +518,13 @@ impl Wire for ControlMsg {
                 version,
                 strategy,
                 addrs,
-                epochs,
+                leaders,
             } => {
                 buf.put_u8(TAG_TABLE_STATE);
                 version.encode(buf);
                 strategy.encode(buf);
-                (addrs.len() as u32).encode(buf);
-                for (m, a) in addrs {
-                    m.encode(buf);
-                    a.encode(buf);
-                }
-                (epochs.len() as u32).encode(buf);
-                for (m, e) in epochs {
-                    m.encode(buf);
-                    e.encode(buf);
-                }
+                addrs.encode(buf);
+                leaders.encode(buf);
             }
             ControlMsg::Gossip { from_addr, msg } => {
                 buf.put_u8(TAG_GOSSIP);
@@ -576,6 +540,7 @@ impl Wire for ControlMsg {
                 text.encode(buf);
             }
             ControlMsg::Leave => buf.put_u8(TAG_LEAVE),
+            ControlMsg::Prune => buf.put_u8(TAG_PRUNE),
             ControlMsg::Shutdown => buf.put_u8(TAG_SHUTDOWN),
             ControlMsg::SubLogAppend { append, ack_to } => {
                 buf.put_u8(TAG_SUBLOG_APPEND);
@@ -598,20 +563,18 @@ impl Wire for ControlMsg {
                 stream,
                 from,
                 reply_to,
+                step_down,
             } => {
                 buf.put_u8(TAG_SUBLOG_FETCH);
                 stream.encode(buf);
                 from.encode(buf);
                 reply_to.encode(buf);
+                step_down.encode(buf);
             }
             ControlMsg::SubLogPromote { stream, epoch } => {
                 buf.put_u8(TAG_SUBLOG_PROMOTE);
                 stream.encode(buf);
                 epoch.encode(buf);
-            }
-            ControlMsg::SubLogDemote { stream } => {
-                buf.put_u8(TAG_SUBLOG_DEMOTE);
-                stream.encode(buf);
             }
             ControlMsg::SubLogInstall { epoch, served } => {
                 buf.put_u8(TAG_SUBLOG_INSTALL);
@@ -625,10 +588,7 @@ impl Wire for ControlMsg {
                     "encoder never nests batches"
                 );
                 buf.put_u8(TAG_BATCH);
-                (inner.len() as u32).encode(buf);
-                for m in inner {
-                    m.encode(buf);
-                }
+                inner.encode(buf);
             }
         }
     }
@@ -642,10 +602,12 @@ impl Wire for ControlMsg {
             TAG_REMOVE_SUB => ControlMsg::RemoveSub {
                 dim: DimIdx::decode(buf)?,
                 sub: SubscriptionId::decode(buf)?,
+                stream: MatcherId::decode(buf)?,
             },
             TAG_STORE_SUB => ControlMsg::StoreSub {
                 dim: DimIdx::decode(buf)?,
                 sub: Subscription::decode(buf)?,
+                stream: MatcherId::decode(buf)?,
             },
             TAG_MATCH_MSG => ControlMsg::MatchMsg {
                 dim: DimIdx::decode(buf)?,
@@ -674,25 +636,16 @@ impl Wire for ControlMsg {
                 reply_to: String::decode(buf)?,
                 max: u32::decode(buf)?,
             },
-            TAG_MAILBOX_BATCH => {
-                let n = u32::decode(buf)? as usize;
-                let mut entries = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    entries.push((
-                        SubscriptionId::decode(buf)?,
-                        Message::decode(buf)?,
-                        u64::decode(buf)?,
-                    ));
-                }
-                ControlMsg::MailboxBatch { entries }
-            }
+            TAG_MAILBOX_BATCH => ControlMsg::MailboxBatch {
+                entries: Vec::decode(buf)?,
+            },
             TAG_SUB_ACK => ControlMsg::SubAck {
                 sub: SubscriptionId::decode(buf)?,
             },
             TAG_HAND_OVER => ControlMsg::HandOver {
                 dim: DimIdx::decode(buf)?,
                 range: Range::decode(buf)?,
-                to_addr: String::decode(buf)?,
+                to: MatcherId::decode(buf)?,
                 reply_to: String::decode(buf)?,
             },
             TAG_HAND_OVER_DONE => ControlMsg::HandOverDone {
@@ -704,49 +657,15 @@ impl Wire for ControlMsg {
                 range: Range::decode(buf)?,
                 keep: Vec::<Range>::decode(buf)?,
             },
-            TAG_TABLE_UPDATE => {
-                let version = u64::decode(buf)?;
-                let strategy = bluedove_baselines::AnyStrategy::decode(buf)?;
-                let n = u32::decode(buf)? as usize;
-                let mut addrs = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    addrs.push((MatcherId::decode(buf)?, String::decode(buf)?));
-                }
-                let ne = u32::decode(buf)? as usize;
-                let mut epochs = Vec::with_capacity(ne.min(4096));
-                for _ in 0..ne {
-                    epochs.push((MatcherId::decode(buf)?, u64::decode(buf)?));
-                }
-                ControlMsg::TableUpdate {
-                    version,
-                    strategy,
-                    addrs,
-                    epochs,
-                }
-            }
             TAG_TABLE_PULL => ControlMsg::TablePull {
                 reply_to: String::decode(buf)?,
             },
-            TAG_TABLE_STATE => {
-                let version = u64::decode(buf)?;
-                let strategy = Option::<bluedove_baselines::AnyStrategy>::decode(buf)?;
-                let n = u32::decode(buf)? as usize;
-                let mut addrs = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    addrs.push((MatcherId::decode(buf)?, String::decode(buf)?));
-                }
-                let ne = u32::decode(buf)? as usize;
-                let mut epochs = Vec::with_capacity(ne.min(4096));
-                for _ in 0..ne {
-                    epochs.push((MatcherId::decode(buf)?, u64::decode(buf)?));
-                }
-                ControlMsg::TableState {
-                    version,
-                    strategy,
-                    addrs,
-                    epochs,
-                }
-            }
+            TAG_TABLE_STATE => ControlMsg::TableState {
+                version: u64::decode(buf)?,
+                strategy: Option::decode(buf)?,
+                addrs: Vec::decode(buf)?,
+                leaders: Vec::decode(buf)?,
+            },
             TAG_GOSSIP => ControlMsg::Gossip {
                 from_addr: String::decode(buf)?,
                 msg: bluedove_overlay::GossipMsg::decode(buf)?,
@@ -758,6 +677,7 @@ impl Wire for ControlMsg {
                 text: String::decode(buf)?,
             },
             TAG_LEAVE => ControlMsg::Leave,
+            TAG_PRUNE => ControlMsg::Prune,
             TAG_SHUTDOWN => ControlMsg::Shutdown,
             TAG_SUBLOG_APPEND => ControlMsg::SubLogAppend {
                 append: decode_append(buf)?,
@@ -773,13 +693,11 @@ impl Wire for ControlMsg {
                 stream: MatcherId::decode(buf)?,
                 from: u64::decode(buf)?,
                 reply_to: String::decode(buf)?,
+                step_down: bool::decode(buf)?,
             },
             TAG_SUBLOG_PROMOTE => ControlMsg::SubLogPromote {
                 stream: MatcherId::decode(buf)?,
                 epoch: u64::decode(buf)?,
-            },
-            TAG_SUBLOG_DEMOTE => ControlMsg::SubLogDemote {
-                stream: MatcherId::decode(buf)?,
             },
             TAG_SUBLOG_INSTALL => ControlMsg::SubLogInstall {
                 epoch: u64::decode(buf)?,
@@ -875,6 +793,7 @@ mod tests {
         round_trip(ControlMsg::StoreSub {
             dim: DimIdx(1),
             sub: sub.clone(),
+            stream: MatcherId(4),
         });
         round_trip(ControlMsg::MatchMsg {
             dim: DimIdx(0),
@@ -924,7 +843,7 @@ mod tests {
         round_trip(ControlMsg::HandOver {
             dim: DimIdx(2),
             range: Range::new(5.0, 6.0),
-            to_addr: "m/9".into(),
+            to: MatcherId(9),
             reply_to: "ctl/0".into(),
         });
         round_trip(ControlMsg::HandOverDone {
@@ -937,11 +856,13 @@ mod tests {
             keep: vec![Range::new(0.0, 5.0)],
         });
         round_trip(ControlMsg::Leave);
+        round_trip(ControlMsg::Prune);
         round_trip(ControlMsg::Shutdown);
         round_trip(ControlMsg::Unsubscribe(sub));
         round_trip(ControlMsg::RemoveSub {
             dim: DimIdx(0),
             sub: SubscriptionId(3),
+            stream: MatcherId(1),
         });
         round_trip(ControlMsg::Gossip {
             from_addr: "m/1".into(),
@@ -1002,20 +923,21 @@ mod tests {
             stream: MatcherId(2),
             from: 4,
             reply_to: "m/1".into(),
+            step_down: true,
         });
         round_trip(ControlMsg::SubLogPromote {
             stream: MatcherId(2),
             epoch: 4,
-        });
-        round_trip(ControlMsg::SubLogDemote {
-            stream: MatcherId(2),
         });
         round_trip(ControlMsg::SubLogInstall { epoch: 5, served });
         round_trip(ControlMsg::TableState {
             version: 6,
             strategy: None,
             addrs: vec![(MatcherId(1), "m/1".into())],
-            epochs: vec![(MatcherId(1), 2), (MatcherId(2), 5)],
+            leaders: vec![
+                (MatcherId(1), MatcherId(1), 2),
+                (MatcherId(2), MatcherId(1), 5),
+            ],
         });
     }
 

@@ -54,9 +54,6 @@ pub struct Counters {
     /// Sub-log records a recovered matcher installed from its heir's
     /// delta (the mutations it missed while down).
     pub sublog_caught_up: Counter,
-    /// Subscription copies re-shipped from the registry backstop at
-    /// recovery — zero when the replicated logs covered everything.
-    pub sublog_reshipped: Counter,
     /// Malformed frames dropped by dispatchers and matchers, one
     /// `bluedove_rejected_total{kind}` series per [`Rejected::ALL`] entry;
     /// read through [`Counters::rejected`].
@@ -137,10 +134,6 @@ impl Counters {
             sublog_caught_up: c(
                 "bluedove_sublog_caught_up_total",
                 "sub-log records installed from an heir's delta at recovery",
-            ),
-            sublog_reshipped: c(
-                "bluedove_sublog_reshipped_total",
-                "subscription copies re-shipped from the registry backstop at recovery",
             ),
             rejected: Rejected::ALL.map(|kind| {
                 registry.counter(

@@ -339,10 +339,12 @@ fn subscription_ack_requires_a_stored_copy() {
         b.build().unwrap()
     };
 
-    // (a) The assigned owner is dead at registration time: the dispatcher
-    // fails each StoreSub over to the clockwise neighbour on the same
-    // dimension — the matcher that message-side fallback routing probes —
-    // and only then acks. The subscription must be live, not just acked.
+    // (a) The assigned owner is dead at registration time. Its copies
+    // are lost with the failed sends, but the subscription is degenerate
+    // (§III-A-1), so the strategy also places it on m/1's clockwise
+    // neighbour on dimensions 1..3 — the copies message-side fallback
+    // routing probes. Storing those is enough to ack, and the
+    // subscription must be live, not just acked.
     let mut cluster = Cluster::start(ClusterConfig::new(sp.clone()).matchers(4));
     cluster.kill_matcher(MatcherId(1));
     let sub = cluster.subscribe(narrow(&sp)).expect("fail-over SubAck");
@@ -915,6 +917,7 @@ fn bound_matcher_handles_its_whole_inbox_before_serving() {
         ControlMsg::StoreSub {
             dim: DimIdx(0),
             sub,
+            stream: MatcherId(0),
         },
     ] {
         transport.send("m/0", to_bytes(&frame).freeze()).unwrap();
@@ -1025,10 +1028,12 @@ fn matcher_drops_malformed_frames_and_keeps_serving() {
         ControlMsg::StoreSub {
             dim: DimIdx(5),
             sub: sub.clone(),
+            stream: MatcherId(0),
         },
         ControlMsg::StoreSub {
             dim: DimIdx(0),
             sub: inverted,
+            stream: MatcherId(0),
         },
         msg(vec![15.0], 1),
         msg(vec![f64::NAN, 1.0], 2),
@@ -1041,6 +1046,7 @@ fn matcher_drops_malformed_frames_and_keeps_serving() {
         ControlMsg::RemoveSub {
             dim: DimIdx(9),
             sub: SubscriptionId(1),
+            stream: MatcherId(0),
         },
         ControlMsg::Retire {
             dim: DimIdx(7),
@@ -1050,12 +1056,13 @@ fn matcher_drops_malformed_frames_and_keeps_serving() {
         ControlMsg::HandOver {
             dim: DimIdx(4),
             range: bluedove_core::Range::new(0.0, 100.0),
-            to_addr: "m/1".into(),
+            to: MatcherId(1),
             reply_to: "control".into(),
         },
         ControlMsg::StoreSub {
             dim: DimIdx(0),
             sub,
+            stream: MatcherId(0),
         },
         msg(vec![15.0, 50.0], 3),
     ] {
@@ -1079,4 +1086,250 @@ fn matcher_drops_malformed_frames_and_keeps_serving() {
         .send("m/0", to_bytes(&ControlMsg::Shutdown).freeze())
         .unwrap();
     node.join();
+}
+
+/// Matcher `m`'s logical subscription copies, as its last stats tick
+/// reported them.
+fn logical(cluster: &Cluster, m: MatcherId) -> Option<i64> {
+    cluster.telemetry().gauge_value(
+        "bluedove_matcher_subscriptions_logical",
+        &[("matcher", m.0.to_string())],
+    )
+}
+
+/// How many copies of `sub` the announced strategy assigns to `m`.
+fn assigned(cluster: &Cluster, sub: &Subscription, m: MatcherId) -> i64 {
+    let assign = cluster.control().strategy().as_dyn().assign(sub);
+    assign.iter().filter(|a| a.matcher == m).count() as i64
+}
+
+/// Waits until every live matcher reports `expected(m)` logical copies.
+fn wait_for_copies(cluster: &Cluster, expected: impl Fn(MatcherId) -> i64, what: &str) {
+    wait_for(
+        || {
+            cluster
+                .matcher_ids()
+                .into_iter()
+                .all(|m| logical(cluster, m) == Some(expected(m)))
+        },
+        what,
+    );
+}
+
+fn sublog_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("bluedove-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A subscription inside m/1's segment on every dimension (4 matchers ⇒
+/// segments of width 250), so every candidate of a probe inside it is
+/// m/1.
+fn inside_m1(sp: &AttributeSpace, lo: f64) -> Subscription {
+    let mut b = Subscription::builder(sp);
+    for d in 0..4 {
+        b = b.range(d, lo, lo + 20.0);
+    }
+    b.build().unwrap()
+}
+
+/// Every write made while a matcher is down reaches it on restart: a
+/// subscription registered during the downtime is delivered exactly
+/// once and one unsubscribed during it never, and the restarted
+/// matcher holds exactly the strategy's copies of what is live.
+#[test]
+fn downtime_subscribe_and_unsubscribe_survive_the_restart() {
+    let sp = space();
+    let dir = sublog_dir("downtime");
+    let cfg = ClusterConfig::new(sp.clone())
+        .matchers(4)
+        .log_dir(&dir)
+        .stats_interval(Duration::from_millis(50));
+    let mut cluster = Cluster::start(cfg);
+    let m = MatcherId(1);
+    let (a_sub, b_sub) = (inside_m1(&sp, 300.0), inside_m1(&sp, 310.0));
+    let a = cluster.subscribe(a_sub).unwrap();
+    cluster.kill_matcher(m);
+    let b = cluster.subscribe(b_sub.clone()).unwrap();
+    assert!(assigned(&cluster, &b_sub, m) > 0, "B is assigned to m/1");
+    cluster.unsubscribe(&a).unwrap();
+    cluster.restart_matcher(m).unwrap();
+    cluster.publish(Message::new(vec![315.0; 4])).unwrap();
+
+    let d = b.recv_timeout(Duration::from_secs(5)).expect("B delivered");
+    assert_eq!(d.msg.values, vec![315.0; 4]);
+    assert!(
+        b.recv_timeout(Duration::from_millis(300)).is_none(),
+        "B delivered once"
+    );
+    assert!(
+        a.recv_timeout(Duration::from_millis(300)).is_none(),
+        "the unsubscribed A is never delivered"
+    );
+    let expected = assigned(&cluster, &b_sub, m);
+    wait_for(
+        || logical(&cluster, m) == Some(expected),
+        "m/1 to hold exactly B's copies",
+    );
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The interim leader of a down matcher's stream may leave gracefully:
+/// the stream moves on to the leaver's heir, so writes made after the
+/// leave still reach the matcher when it restarts.
+#[test]
+fn a_leaving_interim_leader_hands_the_stream_on() {
+    let sp = space();
+    let dir = sublog_dir("interim-leaves");
+    let cfg = ClusterConfig::new(sp.clone())
+        .matchers(4)
+        .log_dir(&dir)
+        .stats_interval(Duration::from_millis(50));
+    let mut cluster = Cluster::start(cfg);
+    let (m1, m2, m3) = (MatcherId(1), MatcherId(2), MatcherId(3));
+    let (a_sub, b_sub) = (inside_m1(&sp, 300.0), inside_m1(&sp, 310.0));
+    let a = cluster.subscribe(a_sub).unwrap();
+    // Replicated to m/2 before the crash, so the heir adopts it.
+    std::thread::sleep(Duration::from_millis(200));
+    cluster.kill_matcher(m1);
+    assert_eq!(cluster.control().leader_of(m1), Some(m2));
+    cluster.remove_matcher(m2).unwrap();
+    assert_eq!(
+        cluster.control().leader_of(m1),
+        Some(m3),
+        "m/2's heir leads"
+    );
+    let b = cluster.subscribe(b_sub.clone()).unwrap();
+    cluster.unsubscribe(&a).unwrap();
+    cluster.restart_matcher(m1).unwrap();
+    cluster.publish(Message::new(vec![315.0; 4])).unwrap();
+
+    let d = b.recv_timeout(Duration::from_secs(5)).expect("B delivered");
+    assert_eq!(d.msg.values, vec![315.0; 4]);
+    assert!(
+        b.recv_timeout(Duration::from_millis(300)).is_none(),
+        "B delivered once"
+    );
+    assert!(
+        a.recv_timeout(Duration::from_millis(300)).is_none(),
+        "the unsubscribed A is never delivered"
+    );
+    wait_for_copies(
+        &cluster,
+        |m| assigned(&cluster, &b_sub, m),
+        "every matcher to hold exactly B's copies",
+    );
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A leave whose segments merge into a down neighbour hands its copies to
+/// that neighbour's stream leader, so they are served meanwhile and
+/// reach the neighbour when it restarts.
+#[test]
+fn a_leave_onto_a_down_neighbour_keeps_its_copies() {
+    let sp = space();
+    let dir = sublog_dir("leave-onto-down");
+    let cfg = ClusterConfig::new(sp.clone())
+        .matchers(4)
+        .log_dir(&dir)
+        .stats_interval(Duration::from_millis(50));
+    let mut cluster = Cluster::start(cfg);
+    let (m1, m2) = (MatcherId(1), MatcherId(2));
+    // Inside m/2's segment on every dimension.
+    let sub = inside_m1(&sp, 550.0);
+    let probe = || Message::new(vec![555.0; 4]);
+    let handle = cluster.subscribe(sub.clone()).unwrap();
+    cluster.kill_matcher(m1);
+    cluster.remove_matcher(m2).unwrap();
+    assert!(
+        assigned(&cluster, &sub, m1) > 0,
+        "m/2's segments merged into m/1"
+    );
+    cluster.publish(probe()).unwrap();
+    handle
+        .recv_timeout(Duration::from_secs(5))
+        .expect("delivered while m/1 is down");
+    cluster.restart_matcher(m1).unwrap();
+    cluster.publish(probe()).unwrap();
+    handle
+        .recv_timeout(Duration::from_secs(5))
+        .expect("delivered after m/1 restarts");
+    assert!(
+        handle.recv_timeout(Duration::from_millis(300)).is_none(),
+        "delivered once"
+    );
+    wait_for_copies(
+        &cluster,
+        |m| assigned(&cluster, &sub, m),
+        "every matcher to hold exactly the subscription's copies",
+    );
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A subscription on m/1's dimension-1 segment that m/2 is not assigned:
+/// after m/1 crashes its heir m/2 holds the copy, and an unsubscribe must
+/// reach it there.
+#[test]
+fn unsubscribe_after_failover_leaves_no_copy() {
+    let sp = space();
+    let dir = sublog_dir("unsub-failover");
+    let cfg = ClusterConfig::new(sp.clone())
+        .matchers(4)
+        .log_dir(&dir)
+        .stats_interval(Duration::from_millis(50));
+    let mut cluster = Cluster::start(cfg);
+    let sub = Subscription::builder(&sp)
+        .range(0, 10.0, 20.0)
+        .range(1, 300.0, 320.0)
+        .range(2, 10.0, 20.0)
+        .range(3, 10.0, 20.0)
+        .build()
+        .unwrap();
+    let (m1, m2) = (MatcherId(1), MatcherId(2));
+    assert_eq!(assigned(&cluster, &sub, m1), 1);
+    assert_eq!(assigned(&cluster, &sub, m2), 0);
+    let handle = cluster.subscribe(sub.clone()).unwrap();
+    // Replicated to m/2 before the crash, so the heir adopts it.
+    std::thread::sleep(Duration::from_millis(200));
+    cluster.kill_matcher(m1);
+    wait_for(
+        || logical(&cluster, m2) == Some(1),
+        "m/2 to adopt m/1's copy",
+    );
+    cluster.unsubscribe(&handle).unwrap();
+    wait_for_copies(&cluster, |_| 0, "every live copy to be removed");
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `StoreSub` whose owner cannot be reached is not stored anywhere
+/// else, so no copy survives the unsubscribe.
+#[test]
+fn unsubscribe_leaves_no_copy_of_a_write_the_owner_missed() {
+    let sp = space();
+    let cfg = ClusterConfig::new(sp.clone())
+        .matchers(4)
+        .stats_interval(Duration::from_millis(50));
+    let mut cluster = Cluster::start(cfg);
+    let sub = Subscription::builder(&sp)
+        .range(0, 10.0, 20.0)
+        .range(1, 300.0, 320.0)
+        .range(2, 10.0, 20.0)
+        .range(3, 10.0, 20.0)
+        .build()
+        .unwrap();
+    let (m0, m1) = (MatcherId(0), MatcherId(1));
+    cluster.kill_matcher(m1);
+    let handle = cluster.subscribe(sub.clone()).unwrap();
+    let on_m0 = assigned(&cluster, &sub, m0);
+    wait_for(
+        || logical(&cluster, m0) == Some(on_m0),
+        "m/0 to store its copies",
+    );
+    cluster.unsubscribe(&handle).unwrap();
+    wait_for_copies(&cluster, |_| 0, "every live copy to be removed");
+    cluster.shutdown();
 }

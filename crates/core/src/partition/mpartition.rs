@@ -63,13 +63,17 @@ impl MPartition {
         &mut self.table
     }
 
-    /// Fallback candidates for `msg`: the clockwise neighbour of each
-    /// primary candidate along its dimension. When primaries have failed
-    /// and the degenerate replication is active, these are the matchers
-    /// that may hold the replicated copies.
+    /// Fallback candidates for `msg`: on every dimension but the first,
+    /// the primary candidate's clockwise neighbour, where the degenerate
+    /// replication places copies — elsewhere a neighbour holds only the
+    /// copies that also overlap its own segment, a subset of the matches.
     pub fn fallback_candidates(&self, msg: &Message) -> Vec<Assignment> {
+        if !self.replicate_degenerate {
+            return Vec::new();
+        }
         self.candidates(msg)
             .into_iter()
+            .skip(1)
             .filter_map(|a| {
                 self.table
                     .clockwise_neighbor(a.dim, a.matcher)
@@ -293,8 +297,9 @@ mod tests {
         let p = mp(4, 2);
         let m = Message::new(vec![10.0, 10.0]); // owner M0 on both dims
         let fb = p.fallback_candidates(&m);
-        assert_eq!(fb.len(), 2);
-        assert!(fb.iter().all(|a| a.matcher == MatcherId(1)));
+        assert_eq!(fb, vec![Assignment::new(MatcherId(1), DimIdx(1))]);
+        let bare = p.without_degenerate_replication();
+        assert!(bare.fallback_candidates(&m).is_empty());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! - [`RandomPolicy`]: uniform choice; the baseline.
 
 use crate::partition::Assignment;
-use crate::stats::{StatsView, Time};
+use crate::stats::{DimStats, StatsView, Time};
 use rand::Rng;
 
 /// Strategy for choosing one candidate matcher for a message.
@@ -106,20 +106,7 @@ impl ForwardingPolicy for ResponseTimePolicy {
         _now: Time,
         _rng: &mut dyn rand::RngCore,
     ) -> Assignment {
-        assert!(!candidates.is_empty(), "no candidates");
-        *candidates
-            .iter()
-            .min_by(|a, b| {
-                let sa = view.get(a.matcher, a.dim);
-                let sb = view.get(b.matcher, b.dim);
-                let ta = sa.processing_time(sa.queue_len as f64);
-                let tb = sb.processing_time(sb.queue_len as f64);
-                ta.partial_cmp(&tb)
-                    .unwrap()
-                    .then(a.matcher.cmp(&b.matcher))
-                    .then(a.dim.cmp(&b.dim))
-            })
-            .expect("non-empty")
+        least_time(candidates, view, |s| s.processing_time(s.queue_len as f64))
     }
 }
 
@@ -148,21 +135,28 @@ impl ForwardingPolicy for AdaptivePolicy {
         now: Time,
         _rng: &mut dyn rand::RngCore,
     ) -> Assignment {
-        assert!(!candidates.is_empty(), "no candidates");
-        *candidates
-            .iter()
-            .min_by(|a, b| {
-                let sa = view.get(a.matcher, a.dim);
-                let sb = view.get(b.matcher, b.dim);
-                let ta = sa.processing_time(sa.extrapolated_queue(now));
-                let tb = sb.processing_time(sb.extrapolated_queue(now));
-                ta.partial_cmp(&tb)
-                    .unwrap()
-                    .then(a.matcher.cmp(&b.matcher))
-                    .then(a.dim.cmp(&b.dim))
-            })
-            .expect("non-empty")
+        least_time(candidates, view, |s| {
+            s.processing_time(s.extrapolated_queue(now))
+        })
     }
+}
+
+/// The candidate whose stats give the least estimated processing `time`,
+/// ties broken by `(matcher, dim)`.
+fn least_time(
+    candidates: &[Assignment],
+    view: &StatsView,
+    time: impl Fn(&DimStats) -> f64,
+) -> Assignment {
+    assert!(!candidates.is_empty(), "no candidates");
+    let key = |a: &Assignment| time(&view.get(a.matcher, a.dim));
+    *candidates
+        .iter()
+        .min_by(|a, b| {
+            let order = key(a).partial_cmp(&key(b)).unwrap();
+            order.then((a.matcher, a.dim).cmp(&(b.matcher, b.dim)))
+        })
+        .expect("non-empty")
 }
 
 /// All four policies in the order Figure 7 reports them, for sweeps.

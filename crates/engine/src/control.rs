@@ -1,5 +1,5 @@
 //! The control plane (§III-A-3, §III-C): the one owner of the segment
-//! table, table versions, membership and the stream-leader epoch book.
+//! table, table versions, membership and the stream-leader book.
 //!
 //! [`ControlEngine`] decides; the hosts execute. `join` / `leave` plan a
 //! [`Change`] against a copy of the table: the host moves the
@@ -100,8 +100,10 @@ pub struct Announcement {
     pub strategy: AnyStrategy,
     /// The members not known to be down, ascending: the address book.
     pub live: Vec<MatcherId>,
-    /// Every stream's leader epoch, by stream id.
-    pub epochs: Vec<(MatcherId, Epoch)>,
+    /// The leader book, by stream id: `(stream, leader, epoch)`. A stream
+    /// is led by its owner unless the owner is down and an heir was
+    /// promoted.
+    pub leaders: Vec<(MatcherId, MatcherId, Epoch)>,
 }
 
 /// The deployment's control plane (see the module docs).
@@ -114,9 +116,8 @@ pub struct ControlEngine {
     /// Crashes promote and rejoins bump epochs only with streams
     /// replicated (the cluster's sub-log, the simulator's replication).
     replicated: bool,
-    /// Per stream (owner id): its leader — `None` once an interim leader
-    /// left — and its epoch.
-    streams: BTreeMap<MatcherId, (Option<MatcherId>, Epoch)>,
+    /// Per stream (owner id): its leader and its epoch.
+    streams: BTreeMap<MatcherId, (MatcherId, Epoch)>,
     autoscaler: Option<Autoscaler>,
     snapshots: Vec<LoadSnapshot>,
     events: Vec<(Time, ScaleOutcome)>,
@@ -129,7 +130,7 @@ impl ControlEngine {
         let members: BTreeSet<MatcherId> = strategy.as_dyn().matchers().into_iter().collect();
         ControlEngine {
             next_id: members.last().map_or(0, |m| m.0 + 1),
-            streams: members.iter().map(|&m| (m, (Some(m), 1))).collect(),
+            streams: members.iter().map(|&m| (m, (m, 1))).collect(),
             members,
             strategy,
             version: 0,
@@ -171,7 +172,7 @@ impl ControlEngine {
 
     /// The member leading `stream`.
     pub fn leader_of(&self, stream: MatcherId) -> Option<MatcherId> {
-        self.streams.get(&stream)?.0
+        self.streams.get(&stream).map(|s| s.0)
     }
 
     /// A copy of the BlueDove table to plan on.
@@ -238,42 +239,46 @@ impl ControlEngine {
     }
 
     /// Makes `change` authoritative at `now`: the joiner leads its own
-    /// stream at epoch 1; a leaver's streams are forgotten (its copies
-    /// went to its heirs), as is its leadership of others'. Commit each
+    /// stream at epoch 1; a leaver's own stream is forgotten (its copies
+    /// went to its heirs), and every stream it led for a down owner moves
+    /// on as in [`crash`](Self::crash), returned the same way. Commit each
     /// change before planning the next.
-    pub fn commit(&mut self, change: &Change, now: Time) {
+    pub fn commit(&mut self, change: &Change, now: Time) -> Vec<(MatcherId, MatcherId, Epoch)> {
         self.strategy = change.strategy.clone();
+        self.events.push((now, change.outcome));
         match change.outcome {
             ScaleOutcome::Added(m) => {
                 self.members.insert(m);
-                self.streams.insert(m, (Some(m), 1));
+                self.streams.insert(m, (m, 1));
+                Vec::new()
             }
             ScaleOutcome::Removed(m) => {
                 self.members.remove(&m);
                 self.streams.remove(&m);
-                for (leader, _) in self.streams.values_mut() {
-                    leader.take_if(|l| *l == m);
-                }
+                self.hand_on(m)
             }
         }
-        self.events.push((now, change.outcome));
     }
 
     /// Marks member `m` down. With streams replicated, every stream it led
     /// moves to its clockwise heir one epoch up: `(stream, heir, epoch)`.
-    /// With no live member left they keep their dead leader.
+    /// With no live member left they fall back to their owners.
     pub fn crash(&mut self, m: MatcherId) -> Vec<(MatcherId, MatcherId, Epoch)> {
         if !self.members.contains(&m) || !self.down.insert(m) || !self.replicated {
             return Vec::new();
         }
-        let Some(heir) = self.heir(m) else {
-            return Vec::new();
-        };
-        let led = self.streams.iter_mut().filter(|(_, s)| s.0 == Some(m));
-        led.map(|(&stream, (leader, epoch))| {
-            *leader = Some(heir);
+        self.hand_on(m)
+    }
+
+    /// Moves every stream `m` leads to its live clockwise heir one epoch
+    /// up; with no live member left, back to its owner.
+    fn hand_on(&mut self, m: MatcherId) -> Vec<(MatcherId, MatcherId, Epoch)> {
+        let heir = self.heir(m);
+        let led = self.streams.iter_mut().filter(|(_, s)| s.0 == m);
+        led.filter_map(|(&stream, (leader, epoch))| {
+            *leader = heir.unwrap_or(stream);
             *epoch += 1;
-            (stream, heir, *epoch)
+            Some((stream, heir?, *epoch))
         })
         .collect()
     }
@@ -291,14 +296,14 @@ impl ControlEngine {
         if !self.down.remove(&m) {
             return Err(ScaleError::StillRunning(m));
         }
-        let (leader, epoch) = self.streams.entry(m).or_insert((Some(m), 1));
-        let interim = leader
-            .replace(m)
-            .filter(|&l| l != m && !self.down.contains(&l));
+        let (leader, epoch) = self.streams.entry(m).or_insert((m, 1));
+        let was = std::mem::replace(leader, m);
         if self.replicated {
             *epoch += 1;
         }
-        Ok((*epoch, interim))
+        let epoch = *epoch;
+        let interim = Some(was).filter(|&l| l != m && self.live().any(|x| x == l));
+        Ok((epoch, interim))
     }
 
     /// One autoscaler round at `now` over `reports`, non-members' (a
@@ -328,7 +333,7 @@ impl ControlEngine {
             version: self.version,
             strategy: self.strategy.clone(),
             live: self.live().collect(),
-            epochs: self.streams.iter().map(|(&s, &(_, e))| (s, e)).collect(),
+            leaders: self.streams.iter().map(|(&s, &(l, e))| (s, l, e)).collect(),
         }
     }
 

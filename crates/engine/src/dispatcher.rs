@@ -9,6 +9,7 @@
 //! clock.
 
 use crate::reject::Rejected;
+use crate::replication::Epoch;
 use crate::suspect::SuspectList;
 use crate::timer::{retransmit_delay, RetryPolicy};
 use bluedove_baselines::AnyStrategy;
@@ -69,11 +70,15 @@ pub enum DispatcherEvent {
         strategy: AnyStrategy,
         /// Matcher address book.
         addrs: Vec<(MatcherId, String)>,
+        /// The control plane's leader book, `(stream, leader, epoch)`:
+        /// where a down owner's copies live.
+        leaders: Vec<(MatcherId, MatcherId, Epoch)>,
     },
     /// The host's failure detector declared a matcher dead: shun it and
     /// drop its stats (the simulator's detection event; the threaded
-    /// cluster learns the same thing implicitly through send errors and
-    /// ack timeouts).
+    /// cluster learns the same thing through send errors and ack
+    /// timeouts). Suspicion steers publications between candidates; where
+    /// copies live is the leader book's to say.
     MatcherDown(MatcherId),
     /// Wake-up: fire due retransmit timers and purge expired suspicions.
     /// Hosts schedule these from [`DispatcherEngine::next_deadline`].
@@ -90,6 +95,8 @@ pub enum DispatcherOut {
         dim: DimIdx,
         /// The subscription.
         sub: Subscription,
+        /// The copy's owner, whose stream the write is journaled on.
+        stream: MatcherId,
     },
     /// Drop the subscription copy with this id from the per-`dim` set.
     RemoveSub {
@@ -97,6 +104,8 @@ pub enum DispatcherOut {
         dim: DimIdx,
         /// The subscription id to drop.
         sub: SubscriptionId,
+        /// The copy's owner, whose stream the write is journaled on.
+        stream: MatcherId,
     },
     /// Match `msg` against the target's per-`dim` set. `want_ack` tells
     /// the host whether to request a `MatchAck` back to this dispatcher.
@@ -168,8 +177,8 @@ pub enum DispatcherEffect {
 pub trait DispatcherPort {
     /// Puts `out` on the wire to matcher `to` at `addr`; `false` = failed.
     fn send(&mut self, to: MatcherId, addr: &str, out: DispatcherOut) -> bool;
-    /// Confirms a subscription to its subscriber (sent once ≥1 copy is
-    /// stored).
+    /// Confirms a subscription to its subscriber (sent once ≥1 copy was
+    /// handed to the transport).
     fn sub_ack(&mut self, subscriber: SubscriberId, sub: SubscriptionId);
     /// Reports a telemetry effect.
     fn effect(&mut self, effect: DispatcherEffect);
@@ -239,6 +248,28 @@ impl Ord for TimeKey {
     }
 }
 
+/// The routing table the engine was last handed.
+struct Table {
+    version: u64,
+    strategy: AnyStrategy,
+    addrs: HashMap<MatcherId, String>,
+    /// `(owner, leader)` for each stream the leader book gives to a
+    /// matcher other than its owner: the owner is down and an heir was
+    /// promoted. Empty without a fault, so resolving costs nothing then.
+    moved: Vec<(MatcherId, MatcherId)>,
+}
+
+impl Table {
+    /// Where the copies of assignment `a` live: at its owner, or, when
+    /// the owner is down, at the leader of the owner's stream.
+    fn resolve(&self, a: Assignment) -> Assignment {
+        match self.moved.iter().find(|&&(owner, _)| owner == a.matcher) {
+            Some(&(_, leader)) => Assignment::new(leader, a.dim),
+            None => a,
+        }
+    }
+}
+
 /// The dispatcher's transport- and clock-agnostic state machine: routing
 /// state, load view, suspicion list, and the at-least-once ledger with
 /// its retransmit-timer heap.
@@ -248,9 +279,7 @@ pub struct DispatcherEngine {
     rng: StdRng,
     view: StatsView,
     suspects: SuspectList,
-    version: u64,
-    strategy: AnyStrategy,
-    addrs: HashMap<MatcherId, String>,
+    table: Table,
     /// The at-least-once ledger: publications awaiting acks, with a lazy
     /// min-heap of retransmit deadlines over them.
     ledger: HashMap<MessageId, InFlight>,
@@ -267,9 +296,12 @@ impl DispatcherEngine {
             suspects: SuspectList::new(suspicion_ttl),
             retry: cfg.retry,
             view: StatsView::new(),
-            version: cfg.version,
-            strategy: cfg.strategy,
-            addrs: cfg.addrs,
+            table: Table {
+                version: cfg.version,
+                strategy: cfg.strategy,
+                addrs: cfg.addrs,
+                moved: Vec::new(),
+            },
             ledger: HashMap::new(),
             timers: BinaryHeap::new(),
         }
@@ -280,7 +312,7 @@ impl DispatcherEngine {
     /// never reads values or predicates, so it has nothing to check here;
     /// its matchers check what they are sent.
     fn malformed(&self, event: &DispatcherEvent) -> Option<Rejected> {
-        let space = self.strategy.space()?;
+        let space = self.table.strategy.space()?;
         match event {
             DispatcherEvent::Publish { msg, .. } => {
                 msg.validate(space).err().map(|_| Rejected::Publish)
@@ -308,17 +340,8 @@ impl DispatcherEngine {
             DispatcherEvent::Publish { msg, admitted_us } => {
                 self.publish(now, msg, admitted_us, port)
             }
-            DispatcherEvent::Subscribe(sub) => self.subscribe(now, sub, port),
-            DispatcherEvent::Unsubscribe(sub) => {
-                // Deterministic assignment: the same copies are found and
-                // removed wherever the strategy placed them.
-                for Assignment { matcher, dim } in self.strategy.as_dyn().assign(&sub) {
-                    let Some(addr) = self.addrs.get(&matcher) else {
-                        continue;
-                    };
-                    let _ = port.send(matcher, addr, DispatcherOut::RemoveSub { dim, sub: sub.id });
-                }
-            }
+            DispatcherEvent::Subscribe(sub) => self.place(now, sub, true, port),
+            DispatcherEvent::Unsubscribe(sub) => self.place(now, sub, false, port),
             DispatcherEvent::MatchAck {
                 msg_id,
                 matcher,
@@ -359,15 +382,20 @@ impl DispatcherEngine {
                 version,
                 strategy,
                 addrs,
+                leaders,
             } => {
-                if version > self.version {
-                    self.version = version;
-                    self.strategy = strategy;
-                    self.addrs = addrs.into_iter().collect();
+                if version > self.table.version {
+                    let moved = leaders.into_iter().filter(|&(s, l, _)| s != l);
+                    self.table = Table {
+                        version,
+                        strategy,
+                        addrs: addrs.into_iter().collect(),
+                        moved: moved.map(|(s, l, _)| (s, l)).collect(),
+                    };
                     // A fresh table is the management plane's authoritative
                     // membership: a matcher it re-lists is live again
                     // (restart), so stop shunning it.
-                    self.suspects.retain_unlisted(&self.addrs);
+                    self.suspects.retain_unlisted(&self.table.addrs);
                 }
             }
             DispatcherEvent::MatcherDown(m) => {
@@ -385,11 +413,6 @@ impl DispatcherEngine {
         self.timers.peek().map(|&Reverse((TimeKey(t), _))| t)
     }
 
-    /// The engine's current table version.
-    pub fn table_version(&self) -> u64 {
-        self.version
-    }
-
     /// Publications currently in the at-least-once ledger.
     pub fn in_flight(&self) -> usize {
         self.ledger.len()
@@ -399,6 +422,7 @@ impl DispatcherEngine {
     /// population periodic table pulls sample from.
     pub fn live_addrs(&self, now: Time) -> Vec<String> {
         let mut v: Vec<String> = self
+            .table
             .addrs
             .iter()
             .filter(|(m, _)| !self.suspects.contains(m, now))
@@ -419,8 +443,7 @@ impl DispatcherEngine {
         let mut reserved = None;
         let sent = dispatch(
             &*self.policy,
-            &self.strategy,
-            &self.addrs,
+            &self.table,
             &mut self.view,
             &mut self.suspects,
             &mut self.rng,
@@ -432,19 +455,7 @@ impl DispatcherEngine {
             &mut reserved,
             port,
         );
-        if let Some((matcher, dim, _)) = sent {
-            port.effect(DispatcherEffect::Forwarded {
-                msg_id: msg.id,
-                matcher,
-                dim,
-                admitted_us,
-                retransmission: false,
-            });
-        }
-        let (target, est_us) = match sent {
-            Some((m, _, est)) => (Some(m), est),
-            None => (None, None),
-        };
+        let (target, est_us) = forwarded(port, msg.id, admitted_us, sent, false);
         if self.retry.acks {
             // Ledger the publication even when no candidate took it — the
             // retry schedule keeps probing, so a message admitted during a
@@ -470,51 +481,42 @@ impl DispatcherEngine {
         }
     }
 
-    fn subscribe(&mut self, now: Time, sub: Subscription, port: &mut dyn DispatcherPort) {
-        let assignments = self.strategy.as_dyn().assign(&sub);
+    /// Stores (or removes) each of `sub`'s copies where it lives: at its
+    /// owner, or at the owner's stream leader ([`Table::resolve`]). A
+    /// write has that one destination, so it goes there suspect or not,
+    /// and nowhere else when it fails: a copy placed off its assignment
+    /// would outlive its unsubscribe. A failed send suspects the target,
+    /// as in [`dispatch`].
+    fn place(&mut self, now: Time, sub: Subscription, store: bool, port: &mut dyn DispatcherPort) {
         let mut stored = 0usize;
-        for Assignment { matcher, dim } in assignments {
-            // The assigned owner first, then (BlueDove) its clockwise
-            // neighbour on the same dimension — the matcher that
-            // message-side fallback routing probes, so a copy stored
-            // there stays reachable.
-            let mut targets = vec![matcher];
-            if let AnyStrategy::BlueDove(mp) = &self.strategy {
-                if let Ok(nb) = mp.table().clockwise_neighbor(dim, matcher) {
-                    if nb != matcher {
-                        targets.push(nb);
-                    }
-                }
-            }
-            for m in targets {
-                if self.suspects.contains(&m, now) {
-                    continue;
-                }
-                let Some(addr) = self.addrs.get(&m) else {
-                    self.suspects.suspect(m, now);
-                    // Drop its stats too: a suspect with no address must
-                    // not keep stale load (or reservations) in the view.
-                    self.view.forget_matcher(m);
-                    port.effect(DispatcherEffect::Failover);
-                    continue;
-                };
-                let out = DispatcherOut::StoreSub {
+        for owner in self.table.strategy.as_dyn().assign(&sub) {
+            let (to, dim, stream) = (self.table.resolve(owner).matcher, owner.dim, owner.matcher);
+            let out = match store {
+                true => DispatcherOut::StoreSub {
                     dim,
                     sub: sub.clone(),
-                };
-                if port.send(m, addr, out) {
-                    stored += 1;
-                    break;
+                    stream,
+                },
+                false => DispatcherOut::RemoveSub {
+                    dim,
+                    sub: sub.id,
+                    stream,
+                },
+            };
+            match self.table.addrs.get(&to) {
+                Some(addr) if port.send(to, addr, out) => stored += 1,
+                Some(_) => {
+                    self.suspects.suspect(to, now);
+                    self.view.forget_matcher(to);
+                    port.effect(DispatcherEffect::Failover);
                 }
-                self.suspects.suspect(m, now);
-                self.view.forget_matcher(m);
-                port.effect(DispatcherEffect::Failover);
+                None => port.effect(DispatcherEffect::Failover),
             }
         }
         // Ack only once at least one copy is stored: a false ack would
         // tell the client its subscription is live when no matcher holds
         // it (the client times out and can retry).
-        if stored > 0 {
+        if store && stored > 0 {
             port.sub_ack(sub.subscriber, sub.id);
         }
     }
@@ -529,8 +531,7 @@ impl DispatcherEngine {
             rng,
             view,
             suspects,
-            strategy,
-            addrs,
+            table,
             ledger,
             timers,
             ..
@@ -564,29 +565,16 @@ impl DispatcherEngine {
                 continue;
             }
             entry.attempts += 1;
-            let mut sent = dispatch(
-                &**policy,
-                strategy,
-                addrs,
-                view,
-                suspects,
-                rng,
-                retry.acks,
-                now,
-                &entry.msg,
-                entry.admitted_us,
-                &mut entry.tried,
-                &mut entry.reserved,
-                port,
-            );
-            if sent.is_none() {
-                // Full rotation exhausted: restart it so matchers that
-                // recovered (or lost suspect status) are probed again.
-                entry.tried.clear();
+            let mut sent = None;
+            for pass in 0..2 {
+                if pass == 1 {
+                    // Full rotation exhausted: restart it so matchers that
+                    // recovered (or lost suspect status) are probed again.
+                    entry.tried.clear();
+                }
                 sent = dispatch(
                     &**policy,
-                    strategy,
-                    addrs,
+                    table,
                     view,
                     suspects,
                     rng,
@@ -598,20 +586,11 @@ impl DispatcherEngine {
                     &mut entry.reserved,
                     port,
                 );
+                if sent.is_some() {
+                    break;
+                }
             }
-            if let Some((matcher, dim, _)) = sent {
-                port.effect(DispatcherEffect::Forwarded {
-                    msg_id: id,
-                    matcher,
-                    dim,
-                    admitted_us: entry.admitted_us,
-                    retransmission: true,
-                });
-            }
-            let (target, est_us) = match sent {
-                Some((m, _, est)) => (Some(m), est),
-                None => (None, None),
-            };
+            let (target, est_us) = forwarded(port, id, entry.admitted_us, sent, true);
             entry.target = target;
             entry.est_us = est_us;
             entry.deadline =
@@ -621,9 +600,33 @@ impl DispatcherEngine {
     }
 }
 
+/// Reports a [`dispatch`] that `sent` the publication as `Forwarded`, and
+/// splits the result into the ledger's target and estimate.
+fn forwarded(
+    port: &mut dyn DispatcherPort,
+    msg_id: MessageId,
+    admitted_us: u64,
+    sent: Option<(MatcherId, DimIdx, Option<u64>)>,
+    retransmission: bool,
+) -> (Option<MatcherId>, Option<u64>) {
+    let Some((matcher, dim, est_us)) = sent else {
+        return (None, None);
+    };
+    port.effect(DispatcherEffect::Forwarded {
+        msg_id,
+        matcher,
+        dim,
+        admitted_us,
+        retransmission,
+    });
+    (Some(matcher), est_us)
+}
+
 /// Chooses a live candidate for `msg` and sends the `Match` frame through
 /// `port`, failing over past suspects, matchers already in `tried`, and
-/// synchronous send errors. Returns the `(matcher, dim)` that accepted
+/// synchronous send errors. Candidates are resolved through the table's
+/// leader book: a down owner's candidate is its stream's leader, which
+/// holds the owner's copies. Returns the `(matcher, dim)` that accepted
 /// the frame (the matcher is also appended to `tried`) plus the policy's
 /// processing-time estimate in µs when one was made, or `None` when the
 /// rotation is exhausted.
@@ -635,8 +638,7 @@ impl DispatcherEngine {
 #[allow(clippy::too_many_arguments)]
 fn dispatch(
     policy: &dyn ForwardingPolicy,
-    strategy: &AnyStrategy,
-    addrs: &HashMap<MatcherId, String>,
+    table: &Table,
     view: &mut StatsView,
     suspects: &mut SuspectList,
     rng: &mut StdRng,
@@ -650,22 +652,26 @@ fn dispatch(
 ) -> Option<(MatcherId, DimIdx, Option<u64>)> {
     debug_assert!(reserved.is_none(), "dispatch entered holding a reservation");
     // Primary candidates plus the degenerate-case clockwise fallbacks
-    // (§III-A-1/3). Fallbacks are kept separate so the policy only
-    // considers them once every live primary has been exhausted — send
-    // failures can kill primaries *during* the loop below.
+    // (§III-A-1/3), probed only where that rule places copies. Fallbacks
+    // are kept separate so the policy only considers them once every
+    // live primary has been exhausted — send failures can kill primaries
+    // *during* the loop below.
     let usable = |a: &Assignment, suspects: &SuspectList, tried: &[MatcherId]| -> bool {
         !suspects.contains(&a.matcher, now) && !tried.contains(&a.matcher)
     };
-    let mut candidates: Vec<Assignment> = strategy
+    let mut candidates: Vec<Assignment> = table
+        .strategy
         .as_dyn()
         .candidates(msg)
         .into_iter()
+        .map(|a| table.resolve(a))
         .filter(|a| usable(a, suspects, tried))
         .collect();
-    let mut fallbacks: Vec<Assignment> = match strategy {
+    let mut fallbacks: Vec<Assignment> = match &table.strategy {
         AnyStrategy::BlueDove(mp) => mp
             .fallback_candidates(msg)
             .into_iter()
+            .map(|a| table.resolve(a))
             .filter(|a| usable(a, suspects, tried))
             .collect(),
         _ => Vec::new(),
@@ -684,7 +690,7 @@ fn dispatch(
         } else {
             policy.choose(&candidates, view, now, rng)
         };
-        let Some(addr) = addrs.get(&chosen.matcher) else {
+        let Some(addr) = table.addrs.get(&chosen.matcher) else {
             // No address for a strategy-listed matcher: same treatment as
             // an unreachable one, including dropping its stale stats so a
             // later readmission starts from a clean slate.

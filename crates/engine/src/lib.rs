@@ -44,7 +44,7 @@
 //! and report them as [`Rejected`] kinds instead of acting on them.
 //!
 //! [`ControlEngine`] is the control plane both hosts execute: it owns the
-//! segment table, table versions, membership, the stream-leader epoch
+//! segment table, table versions, membership, the stream-leader
 //! book and the autoscaler, and hands back join/leave/crash/rejoin plans.
 
 pub mod autoscaler;

@@ -17,13 +17,15 @@
 //! The engine also owns the subscription journal's semantics, for both
 //! hosts: every copy a matcher gains, loses or retires is one
 //! [`SubLogRecord`] that [`MatcherEngine::apply`] checks and applies;
-//! [`MatcherEngine::journal_streams`] names the streams it is journaled
-//! on; [`MatcherEngine::hand_over`] is the donor side of an elastic move
-//! and [`MatcherEngine::adopt`] the heir side of a promotion. Hosts
-//! journal exactly what these hand back.
+//! [`MatcherEngine::write_at`] decides where a write naming a stream is
+//! applied and journaled; [`MatcherEngine::hand_over`] is the donor side
+//! of an elastic move, [`MatcherEngine::adopt`] the heir side of a
+//! promotion and [`MatcherEngine::prune`] its undoing when the owner
+//! rejoins. Hosts journal exactly what these hand back.
 
 use crate::dedup::{Admit, DedupWindow};
 use crate::reject::Rejected;
+use crate::replication::{Journal, StreamSet};
 use bluedove_baselines::AnyStrategy;
 use bluedove_core::{
     AttributeSpace, DimIdx, DimStats, IndexKind, MatchHit, MatcherCore, MatcherId, Message,
@@ -146,29 +148,31 @@ impl MatcherEngine {
         applied.is_ok()
     }
 
-    /// The streams, besides this matcher's own, that a record it applied
-    /// is journaled on: for a `Store`, those of the copy's other assignees
-    /// on its dimension (per `strategy`) whose streams this matcher
-    /// `leads`. A copy that failed over here because its assignee is down
-    /// belongs on the assignee's stream too, so the assignee's catch-up on
-    /// restart includes it. Empty, and allocation-free, otherwise.
-    pub fn journal_streams(
+    /// Where `rec`, a write for a copy owned by `stream`, is served: here
+    /// (`Ok`, with the streams besides the own one to journal it on) or
+    /// at the owner (`Err`). Without replicated `streams`, always here.
+    /// With them, here if this matcher owns or leads the stream — on the
+    /// owner's stream too, for the owner's catch-up, and a removal on
+    /// every led stream, since a copy adopted here may sit on several —
+    /// else at the owner: it was routed before the owner's rejoin.
+    pub fn write_at<J: Journal<SubLogRecord>>(
         &self,
         rec: &SubLogRecord,
-        strategy: Option<&AnyStrategy>,
-        leads: impl Fn(MatcherId) -> bool,
-    ) -> Vec<MatcherId> {
-        let (SubLogRecord::Store { dim, sub }, Some(strategy)) = (rec, strategy) else {
-            return Vec::new();
-        };
+        stream: MatcherId,
+        streams: Option<&StreamSet<SubLogRecord, J>>,
+    ) -> Result<Vec<MatcherId>, MatcherId> {
         let me = self.id();
-        strategy
-            .as_dyn()
-            .assign(sub)
-            .into_iter()
-            .filter(|a| a.dim == *dim && a.matcher != me && leads(a.matcher))
-            .map(|a| a.matcher)
-            .collect()
+        let Some(streams) = streams else {
+            return Ok(Vec::new());
+        };
+        if stream != me && !streams.leads(stream) {
+            return Err(stream);
+        }
+        Ok(match rec {
+            SubLogRecord::Remove { .. } => streams.led().filter(|&s| s != me).collect(),
+            _ if stream != me => vec![stream],
+            _ => Vec::new(),
+        })
     }
 
     /// The donor side of an elastic move: copies of every subscription on
@@ -216,6 +220,30 @@ impl MatcherEngine {
             SubLogRecord::Store { dim, sub }
         });
         adopted.collect()
+    }
+
+    /// The removals that prune this store to what it should hold: one
+    /// per copy that no assignment (per `strategy`) to a stream this
+    /// matcher leads, its own included, keeps here. Hosts apply them as
+    /// any removal when leadership returns to a rejoined owner: at the
+    /// owner, whose log may keep copies it adopted before its crash, and
+    /// at the stream's interim leader once routing has moved back.
+    pub fn prune<J: Journal<SubLogRecord>>(
+        &self,
+        strategy: &AnyStrategy,
+        streams: &StreamSet<SubLogRecord, J>,
+    ) -> Vec<SubLogRecord> {
+        let kept = |dim: DimIdx, sub: &Subscription| {
+            let assign = strategy.as_dyn().assign(sub);
+            assign
+                .iter()
+                .any(|a| a.dim == dim && streams.leads(a.matcher))
+        };
+        let copies = self.core.snapshot().into_iter();
+        let stray = copies.filter(|(dim, sub)| !kept(*dim, sub));
+        stray
+            .map(|(dim, sub)| SubLogRecord::Remove { dim, sub: sub.id })
+            .collect()
     }
 
     /// Stores a subscription copy in the per-`dim` set, unchecked — for

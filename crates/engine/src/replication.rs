@@ -676,6 +676,11 @@ impl<R: Clone, J: Journal<R>> StreamSet<R, J> {
         self.get(stream).is_some_and(|s| s.leader().is_some())
     }
 
+    /// The streams this matcher leads, its own among them.
+    pub fn led(&self) -> impl Iterator<Item = MatcherId> + '_ {
+        self.iter().filter(|s| s.leader().is_some()).map(|s| s.id())
+    }
+
     /// Drops the copy of `stream` (never the own stream).
     pub fn remove(&mut self, stream: MatcherId) {
         if stream != self.id {

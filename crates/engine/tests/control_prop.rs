@@ -104,12 +104,13 @@ fn check_announce(c: &mut ControlEngine, model: &mut Model) {
     assert!(t.version > model.last_version, "version did not increase");
     model.last_version = t.version;
     assert_eq!(t.live, model.live(), "announced address book");
-    let streams: BTreeSet<MatcherId> = t.epochs.iter().map(|e| e.0).collect();
+    let streams: BTreeSet<MatcherId> = t.leaders.iter().map(|e| e.0).collect();
     assert_eq!(
         streams, model.members,
-        "epoch book lists the members' streams"
+        "leader book lists the members' streams"
     );
-    for (s, e) in t.epochs {
+    for (s, l, e) in t.leaders {
+        assert_eq!(Some(l), c.leader_of(s), "{s:?}'s announced leader");
         let seen = model.epochs.entry(s).or_insert(e);
         assert!(e >= *seen, "stream {s:?} epoch went back {seen} -> {e}");
         *seen = e;
@@ -123,7 +124,7 @@ fn check_leaders(c: &ControlEngine, model: &Model, replicated: bool) {
         let leader = c.leader_of(s);
         if !replicated || !model.down.contains(&s) {
             assert_eq!(leader, Some(s), "{s:?} leads its own stream");
-        } else if let Some(l) = leader {
+        } else if let Some(l) = leader.filter(|&l| l != s) {
             assert!(
                 model.members.contains(&l) && !model.down.contains(&l),
                 "down {s:?}'s stream led by {l:?}, not a live member"
@@ -186,8 +187,29 @@ fn control_sequence(seed: u64) {
                         assert_eq!(expect, Ok(()));
                         assert!(change.moves.iter().all(|mv| mv.from == victim));
                         assert!(change.moves.iter().all(|mv| model.members.contains(&mv.to)));
-                        c.commit(&change, now);
+                        let led: Vec<MatcherId> = model
+                            .members
+                            .iter()
+                            .copied()
+                            .filter(|&s| s != victim && c.leader_of(s) == Some(victim))
+                            .collect();
+                        let promotions = c.commit(&change, now);
                         model.members.remove(&victim);
+                        let streams: Vec<MatcherId> = promotions.iter().map(|p| p.0).collect();
+                        let moved = if model.heir(victim).is_some() {
+                            led
+                        } else {
+                            Vec::new()
+                        };
+                        assert_eq!(
+                            streams, moved,
+                            "every stream {victim:?} led for another moves"
+                        );
+                        for (stream, h, epoch) in promotions {
+                            assert_eq!(Some(h), model.heir(victim), "hand-on goes clockwise");
+                            let before = model.epochs.get(&stream).copied().unwrap_or(1);
+                            assert!(epoch > before, "a hand-on bumps the epoch");
+                        }
                     }
                     Err(e) => assert_eq!(Err(e), expect, "leave of {victim:?}"),
                 }

@@ -137,6 +137,21 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+macro_rules! impl_wire_tuple {
+    ($($t:ident . $i:tt),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            fn encode(&self, buf: &mut BytesMut) {
+                $(self.$i.encode(buf);)+
+            }
+            fn decode(buf: &mut impl Buf) -> NetResult<Self> {
+                Ok(($($t::decode(buf)?,)+))
+            }
+        }
+    };
+}
+impl_wire_tuple!(A.0, B.1);
+impl_wire_tuple!(A.0, B.1, C.2);
+
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, buf: &mut BytesMut) {
         match self {

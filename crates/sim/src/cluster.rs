@@ -13,19 +13,20 @@
 //! time (the model the paper's scalability reasoning is built on).
 //!
 //! Host-side division of labour:
-//! - subscriptions are placed by the *authoritative* strategy and each
-//!   copy is applied at its matcher at once (the paper's pre-load phase
-//!   is instantaneous), so `StoreSub`/`RemoveSub` frames never ride the
-//!   simulated wire — but every copy a matcher gains, loses or retires is
-//!   the engine's `SubLogRecord`, applied and (with replication on)
-//!   journaled exactly as the threaded matcher does;
+//! - subscriptions are placed by the dispatcher engine, as on the
+//!   threaded cluster, and each `StoreSub`/`RemoveSub` it sends is
+//!   applied at its matcher at once (the paper's pre-load phase is
+//!   instantaneous), so those frames never ride the simulated wire — but
+//!   every copy a matcher gains, loses or retires is the engine's
+//!   `SubLogRecord`, applied and (with replication on) journaled exactly
+//!   as the threaded matcher does;
 //! - the dispatcher tier is one shared [`DispatcherEngine`] (the real
 //!   dispatchers broadcast reports, so every front-end sees identical
 //!   state at identical staleness), routing by the table it was last
 //!   handed — segment-table propagation lag is modelled by delaying the
 //!   `TableUpdate` event, failure detection by delaying `MatcherDown`;
 //! - membership, the authoritative table and its versions, the
-//!   stream-leader epoch book and the autoscaler belong to the engine's
+//!   stream-leader book and the autoscaler belong to the engine's
 //!   [`ControlEngine`]; the simulator executes its join/leave/crash plans
 //!   at once through the engine's `hand_over` / `apply` / `adopt`, and
 //!   with `TableSwitch` (donors retire the moved ranges) and
@@ -35,8 +36,8 @@ use crate::config::SimConfig;
 use crate::events::EventQueue;
 use crate::metrics::Metrics;
 use bluedove_core::{
-    Assignment, AttributeSpace, DimIdx, DimStats, ForwardingPolicy, MatchHit, MatcherId, Message,
-    MessageId, SubLogRecord, SubscriberId, Subscription, SubscriptionId, Time,
+    AttributeSpace, DimIdx, DimStats, ForwardingPolicy, MatchHit, MatcherId, Message, MessageId,
+    SubLogRecord, SubscriberId, Subscription, SubscriptionId, Time,
 };
 use bluedove_engine::{
     AutoscalerConfig, Coalescer, ControlEngine, DispatcherEffect, DispatcherEngine,
@@ -201,10 +202,11 @@ enum Event {
     },
 }
 
-/// The simulated [`DispatcherPort`]: sends become events `dispatch_cost +
-/// net_latency` in the future (the simulated transport cannot fail
-/// synchronously, so `send` always succeeds), effects land on the run
-/// metrics.
+/// The simulated [`DispatcherPort`]: `Match` sends become events
+/// `dispatch_cost + net_latency` in the future, store and remove frames
+/// are collected for the host to apply at once (the simulated transport
+/// cannot fail synchronously, so `send` always succeeds), effects land on
+/// the run metrics.
 struct SimDispatcherPort<'a> {
     cfg: &'a SimConfig,
     now: Time,
@@ -212,6 +214,7 @@ struct SimDispatcherPort<'a> {
     metrics: &'a mut Metrics,
     forward_log: &'a mut Option<Vec<(MessageId, MatcherId, DimIdx)>>,
     batcher: &'a mut Coalescer<StagedMatch>,
+    writes: &'a mut Vec<(MatcherId, MatcherId, SubLogRecord)>,
 }
 
 /// Schedules a flushed run as one simulated wire frame: the whole batch
@@ -267,9 +270,14 @@ impl DispatcherPort for SimDispatcherPort<'_> {
                     ship(self.cfg, self.queue, self.metrics, self.now, flush);
                 }
             }
-            // Subscriptions are installed host-side (pre-load phase);
-            // the engine is never fed Subscribe/Unsubscribe events here.
-            DispatcherOut::StoreSub { .. } | DispatcherOut::RemoveSub { .. } => {}
+            DispatcherOut::StoreSub { dim, sub, stream } => {
+                let rec = SubLogRecord::Store { dim, sub };
+                self.writes.push((to, stream, rec));
+            }
+            DispatcherOut::RemoveSub { dim, sub, stream } => {
+                let rec = SubLogRecord::Remove { dim, sub };
+                self.writes.push((to, stream, rec));
+            }
         }
         true
     }
@@ -378,6 +386,9 @@ pub struct SimCluster {
     idle_flush_pending: bool,
     /// `(message, matcher, dimension)` per first forward, when enabled.
     forward_log: Option<Vec<(MessageId, MatcherId, DimIdx)>>,
+    /// `(matcher, stream, record)` per store or remove frame the
+    /// dispatcher tier sent, awaiting application.
+    writes: Vec<(MatcherId, MatcherId, SubLogRecord)>,
     /// The replicated subscription-log layer, when enabled: the
     /// engine's stream sets on the matchers, driven by `Repl*` events
     /// under virtual time (the sim analogue of the threaded cluster's
@@ -427,6 +438,7 @@ impl SimCluster {
             scheduled_flush: None,
             idle_flush_pending: false,
             forward_log,
+            writes: Vec::new(),
             replication: None,
             metrics: Metrics::new(0.5),
         };
@@ -514,16 +526,10 @@ impl SimCluster {
     }
 
     /// Registers a subscription (instantaneous, like the paper's pre-load
-    /// phase): each copy is stored as a `StoreSub` would store it. A copy
-    /// assigned to a dead matcher is stored at its stream's promoted
-    /// leader instead (the analogue of the threaded dispatcher's
-    /// store-at-heir failover).
+    /// phase): the dispatcher tier places it by the table it was last
+    /// handed, and each `StoreSub` it sends is applied at once.
     pub fn subscribe(&mut self, sub: Subscription) {
-        for Assignment { matcher, dim } in self.control.strategy().as_dyn().assign(&sub) {
-            let target = self.install_target(matcher);
-            let sub = sub.clone();
-            self.apply(target, SubLogRecord::Store { dim, sub });
-        }
+        self.write(DispatcherEvent::Subscribe(sub));
     }
 
     /// Registers many subscriptions.
@@ -533,46 +539,48 @@ impl SimCluster {
         }
     }
 
-    /// Unregisters a subscription: removes every copy the strategy placed.
-    /// The caller supplies the original subscription (assignment is
-    /// deterministic, so the same copies are found).
+    /// Unregisters a subscription: the dispatcher tier removes every copy
+    /// it placed. The caller supplies the original subscription
+    /// (assignment is deterministic, so the same copies are found).
     pub fn unsubscribe(&mut self, sub: &Subscription) {
-        for Assignment { matcher, dim } in self.control.strategy().as_dyn().assign(sub) {
-            let target = self.install_target(matcher);
-            self.apply(target, SubLogRecord::Remove { dim, sub: sub.id });
+        self.write(DispatcherEvent::Unsubscribe(sub.clone()));
+    }
+
+    /// Feeds a (un)subscription to the dispatcher tier and applies the
+    /// store and remove frames it sends.
+    fn write(&mut self, event: DispatcherEvent) {
+        self.feed_dispatcher(event);
+        for (m, stream, rec) in std::mem::take(&mut self.writes) {
+            self.write_at(m, stream, rec);
         }
     }
 
-    /// Where a copy assigned to `matcher` is installed: normally the
-    /// assignee itself; with the assignee dead, the current leader of its
-    /// stream (itself unless replication promoted an heir).
-    fn install_target(&self, matcher: MatcherId) -> MatcherId {
-        if self.matchers.get(&matcher).is_some_and(|m| m.alive) {
-            return matcher;
+    /// A `StoreSub` or `RemoveSub` frame for `stream`'s copy arriving at
+    /// matcher `m`, served where the engine's write rule puts it, as the
+    /// threaded matcher does.
+    fn write_at(&mut self, m: MatcherId, stream: MatcherId, rec: SubLogRecord) {
+        let Some(matcher) = self.matchers.get(&m) else {
+            return;
+        };
+        match matcher.engine.write_at(&rec, stream, matcher.repl.as_ref()) {
+            Ok(also) => self.apply(m, rec, also),
+            Err(owner) => self.write_at(owner, owner, rec),
         }
-        self.control.leader_of(matcher).unwrap_or(matcher)
     }
 
-    /// A `StoreSub`, `RemoveSub` or `Retire` frame arriving at matcher
-    /// `m`, as the threaded matcher handles it: the engine applies `rec`
-    /// and, with replication on, `m` journals it on its own stream and on
-    /// every stream the engine's journal rule names.
-    fn apply(&mut self, m: MatcherId, rec: SubLogRecord) {
+    /// A record taking effect at matcher `m`, as the threaded matcher
+    /// applies it: the engine applies `rec` and, with replication on, `m`
+    /// journals it on its own stream and on `also`, streams it leads for
+    /// down owners.
+    fn apply(&mut self, m: MatcherId, rec: SubLogRecord, also: Vec<MatcherId>) {
         let Some(matcher) = self.matchers.get_mut(&m) else {
             return;
         };
         let mut port = SimMatcherPort::new(m, self.now, &self.cfg, &mut self.queue);
-        if !matcher.engine.apply(&rec, &mut port) {
+        if !matcher.engine.apply(&rec, &mut port) || matcher.repl.is_none() {
             return;
         }
-        let Some(streams) = &matcher.repl else {
-            return;
-        };
-        let strategy = Some(self.control.strategy());
-        for stream in matcher
-            .engine
-            .journal_streams(&rec, strategy, |s| streams.leads(s))
-        {
+        for stream in also {
             self.journal(m, stream, rec.clone());
         }
         self.journal(m, m, rec);
@@ -585,8 +593,9 @@ impl SimCluster {
             return;
         };
         let mut port = SimMatcherPort::new(mv.from, self.now, &self.cfg, &mut self.queue);
+        let at = self.control.leader_of(mv.to).unwrap_or(mv.to);
         for sub in donor.engine.hand_over(mv.dim, &mv.range, &mut port) {
-            self.apply(mv.to, SubLogRecord::Store { dim: mv.dim, sub });
+            self.write_at(at, mv.to, SubLogRecord::Store { dim: mv.dim, sub });
         }
     }
 
@@ -686,6 +695,7 @@ impl SimCluster {
             metrics: &mut self.metrics,
             forward_log: &mut self.forward_log,
             batcher: &mut self.batcher,
+            writes: &mut self.writes,
         };
         self.dispatcher.on_event(self.now, event, &mut port);
         self.maybe_schedule_flush();
@@ -868,28 +878,10 @@ impl SimCluster {
             Event::TableSwitch { retire } => {
                 for mv in retire {
                     let (dim, range, keep) = (mv.dim, mv.range, mv.keep);
-                    self.apply(mv.from, SubLogRecord::Retire { dim, range, keep });
+                    let retire = SubLogRecord::Retire { dim, range, keep };
+                    self.apply(mv.from, retire, Vec::new());
                 }
-                // Hand the dispatcher tier the now-authoritative table.
-                // Its address book is every member whose death the tier
-                // has not detected (not the control plane's live set:
-                // detection lag is what this host models); detected-dead
-                // matchers stay out so their (permanent) suspicion
-                // survives the update's re-listing amnesty.
-                let table = self.control.announce();
-                let addrs = table
-                    .strategy
-                    .as_dyn()
-                    .matchers()
-                    .into_iter()
-                    .filter(|m| !self.detected_dead.contains(m))
-                    .map(|m| (m, sim_addr(m)))
-                    .collect();
-                self.feed_dispatcher(DispatcherEvent::TableUpdate {
-                    version: table.version,
-                    strategy: table.strategy,
-                    addrs,
-                });
+                self.switch_table();
             }
             Event::Decommission { m } => {
                 let Some(matcher) = self.matchers.get(&m) else {
@@ -983,6 +975,29 @@ impl SimCluster {
                 }
             }
         }
+    }
+
+    /// Hands the dispatcher tier the control plane's next announcement.
+    /// Its address book is every member whose death the tier has not
+    /// detected (not the control plane's live set: detection lag is what
+    /// this host models); detected-dead matchers stay out so their
+    /// (permanent) suspicion survives the update's re-listing amnesty.
+    fn switch_table(&mut self) {
+        let table = self.control.announce();
+        let addrs = table
+            .strategy
+            .as_dyn()
+            .matchers()
+            .into_iter()
+            .filter(|m| !self.detected_dead.contains(m))
+            .map(|m| (m, sim_addr(m)))
+            .collect();
+        self.feed_dispatcher(DispatcherEvent::TableUpdate {
+            version: table.version,
+            strategy: table.strategy,
+            addrs,
+            leaders: table.leaders,
+        });
     }
 
     /// Starts service on `m` if it is idle and has queued work: pops the
@@ -1115,9 +1130,27 @@ impl SimCluster {
         for mv in &change.moves {
             self.hand_over(mv);
         }
-        // The victim's streams retire with it: graceful leave hands the
-        // engine copies over above, so there is nothing left to replay,
-        // and the rest of the deployment forgets it as stream and holder.
+        // A stream the victim led for a down owner moves on to its heir as
+        // at a crash, the heir first taking the victim's copy as its
+        // replica; the table is announced at once, as after a crash.
+        let promotions = self.control.commit(&change, self.now);
+        for &(stream, heir, epoch) in &promotions {
+            let copy = self
+                .streams_mut(victim)
+                .and_then(|r| r.get(stream))
+                .map(|s| s.serve(0));
+            if let (Some(copy), Some(r)) = (copy, self.streams_mut(heir)) {
+                let _ = r.accept(&copy);
+            }
+            self.promote(stream, heir, epoch);
+        }
+        if !promotions.is_empty() {
+            self.switch_table();
+        }
+        // The victim's own stream retires with it: graceful leave hands
+        // the engine copies over above, so there is nothing left to
+        // replay, and the rest of the deployment forgets it as stream and
+        // holder.
         if let Some(v) = self.matchers.get_mut(&victim) {
             v.repl = None;
         }
@@ -1126,7 +1159,6 @@ impl SimCluster {
             let led = streams.iter_mut().filter_map(|s| s.leader_mut());
             led.for_each(|set| set.remove_follower(victim));
         }
-        self.control.commit(&change, self.now);
         // Nothing to retire at the switch: the heirs keep their new
         // copies, and the victim's disappear at decommission.
         self.queue.push(
@@ -1184,25 +1216,38 @@ impl SimCluster {
             Event::DetectFailure { m },
         );
         // With replication on, the control plane fails every stream the
-        // victim led over to its clockwise heir: the heir promotes at its
-        // replicated offset under the bumped epoch, its engine adopts the
-        // stream, and the heir journals the inherited copies on its own
-        // stream — a `SubLogPromote` at a threaded matcher — so they
-        // survive the heir's crash too. In-flight appends from the
-        // deposed leader arrive with the old epoch and are fenced.
+        // victim led over to its clockwise heir. In-flight appends from
+        // the deposed leader arrive with the old epoch and are fenced.
         for (stream, heir, epoch) in self.control.crash(m) {
-            let (Some(repl), Some(h)) = (self.replication.as_mut(), self.matchers.get_mut(&heir))
-            else {
-                continue;
-            };
-            let Some(Ok(replay)) = h.repl.as_mut().map(|s| s.promote(stream, epoch)) else {
-                continue;
-            };
-            repl.promoted += replay.len() as u64;
-            let mut port = SimMatcherPort::new(heir, self.now, &self.cfg, &mut self.queue);
-            for rec in h.engine.adopt(replay, &mut port) {
-                self.journal(heir, heir, rec);
-            }
+            self.promote(stream, heir, epoch);
+        }
+        // A replicated crash is announced at once, as the threaded
+        // orchestrator does: the tier drops the victim from its address
+        // book and sends its publications and writes to the promoted
+        // leaders. (The port cannot fail a send, so without the new book a
+        // write would go to the dead owner and be lost.)
+        if self.replication.is_some() {
+            self.detected_dead.insert(m);
+            self.switch_table();
+        }
+    }
+
+    /// Promotes `heir` to lead `stream` at `epoch`: it resumes at its
+    /// replicated offset, its engine adopts the stream, and it journals
+    /// the inherited copies on its own stream — a `SubLogPromote` at a
+    /// threaded matcher — so they survive the heir's crash too.
+    fn promote(&mut self, stream: MatcherId, heir: MatcherId, epoch: Epoch) {
+        let (Some(repl), Some(h)) = (self.replication.as_mut(), self.matchers.get_mut(&heir))
+        else {
+            return;
+        };
+        let Some(Ok(replay)) = h.repl.as_mut().map(|s| s.promote(stream, epoch)) else {
+            return;
+        };
+        repl.promoted += replay.len() as u64;
+        let mut port = SimMatcherPort::new(heir, self.now, &self.cfg, &mut self.queue);
+        for rec in h.engine.adopt(replay, &mut port) {
+            self.journal(heir, heir, rec);
         }
     }
 

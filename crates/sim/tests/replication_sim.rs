@@ -233,6 +233,25 @@ fn leader_and_heir_double_crash_loses_no_copy() {
     );
 }
 
+/// The same double crash under acked traffic: the dispatcher tier sends
+/// the victims' publications to the leader the control plane promoted,
+/// which holds their copies, so none exhausts its retry budget.
+#[test]
+fn leader_and_heir_double_crash_dead_letters_nothing() {
+    let (mut c, w) = replicated_cluster(4);
+    c.subscribe_all(w.subscriptions().take(800));
+    let mut gen = w.messages();
+    c.run(300.0, 1.0, &mut gen);
+    c.kill_matcher(MatcherId(0));
+    c.run(300.0, 1.0, &mut gen);
+    c.kill_matcher(MatcherId(1));
+    c.run(300.0, 5.0, &mut gen);
+    c.drain(40.0);
+    assert!(c.metrics.total_sent > 2_000);
+    assert_eq!(c.metrics.total_lost, 0, "dead-lettered publications");
+    assert_eq!(c.metrics.total_delivered, c.metrics.total_sent);
+}
+
 fn subs_of(c: &SimCluster, m: MatcherId) -> usize {
     c.sub_counts()
         .into_iter()

@@ -167,11 +167,6 @@ impl Registry {
         }
     }
 
-    /// Registered family names, sorted.
-    pub fn family_names(&self) -> Vec<String> {
-        self.families.read().keys().cloned().collect()
-    }
-
     /// Renders the whole registry in the Prometheus text exposition
     /// format (deterministic: families and series sorted).
     pub fn render(&self) -> String {

@@ -1032,10 +1032,10 @@ fn batched_pipeline_stays_exactly_once_under_chaos() {
 //     the clockwise heir holding its only replica, under live acked
 //     traffic, then restart both. The subscription store must come back
 //     by *log replay* — the restarted matchers recover from their own
-//     durable streams plus the promoted copies journaled downstream —
-//     not from a bulk registry re-ship: every pre-crash subscription
-//     predates the crash watermark, so the backstop ships nothing.
-//     Exactly-once observation holds across the whole run.
+//     durable streams plus the promoted copies journaled downstream (with
+//     a sub-log there is no registry re-ship) — to exactly the strategy's
+//     copies of the live registry. Exactly-once observation holds across
+//     the whole run.
 // ---------------------------------------------------------------------
 #[test]
 fn durable_log_replays_after_leader_and_heir_crash() {
@@ -1135,11 +1135,10 @@ fn durable_log_replays_after_leader_and_heir_crash() {
     let (retried, _dupes, dead_lettered) = cluster.reliability_counters();
     let counter = |name: &str| cluster.telemetry().counter_value(name, &[]).unwrap_or(0);
     let replayed = counter("bluedove_sublog_replayed_total");
-    let reshipped = counter("bluedove_sublog_reshipped_total");
     let appended = counter("bluedove_sublog_appended_total");
     println!(
         "scenario 15: retried={retried} dead_lettered={dead_lettered} \
-         appended={appended} replayed={replayed} reshipped={reshipped}"
+         appended={appended} replayed={replayed}"
     );
     assert!(
         lost.is_empty(),
@@ -1159,10 +1158,29 @@ fn durable_log_replays_after_leader_and_heir_crash() {
         replayed > 0,
         "the restarted matchers replayed their local durable streams"
     );
-    assert_eq!(
-        reshipped, 0,
-        "recovery came from the logs, not a bulk registry re-ship"
-    );
+    // Each restarted matcher holds exactly the strategy's copies of the
+    // live registry, rebuilt from its own log and the downtime delta.
+    let live = wildcard(&space());
+    for m in [MatcherId(1), MatcherId(2)] {
+        let assign = cluster.control().strategy().as_dyn().assign(&live);
+        let want = assign.iter().filter(|a| a.matcher == m).count() as i64;
+        let logical = || {
+            cluster.telemetry().gauge_value(
+                "bluedove_matcher_subscriptions_logical",
+                &[("matcher", m.0.to_string())],
+            )
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while logical() != Some(want) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        assert_eq!(
+            logical(),
+            Some(want),
+            "restarted m/{} holds the strategy's copies of the live registry",
+            m.0
+        );
+    }
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&log_dir);
 }

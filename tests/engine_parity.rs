@@ -448,6 +448,102 @@ mod churn_determinism {
     }
 }
 
+/// Both hosts place copies by one rule. The same subscribe / crash /
+/// subscribe / unsubscribe sequence, with replication on, leaves every
+/// live matcher with the same number of copies on both, and the
+/// simulator's copies are the model's: each live subscription's
+/// assignments at their owner, or at the owner's stream leader while the
+/// owner is down.
+#[test]
+fn placement_parity_across_a_crash() {
+    const FIRST: usize = 80;
+    const N: usize = 120;
+    const N_MATCHERS: u32 = 4;
+    let fx = workload(7);
+    let subs = &fx.subs[..N];
+    let gone = |i: usize| i.is_multiple_of(if i < FIRST { 4 } else { 5 });
+    let victim = MatcherId(1);
+    let survivors: Vec<MatcherId> = (0..N_MATCHERS)
+        .map(MatcherId)
+        .filter(|&m| m != victim)
+        .collect();
+
+    let mut sim = SimCluster::new(
+        SimConfig::default(),
+        fx.space.clone(),
+        Strategy::bluedove(fx.space.clone(), N_MATCHERS),
+        Box::new(RandomPolicy),
+    );
+    sim.enable_replication(1);
+    sim.subscribe_all(subs[..FIRST].iter().cloned());
+    sim.drain(1.0); // the heirs' replicas catch up
+    sim.kill_matcher(victim);
+    sim.subscribe_all(subs[FIRST..].iter().cloned());
+    for (_, s) in subs.iter().enumerate().filter(|&(i, _)| gone(i)) {
+        sim.unsubscribe(s);
+    }
+    let control = sim.control();
+    let holder = |m: MatcherId| control.leader_of(m).unwrap_or(m);
+    for &m in &survivors {
+        let mut want: Vec<_> = subs
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !gone(i))
+            .flat_map(|(_, s)| {
+                let assign = control.strategy().as_dyn().assign(s).into_iter();
+                assign
+                    .filter(|a| holder(a.matcher) == m)
+                    .map(|a| (a.dim, s.id))
+            })
+            .collect();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(sim.copies(m), want, "the simulator's copies on {m:?}");
+    }
+
+    let dir = std::env::temp_dir().join(format!("bluedove-placement-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cluster = Cluster::start(
+        ClusterConfig::new(fx.space.clone())
+            .matchers(N_MATCHERS)
+            .log_dir(&dir)
+            .stats_interval(Duration::from_millis(50)),
+    );
+    let mut handles: Vec<_> = subs[..FIRST]
+        .iter()
+        .map(|s| cluster.subscribe(s.clone()).unwrap())
+        .collect();
+    std::thread::sleep(Duration::from_millis(300)); // the heirs' replicas catch up
+    cluster.kill_matcher(victim);
+    handles.extend(
+        subs[FIRST..]
+            .iter()
+            .map(|s| cluster.subscribe(s.clone()).unwrap()),
+    );
+    for (_, h) in handles.iter().enumerate().filter(|&(i, _)| gone(i)) {
+        cluster.unsubscribe(h).unwrap();
+    }
+    let logical = |m: MatcherId| {
+        cluster
+            .telemetry()
+            .gauge_value(
+                "bluedove_matcher_subscriptions_logical",
+                &[("matcher", m.0.to_string())],
+            )
+            .unwrap_or(-1) as usize
+    };
+    let want: Vec<usize> = survivors.iter().map(|&m| sim.copies(m).len()).collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut got: Vec<usize> = survivors.iter().map(|&m| logical(m)).collect();
+    while got != want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(50));
+        got = survivors.iter().map(|&m| logical(m)).collect();
+    }
+    assert_eq!(got, want, "per-matcher copies, cluster vs simulator");
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Extra sweep seed for the CI chaos matrix (`CHAOS_SEED=<u64>`); a no-op
 /// when the variable is unset (the fixed seeds above still run).
 #[test]
