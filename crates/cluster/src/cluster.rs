@@ -124,8 +124,6 @@ pub struct ClusterConfig {
     autoscaler: Option<AutoscalerConfig>,
     telemetry_file: Option<std::path::PathBuf>,
     log_dir: Option<std::path::PathBuf>,
-    fsync: crate::log::FsyncPolicy,
-    min_isr: usize,
     transport: TransportKind,
 }
 
@@ -149,8 +147,6 @@ impl ClusterConfig {
             autoscaler: None,
             telemetry_file: None,
             log_dir: None,
-            fsync: crate::log::FsyncPolicy::default(),
-            min_isr: 1,
             transport: TransportKind::Channel,
         }
     }
@@ -165,35 +161,12 @@ impl ClusterConfig {
     }
 
     /// Enables the durable replicated subscription log, rooted at `dir`
-    /// (one file family per matcher). Off by default: without it the
-    /// subscription store is memory-only and crash recovery re-ships
+    /// (one file family per matcher; appends are flushed one by one and
+    /// fsynced on rotation and compaction). Off by default: without it
+    /// the subscription store is memory-only and crash recovery re-ships
     /// every copy from the orchestrator's registration store.
     pub fn log_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.log_dir = Some(dir.into());
-        self
-    }
-
-    /// Sets when sub-log appends reach stable storage (default:
-    /// flush-per-append, fsync on rotation/compaction).
-    pub fn fsync(mut self, policy: crate::log::FsyncPolicy) -> Self {
-        self.fsync = policy;
-        self
-    }
-
-    /// Replicas (leader included) that must hold a sub-log offset before
-    /// it counts as committed. `1` (the default) keeps replication fully
-    /// asynchronous.
-    pub fn min_isr(mut self, n: usize) -> Self {
-        self.min_isr = n.max(1);
-        self
-    }
-
-    /// Replaces the whole engine-level knob block (index kind, retry
-    /// policy, forward recording, batching) with `engine` — the same
-    /// [`EngineConfig`] the simulator consumes, so one literal can
-    /// configure both hosts identically.
-    pub fn engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -661,8 +634,6 @@ fn matcher_config(
         generation,
         failure_detector: cfg.failure_detector,
         sublog: cfg.log_dir.as_ref().map(|dir| crate::sublog::SubLogConfig {
-            fsync: cfg.fsync,
-            min_isr: cfg.min_isr,
             epoch,
             ..crate::sublog::SubLogConfig::new(dir.clone())
         }),
@@ -1181,8 +1152,8 @@ impl Cluster {
         // publications onto the heirs.
         let mut handed = Ok(victim);
         for (stream, heir, epoch) in self.control.commit(&change, self.shared.now()) {
-            let (heir, ack_to) = (matcher_addr(heir), String::new());
-            let replica = |append| ControlMsg::SubLogAppend { append, ack_to };
+            let (heir, fetch_from) = (matcher_addr(heir), String::new());
+            let replica = |append| ControlMsg::SubLogAppend { append, fetch_from };
             handed = handed.and(
                 self.step_down(victim, stream, &heir, replica)
                     .map(|_| victim),

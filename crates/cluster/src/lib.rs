@@ -32,7 +32,6 @@
 //! cluster.shutdown();
 //! ```
 
-pub mod apps;
 pub mod batchio;
 pub mod chaos;
 pub mod cluster;
@@ -47,7 +46,6 @@ pub mod shared;
 pub mod sublog;
 pub mod wal;
 
-pub use apps::{AppError, AppSpec, MultiAppCluster};
 pub use chaos::{ChaosEvent, ChaosReport, ChaosStep, FaultSchedule};
 pub use cluster::{
     Cluster, ClusterConfig, ClusterError, Delivery, IndirectSubscriber, PolicyKind, Publisher,

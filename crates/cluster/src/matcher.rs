@@ -1,24 +1,25 @@
 //! The matcher node: the threaded host around the sans-IO
 //! [`MatcherEngine`] (§II-B, §III-B).
 //!
-//! The queues, dedup windows and service order live in
-//! `bluedove_engine::MatcherEngine`; this module supplies the transport,
-//! the real clock, measured match times (fed into `record_service`), and
-//! the host-only subsystems the engine stays out of: the §III-C gossip
-//! mesh, table copy/pull serving, telemetry rendering, the sub-log and
-//! the elastic hand-over legs. The loop itself is [`crate::node::run`].
+//! The queues, dedup windows, service order and every sub-log step live
+//! in `bluedove_engine::MatcherEngine`; this module supplies the
+//! transport, the real clock, measured match times (fed into
+//! `record_service`), the sub-log files, and the host-only subsystems the
+//! engine stays out of: the §III-C gossip mesh, table pull serving and
+//! telemetry rendering. The loop itself is [`crate::node::run`].
 
 use crate::batchio::{flush_frame, wake_in, BatchMetrics, Outbox};
+use crate::log::Log;
 use crate::node::{Node, Step};
 use crate::proto::ControlMsg;
 use crate::shared::{matcher_addr, Shared};
-use crate::sublog::{MatcherLog, SubLogRecord};
+use crate::sublog::SubLogRecord;
 use bluedove_core::{
     DimIdx, MatchHit, MatcherId, Message, MessageId, SubscriberId, SubscriptionId, Time,
 };
 use bluedove_engine::{
-    clockwise_heir, Coalescer, EngineConfig, FlushReason, FollowerOutcome, MatcherEngine,
-    MatcherPort, Rejected, ReplicatedAppend, DEDUP_WINDOW,
+    Coalescer, EngineConfig, FlushReason, MatcherEngine, MatcherPort, Rejected, ReplicatedAppend,
+    SubLogCount, DEDUP_WINDOW,
 };
 use bluedove_net::{to_bytes, Transport};
 use bluedove_overlay::{EndpointState, GossipMsg, GossipNode, NodeId, NodeRole};
@@ -226,8 +227,8 @@ impl MatcherTelemetry {
 }
 
 /// The threaded [`MatcherPort`] — the matcher's outbound side:
-/// deliveries and acks go out over the real transport; duplicates land
-/// on the shared counter.
+/// deliveries, acks and sub-log frames go out over the real transport;
+/// duplicates and sub-log counts land on the shared counters.
 ///
 /// With batching on, `Deliver` and `MatchAck` frames are staged in the
 /// per-destination coalescer instead of sent; the node flushes lanes on
@@ -296,17 +297,45 @@ impl MatcherPort for HostPort {
     fn rejected(&mut self, kind: Rejected) {
         self.shared.counters.rejected(kind).inc();
     }
+
+    /// Dead heirs are unbound, so their sends error.
+    fn replicate(&mut self, to: MatcherId, append: &ReplicatedAppend<SubLogRecord>) -> bool {
+        let msg = ControlMsg::SubLogAppend {
+            append: append.clone(),
+            fetch_from: matcher_addr(self.id),
+        };
+        let bytes = to_bytes(&msg).freeze();
+        self.out.transport.send(&matcher_addr(to), bytes).is_ok()
+    }
+
+    fn forward(&mut self, to: MatcherId, stream: MatcherId, rec: SubLogRecord) {
+        let frame = match rec {
+            SubLogRecord::Store { dim, sub } => ControlMsg::StoreSub { dim, sub, stream },
+            SubLogRecord::Remove { dim, sub } => ControlMsg::RemoveSub { dim, sub, stream },
+            SubLogRecord::Retire { .. } => return,
+        };
+        self.out.send(&matcher_addr(to), &frame);
+    }
+
+    fn count(&mut self, what: SubLogCount, n: u64) {
+        let c = &self.shared.counters;
+        match what {
+            SubLogCount::Appended => &c.sublog_appended,
+            SubLogCount::Replicated => &c.sublog_replicated,
+            SubLogCount::Fenced => &c.sublog_fenced,
+            SubLogCount::Promoted => &c.sublog_promoted,
+            SubLogCount::CaughtUp => &c.sublog_caught_up,
+        }
+        .add(n);
+    }
 }
 
-/// The matcher's copy of the authoritative table + address book
-/// (version 0 = none installed yet).
+/// The matcher's copy of the authoritative table (version 0 = none
+/// installed yet); its members and leader book live in the engine.
 #[derive(Default)]
 struct TableCopy {
     version: u64,
     strategy: Option<bluedove_baselines::AnyStrategy>,
-    addrs: Vec<(MatcherId, String)>,
-    /// The leader book, `(stream, leader, epoch)`, as of `version`.
-    leaders: Vec<(MatcherId, MatcherId, u64)>,
 }
 
 /// Longest the matcher blocks whatever its timers say (bounds how late
@@ -317,8 +346,7 @@ const MAX_WAIT: Duration = Duration::from_millis(20);
 /// ([`Shared::now`]).
 struct Matcher {
     cfg: MatcherNodeConfig,
-    engine: MatcherEngine,
-    mlog: Option<MatcherLog>,
+    engine: MatcherEngine<Log<SubLogRecord>>,
     telemetry: MatcherTelemetry,
     port: HostPort,
     /// Scratch for the hits of the job being served.
@@ -346,8 +374,6 @@ struct Matcher {
 
 impl Matcher {
     fn new(cfg: MatcherNodeConfig, shared: Arc<Shared>, transport: Arc<dyn Transport>) -> Self {
-        let engine =
-            MatcherEngine::new(cfg.id, shared.space.clone(), cfg.engine.index, DEDUP_WINDOW);
         let (mlog, replayed) = match cfg.sublog.clone() {
             Some(slc) => {
                 let (ml, replayed) =
@@ -357,6 +383,8 @@ impl Matcher {
             }
             None => (None, Vec::new()),
         };
+        let (space, index) = (shared.space.clone(), cfg.engine.index);
+        let engine = MatcherEngine::with_log(cfg.id, space, index, DEDUP_WINDOW, mlog);
         let now = shared.now();
         let mut gossip = GossipNode::new(EndpointState::new(
             NodeId(cfg.id.0 as u64),
@@ -373,7 +401,6 @@ impl Matcher {
         let gossip_interval = cfg.gossip_interval.as_secs_f64();
         let mut matcher = Matcher {
             engine,
-            mlog,
             telemetry: MatcherTelemetry::register(&shared, cfg.id, shared.space.k()),
             port: HostPort {
                 id: cfg.id,
@@ -408,94 +435,6 @@ impl Matcher {
             matcher.engine.apply(rec, &mut matcher.port);
         }
         matcher
-    }
-
-    /// Serves a `StoreSub` or `RemoveSub` for a copy owned by `stream`
-    /// where the engine's write rule puts it: here, or — when this matcher
-    /// stopped leading the stream — at the leader the table names, else
-    /// the owner, behind the copy that handed the stream on. Returns
-    /// whether it took here.
-    fn write(&mut self, rec: SubLogRecord, stream: MatcherId) -> bool {
-        let owner = match self.engine.write_at(&rec, stream, self.mlog.as_ref()) {
-            Ok(also) => return self.apply(rec, also),
-            Err(owner) => owner,
-        };
-        let leader = Some(self.leader(owner)).filter(|&l| l != self.cfg.id);
-        let to = matcher_addr(leader.unwrap_or(owner));
-        let frame = match rec {
-            SubLogRecord::Store { dim, sub } => ControlMsg::StoreSub { dim, sub, stream },
-            SubLogRecord::Remove { dim, sub } => ControlMsg::RemoveSub { dim, sub, stream },
-            SubLogRecord::Retire { .. } => return false,
-        };
-        self.port.out.send(&to, &frame);
-        false
-    }
-
-    /// The leader the table's book names for `stream`, else its owner.
-    fn leader(&self, stream: MatcherId) -> MatcherId {
-        let entry = self.table.leaders.iter().find(|e| e.0 == stream);
-        entry.map_or(stream, |e| e.1)
-    }
-
-    /// Applies one record to the engine and, when it took, journals it
-    /// on this matcher's own stream and on `also`, streams it leads for
-    /// down owners (a no-op with the sub-log off). The journal catches up
-    /// within the same step, before anything is served from the new
-    /// state.
-    fn apply(&mut self, rec: SubLogRecord, also: Vec<MatcherId>) -> bool {
-        if !self.engine.apply(&rec, &mut self.port) {
-            return false;
-        }
-        for stream in also {
-            self.journal(stream, rec.clone());
-        }
-        self.journal(self.cfg.id, rec);
-        true
-    }
-
-    /// Appends `rec` to `stream` — this matcher's own, or one it leads
-    /// since a promotion — and streams the append to the clockwise heir.
-    /// A failed append keeps the matcher serving from memory; what it
-    /// missed is lost to a restart.
-    fn journal(&mut self, stream: MatcherId, rec: SubLogRecord) {
-        let Some(s) = self.mlog.as_mut().and_then(|ml| ml.get_mut(stream)) else {
-            return;
-        };
-        if let Ok(Some(append)) = s.append(rec) {
-            self.port.shared.counters.sublog_appended.inc();
-            self.replicate(append);
-        }
-    }
-
-    /// Sends one stamped append to the first reachable clockwise heir in
-    /// the table's address book: the heir, else the heir's heir, and so
-    /// on. Dead heirs are unbound, so their sends error and the next
-    /// candidate is tried; with no table listing this matcher yet there is
-    /// no heir to stream to.
-    fn replicate(&self, append: ReplicatedAppend<SubLogRecord>) {
-        let book = &self.table.addrs;
-        if !book.iter().any(|e| e.0 == self.cfg.id) {
-            return;
-        }
-        let msg = ControlMsg::SubLogAppend {
-            append,
-            ack_to: self.cfg.addr.clone(),
-        };
-        let bytes = to_bytes(&msg).freeze();
-        let others = || book.iter().filter(|e| e.0 != self.cfg.id);
-        let mut at = self.cfg.id;
-        for _ in 1..book.len() {
-            let Some(heir) = clockwise_heir(at, others().map(|e| e.0)) else {
-                return;
-            };
-            let Some((_, addr)) = others().find(|e| e.0 == heir) else {
-                return;
-            };
-            if self.port.out.transport.send(addr, bytes.clone()).is_ok() {
-                return;
-            }
-            at = heir;
-        }
     }
 
     /// Periodic anti-entropy gossip: heartbeat, then open an exchange
@@ -583,22 +522,11 @@ impl Matcher {
                 let _ = self.port.out.transport.send(addr, frame.clone());
             }
         }
-        // Sub-log compaction: once the own stream has accumulated enough
-        // appends, squash its history to the engine's live snapshot
-        // (re-stamped at the tail) and stream the result to the heir so
-        // its replica compacts too.
-        if let Some(ml) = self.mlog.as_mut() {
-            if ml.own().journal().appended() >= crate::sublog::SUBLOG_COMPACT_THRESHOLD {
-                let snap: Vec<SubLogRecord> = self
-                    .engine
-                    .snapshot()
-                    .into_iter()
-                    .map(|(dim, sub)| SubLogRecord::Store { dim, sub })
-                    .collect();
-                if let Ok(Some(append)) = ml.own_mut().compact(snap) {
-                    self.replicate(append);
-                }
-            }
+        // Sub-log compaction, once the own stream has accumulated enough
+        // appends.
+        let appended = self.engine.log().map(|l| l.own().journal().appended());
+        if appended >= Some(crate::sublog::SUBLOG_COMPACT_THRESHOLD) {
+            self.engine.compact(&mut self.port);
         }
         self.next_stats += self.stats_interval;
     }
@@ -608,13 +536,14 @@ impl Node for Matcher {
     fn handle(&mut self, now: Time, msg: ControlMsg) -> Step {
         match msg {
             ControlMsg::StoreSub { dim, sub, stream } => {
-                if !self.write(SubLogRecord::Store { dim, sub }, stream) {
-                    return Step::Continue;
+                let rec = SubLogRecord::Store { dim, sub };
+                if self.engine.write(rec, stream, &mut self.port) {
+                    self.port.shared.counters.stored_copies.inc();
                 }
-                self.port.shared.counters.stored_copies.inc();
             }
             ControlMsg::RemoveSub { dim, sub, stream } => {
-                self.write(SubLogRecord::Remove { dim, sub }, stream);
+                let rec = SubLogRecord::Remove { dim, sub };
+                self.engine.write(rec, stream, &mut self.port);
             }
             ControlMsg::MatchMsg {
                 dim,
@@ -632,30 +561,18 @@ impl Node for Matcher {
                 to,
                 reply_to,
             } => {
-                let moved = self.engine.hand_over(dim, &range, &mut self.port);
-                let count = moved.len() as u64;
-                let to_addr = matcher_addr(self.leader(to));
-                for sub in moved {
-                    let store = ControlMsg::StoreSub {
-                        dim,
-                        sub,
-                        stream: to,
-                    };
-                    self.port.out.send(&to_addr, &store);
-                }
+                let moved = self.engine.hand_over(dim, &range, to, &mut self.port) as u64;
                 self.port
                     .out
-                    .send(&reply_to, &ControlMsg::HandOverDone { dim, moved: count });
+                    .send(&reply_to, &ControlMsg::HandOverDone { dim, moved });
             }
             ControlMsg::Retire { dim, range, keep } => {
-                self.apply(SubLogRecord::Retire { dim, range, keep }, Vec::new());
+                let rec = SubLogRecord::Retire { dim, range, keep };
+                self.engine.write(rec, self.cfg.id, &mut self.port);
             }
             ControlMsg::Prune => {
-                let (Some(ml), Some(strategy)) = (&self.mlog, &self.table.strategy) else {
-                    return Step::Continue;
-                };
-                for rec in self.engine.prune(strategy, ml) {
-                    self.write(rec, self.cfg.id);
+                if let Some(strategy) = &self.table.strategy {
+                    self.engine.prune(strategy, &mut self.port);
                 }
             }
             ControlMsg::TableState {
@@ -667,18 +584,19 @@ impl Node for Matcher {
                 self.table = TableCopy {
                     version,
                     strategy: Some(strategy),
-                    addrs,
-                    leaders,
                 };
+                let live = addrs.into_iter().map(|(m, _)| m).collect();
+                self.engine.on_table(leaders, live, &mut self.port);
                 // Announce the new table version on the gossip mesh too.
                 self.gossip.set_segments_version(version);
             }
             ControlMsg::TablePull { reply_to } => {
+                let live = self.engine.live().iter();
                 let state = ControlMsg::TableState {
                     version: self.table.version,
                     strategy: self.table.strategy.clone(),
-                    addrs: self.table.addrs.clone(),
-                    leaders: self.table.leaders.clone(),
+                    addrs: live.map(|&m| (m, matcher_addr(m))).collect(),
+                    leaders: self.engine.leaders().to_vec(),
                 };
                 self.port.out.send(&reply_to, &state);
             }
@@ -717,53 +635,16 @@ impl Node for Matcher {
                     self.port.out.send(&from_addr, &wire);
                 }
             }
-            ControlMsg::SubLogAppend { append, ack_to } => {
-                let Some(ml) = self.mlog.as_mut() else {
-                    return Step::Continue;
-                };
-                let stream = append.stream;
-                match ml.accept(&append) {
-                    Ok(FollowerOutcome::Acked {
-                        epoch,
-                        next_offset,
-                        stored,
-                    }) => {
-                        self.port.shared.counters.sublog_replicated.add(stored);
-                        let ack = ControlMsg::SubLogAck {
-                            stream,
-                            follower: self.cfg.id,
-                            epoch,
-                            offset: next_offset,
-                        };
-                        self.port.out.send(&ack_to, &ack);
-                    }
-                    Ok(FollowerOutcome::NeedFetch { from }) => {
-                        // A hole precedes this append: pull the missing
-                        // prefix from the leader before acking anything.
-                        let fetch = ControlMsg::SubLogFetch {
-                            stream,
-                            from,
-                            reply_to: self.cfg.addr.clone(),
-                            step_down: false,
-                        };
-                        self.port.out.send(&ack_to, &fetch);
-                    }
-                    Ok(FollowerOutcome::Fenced { .. }) => {
-                        // The sender was deposed; dropping its append (and
-                        // never acking) is the fence.
-                        self.port.shared.counters.sublog_fenced.inc();
-                    }
-                    Err(_) => {}
-                }
-            }
-            ControlMsg::SubLogAck {
-                stream,
-                follower,
-                epoch,
-                offset,
-            } => {
-                if let Some(s) = self.mlog.as_mut().and_then(|ml| ml.get_mut(stream)) {
-                    s.record_ack(follower, epoch, offset, now);
+            // A hole before the append is fetched from its sender.
+            ControlMsg::SubLogAppend { append, fetch_from } => {
+                if let Some(from) = self.engine.on_append(&append, &mut self.port) {
+                    let fetch = ControlMsg::SubLogFetch {
+                        stream: append.stream,
+                        from,
+                        reply_to: self.cfg.addr.clone(),
+                        step_down: false,
+                    };
+                    self.port.out.send(&fetch_from, &fetch);
                 }
             }
             ControlMsg::SubLogFetch {
@@ -772,57 +653,19 @@ impl Node for Matcher {
                 reply_to,
                 step_down,
             } => {
-                let Some(ml) = self.mlog.as_mut() else {
-                    return Step::Continue;
-                };
-                if let Some(append) = ml.get(stream).map(|s| s.serve(from)) {
-                    if step_down {
-                        ml.demote(stream);
-                    }
-                    let ack_to = self.cfg.addr.clone();
-                    self.port
-                        .out
-                        .send(&reply_to, &ControlMsg::SubLogAppend { append, ack_to });
+                if let Some(append) = self.engine.serve(stream, from, step_down) {
+                    let fetch_from = self.cfg.addr.clone();
+                    let msg = ControlMsg::SubLogAppend { append, fetch_from };
+                    self.port.out.send(&reply_to, &msg);
                 }
             }
-            // Failover as log replay: the engine adopts the dead
-            // leader's stream and hands back the inherited copies, which
-            // go on this matcher's own stream.
             ControlMsg::SubLogPromote { stream, epoch } => {
-                let Some(Ok(replay)) = self.mlog.as_mut().map(|ml| ml.promote(stream, epoch))
-                else {
-                    return Step::Continue;
-                };
-                let inherited = self.engine.adopt(replay, &mut self.port);
-                self.port
-                    .shared
-                    .counters
-                    .sublog_promoted
-                    .add(inherited.len() as u64);
-                for rec in inherited {
-                    self.journal(self.cfg.id, rec);
-                }
+                self.engine.promote(stream, epoch, &mut self.port);
             }
-            // Only meaningful for this matcher's own stream: the copy its
-            // heir led while it was down, queued on the bound inbox ahead
-            // of any publication. The delta installed from it is this
-            // matcher's own history (its keep ranges, its copies), so it
-            // applies to the live engine directly.
-            ControlMsg::SubLogInstall { epoch, served } if served.stream == self.cfg.id => {
-                if let Some(Ok(delta)) = self
-                    .mlog
-                    .as_mut()
-                    .map(|ml| ml.own_mut().install(epoch, &served))
-                {
-                    self.port
-                        .shared
-                        .counters
-                        .sublog_caught_up
-                        .add(delta.len() as u64);
-                    for rec in delta {
-                        self.engine.apply(rec, &mut self.port);
-                    }
-                }
+            // The copy of this matcher's own stream its interim leader
+            // served, queued on the bound inbox ahead of any publication.
+            ControlMsg::SubLogInstall { epoch, served } => {
+                self.engine.install(epoch, &served, &mut self.port);
             }
             // Begin a graceful leave: announce `Leaving` on the overlay
             // (spread on the next pass), serve out the backlog, then exit
@@ -925,7 +768,7 @@ impl Node for Matcher {
     fn flush_all(&mut self) {
         let flushes = self.port.out.batcher.flush_all();
         self.port.send_flushes(flushes);
-        for s in self.mlog.iter_mut().flat_map(|ml| ml.iter_mut()) {
+        for s in self.engine.log_mut().into_iter().flat_map(|l| l.iter_mut()) {
             let _ = s.journal_mut().sync();
         }
     }

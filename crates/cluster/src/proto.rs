@@ -204,30 +204,17 @@ pub enum ControlMsg {
     Leave,
     /// Orderly shutdown of the receiving node.
     Shutdown,
-    /// Stream leader → follower: replicate sub-log records appended
-    /// under `(epoch, offset)`. Also serves as the catch-up reply to a
-    /// [`ControlMsg::SubLogFetch`]. The follower fences on the stamp
-    /// (see `bluedove_engine::replication`) and answers with a
-    /// [`ControlMsg::SubLogAck`] to `ack_to`.
+    /// Stream leader → its clockwise heir: replicate sub-log records
+    /// appended under `(epoch, offset)`. Also the reply to a
+    /// [`ControlMsg::SubLogFetch`]. The follower fences on the stamp (see
+    /// `bluedove_engine::replication`); no ack is sent back.
     SubLogAppend {
         /// The records and the `(stream, epoch, base, offset, reset)`
         /// stamp followers fence on.
         append: ReplicatedAppend<SubLogRecord>,
-        /// Where to send the ack (empty = no ack wanted).
-        ack_to: String,
-    },
-    /// Follower → stream leader: the replica holds every record below
-    /// `offset` under `epoch`. Feeds the leader's in-sync replica set
-    /// and commit point.
-    SubLogAck {
-        /// Which stream.
-        stream: MatcherId,
-        /// The acking follower.
-        follower: MatcherId,
-        /// Epoch the follower is following.
-        epoch: u64,
-        /// The follower's next expected offset.
-        offset: u64,
+        /// Where the follower fetches a hole before the append from
+        /// (empty = nowhere).
+        fetch_from: String,
     },
     /// Follower (or control plane) → stream leader: re-send the records
     /// from `from` to the tail, as a [`ControlMsg::SubLogAppend`] to
@@ -371,7 +358,6 @@ const TAG_TELEMETRY_TEXT: u8 = 21;
 const TAG_LEAVE: u8 = 22;
 const TAG_BATCH: u8 = 23;
 const TAG_SUBLOG_APPEND: u8 = 24;
-const TAG_SUBLOG_ACK: u8 = 25;
 const TAG_SUBLOG_FETCH: u8 = 26;
 const TAG_SUBLOG_PROMOTE: u8 = 27;
 const TAG_SUBLOG_INSTALL: u8 = 29;
@@ -542,22 +528,10 @@ impl Wire for ControlMsg {
             ControlMsg::Leave => buf.put_u8(TAG_LEAVE),
             ControlMsg::Prune => buf.put_u8(TAG_PRUNE),
             ControlMsg::Shutdown => buf.put_u8(TAG_SHUTDOWN),
-            ControlMsg::SubLogAppend { append, ack_to } => {
+            ControlMsg::SubLogAppend { append, fetch_from } => {
                 buf.put_u8(TAG_SUBLOG_APPEND);
                 encode_append(append, buf);
-                ack_to.encode(buf);
-            }
-            ControlMsg::SubLogAck {
-                stream,
-                follower,
-                epoch,
-                offset,
-            } => {
-                buf.put_u8(TAG_SUBLOG_ACK);
-                stream.encode(buf);
-                follower.encode(buf);
-                epoch.encode(buf);
-                offset.encode(buf);
+                fetch_from.encode(buf);
             }
             ControlMsg::SubLogFetch {
                 stream,
@@ -681,13 +655,7 @@ impl Wire for ControlMsg {
             TAG_SHUTDOWN => ControlMsg::Shutdown,
             TAG_SUBLOG_APPEND => ControlMsg::SubLogAppend {
                 append: decode_append(buf)?,
-                ack_to: String::decode(buf)?,
-            },
-            TAG_SUBLOG_ACK => ControlMsg::SubLogAck {
-                stream: MatcherId::decode(buf)?,
-                follower: MatcherId::decode(buf)?,
-                epoch: u64::decode(buf)?,
-                offset: u64::decode(buf)?,
+                fetch_from: String::decode(buf)?,
             },
             TAG_SUBLOG_FETCH => ControlMsg::SubLogFetch {
                 stream: MatcherId::decode(buf)?,
@@ -897,11 +865,11 @@ mod tests {
         };
         let append = ControlMsg::SubLogAppend {
             append: served.clone(),
-            ack_to: "m/1".into(),
+            fetch_from: "m/1".into(),
         };
         // The wire bytes of the embedded append are those of the flat
         // seven-field variant it replaced: tag, stream, epoch, base,
-        // offset, reset, records, ack_to.
+        // offset, reset, records, fetch_from.
         let mut flat = BytesMut::new();
         flat.put_u8(super::TAG_SUBLOG_APPEND);
         MatcherId(2).encode(&mut flat);
@@ -913,12 +881,6 @@ mod tests {
         "m/1".to_string().encode(&mut flat);
         assert_eq!(to_bytes(&append), flat);
         round_trip(append);
-        round_trip(ControlMsg::SubLogAck {
-            stream: MatcherId(2),
-            follower: MatcherId(1),
-            epoch: 3,
-            offset: 11,
-        });
         round_trip(ControlMsg::SubLogFetch {
             stream: MatcherId(2),
             from: 4,

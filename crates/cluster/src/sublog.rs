@@ -1,23 +1,26 @@
-//! Log-structured subscription stores with ISR-style replication.
+//! Log-structured subscription stores with asynchronous, epoch-fenced
+//! replication.
 //!
 //! Every mutation a matcher applies to its per-dim subscription index —
 //! store, unsubscribe, retire-after-handover — is appended as a
 //! [`SubLogRecord`] to the matcher's own durable *stream* (a segmented
-//! [`Log`]), then streamed to its clockwise heir, which maintains an
-//! in-sync replica fenced by `(epoch, offset)`
-//! ([`bluedove_engine::replication`]). Failover and graceful `Leave`
-//! become log replay: the heir promotes at its replicated offset and
-//! adopts the replica into its own index; a recovered matcher replays
-//! its local log first and installs only the records it missed from the
-//! heir, instead of being re-shipped a full subscription copy.
+//! [`Log`]), then streamed to its clockwise heir without waiting for it;
+//! the heir's replica is fenced by `(epoch, offset)` and fetches any hole
+//! from the sender ([`bluedove_engine::replication`]). Failover and
+//! graceful `Leave` become log replay: the heir promotes at its
+//! replicated offset and adopts the replica into its own index; a
+//! recovered matcher replays its local log first and installs only the
+//! records it missed from the heir, instead of being re-shipped a full
+//! subscription copy.
 //!
 //! [`MatcherLog`] is the engine's [`StreamSet`] over [`Log`] journals.
 //! The record type lives in `bluedove-core` and its codec in
-//! `bluedove-net`; what a record does, and which streams it is journaled
-//! on, is [`MatcherEngine`](bluedove_engine::MatcherEngine)'s; every
-//! append / accept / serve / promote / demote / install / compact is
-//! [`ReplicatedStream`]'s, and the simulator drives the same types over
-//! in-memory streams. This module owns the files and opening them.
+//! `bluedove-net`; every sub-log step — what a record does, which streams
+//! it is journaled on, where it is replicated, accept / serve / promote /
+//! install / compact — is
+//! [`MatcherEngine`](bluedove_engine::MatcherEngine)'s, and the simulator
+//! drives the same engine over in-memory streams. This module owns the
+//! files and opening them.
 //!
 //! On-disk layout under [`SubLogConfig::dir`] (one directory per
 //! matcher is *not* required — bases disambiguate):
@@ -42,7 +45,7 @@ use std::path::PathBuf;
 /// since open/compaction (mirrors the mailbox WAL threshold).
 pub const SUBLOG_COMPACT_THRESHOLD: u64 = 10_000;
 
-/// Durability and replication knobs for a matcher's subscription log.
+/// Durability knobs for a matcher's subscription log.
 #[derive(Debug, Clone)]
 pub struct SubLogConfig {
     /// Directory holding the matcher's stream and replica logs.
@@ -51,9 +54,6 @@ pub struct SubLogConfig {
     pub fsync: FsyncPolicy,
     /// Segment rotation threshold in bytes.
     pub segment_bytes: u64,
-    /// Replicas (leader included) that must hold an offset before it
-    /// counts as committed. `1` keeps replication fully asynchronous.
-    pub min_isr: usize,
     /// Leader epoch for this matcher's own stream, assigned by the
     /// control plane (bumped on every restart/promotion).
     pub epoch: Epoch,
@@ -61,13 +61,12 @@ pub struct SubLogConfig {
 
 impl SubLogConfig {
     /// A config rooted at `dir` with the defaults: flush-per-append,
-    /// 1 MiB segments, `min_isr = 1`, epoch 1.
+    /// 1 MiB segments, epoch 1.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         SubLogConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::default(),
             segment_bytes: 1 << 20,
-            min_isr: 1,
             epoch: 1,
         }
     }
@@ -109,7 +108,6 @@ fn open_stream(cfg: &SubLogConfig, id: MatcherId, stream: MatcherId) -> NetResul
     let (log, records) = Log::open(&cfg.dir, &base, lc)?;
     Ok(ReplicatedStream::follower(
         stream,
-        cfg.min_isr,
         log.first_offset(),
         records,
         log,
@@ -203,7 +201,7 @@ mod tests {
     }
 
     #[test]
-    fn follower_accept_ack_and_gap_repair() {
+    fn follower_accept_and_gap_repair() {
         let dir_a = tmpdir("repl-a");
         let dir_b = tmpdir("repl-b");
         let (mut leader, _) = open(MatcherId(1), cfg(&dir_a)).unwrap();
@@ -211,13 +209,12 @@ mod tests {
 
         let a0 = own_append(&mut leader, store(1, 0.0, 1.0));
         let a1 = own_append(&mut leader, store(2, 1.0, 2.0));
-        // In-order replication acks.
+        // In-order replication stores.
         assert_eq!(
             heir.accept(&a0).unwrap(),
-            FollowerOutcome::Acked {
-                epoch: 1,
+            FollowerOutcome::Stored {
                 next_offset: 1,
-                stored: 1
+                fresh: 1
             }
         );
         // A lost append surfaces as a gap on the next one…
@@ -234,12 +231,9 @@ mod tests {
             vec![a1.records[0].clone(), a2.records[0].clone()]
         );
         match heir.accept(&fill).unwrap() {
-            FollowerOutcome::Acked { next_offset, .. } => assert_eq!(next_offset, 3),
-            other => panic!("expected ack, got {other:?}"),
+            FollowerOutcome::Stored { next_offset, .. } => assert_eq!(next_offset, 3),
+            other => panic!("expected a store, got {other:?}"),
         }
-        assert!(leader.own_mut().record_ack(MatcherId(2), 1, 3, 0.0));
-        let isr = leader.own().leader().unwrap().isr(0.0, 0, 1.0);
-        assert_eq!(isr, vec![MatcherId(2)]);
     }
 
     #[test]
@@ -284,14 +278,10 @@ mod tests {
             records: vec![store(10, 10.0, 11.0)],
         };
         match heir.accept(&resume).unwrap() {
-            FollowerOutcome::Acked {
-                epoch, next_offset, ..
-            } => {
-                assert_eq!(epoch, 3);
-                assert_eq!(next_offset, 5);
-            }
-            other => panic!("expected ack, got {other:?}"),
+            FollowerOutcome::Stored { next_offset, .. } => assert_eq!(next_offset, 5),
+            other => panic!("expected a store, got {other:?}"),
         }
+        assert_eq!(heir.get(MatcherId(1)).unwrap().epoch(), 3);
     }
 
     #[test]
@@ -317,8 +307,8 @@ mod tests {
         );
         let fill = leader.own().serve(0);
         match heir.accept(&fill).unwrap() {
-            FollowerOutcome::Acked { next_offset, .. } => assert_eq!(next_offset, 2),
-            other => panic!("expected ack, got {other:?}"),
+            FollowerOutcome::Stored { next_offset, .. } => assert_eq!(next_offset, 2),
+            other => panic!("expected a store, got {other:?}"),
         }
     }
 
@@ -339,8 +329,8 @@ mod tests {
         assert_eq!(leader.own().next_offset(), 5);
         // The up-to-date follower absorbs it as a normal append.
         match heir.accept(&a).unwrap() {
-            FollowerOutcome::Acked { next_offset, .. } => assert_eq!(next_offset, 5),
-            other => panic!("expected ack, got {other:?}"),
+            FollowerOutcome::Stored { next_offset, .. } => assert_eq!(next_offset, 5),
+            other => panic!("expected a store, got {other:?}"),
         }
         // A fresh follower behind the horizon gets the reset copy.
         let dir_c = tmpdir("compact-c");
@@ -349,8 +339,8 @@ mod tests {
         assert!(serve.reset);
         assert_eq!(serve.offset, 4);
         match fresh.accept(&serve).unwrap() {
-            FollowerOutcome::Acked { next_offset, .. } => assert_eq!(next_offset, 5),
-            other => panic!("expected ack, got {other:?}"),
+            FollowerOutcome::Stored { next_offset, .. } => assert_eq!(next_offset, 5),
+            other => panic!("expected a store, got {other:?}"),
         }
         // And the leader's own reopen replays only the retained history.
         drop(leader);

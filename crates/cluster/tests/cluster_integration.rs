@@ -592,83 +592,6 @@ fn load_reports_flow_and_policies_use_them() {
 }
 
 #[test]
-fn multi_app_isolation_and_rebalancing() {
-    use bluedove_cluster::{AppSpec, MultiAppCluster};
-    use bluedove_core::Dimension;
-
-    let mut multi = MultiAppCluster::new();
-    // Two applications with different attribute spaces.
-    let traffic = AttributeSpace::new(vec![
-        Dimension::new("longitude", -180.0, 180.0),
-        Dimension::new("latitude", -90.0, 90.0),
-        Dimension::new("speed", 0.0, 120.0),
-    ])
-    .unwrap();
-    let stocks = AttributeSpace::uniform(2, 0.0, 10_000.0);
-    multi
-        .add_app(AppSpec::new("traffic", traffic.clone(), 3))
-        .unwrap();
-    multi
-        .add_app(AppSpec::new("stocks", stocks.clone(), 2))
-        .unwrap();
-    assert!(multi
-        .add_app(AppSpec::new("stocks", stocks.clone(), 1))
-        .is_err());
-    assert_eq!(multi.app_names(), vec!["stocks", "traffic"]);
-
-    let driver = multi
-        .subscribe(
-            "traffic",
-            Subscription::builder(&traffic)
-                .range(2, 0.0, 25.0)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-    let trader = multi
-        .subscribe(
-            "stocks",
-            Subscription::builder(&stocks)
-                .range(0, 0.0, 100.0)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-
-    // Messages stay inside their application: the slow-traffic reading
-    // reaches only the driver, the quote only the trader.
-    multi
-        .publish("traffic", Message::new(vec![-41.5, 72.0, 10.0]))
-        .unwrap();
-    multi
-        .publish("stocks", Message::new(vec![50.0, 123.0]))
-        .unwrap();
-    assert!(driver.recv_timeout(Duration::from_secs(5)).is_some());
-    assert!(trader.recv_timeout(Duration::from_secs(5)).is_some());
-    assert!(driver.recv_timeout(Duration::from_millis(200)).is_none());
-    assert!(trader.recv_timeout(Duration::from_millis(200)).is_none());
-
-    // Unknown apps error cleanly.
-    assert!(multi.publish("ghost", Message::new(vec![1.0])).is_err());
-
-    // Rebalancing grows one app's subset without touching the other.
-    let added = multi.rebalance("traffic", 2).unwrap();
-    assert_eq!(added.len(), 2);
-    assert_eq!(multi.matchers_of("traffic").unwrap().len(), 5);
-    assert_eq!(multi.matchers_of("stocks").unwrap().len(), 2);
-
-    // Still delivering after the rebalance.
-    multi
-        .publish("traffic", Message::new(vec![-41.5, 72.0, 5.0]))
-        .unwrap();
-    assert!(driver.recv_timeout(Duration::from_secs(5)).is_some());
-
-    let counters = multi.counters();
-    assert_eq!(counters.len(), 2);
-    multi.shutdown();
-}
-
-#[test]
 fn publish_all_coalesces_the_publish_leg_and_delivers_exactly_once() {
     let sp = space();
     const N: usize = 200;
@@ -1332,4 +1255,70 @@ fn unsubscribe_leaves_no_copy_of_a_write_the_owner_missed() {
     cluster.unsubscribe(&handle).unwrap();
     wait_for_copies(&cluster, |_| 0, "every live copy to be removed");
     cluster.shutdown();
+}
+
+/// A matcher whose clockwise heir changes sends the new heir each stream
+/// it leads at once, so a crash before its next append promotes a full
+/// replica: a join lands between the matcher and its heir, the heir
+/// leaves, or the heir crashes — and a joiner, first listed by the
+/// post-join table, ships the copies it was handed over. Each victim is
+/// killed right after the change; every live matcher must then hold
+/// exactly the copies its streams resolve to.
+#[test]
+fn a_new_heir_gets_the_stream_before_the_next_append() {
+    let w = PaperWorkload {
+        seed: 7,
+        ..Default::default()
+    };
+    let subs: Vec<Subscription> = w.subscriptions().take(200).collect();
+    for change in ["join", "joiner", "leave", "crash"] {
+        let dir = sublog_dir(&format!("heir-change-{change}"));
+        let cfg = ClusterConfig::new(w.space())
+            .matchers(4)
+            .log_dir(&dir)
+            .stats_interval(Duration::from_millis(50));
+        let mut cluster = Cluster::start(cfg);
+        for s in &subs {
+            cluster.subscribe(s.clone()).unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(300)); // the heirs catch up
+        let victim = match change {
+            "join" | "joiner" => {
+                let joiner = cluster.add_matcher().unwrap();
+                let (m3, ring) = (MatcherId(3), cluster.matcher_ids());
+                assert_eq!(bluedove_engine::clockwise_heir(m3, ring), Some(joiner));
+                if change == "join" {
+                    m3
+                } else {
+                    joiner
+                }
+            }
+            "leave" => {
+                cluster.remove_matcher(MatcherId(1)).unwrap();
+                MatcherId(0)
+            }
+            _ => {
+                cluster.kill_matcher(MatcherId(1));
+                MatcherId(0)
+            }
+        };
+        // A join's donors retire the moved copies meanwhile, so only
+        // the joiner's stream holds them; nothing is appended.
+        std::thread::sleep(Duration::from_millis(300));
+        cluster.kill_matcher(victim);
+        let control = cluster.control();
+        let holder = |m: MatcherId| control.leader_of(m).unwrap_or(m);
+        let expected = |m: MatcherId| {
+            let placed = subs.iter().flat_map(|s| {
+                let assign = control.strategy().as_dyn().assign(s).into_iter();
+                assign
+                    .filter(|a| holder(a.matcher) == m)
+                    .map(|a| (a.dim, s.id))
+            });
+            placed.collect::<std::collections::BTreeSet<_>>().len() as i64
+        };
+        wait_for_copies(&cluster, expected, &format!("{change}: every copy placed"));
+        cluster.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -175,6 +175,11 @@ impl ControlEngine {
         self.streams.get(&stream).map(|s| s.0)
     }
 
+    /// The leader book, by stream id: `(stream, leader, epoch)`.
+    pub fn leaders(&self) -> Vec<(MatcherId, MatcherId, Epoch)> {
+        self.streams.iter().map(|(&s, &(l, e))| (s, l, e)).collect()
+    }
+
     /// A copy of the BlueDove table to plan on.
     fn table_copy(&self) -> Result<MPartition, ScaleError> {
         match &self.strategy {
@@ -333,7 +338,7 @@ impl ControlEngine {
             version: self.version,
             strategy: self.strategy.clone(),
             live: self.live().collect(),
-            leaders: self.streams.iter().map(|(&s, &(l, e))| (s, l, e)).collect(),
+            leaders: self.leaders(),
         }
     }
 

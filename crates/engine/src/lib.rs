@@ -38,7 +38,10 @@
 //! work in a three-phase split — [`MatcherEngine::begin_service`] pops the
 //! round-robin job, the host times (or models) the match around
 //! [`MatcherEngine::run_match`], and [`MatcherEngine::complete`] emits
-//! deliveries and the `MatchAck` through a [`MatcherPort`].
+//! deliveries and the `MatchAck` through a [`MatcherPort`]. It also runs
+//! every matcher-side step of the replicated subscription log — journal,
+//! forward, replicate to the heir, accept, serve, promote, install — so
+//! the hosts only carry its frames.
 //!
 //! Both engines drop malformed publications and subscriptions at the edge
 //! and report them as [`Rejected`] kinds instead of acting on them.
@@ -70,10 +73,10 @@ pub use dispatcher::{
     DispatcherEffect, DispatcherEngine, DispatcherEngineConfig, DispatcherEvent, DispatcherOut,
     DispatcherPort,
 };
-pub use matcher::{MatcherEngine, MatcherPort, ServiceJob};
+pub use matcher::{MatcherEngine, MatcherPort, ServiceJob, SubLogCount};
 pub use reject::Rejected;
 pub use replication::{
-    AppendVerdict, Epoch, FollowerLog, FollowerOutcome, Journal, ReplicaSet, ReplicatedAppend,
+    AppendVerdict, Epoch, FollowerLog, FollowerOutcome, Journal, ReplicatedAppend,
     ReplicatedStream, StreamSet,
 };
 pub use suspect::SuspectList;

@@ -1,25 +1,27 @@
-//! Replicated-log state machines: ISR tracking, leader epochs and
-//! `(epoch, offset)` fencing for the matchers' durable subscription logs.
+//! Replicated-log state machines: leader epochs and `(epoch, offset)`
+//! fencing for the matchers' durable subscription logs.
 //!
 //! Each matcher leads one append-only *stream* — the log of every
 //! mutation applied to its own subscription store — and streams records
-//! to its clockwise heirs, which maintain in-sync replicas.
-//! [`FollowerLog`] and [`ReplicaSet`] reason about epochs, offsets and
-//! counts only; [`ReplicatedStream`] holds the records on top of them and
-//! is the one place a verdict turns into truncate / skip / store, and
+//! to its clockwise heir, asynchronously: a leader never waits for a
+//! replica, and a replica that finds a hole before an append fetches the
+//! missing records from the sender. [`FollowerLog`] reasons about epochs
+//! and offsets only; [`ReplicatedStream`] holds the records on top of it
+//! and is the one place a verdict turns into truncate / skip / store, and
 //! [`StreamSet`] is one matcher's streams. Both hosts drive these same
-//! types — the threaded cluster over a file-backed [`Journal`] and TCP,
-//! the simulator over the no-op `()` journal and virtual time — and own
-//! only the record codec, the transport and the orchestration.
+//! types through `MatcherEngine` — the threaded cluster over a
+//! file-backed [`Journal`] and TCP, the simulator over the no-op `()`
+//! journal and virtual time — and own only the record codec and the
+//! transport.
 //!
 //! Fencing invariant: a replica's accepted sequence is monotone in
 //! `(epoch, offset)`. A deposed leader (lower epoch) can never append
 //! after the promoted heir's first higher-epoch append reached the
-//! replica, and a higher-epoch append truncates any uncommitted
-//! lower-epoch tail beyond its start offset — two replicas that both
-//! accepted offset `o` therefore hold the record of the same writer.
+//! replica, and a higher-epoch append truncates any lower-epoch tail
+//! beyond its start offset — two replicas that both accepted offset `o`
+//! therefore hold the record of the same writer.
 
-use bluedove_core::{MatcherId, Time};
+use bluedove_core::MatcherId;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
@@ -140,136 +142,6 @@ impl FollowerLog {
             truncate,
         }
     }
-
-    /// Promotes this replica to the stream's leader at `epoch` (assigned
-    /// by the control plane, strictly above the followed epoch): the new
-    /// leader starts appending at the replica's replicated offset.
-    pub fn promote(&self, epoch: Epoch, min_isr: usize) -> ReplicaSet {
-        ReplicaSet::lead(epoch, self.next_offset, self.next_offset, min_isr)
-    }
-}
-
-/// Per-follower bookkeeping on the leader.
-#[derive(Debug, Clone, Copy)]
-struct FollowerAck {
-    /// Highest `next_offset` the follower acknowledged.
-    acked: u64,
-    /// When that ack arrived (host clock; ISR staleness input).
-    last_ack: Time,
-}
-
-/// Leader-side state of one replicated stream: the epoch it writes
-/// under, its append tail and the ack offsets of its followers, from
-/// which the in-sync replica set and the commit point derive.
-#[derive(Debug, Clone)]
-pub struct ReplicaSet {
-    epoch: Epoch,
-    /// The offset this leader's epoch began at — stamped on every
-    /// replicated append so followers can invalidate ghost tails.
-    epoch_base: u64,
-    next_offset: u64,
-    followers: BTreeMap<MatcherId, FollowerAck>,
-    /// Replicas (including the leader) whose acks must cover an offset
-    /// before it counts as committed. `1` commits on the local append
-    /// alone (replication stays asynchronous).
-    min_isr: usize,
-}
-
-impl ReplicaSet {
-    /// A leader at `epoch` whose tail is `next_offset` and whose epoch
-    /// began at `epoch_base`: followers holding anything past
-    /// `epoch_base` truncate back to it on its first append (the
-    /// ghost-tail rule).
-    pub fn lead(epoch: Epoch, epoch_base: u64, next_offset: u64, min_isr: usize) -> Self {
-        ReplicaSet {
-            epoch,
-            epoch_base,
-            next_offset,
-            followers: BTreeMap::new(),
-            min_isr: min_isr.max(1),
-        }
-    }
-
-    /// The epoch this leader writes under.
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
-    }
-
-    /// The offset this leader's epoch began at (its promotion point).
-    pub fn epoch_base(&self) -> u64 {
-        self.epoch_base
-    }
-
-    /// The leader's append tail (offset the next record will take).
-    pub fn next_offset(&self) -> u64 {
-        self.next_offset
-    }
-
-    /// Reserves offsets for `count` records and returns the first; the
-    /// records are streamed stamped with it and this leader's epoch.
-    pub fn append(&mut self, count: u64) -> u64 {
-        self.next_offset += count;
-        self.next_offset - count
-    }
-
-    /// Records a follower's acknowledgement of offsets up to `offset`
-    /// under `epoch`. Returns `false` (and ignores the ack) when the ack
-    /// is from another epoch — a deposed leader's follower set must not
-    /// pollute the new leader's ISR.
-    pub fn record_ack(
-        &mut self,
-        follower: MatcherId,
-        epoch: Epoch,
-        offset: u64,
-        now: Time,
-    ) -> bool {
-        if epoch != self.epoch {
-            return false;
-        }
-        let entry = self.followers.entry(follower).or_insert(FollowerAck {
-            acked: 0,
-            last_ack: now,
-        });
-        entry.acked = entry.acked.max(offset.min(self.next_offset));
-        entry.last_ack = now;
-        true
-    }
-
-    /// Drops a follower (it died or was reassigned).
-    pub fn remove_follower(&mut self, follower: MatcherId) {
-        self.followers.remove(&follower);
-    }
-
-    /// The in-sync replica set: followers whose last ack is within
-    /// `max_lag` records of the tail and arrived within `stale_after`
-    /// seconds of `now`. The leader itself is always in sync and is not
-    /// listed.
-    pub fn isr(&self, now: Time, max_lag: u64, stale_after: Time) -> Vec<MatcherId> {
-        self.followers
-            .iter()
-            .filter(|(_, f)| {
-                self.next_offset - f.acked <= max_lag && now - f.last_ack <= stale_after
-            })
-            .map(|(&m, _)| m)
-            .collect()
-    }
-
-    /// The commit point: the highest offset such that at least
-    /// `min_isr` replicas (leader included) hold everything below it.
-    /// With `min_isr == 1` this is the leader's own tail; with
-    /// `min_isr == n` it is the `(n-1)`-th highest follower ack.
-    pub fn committed(&self) -> u64 {
-        let need = self.min_isr - 1; // follower acks required
-        if need == 0 {
-            return self.next_offset;
-        }
-        let mut acks: Vec<u64> = self.followers.values().map(|f| f.acked).collect();
-        if acks.len() < need {
-            return 0;
-        }
-        acks.sort_unstable_by(|a, b| b.cmp(a));
-        acks[need - 1].min(self.next_offset)
-    }
 }
 
 /// The durable backing of a [`ReplicatedStream`]: every retained record
@@ -319,14 +191,12 @@ pub struct ReplicatedAppend<R> {
 /// What a stream holder makes of one [`ReplicatedAppend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FollowerOutcome {
-    /// Stored; acknowledge `(epoch, next_offset)` to the leader.
-    Acked {
-        /// Epoch the replica now follows.
-        epoch: Epoch,
+    /// Stored.
+    Stored {
         /// Offset the replica expects next.
         next_offset: u64,
         /// How many records of this append were fresh (not duplicates).
-        stored: u64,
+        fresh: u64,
     },
     /// A hole precedes the append: fetch records from `from` first.
     NeedFetch {
@@ -340,9 +210,15 @@ pub enum FollowerOutcome {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Role {
-    Leading(ReplicaSet),
+    /// Leads at `epoch`, which began at offset `base`: followers holding
+    /// anything past it truncate back to it on its first append (the
+    /// ghost-tail rule).
+    Leading {
+        epoch: Epoch,
+        base: u64,
+    },
     Following(FollowerLog),
 }
 
@@ -353,7 +229,6 @@ enum Role {
 #[derive(Debug)]
 pub struct ReplicatedStream<R, J = ()> {
     id: MatcherId,
-    min_isr: usize,
     role: Role,
     base: u64,
     records: Vec<R>,
@@ -362,13 +237,11 @@ pub struct ReplicatedStream<R, J = ()> {
 
 impl<R: Clone, J: Journal<R>> ReplicatedStream<R, J> {
     /// A replica of stream `id` holding `records` from offset `base`,
-    /// following at epoch 0 so the leader's first append re-fences it;
-    /// once promoted it commits at `min_isr`.
-    pub fn follower(id: MatcherId, min_isr: usize, base: u64, records: Vec<R>, journal: J) -> Self {
+    /// following at epoch 0 so the leader's first append re-fences it.
+    pub fn follower(id: MatcherId, base: u64, records: Vec<R>, journal: J) -> Self {
         let tail = base + records.len() as u64;
         ReplicatedStream {
             id,
-            min_isr,
             role: Role::Following(FollowerLog::at(0, tail)),
             base,
             records,
@@ -398,26 +271,15 @@ impl<R: Clone, J: Journal<R>> ReplicatedStream<R, J> {
 
     /// The epoch this holder leads or follows.
     pub fn epoch(&self) -> Epoch {
-        match &self.role {
-            Role::Leading(set) => set.epoch(),
+        match self.role {
+            Role::Leading { epoch, .. } => epoch,
             Role::Following(f) => f.epoch(),
         }
     }
 
-    /// The leader-side state (ISR, commit point), when this holder leads.
-    pub fn leader(&self) -> Option<&ReplicaSet> {
-        match &self.role {
-            Role::Leading(set) => Some(set),
-            Role::Following(_) => None,
-        }
-    }
-
-    /// The leader-side state, mutably.
-    pub fn leader_mut(&mut self) -> Option<&mut ReplicaSet> {
-        match &mut self.role {
-            Role::Leading(set) => Some(set),
-            Role::Following(_) => None,
-        }
+    /// Whether this holder leads the stream.
+    pub fn leads(&self) -> bool {
+        matches!(self.role, Role::Leading { .. })
     }
 
     /// The journal.
@@ -433,8 +295,8 @@ impl<R: Clone, J: Journal<R>> ReplicatedStream<R, J> {
     /// Stamps `records` starting at `offset`. A replica stamps its tail
     /// as the epoch base: it wrote nothing under an epoch of its own.
     fn stamp(&self, offset: u64, reset: bool, records: Vec<R>) -> ReplicatedAppend<R> {
-        let (epoch, base) = match &self.role {
-            Role::Leading(set) => (set.epoch(), set.epoch_base()),
+        let (epoch, base) = match self.role {
+            Role::Leading { epoch, base } => (epoch, base),
             Role::Following(f) => (f.epoch(), self.next_offset()),
         };
         ReplicatedAppend {
@@ -448,13 +310,13 @@ impl<R: Clone, J: Journal<R>> ReplicatedStream<R, J> {
     }
 
     /// Journals and retains `rec` and returns the append to ship to the
-    /// followers; `None` unless this holder leads the stream.
+    /// heir; `None` unless this holder leads the stream.
     pub fn append(&mut self, rec: R) -> Result<Option<ReplicatedAppend<R>>, J::Error> {
-        let Role::Leading(set) = &mut self.role else {
+        if !self.leads() {
             return Ok(None);
-        };
+        }
         self.journal.append(&rec)?;
-        let offset = set.append(1);
+        let offset = self.next_offset();
         self.records.push(rec.clone());
         Ok(Some(self.stamp(offset, false, vec![rec])))
     }
@@ -465,11 +327,7 @@ impl<R: Clone, J: Journal<R>> ReplicatedStream<R, J> {
     /// first; a holder that leads the stream fences every append.
     pub fn accept(&mut self, append: &ReplicatedAppend<R>) -> Result<FollowerOutcome, J::Error> {
         let f = match &mut self.role {
-            Role::Leading(set) => {
-                return Ok(FollowerOutcome::Fenced {
-                    current: set.epoch(),
-                })
-            }
+            Role::Leading { epoch, .. } => return Ok(FollowerOutcome::Fenced { current: *epoch }),
             Role::Following(f) => f,
         };
         let count = append.records.len() as u64;
@@ -482,7 +340,7 @@ impl<R: Clone, J: Journal<R>> ReplicatedStream<R, J> {
             base = append.offset;
         }
         let verdict = f.accept(append.epoch, base, append.offset, count);
-        let (epoch, next_offset) = (f.epoch(), f.next_offset());
+        let next_offset = f.next_offset();
         match verdict {
             AppendVerdict::Fenced { current } => Ok(FollowerOutcome::Fenced { current }),
             AppendVerdict::Gap { expected, truncate } => {
@@ -500,12 +358,8 @@ impl<R: Clone, J: Journal<R>> ReplicatedStream<R, J> {
                     self.records.push(rec.clone());
                 }
                 debug_assert_eq!(self.next_offset(), next_offset, "store tracks the fencing");
-                let stored = count - skip as u64;
-                Ok(FollowerOutcome::Acked {
-                    epoch,
-                    next_offset,
-                    stored,
-                })
+                let fresh = count - skip as u64;
+                Ok(FollowerOutcome::Stored { next_offset, fresh })
             }
         }
     }
@@ -524,18 +378,11 @@ impl<R: Clone, J: Journal<R>> ReplicatedStream<R, J> {
         self.journal.rewrite(&self.records, self.base)
     }
 
-    /// Records a follower's ack; `false` unless this holder leads at
-    /// `epoch`.
-    pub fn record_ack(&mut self, from: MatcherId, epoch: Epoch, offset: u64, now: Time) -> bool {
-        let set = self.leader_mut();
-        set.is_some_and(|set| set.record_ack(from, epoch, offset, now))
-    }
-
     /// Serves a fetch from `from`: a leader's records past it, or — when
     /// `from` is behind the compaction horizon, or this holder only
     /// follows — the whole retained copy flagged `reset`.
     pub fn serve(&self, from: u64) -> ReplicatedAppend<R> {
-        if self.leader().is_some() && from >= self.base {
+        if self.leads() && from >= self.base {
             let idx = ((from - self.base) as usize).min(self.records.len());
             return self.stamp(self.base + idx as u64, false, self.records[idx..].to_vec());
         }
@@ -547,23 +394,19 @@ impl<R: Clone, J: Journal<R>> ReplicatedStream<R, J> {
     /// replay); re-promoting a led stream keeps its epoch base and
     /// replays nothing.
     pub fn promote(&mut self, epoch: Epoch) -> &[R] {
-        let set = match &self.role {
-            Role::Following(f) => f.promote(epoch, self.min_isr),
-            Role::Leading(set) => {
-                let (base, tail) = (set.epoch_base(), set.next_offset());
-                self.role = Role::Leading(ReplicaSet::lead(epoch, base, tail, self.min_isr));
-                return &[];
-            }
+        let (base, replay) = match self.role {
+            Role::Leading { base, .. } => (base, &[][..]),
+            Role::Following(_) => (self.next_offset(), &self.records[..]),
         };
-        self.role = Role::Leading(set);
-        &self.records
+        self.role = Role::Leading { epoch, base };
+        replay
     }
 
     /// Steps down to a replica at the epoch it led; the recovered
     /// owner's higher-epoch appends re-fence it.
     pub fn demote(&mut self) {
-        if let Role::Leading(set) = &self.role {
-            self.role = Role::Following(FollowerLog::at(set.epoch(), self.next_offset()));
+        if let Role::Leading { epoch, .. } = self.role {
+            self.role = Role::Following(FollowerLog::at(epoch, self.next_offset()));
         }
     }
 
@@ -586,8 +429,10 @@ impl<R: Clone, J: Journal<R>> ReplicatedStream<R, J> {
             self.journal.append(rec)?;
             self.records.push(rec.clone());
         }
-        let tail = self.next_offset();
-        self.role = Role::Leading(ReplicaSet::lead(epoch, diverge, tail, self.min_isr));
+        self.role = Role::Leading {
+            epoch,
+            base: diverge,
+        };
         Ok(delta)
     }
 
@@ -595,15 +440,14 @@ impl<R: Clone, J: Journal<R>> ReplicatedStream<R, J> {
     /// appends at the tail so followers absorb it like any append.
     /// Returns the append to ship; `None` unless this holder leads.
     pub fn compact(&mut self, snapshot: Vec<R>) -> Result<Option<ReplicatedAppend<R>>, J::Error> {
-        let tail = self.next_offset();
-        let Role::Leading(set) = &mut self.role else {
+        if !self.leads() {
             return Ok(None);
-        };
+        }
+        let tail = self.next_offset();
         self.journal.rewrite(&snapshot, tail)?;
-        let offset = set.append(snapshot.len() as u64);
         self.base = tail;
         self.records = snapshot.clone();
-        Ok(Some(self.stamp(offset, false, snapshot)))
+        Ok(Some(self.stamp(tail, false, snapshot)))
     }
 }
 
@@ -673,19 +517,12 @@ impl<R: Clone, J: Journal<R>> StreamSet<R, J> {
 
     /// Whether this matcher leads `stream`.
     pub fn leads(&self, stream: MatcherId) -> bool {
-        self.get(stream).is_some_and(|s| s.leader().is_some())
+        self.get(stream).is_some_and(|s| s.leads())
     }
 
     /// The streams this matcher leads, its own among them.
     pub fn led(&self) -> impl Iterator<Item = MatcherId> + '_ {
-        self.iter().filter(|s| s.leader().is_some()).map(|s| s.id())
-    }
-
-    /// Drops the copy of `stream` (never the own stream).
-    pub fn remove(&mut self, stream: MatcherId) {
-        if stream != self.id {
-            self.streams.remove(&stream);
-        }
+        self.iter().filter(|s| s.leads()).map(|s| s.id())
     }
 
     /// Accepts `append` into this matcher's copy of its stream (see
@@ -836,63 +673,11 @@ mod tests {
 
     #[test]
     fn promotion_resumes_at_the_replicated_offset() {
-        let mut f = FollowerLog::default();
-        f.accept(1, 0, 0, 7);
-        let mut set = f.promote(2, 1);
-        assert_eq!(set.epoch(), 2);
-        assert_eq!(set.epoch_base(), 7);
-        assert_eq!(set.next_offset(), 7);
-        assert_eq!(set.append(2), 7);
-        assert_eq!(set.next_offset(), 9);
-    }
-
-    #[test]
-    fn commit_point_tracks_min_isr() {
-        let a = MatcherId(1);
-        let b = MatcherId(2);
-        let mut set = ReplicaSet::lead(1, 0, 0, 2);
-        set.append(10);
-        // No follower acks yet: nothing is committed beyond the leader.
-        assert_eq!(set.committed(), 0);
-        assert!(set.record_ack(a, 1, 4, 0.0));
-        assert_eq!(set.committed(), 4);
-        assert!(set.record_ack(b, 1, 8, 0.0));
-        assert_eq!(set.committed(), 8);
-        // min_isr = 3 would need both: the commit point is the 2nd
-        // highest ack.
-        let mut strict = ReplicaSet::lead(1, 0, 0, 3);
-        strict.append(10);
-        strict.record_ack(a, 1, 4, 0.0);
-        strict.record_ack(b, 1, 8, 0.0);
-        assert_eq!(strict.committed(), 4);
-        // min_isr = 1 commits on the local append alone.
-        let mut lone = ReplicaSet::lead(1, 0, 0, 1);
-        lone.append(3);
-        assert_eq!(lone.committed(), 3);
-    }
-
-    #[test]
-    fn stale_epoch_acks_are_ignored() {
-        let a = MatcherId(1);
-        let mut set = ReplicaSet::lead(3, 0, 0, 2);
-        set.append(5);
-        assert!(!set.record_ack(a, 2, 5, 0.0));
-        assert_eq!(set.committed(), 0);
-    }
-
-    #[test]
-    fn isr_filters_lag_and_staleness() {
-        let a = MatcherId(1);
-        let b = MatcherId(2);
-        let c = MatcherId(3);
-        let mut set = ReplicaSet::lead(1, 0, 0, 1);
-        set.append(100);
-        set.record_ack(a, 1, 100, 10.0); // caught up, fresh
-        set.record_ack(b, 1, 10, 10.0); // lagging
-        set.record_ack(c, 1, 100, 1.0); // caught up, stale
-        let isr = set.isr(10.5, 16, 2.0);
-        assert_eq!(isr, vec![a]);
-        set.remove_follower(a);
-        assert!(set.isr(10.5, 16, 2.0).is_empty());
+        let mut s = ReplicatedStream::follower(MatcherId(1), 0, vec![0u8; 7], ());
+        assert_eq!(s.promote(2).len(), 7);
+        assert_eq!((s.epoch(), s.next_offset()), (2, 7));
+        let a = s.append(7).unwrap().expect("leads");
+        assert_eq!((a.epoch, a.base, a.offset), (2, 7, 7));
+        assert_eq!(s.next_offset(), 8);
     }
 }

@@ -27,7 +27,8 @@ fn engine(kind: IndexKind, id: u32) -> MatcherEngine {
 }
 
 /// Every frame here is well formed, so a rejection is a bug.
-struct Port;
+#[derive(Default)]
+struct Port(Vec<Subscription>);
 
 impl MatcherPort for Port {
     fn deliver(&mut self, _: SubscriberId, _: SubscriptionId, _: &Message, _: u64) {}
@@ -36,22 +37,29 @@ impl MatcherPort for Port {
     fn rejected(&mut self, kind: Rejected) {
         panic!("well-formed input rejected as {kind:?}");
     }
+    fn forward(&mut self, _: MatcherId, _: MatcherId, rec: SubLogRecord) {
+        if let SubLogRecord::Store { sub, .. } = rec {
+            self.0.push(sub);
+        }
+    }
 }
 
 fn store(e: &mut MatcherEngine, sub: Subscription) {
-    assert!(e.apply(&SubLogRecord::Store { dim: DIM, sub }, &mut Port));
+    assert!(e.apply(&SubLogRecord::Store { dim: DIM, sub }, &mut Port::default()));
 }
 
 /// The donor side: hand the copies overlapping `cut` over, then retire
 /// the range with nothing kept.
 fn move_out(e: &mut MatcherEngine, cut: Range) -> Vec<Subscription> {
-    let moved = e.hand_over(DIM, &cut, &mut Port);
+    let mut port = Port::default();
+    e.hand_over(DIM, &cut, MatcherId(99), &mut port);
+    let moved = port.0;
     let retire = SubLogRecord::Retire {
         dim: DIM,
         range: cut,
         keep: Vec::new(),
     };
-    assert!(e.apply(&retire, &mut Port));
+    assert!(e.apply(&retire, &mut Port::default()));
     moved
 }
 

@@ -41,8 +41,10 @@ fn every_kind() -> [IndexKind; 6] {
     ]
 }
 
-/// Every record here is well formed, so a rejection is a bug.
-struct StrictPort;
+/// Every record here is well formed, so a rejection is a bug. Collects
+/// the records a hand-over sends on.
+#[derive(Default)]
+struct StrictPort(Vec<SubLogRecord>);
 
 impl MatcherPort for StrictPort {
     fn deliver(&mut self, _: SubscriberId, _: SubscriptionId, _: &Message, _: u64) {}
@@ -50,6 +52,9 @@ impl MatcherPort for StrictPort {
     fn duplicate_suppressed(&mut self) {}
     fn rejected(&mut self, kind: Rejected) {
         panic!("well-formed input rejected as {kind:?}");
+    }
+    fn forward(&mut self, _: MatcherId, _: MatcherId, rec: SubLogRecord) {
+        self.0.push(rec);
     }
 }
 
@@ -71,15 +76,18 @@ impl Host {
 
     /// A `StoreSub` / `RemoveSub` / `Retire` frame at matcher `m`.
     fn apply(&mut self, m: usize, rec: SubLogRecord) {
-        if self.engines[m].apply(&rec, &mut StrictPort) {
+        if self.engines[m].apply(&rec, &mut StrictPort::default()) {
             self.journals[m].push(rec);
         }
     }
 
     /// A `HandOver`: `from` keeps serving, `to` stores the copies.
     fn hand_over(&mut self, from: usize, to: usize, dim: DimIdx, range: Range) {
-        for sub in self.engines[from].hand_over(dim, &range, &mut StrictPort) {
-            self.apply(to, SubLogRecord::Store { dim, sub });
+        let mut port = StrictPort::default();
+        let recipient = MatcherId(to as u32);
+        self.engines[from].hand_over(dim, &range, recipient, &mut port);
+        for rec in port.0 {
+            self.apply(to, rec);
         }
     }
 
@@ -87,7 +95,7 @@ impl Host {
     /// inherits; the victim comes back empty under a new incarnation.
     fn fail_over(&mut self, victim: usize, heir: usize) {
         let replay = std::mem::take(&mut self.journals[victim]);
-        let inherited = self.engines[heir].adopt(&replay, &mut StrictPort);
+        let inherited = self.engines[heir].adopt(&replay, &mut StrictPort::default());
         self.journals[heir].extend(inherited);
         self.engines[victim] = engine(self.kind, victim);
     }
@@ -96,7 +104,7 @@ impl Host {
         for m in 0..MATCHERS {
             let mut replayed = engine(self.kind, m);
             for rec in &self.journals[m] {
-                assert!(replayed.apply(rec, &mut StrictPort));
+                assert!(replayed.apply(rec, &mut StrictPort::default()));
             }
             assert_eq!(
                 sorted(&replayed),
@@ -210,7 +218,7 @@ fn store(id: u64, lo: f64, hi: f64) -> SubLogRecord {
 fn replay(kind: IndexKind, recs: &[SubLogRecord]) -> MatcherEngine {
     let mut e = engine(kind, 0);
     for r in recs {
-        assert!(e.apply(r, &mut StrictPort));
+        assert!(e.apply(r, &mut StrictPort::default()));
     }
     e
 }
@@ -255,7 +263,7 @@ fn replay_rebuilds_covering_groups_identically() {
     let live = replay(kind, &recs);
     let mut caught_up = replay(kind, &recs[..5]);
     for r in &recs {
-        assert!(caught_up.apply(r, &mut StrictPort));
+        assert!(caught_up.apply(r, &mut StrictPort::default()));
     }
     let groups = live.covering_groups(DimIdx(0)).expect("covering enabled");
     assert!(

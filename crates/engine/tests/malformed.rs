@@ -213,12 +213,18 @@ fn matcher_drops_malformed_store_mutations() {
         for rec in &bad {
             assert!(!engine.apply(rec, &mut port), "{kind:?}: applied {rec:?}");
         }
-        assert!(engine.hand_over(DimIdx(4), &full, &mut port).is_empty());
+        assert_eq!(
+            engine.hand_over(DimIdx(4), &full, MatcherId(1), &mut port),
+            0
+        );
         assert!(engine.adopt(&bad, &mut port).is_empty());
         // A NaN or inverted range on a real dimension is matched by no
         // copy: nothing moves and nothing panics.
         let nan = Range::new(f64::NAN, 50.0);
-        assert!(engine.hand_over(DimIdx(0), &nan, &mut port).is_empty());
+        assert_eq!(
+            engine.hand_over(DimIdx(0), &nan, MatcherId(1), &mut port),
+            0
+        );
         let inverted = SubLogRecord::Retire {
             dim: DimIdx(0),
             range: Range::new(90.0, 5.0),

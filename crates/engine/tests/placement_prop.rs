@@ -5,8 +5,9 @@
 //! durable log, a crash promotes the clockwise heir, a leaving interim
 //! leader hands the streams it led on to its heir, a rejoin installs the
 //! downtime delta from the stream's interim leader, and both prune what
-//! they held for other streams. Replication is idealised: each
-//! led stream is mirrored to its leader's clockwise heir after every step
+//! they held for other streams — every matcher-side step through the
+//! matcher engine's own calls. Replication is idealised: each led stream
+//! is mirrored to its leader's clockwise heir after every step
 //! (`replication_prop` covers the protocol itself). After every step:
 //!
 //! - every live subscription's copy of each assignment is held where the
@@ -30,6 +31,7 @@ use bluedove_engine::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::collections::{BTreeMap, BTreeSet};
 
 const K: usize = 2;
@@ -41,12 +43,18 @@ fn space() -> AttributeSpace {
     AttributeSpace::uniform(K, 0.0, HI as f64)
 }
 
-struct NullPort;
+/// Collects the writes a matcher sends on; replication is mirrored
+/// instead (see [`Host::mirror`]).
+#[derive(Default)]
+struct Forwards(VecDeque<(MatcherId, MatcherId, SubLogRecord)>);
 
-impl MatcherPort for NullPort {
+impl MatcherPort for Forwards {
     fn deliver(&mut self, _: SubscriberId, _: SubscriptionId, _: &Message, _: u64) {}
     fn ack(&mut self, _: &str, _: MessageId, _: u64) {}
     fn duplicate_suppressed(&mut self) {}
+    fn forward(&mut self, to: MatcherId, stream: MatcherId, rec: SubLogRecord) {
+        self.0.push_back((to, stream, rec));
+    }
 }
 
 /// Collects the dispatcher's frames; a send to a crashed matcher fails.
@@ -67,25 +75,23 @@ impl DispatcherPort for Outbox<'_> {
     fn effect(&mut self, _: DispatcherEffect) {}
 }
 
-/// A running matcher: its engine and its replicated streams.
-struct Node {
-    engine: MatcherEngine,
-    streams: StreamSet<SubLogRecord>,
-}
+/// A running matcher: its engine, over its replicated streams.
+type Node = MatcherEngine;
 
 fn empty_stream(id: MatcherId) -> ReplicatedStream<SubLogRecord> {
-    ReplicatedStream::follower(id, 1, 0, Vec::new(), ())
+    ReplicatedStream::follower(id, 0, Vec::new(), ())
 }
 
 /// Matcher `id` leading its own stream — `log` replayed — at `epoch`.
 fn boot(id: MatcherId, log: Vec<SubLogRecord>, epoch: u64) -> Node {
-    let mut own = ReplicatedStream::follower(id, 1, 0, log, ());
-    let mut engine = MatcherEngine::new(id, space(), IndexKind::Linear, 64);
-    for rec in own.promote(epoch) {
-        assert!(engine.apply(rec, &mut NullPort));
-    }
+    let mut own = ReplicatedStream::follower(id, 0, log, ());
+    let replay = own.promote(epoch).to_vec();
     let streams = StreamSet::new(own, Box::new(|s| Ok(empty_stream(s))));
-    Node { engine, streams }
+    let mut engine = MatcherEngine::with_log(id, space(), IndexKind::Linear, 64, Some(streams));
+    for rec in &replay {
+        assert!(engine.apply(rec, &mut Forwards::default()));
+    }
+    engine
 }
 
 struct Host {
@@ -171,15 +177,19 @@ impl Host {
         forwards
     }
 
-    /// A `StoreSub` / `RemoveSub` for `stream`'s copy arriving at `m`.
+    /// A `StoreSub` / `RemoveSub` for `stream`'s copy arriving at `m`,
+    /// then each write it sends on.
     fn write(&mut self, m: MatcherId, stream: MatcherId, rec: SubLogRecord) {
-        let node = self.nodes.get_mut(&m).expect("sent to a live matcher");
-        match node.engine.write_at(&rec, stream, Some(&node.streams)) {
-            Err(owner) => self.write(owner, owner, rec),
-            Ok(also) => {
-                assert!(node.engine.apply(&rec, &mut NullPort));
-                journal(&mut node.streams, &[&also[..], &[m]].concat(), &rec);
-            }
+        let mut port = Forwards::default();
+        port.0.push_back((m, stream, rec));
+        self.deliver(&mut port);
+    }
+
+    /// Delivers the writes `port` collected, and the ones they send on.
+    fn deliver(&mut self, port: &mut Forwards) {
+        while let Some((m, stream, rec)) = port.0.pop_front() {
+            let node = self.nodes.get_mut(&m).expect("sent to a live matcher");
+            node.write(rec, stream, port);
         }
     }
 
@@ -190,22 +200,27 @@ impl Host {
             let Some(heir) = self.control.heir(m) else {
                 continue;
             };
-            let frames: Vec<_> = self.nodes[&m]
-                .streams
+            let log = self.nodes[&m].log().expect("replicated");
+            let frames: Vec<_> = log
                 .iter()
-                .filter(|s| s.leader().is_some())
+                .filter(|s| s.leads())
                 .map(|s| s.serve(0))
                 .collect();
             let heir = self.nodes.get_mut(&heir).expect("heirs are live");
             for frame in frames {
-                heir.streams.accept(&frame).unwrap();
+                assert_eq!(heir.on_append(&frame, &mut Forwards::default()), None);
             }
         }
     }
 
-    /// Hands the dispatcher the control plane's next announcement.
+    /// Hands the dispatcher and every live matcher the control plane's
+    /// next announcement.
     fn announce(&mut self) {
         let table = self.control.announce();
+        for node in self.nodes.values_mut() {
+            let (leaders, live) = (table.leaders.clone(), table.live.clone());
+            node.on_table(leaders, live, &mut Forwards::default());
+        }
         let addrs = table
             .live
             .iter()
@@ -222,7 +237,8 @@ impl Host {
     fn crash(&mut self, m: MatcherId) {
         let node = self.nodes.remove(&m).expect("live");
         self.live.remove(&m);
-        self.logs.insert(m, node.streams.own().records().to_vec());
+        self.logs
+            .insert(m, node.log().unwrap().own().records().to_vec());
         for (stream, heir, epoch) in self.control.crash(m) {
             self.promote(stream, heir, epoch);
         }
@@ -232,11 +248,7 @@ impl Host {
     /// `heir` leads `stream` at `epoch`, adopting its replica.
     fn promote(&mut self, stream: MatcherId, heir: MatcherId, epoch: u64) {
         let node = self.nodes.get_mut(&heir).expect("heirs are live");
-        let replay = node.streams.promote(stream, epoch).unwrap().to_vec();
-        for rec in node.engine.adopt(&replay, &mut NullPort) {
-            let own = node.streams.own_mut();
-            own.append(rec).unwrap().expect("leads its own stream");
-        }
+        node.promote(stream, epoch, &mut Forwards::default());
     }
 
     /// A graceful leave: the victim hands its segments' copies over, and
@@ -246,18 +258,17 @@ impl Host {
         let change = self.control.leave(victim).expect("a live member");
         for mv in &change.moves {
             let donor = self.nodes.get_mut(&mv.from).expect("live");
-            for sub in donor.engine.hand_over(mv.dim, &mv.range, &mut NullPort) {
-                let rec = SubLogRecord::Store { dim: mv.dim, sub };
-                self.write(self.holder(mv.to), mv.to, rec);
-            }
+            let mut port = Forwards::default();
+            donor.hand_over(mv.dim, &mv.range, mv.to, &mut port);
+            self.deliver(&mut port);
         }
-        let node = self.nodes.remove(&victim).expect("live");
+        let mut node = self.nodes.remove(&victim).expect("live");
         self.live.remove(&victim);
         self.left.insert(victim);
         for (stream, heir, epoch) in self.control.commit(&change, self.now) {
-            let served = node.streams.get(stream).expect("led").serve(0);
-            let replica = &mut self.nodes.get_mut(&heir).expect("live").streams;
-            replica.accept(&served).unwrap();
+            let served = node.serve(stream, 0, true).expect("led");
+            let heir_node = self.nodes.get_mut(&heir).expect("live");
+            heir_node.on_append(&served, &mut Forwards::default());
             self.promote(stream, heir, epoch);
         }
         self.announce();
@@ -267,24 +278,18 @@ impl Host {
         let (epoch, interim) = self.control.rejoin(m).expect("a crashed member");
         let mut node = boot(m, self.logs.remove(&m).expect("crashed"), epoch);
         if let Some(leader) = interim {
-            let streams = &mut self.nodes.get_mut(&leader).expect("live").streams;
-            let served = streams.get(m).expect("led").serve(0);
-            streams.demote(m);
-            let delta = node.streams.own_mut().install(epoch, &served).unwrap();
-            for rec in delta {
-                assert!(node.engine.apply(rec, &mut NullPort));
-            }
+            let leader = self.nodes.get_mut(&leader).expect("live");
+            let served = leader.serve(m, 0, true).expect("led");
+            node.install(epoch, &served, &mut Forwards::default());
         }
         self.nodes.insert(m, node);
         self.live.insert(m);
         self.announce();
         for at in interim.into_iter().chain([m]) {
-            let Node { engine, streams } = self.nodes.get_mut(&at).expect("live");
-            let led: Vec<MatcherId> = streams.led().collect();
-            for rec in engine.prune(self.control.strategy(), streams) {
-                assert!(engine.apply(&rec, &mut NullPort));
-                journal(streams, &led, &rec);
-            }
+            let mut port = Forwards::default();
+            let node = self.nodes.get_mut(&at).expect("live");
+            node.prune(self.control.strategy(), &mut port);
+            assert!(port.0.is_empty(), "a prune is written here");
         }
     }
 
@@ -298,7 +303,7 @@ impl Host {
     }
 
     fn holds(&self, at: MatcherId, dim: DimIdx, id: SubscriptionId) -> bool {
-        let snap = self.nodes[&at].engine.snapshot();
+        let snap = self.nodes[&at].snapshot();
         snap.iter().any(|(d, s)| *d == dim && s.id == id)
     }
 
@@ -322,7 +327,7 @@ impl Host {
                 let sub = sub.clone();
                 SubLogRecord::Store { dim, sub }
             };
-            let stream = self.nodes[&at].streams.get(owner).expect("led");
+            let stream = self.nodes[&at].log().unwrap().get(owner).expect("led");
             assert!(
                 stream.records().contains(&rec),
                 "{rec:?} for down {owner:?} not journaled on its stream at {at:?}"
@@ -338,7 +343,7 @@ impl Host {
 
     /// What matching `msg` on `dim` at `at` finds.
     fn matched(&self, at: MatcherId, dim: DimIdx, msg: &Message) -> BTreeSet<SubscriptionId> {
-        let snap = self.nodes[&at].engine.snapshot();
+        let snap = self.nodes[&at].snapshot();
         let hits = snap
             .into_iter()
             .filter(|(d, s)| *d == dim && s.matches(msg));
@@ -357,11 +362,7 @@ impl Host {
         }
         for sub in &self.removed {
             for (&at, node) in &self.nodes {
-                let kept = node
-                    .engine
-                    .snapshot()
-                    .into_iter()
-                    .find(|(_, s)| s.id == sub.id);
+                let kept = node.snapshot().into_iter().find(|(_, s)| s.id == sub.id);
                 assert!(
                     kept.is_none(),
                     "step {step}: removed {:?} still at {at:?}: {kept:?}",
@@ -378,14 +379,6 @@ impl Host {
                 "step {step}: candidate {a:?} resolved to {at:?}"
             );
         }
-    }
-}
-
-/// Appends `rec` to each of `streams` this matcher leads.
-fn journal(set: &mut StreamSet<SubLogRecord>, streams: &[MatcherId], rec: &SubLogRecord) {
-    for &s in streams {
-        let led = set.get_mut(s).expect("a led stream");
-        led.append(rec.clone()).unwrap().expect("leads it");
     }
 }
 

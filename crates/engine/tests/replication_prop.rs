@@ -1,8 +1,9 @@
-//! Epoch-fencing and failback property tests, driving the engine's own
-//! [`ReplicatedStream`] over the in-memory `()` journal — the same type
-//! the threaded cluster and the simulator hold their sub-log streams in.
+//! Epoch-fencing, failback and heir-change property tests.
 //!
-//! One scenario per seed, three phases, each an arbitrary interleaving:
+//! The failback scenarios drive the engine's own [`ReplicatedStream`]
+//! over the in-memory `()` journal — the same type the threaded cluster
+//! and the simulator hold their sub-log streams in. One scenario per
+//! seed, three phases, each an arbitrary interleaving:
 //!
 //! 1. the owner leads stream 1 at epoch 1; its heir replicates a prefix
 //!    (the owner keeps an unreplicated tail or not) and a bystander
@@ -19,14 +20,29 @@
 //! every replica converges on the owner's stream, whose replay is exactly
 //! the model's history: the owner's own writes, the downtime writes, the
 //! post-failback writes.
+//!
+//! The heir-change sequences run whole matcher engines, their sub-log
+//! frames carried first in first out, through random subscribe / join /
+//! leave / crash steps, among them a matcher crashing right after its
+//! clockwise heir changed, with no append in between. What a crashed
+//! matcher sent still lands; what was sent to it is lost. At every crash
+//! the promoted heir holds every copy the victim held and the victim's
+//! copy of every stream it led; at the end every heir holds its leader's
+//! copy of every stream the leader leads.
 
-use bluedove_core::MatcherId;
-use bluedove_engine::replication::{
-    Epoch, FollowerOutcome, ReplicaSet, ReplicatedAppend, ReplicatedStream, StreamSet,
+use bluedove_baselines::AnyStrategy;
+use bluedove_core::{
+    AttributeSpace, DimIdx, IndexKind, MatcherId, Message, MessageId, Range, SubLogRecord,
+    SubscriberId, Subscription, SubscriptionId,
 };
+use bluedove_engine::replication::{
+    Epoch, FollowerOutcome, ReplicatedAppend, ReplicatedStream, StreamSet,
+};
+use bluedove_engine::{ControlEngine, LoadSnapshot, MatcherEngine, MatcherPort};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// A record: the epoch it was written under and a unique write id.
 type Rec = (Epoch, u64);
@@ -35,7 +51,7 @@ type Stream = ReplicatedStream<Rec>;
 const STREAM: MatcherId = MatcherId(1);
 
 fn replica(records: Vec<Rec>) -> Stream {
-    Stream::follower(STREAM, 1, 0, records, ())
+    Stream::follower(STREAM, 0, records, ())
 }
 
 fn accept(to: &mut Stream, append: &ReplicatedAppend<Rec>) -> FollowerOutcome {
@@ -226,27 +242,6 @@ proptest! {
         failback_never_diverges(seed);
     }
 
-    /// Leader-side fencing: acks from another epoch never advance the
-    /// commit point, and the commit point is monotone under any ack
-    /// interleaving.
-    #[test]
-    fn commit_point_is_monotone_and_epoch_scoped(
-        appends in 1u64..64,
-        acks in proptest::collection::vec((0u32..4, 0u64..80, 0u64..3), 0..60),
-    ) {
-        let mut set = ReplicaSet::lead(3, 0, 0, 2);
-        set.append(appends);
-        let mut last_commit = 0;
-        for (i, &(follower, offset, epoch_off)) in acks.iter().enumerate() {
-            let epoch = 3 + epoch_off as Epoch - 1; // 2, 3 or 4
-            let accepted = set.record_ack(MatcherId(follower), epoch, offset, i as f64);
-            prop_assert_eq!(accepted, epoch == 3);
-            let c = set.committed();
-            prop_assert!(c >= last_commit, "commit point went backwards");
-            prop_assert!(c <= set.next_offset(), "committed past the tail");
-            last_commit = c;
-        }
-    }
 }
 
 /// Extra sweep for the CI chaos matrix; no-op when unset.
@@ -277,10 +272,9 @@ fn reset_serve_replaces_a_copy_behind_the_horizon() {
     assert!(fill.reset);
     assert_eq!(
         accept(&mut late, &fill),
-        FollowerOutcome::Acked {
-            epoch: 1,
+        FollowerOutcome::Stored {
             next_offset: 4,
-            stored: 1
+            fresh: 1
         }
     );
     assert_eq!((late.base(), late.records()), (3, &[(1, 9)][..]));
@@ -296,7 +290,7 @@ fn reset_serve_replaces_a_copy_behind_the_horizon() {
 
 #[test]
 fn a_leading_holder_fences_appends_and_the_set_routes_by_stream() {
-    let mut own = Stream::follower(MatcherId(2), 1, 0, Vec::new(), ());
+    let mut own = Stream::follower(MatcherId(2), 0, Vec::new(), ());
     own.promote(1);
     let mut set = StreamSet::new(own, Box::new(|_| Ok(replica(Vec::new()))));
     let peer = ReplicatedAppend {
@@ -308,7 +302,7 @@ fn a_leading_holder_fences_appends_and_the_set_routes_by_stream() {
         records: vec![(1, 7)],
     };
     let Ok(first) = set.accept(&peer);
-    assert!(matches!(first, FollowerOutcome::Acked { .. }));
+    assert!(matches!(first, FollowerOutcome::Stored { .. }));
     assert!(!set.leads(STREAM));
     assert_eq!(set.promote(STREAM, 2), Ok(&[(1, 7)][..]));
     assert!(set.leads(STREAM));
@@ -323,4 +317,371 @@ fn a_leading_holder_fences_appends_and_the_set_routes_by_stream() {
     set.demote(MatcherId(2));
     assert_eq!(set.own().epoch(), 1);
     assert!(set.leads(MatcherId(2)));
+}
+
+const SPACE_HI: f64 = 100.0;
+
+/// A sub-log frame in flight.
+enum Frame {
+    /// A replicated append from `from` to `to`.
+    Append {
+        from: MatcherId,
+        to: MatcherId,
+        append: ReplicatedAppend<SubLogRecord>,
+    },
+    /// `from` asks `to` for `stream`'s records from offset `off`.
+    Fetch {
+        from: MatcherId,
+        to: MatcherId,
+        stream: MatcherId,
+        off: u64,
+    },
+}
+
+/// Matcher `me`'s port: appends join the frames in flight (a send to a
+/// matcher that is down fails), forwarded writes are applied at once.
+struct Port<'a> {
+    me: MatcherId,
+    live: &'a BTreeSet<MatcherId>,
+    frames: &'a mut VecDeque<Frame>,
+    writes: &'a mut VecDeque<(MatcherId, MatcherId, SubLogRecord)>,
+}
+
+impl MatcherPort for Port<'_> {
+    fn deliver(&mut self, _: SubscriberId, _: SubscriptionId, _: &Message, _: u64) {}
+    fn ack(&mut self, _: &str, _: MessageId, _: u64) {}
+    fn duplicate_suppressed(&mut self) {}
+    fn replicate(&mut self, to: MatcherId, append: &ReplicatedAppend<SubLogRecord>) -> bool {
+        let (from, append) = (self.me, append.clone());
+        let up = self.live.contains(&to);
+        if up {
+            self.frames.push_back(Frame::Append { from, to, append });
+        }
+        up
+    }
+    fn forward(&mut self, to: MatcherId, stream: MatcherId, rec: SubLogRecord) {
+        self.writes.push_back((to, stream, rec));
+    }
+}
+
+/// A ring of matcher engines with replicated streams under one control
+/// plane.
+struct Ring {
+    control: ControlEngine,
+    nodes: BTreeMap<MatcherId, MatcherEngine>,
+    live: BTreeSet<MatcherId>,
+    frames: VecDeque<Frame>,
+    writes: VecDeque<(MatcherId, MatcherId, SubLogRecord)>,
+    next_sub: u64,
+}
+
+fn ring_space() -> AttributeSpace {
+    AttributeSpace::uniform(2, 0.0, SPACE_HI)
+}
+
+/// Matcher `id`, leading its own empty stream at epoch 1.
+fn ring_node(id: MatcherId) -> MatcherEngine {
+    let empty = |s| ReplicatedStream::follower(s, 0, Vec::new(), ());
+    let mut own = empty(id);
+    own.promote(1);
+    let log = StreamSet::new(own, Box::new(move |s| Ok(empty(s))));
+    MatcherEngine::with_log(id, ring_space(), IndexKind::Linear, 64, Some(log))
+}
+
+impl Ring {
+    fn new(n: u32) -> Self {
+        let mut control = ControlEngine::new(AnyStrategy::bluedove(ring_space(), n));
+        control.replicate();
+        let live: BTreeSet<MatcherId> = control.live().collect();
+        let mut ring = Ring {
+            nodes: live.iter().map(|&m| (m, ring_node(m))).collect(),
+            control,
+            live,
+            frames: VecDeque::new(),
+            writes: VecDeque::new(),
+            next_sub: 1,
+        };
+        ring.tables();
+        ring
+    }
+
+    /// Runs `step` on matcher `m`'s engine, then applies the writes it
+    /// (and they) send on.
+    fn at<T>(&mut self, m: MatcherId, step: impl FnOnce(&mut MatcherEngine, &mut Port) -> T) -> T {
+        let mut port = Port {
+            me: m,
+            live: &self.live,
+            frames: &mut self.frames,
+            writes: &mut self.writes,
+        };
+        let out = step(self.nodes.get_mut(&m).expect("live"), &mut port);
+        while let Some((to, stream, rec)) = self.writes.pop_front() {
+            let mut port = Port {
+                me: to,
+                live: &self.live,
+                frames: &mut self.frames,
+                writes: &mut self.writes,
+            };
+            let node = self.nodes.get_mut(&to).expect("writes go to live matchers");
+            node.write(rec, stream, &mut port);
+        }
+        out
+    }
+
+    /// Hands every live matcher the control plane's table.
+    fn tables(&mut self) {
+        let (leaders, live) = (
+            self.control.leaders(),
+            self.control.live().collect::<Vec<_>>(),
+        );
+        for m in live.clone() {
+            self.at(m, |e, p| e.on_table(leaders.clone(), live.clone(), p));
+        }
+    }
+
+    /// Delivers one frame; a frame to a matcher that is down is lost.
+    fn deliver(&mut self, frame: Frame) {
+        match frame {
+            Frame::Append { from, to, append } if self.live.contains(&to) => {
+                if let Some(off) = self.at(to, |e, p| e.on_append(&append, p)) {
+                    let stream = append.stream;
+                    let fetch = Frame::Fetch {
+                        from: to,
+                        to: from,
+                        stream,
+                        off,
+                    };
+                    self.frames.push_back(fetch);
+                }
+            }
+            Frame::Fetch {
+                from,
+                to,
+                stream,
+                off,
+            } if self.live.contains(&to) => {
+                if let Some(append) = self.at(to, |e, _| e.serve(stream, off, false)) {
+                    let (from, to) = (to, from);
+                    self.frames.push_back(Frame::Append { from, to, append });
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn deliver_some(&mut self, n: usize) {
+        for _ in 0..n {
+            let Some(frame) = self.frames.pop_front() else {
+                return;
+            };
+            self.deliver(frame);
+        }
+    }
+
+    /// A subscription's copies, each written where the dispatcher routes
+    /// it: to its owner, or to the owner's stream leader while it is down.
+    fn subscribe(&mut self, rng: &mut StdRng) {
+        let range = |rng: &mut StdRng| {
+            let lo = rng.gen_range(0.0..SPACE_HI - 1.0);
+            Range::new(lo, rng.gen_range(lo + 1.0..=(lo + 30.0).min(SPACE_HI)))
+        };
+        let sub = Subscription {
+            id: SubscriptionId(self.next_sub),
+            subscriber: SubscriberId(1),
+            predicates: vec![range(rng), range(rng)],
+        };
+        self.next_sub += 1;
+        for a in self.control.strategy().as_dyn().assign(&sub) {
+            let to = self.control.leader_of(a.matcher).unwrap_or(a.matcher);
+            let to = if self.live.contains(&a.matcher) {
+                a.matcher
+            } else {
+                to
+            };
+            let (dim, sub) = (a.dim, sub.clone());
+            self.writes
+                .push_back((to, a.matcher, SubLogRecord::Store { dim, sub }));
+        }
+        let first = self.live.iter().next().copied().expect("a live matcher");
+        self.at(first, |_, _| ());
+    }
+
+    /// Ships each move's copies from its donor to the recipient's leader.
+    fn hand_over(&mut self, moves: &[bluedove_engine::Move]) {
+        for mv in moves {
+            self.at(mv.from, |e, p| e.hand_over(mv.dim, &mv.range, mv.to, p));
+        }
+    }
+
+    /// A join split off the segments of live matchers (a down one serves
+    /// no hand-over).
+    fn join(&mut self) -> MatcherId {
+        let mut loads = LoadSnapshot::empty();
+        for (&m, node) in &self.nodes {
+            for dim in (0..2).map(DimIdx) {
+                let sub_count = 1 + node.sub_count(dim);
+                let stats = bluedove_core::DimStats {
+                    sub_count,
+                    ..bluedove_core::DimStats::empty()
+                };
+                loads.push(m, dim, stats);
+            }
+        }
+        let change = self.control.join(&loads).expect("BlueDove");
+        let id = change.outcome.matcher();
+        self.nodes.insert(id, ring_node(id));
+        self.live.insert(id);
+        self.hand_over(&change.moves);
+        self.control.commit(&change, 0.0);
+        self.tables();
+        for mv in &change.moves {
+            let (dim, range, keep) = (mv.dim, mv.range, mv.keep.clone());
+            let retire = SubLogRecord::Retire { dim, range, keep };
+            self.at(mv.from, |e, p| e.write(retire, mv.from, p));
+        }
+        id
+    }
+
+    fn leave(&mut self, victim: MatcherId) {
+        let change = self.control.leave(victim).expect("a live member");
+        self.hand_over(&change.moves);
+        for (stream, heir, epoch) in self.control.commit(&change, 0.0) {
+            let copy = self.at(victim, |e, _| e.serve(stream, 0, true));
+            let copy = copy.expect("the leaver led the stream");
+            self.at(heir, |e, p| e.on_append(&copy, p));
+            self.at(heir, |e, p| e.promote(stream, epoch, p));
+        }
+        self.nodes.remove(&victim);
+        self.live.remove(&victim);
+        self.tables();
+    }
+
+    /// Crashes `victim`: what it sent lands first, then its streams fail
+    /// over. Checks that the heir holds what the victim held.
+    fn crash(&mut self, victim: MatcherId) {
+        let (sent, rest) = std::mem::take(&mut self.frames)
+            .into_iter()
+            .partition::<Vec<_>, _>(|f| matches!(f, Frame::Append { from, .. } if *from == victim));
+        self.frames = rest.into();
+        for frame in sent {
+            self.deliver(frame);
+        }
+        let node = self.nodes.remove(&victim).expect("live");
+        self.live.remove(&victim);
+        let log = node.log().expect("replicated");
+        let led: Vec<_> = log
+            .iter()
+            .filter(|s| s.leads())
+            .map(|s| (s.id(), s.records().to_vec()))
+            .collect();
+        for (stream, heir, epoch) in self.control.crash(victim) {
+            self.at(heir, |e, p| e.promote(stream, epoch, p));
+        }
+        self.tables();
+        let heir = self.control.leader_of(victim).expect("a live heir");
+        let held: BTreeSet<(DimIdx, SubscriptionId)> = ids(&node);
+        let inherited = ids(&self.nodes[&heir]);
+        let lost: Vec<_> = held.difference(&inherited).collect();
+        assert!(
+            lost.is_empty(),
+            "{victim:?}'s copies not at {heir:?}: {lost:?}"
+        );
+        let heir_log = self.nodes[&heir].log().expect("replicated");
+        for (stream, records) in led {
+            let copy = heir_log.get(stream).map(|s| s.records());
+            assert_eq!(copy, Some(&records[..]), "{heir:?}'s copy of {stream:?}");
+        }
+    }
+
+    /// Once every frame has landed, each live matcher's heir holds its
+    /// copy of every stream it leads.
+    fn check_converged(&mut self) {
+        while let Some(frame) = self.frames.pop_front() {
+            self.deliver(frame);
+        }
+        for (&m, node) in &self.nodes {
+            let Some(heir) = self.control.heir(m) else {
+                continue;
+            };
+            let heir_log = self.nodes[&heir].log().expect("replicated");
+            for s in node.log().expect("replicated").iter().filter(|s| s.leads()) {
+                let copy = heir_log.get(s.id()).map(|c| c.records());
+                assert_eq!(copy, Some(s.records()), "{heir:?}'s copy of {:?}", s.id());
+            }
+        }
+    }
+}
+
+fn ids(e: &MatcherEngine) -> BTreeSet<(DimIdx, SubscriptionId)> {
+    e.snapshot().into_iter().map(|(d, s)| (d, s.id)).collect()
+}
+
+fn heir_changes_never_lose_a_stream(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ring = Ring::new(4);
+    for _ in 0..40 {
+        let live: Vec<MatcherId> = ring.live.iter().copied().collect();
+        let pick = |rng: &mut StdRng| live[rng.gen_range(0..live.len())];
+        match rng.gen_range(0..9) {
+            0..=2 => ring.subscribe(&mut rng),
+            3 | 4 => {
+                let n = rng.gen_range(0..8);
+                ring.deliver_some(n);
+            }
+            5 if live.len() < 7 => {
+                ring.join();
+            }
+            6 if live.len() > 2 => ring.leave(pick(&mut rng)),
+            7 if live.len() > 2 => ring.crash(pick(&mut rng)),
+            8 if live.len() > 3 => {
+                // Change some matcher's heir, then crash that matcher
+                // before it appends again.
+                let victim = match rng.gen_range(0..3) {
+                    0 => {
+                        let last = *live.last().expect("live");
+                        ring.join();
+                        last
+                    }
+                    way => {
+                        let victim = pick(&mut rng);
+                        let heir = ring.control.heir(victim).expect("a heir");
+                        if way == 1 {
+                            ring.leave(heir);
+                        } else {
+                            ring.crash(heir);
+                        }
+                        victim
+                    }
+                };
+                ring.crash(victim);
+            }
+            _ => {}
+        }
+    }
+    ring.check_converged();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Joins, leaves and crashes — a crash right after an heir change
+    /// among them — never lose a copy or a stream.
+    #[test]
+    fn heir_changes_never_lose_a_copy(seed in any::<u64>()) {
+        heir_changes_never_lose_a_stream(seed);
+    }
+}
+
+/// Extra heir-change sweep for the CI chaos matrix; no-op when unset.
+#[test]
+fn heir_change_env_seed() {
+    if let Some(seed) = std::env::var("CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.trim().parse::<u64>().ok())
+    {
+        println!("heir-change sweep: seed={seed}");
+        for i in 0..256 {
+            heir_changes_never_lose_a_stream(seed.wrapping_mul(1_000_003).wrapping_add(i));
+        }
+    }
 }

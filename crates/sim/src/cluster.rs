@@ -18,8 +18,9 @@
 //!   applied at its matcher at once (the paper's pre-load phase is
 //!   instantaneous), so those frames never ride the simulated wire — but
 //!   every copy a matcher gains, loses or retires is the engine's
-//!   `SubLogRecord`, applied and (with replication on) journaled exactly
-//!   as the threaded matcher does;
+//!   `SubLogRecord`, written through the same engine call the threaded
+//!   matcher makes, which (with replication on) also journals and
+//!   replicates it;
 //! - the dispatcher tier is one shared [`DispatcherEngine`] (the real
 //!   dispatchers broadcast reports, so every front-end sees identical
 //!   state at identical staleness), routing by the table it was last
@@ -28,9 +29,13 @@
 //! - membership, the authoritative table and its versions, the
 //!   stream-leader book and the autoscaler belong to the engine's
 //!   [`ControlEngine`]; the simulator executes its join/leave/crash plans
-//!   at once through the engine's `hand_over` / `apply` / `adopt`, and
-//!   with `TableSwitch` (donors retire the moved ranges) and
-//!   `Decommission` events.
+//!   at once through the matcher engine's `hand_over` / `write` /
+//!   `promote`, hands every live matcher the new members and leader book
+//!   at once (as the threaded orchestrator pushes its table), and runs
+//!   `TableSwitch` (donors retire the moved ranges) and `Decommission`
+//!   events;
+//! - with replication on, every sub-log frame a matcher engine sends is
+//!   a `Repl*` event one network hop later.
 
 use crate::config::SimConfig;
 use crate::events::EventQueue;
@@ -42,8 +47,8 @@ use bluedove_core::{
 use bluedove_engine::{
     AutoscalerConfig, Coalescer, ControlEngine, DispatcherEffect, DispatcherEngine,
     DispatcherEngineConfig, DispatcherEvent, DispatcherOut, DispatcherPort, Epoch, Flush,
-    FollowerOutcome, LoadSnapshot, MatcherEngine, MatcherPort, Move, ReplicatedAppend,
-    ReplicatedStream, ScaleError, ScaleOutcome, ScalePlan, ServiceJob, StreamSet, DEDUP_WINDOW,
+    LoadSnapshot, MatcherEngine, MatcherPort, Move, ReplicatedAppend, ReplicatedStream, ScaleError,
+    ScaleOutcome, ScalePlan, ServiceJob, StreamSet, SubLogCount, DEDUP_WINDOW,
 };
 use bluedove_workload::MessageGenerator;
 use std::collections::{HashMap, HashSet};
@@ -59,69 +64,64 @@ pub use bluedove_baselines::AnyStrategy as Strategy;
 /// fire-and-forget).
 const DISPATCHER_ADDR: &str = "dispatcher";
 
-/// One simulated matcher server: the shared engine plus the two bits of
-/// host state the engine deliberately has no concept of — whether the
-/// single server is mid-service, and whether the process is alive — and,
-/// with replication on, its replicated streams (held in memory: the
-/// engine's stream set over the no-op journal).
+/// One simulated matcher server: the shared engine — with replication
+/// on, over in-memory streams — plus the two bits of host state the
+/// engine deliberately has no concept of: whether the single server is
+/// mid-service, and whether the process is alive.
 struct SimMatcher {
     engine: MatcherEngine,
     busy: bool,
     alive: bool,
-    repl: Option<StreamSet<SubLogRecord>>,
 }
 
 impl SimMatcher {
-    fn new(id: MatcherId, space: &AttributeSpace, cfg: &SimConfig) -> Self {
+    fn new(id: MatcherId, space: &AttributeSpace, cfg: &SimConfig, replicated: bool) -> Self {
+        let (index, log) = (cfg.engine.index, replicated.then(|| own_streams(id)));
         SimMatcher {
-            engine: MatcherEngine::new(id, space.clone(), cfg.engine.index, DEDUP_WINDOW),
+            engine: MatcherEngine::with_log(id, space.clone(), index, DEDUP_WINDOW, log),
             busy: false,
             alive: true,
-            repl: None,
         }
     }
 }
 
-/// An empty in-memory copy of stream `id`, following at epoch 0.
-fn empty_stream(id: MatcherId, min_isr: usize) -> ReplicatedStream<SubLogRecord> {
-    ReplicatedStream::follower(id, min_isr, 0, Vec::new(), ())
-}
-
-/// The replication layer's knob and counters; the streams themselves
-/// live on the matchers.
-struct ReplState {
-    min_isr: usize,
-    fenced: u64,
-    promoted: u64,
-}
-
 /// Matcher `id`'s stream set: its own stream, led at epoch 1; others
 /// start empty.
-fn own_streams(id: MatcherId, min_isr: usize) -> StreamSet<SubLogRecord> {
-    let mut own = empty_stream(id, min_isr);
+fn own_streams(id: MatcherId) -> StreamSet<SubLogRecord> {
+    let empty = |s| ReplicatedStream::follower(s, 0, Vec::new(), ());
+    let mut own = empty(id);
     own.promote(1);
-    StreamSet::new(own, Box::new(move |s| Ok(empty_stream(s, min_isr))))
+    StreamSet::new(own, Box::new(move |s| Ok(empty(s))))
+}
+
+/// The replication layer's counters; the streams live on the matchers.
+#[derive(Default)]
+struct ReplCounts {
+    fenced: u64,
+    promoted: u64,
 }
 
 /// Read-only view of the simulated replication layer: queries over every
 /// matcher's streams.
 pub struct Replication<'a> {
     matchers: &'a HashMap<MatcherId, SimMatcher>,
-    /// Appends from deposed leaders rejected so far.
+    /// Appends a holder rejected: it leads the stream, or follows a later
+    /// epoch than the sender's.
     pub fenced: u64,
-    /// Records replayed into heirs' scratch stores across all promotions.
+    /// Copies promoted heirs adopted, across all promotions.
     pub promoted: u64,
 }
 
 impl<'a> Replication<'a> {
-    /// `holder`'s copy of `stream`; the leading copy is the one at the
-    /// holder [`ControlEngine::leader_of`] names.
+    /// Live `holder`'s copy of `stream`; the leading copy is the one at
+    /// the holder [`ControlEngine::leader_of`] names.
     pub fn copy(
         &self,
         stream: MatcherId,
         holder: MatcherId,
     ) -> Option<&'a ReplicatedStream<SubLogRecord>> {
-        self.matchers.get(&holder)?.repl.as_ref()?.get(stream)
+        let m = self.matchers.get(&holder).filter(|m| m.alive)?;
+        m.engine.log()?.get(stream)
     }
 }
 
@@ -181,24 +181,20 @@ enum Event {
     /// A retransmit deadline of the dispatcher engine's at-least-once
     /// ledger may be due (stale ticks are cheap no-ops).
     DispatcherTick,
-    /// A replicated sub-log append reaches a stream follower (or, when a
-    /// failover raced it, the stream's new leader — fenced there).
+    /// A replicated sub-log append from `from` reaches `to`: the heir of
+    /// the stream's leader, or the fetcher of a catch-up range.
     ReplAppend {
         to: MatcherId,
+        from: MatcherId,
         frame: ReplicatedAppend<SubLogRecord>,
     },
-    /// A follower's replication ack reaches the stream's leader.
-    ReplAck {
-        stream: MatcherId,
-        follower: MatcherId,
-        epoch: Epoch,
-        offset: u64,
-    },
-    /// A lagging follower asks the stream's leader for a catch-up range.
+    /// A follower with a hole asks the append's sender, `at`, for the
+    /// records of `stream` from offset `from`.
     ReplFetch {
         stream: MatcherId,
         from: u64,
         by: MatcherId,
+        at: MatcherId,
     },
 }
 
@@ -310,24 +306,17 @@ impl DispatcherPort for SimDispatcherPort<'_> {
 /// host schedules one `Deliver` event per serviced message, because
 /// response time is a per-message quantity (a message matching many
 /// subscriptions still counts once, exactly as the original testbed
-/// measured it); match hits are counted via `record_match_work`.
+/// measured it); match hits are counted via `record_match_work`. Sub-log
+/// appends become `ReplAppend` events one hop later (a send cannot fail:
+/// every live matcher holds the current table), and forwarded writes are
+/// collected for the host to apply at once, as the dispatcher's are.
 struct SimMatcherPort<'a> {
     m: MatcherId,
     now: Time,
     net_latency: Time,
     queue: &'a mut EventQueue<Event>,
-}
-
-impl<'a> SimMatcherPort<'a> {
-    fn new(m: MatcherId, now: Time, cfg: &SimConfig, queue: &'a mut EventQueue<Event>) -> Self {
-        let net_latency = cfg.net_latency;
-        SimMatcherPort {
-            m,
-            now,
-            net_latency,
-            queue,
-        }
-    }
+    writes: &'a mut Vec<(MatcherId, MatcherId, SubLogRecord)>,
+    counts: &'a mut ReplCounts,
 }
 
 impl MatcherPort for SimMatcherPort<'_> {
@@ -352,6 +341,25 @@ impl MatcherPort for SimMatcherPort<'_> {
     }
 
     fn duplicate_suppressed(&mut self) {}
+
+    fn replicate(&mut self, to: MatcherId, append: &ReplicatedAppend<SubLogRecord>) -> bool {
+        let (from, frame) = (self.m, append.clone());
+        let at = self.now + self.net_latency;
+        self.queue.push(at, Event::ReplAppend { to, from, frame });
+        true
+    }
+
+    fn forward(&mut self, to: MatcherId, stream: MatcherId, rec: SubLogRecord) {
+        self.writes.push((to, stream, rec));
+    }
+
+    fn count(&mut self, what: SubLogCount, n: u64) {
+        match what {
+            SubLogCount::Fenced => self.counts.fenced += n,
+            SubLogCount::Promoted => self.counts.promoted += n,
+            _ => {}
+        }
+    }
 }
 
 /// The simulated deployment.
@@ -387,13 +395,14 @@ pub struct SimCluster {
     /// `(message, matcher, dimension)` per first forward, when enabled.
     forward_log: Option<Vec<(MessageId, MatcherId, DimIdx)>>,
     /// `(matcher, stream, record)` per store or remove frame the
-    /// dispatcher tier sent, awaiting application.
+    /// dispatcher tier or a matcher sent, awaiting application.
     writes: Vec<(MatcherId, MatcherId, SubLogRecord)>,
-    /// The replicated subscription-log layer, when enabled: the
-    /// engine's stream sets on the matchers, driven by `Repl*` events
-    /// under virtual time (the sim analogue of the threaded cluster's
-    /// durable sub-logs).
-    replication: Option<ReplState>,
+    /// Whether the replicated subscription-log layer is on: the matcher
+    /// engines' in-memory streams, driven by `Repl*` events under virtual
+    /// time (the sim analogue of the threaded cluster's durable
+    /// sub-logs).
+    replicated: bool,
+    counts: ReplCounts,
     /// Metrics of the whole simulation so far.
     pub metrics: Metrics,
 }
@@ -411,7 +420,7 @@ impl SimCluster {
         let matchers = table
             .live
             .iter()
-            .map(|&id| (id, SimMatcher::new(id, &space, &cfg)))
+            .map(|&id| (id, SimMatcher::new(id, &space, &cfg, false)))
             .collect::<HashMap<_, _>>();
         let dispatcher = DispatcherEngine::new(DispatcherEngineConfig {
             policy,
@@ -439,9 +448,11 @@ impl SimCluster {
             idle_flush_pending: false,
             forward_log,
             writes: Vec::new(),
-            replication: None,
+            replicated: false,
+            counts: ReplCounts::default(),
             metrics: Metrics::new(0.5),
         };
+        c.hand_table();
         // Kick off the periodic stats pushes. The first fires immediately
         // so dispatchers know per-dimension subscription counts from the
         // first message (otherwise the pre-report window herds everything
@@ -491,30 +502,26 @@ impl SimCluster {
     }
 
     /// Turns the replicated subscription-log layer on: every matcher's
-    /// mutation stream is mirrored to its clockwise heir through delayed
+    /// mutation stream is streamed to its clockwise heir through delayed
     /// `Repl*` events (the in-memory analogue of the threaded cluster's
     /// durable sub-logs), and [`Self::kill_matcher`] fails streams over
-    /// by heir promotion instead of losing the copies with the node.
-    pub fn enable_replication(&mut self, min_isr: usize) {
-        let min_isr = min_isr.max(1);
+    /// by heir promotion instead of losing the copies with the node. Call
+    /// it before the first subscription: the matchers restart empty.
+    pub fn enable_replication(&mut self) {
+        self.replicated = true;
         for (&id, m) in &mut self.matchers {
-            m.repl = Some(own_streams(id, min_isr));
+            *m = SimMatcher::new(id, &self.space, &self.cfg, true);
         }
         self.control.replicate();
-        self.replication = Some(ReplState {
-            min_isr,
-            fenced: 0,
-            promoted: 0,
-        });
+        self.hand_table();
     }
 
     /// The replication layer, when enabled.
     pub fn replication(&self) -> Option<Replication<'_>> {
-        let state = self.replication.as_ref()?;
-        Some(Replication {
+        self.replicated.then_some(Replication {
             matchers: &self.matchers,
-            fenced: state.fenced,
-            promoted: state.promoted,
+            fenced: self.counts.fenced,
+            promoted: self.counts.promoted,
         })
     }
 
@@ -550,74 +557,62 @@ impl SimCluster {
     /// store and remove frames it sends.
     fn write(&mut self, event: DispatcherEvent) {
         self.feed_dispatcher(event);
-        for (m, stream, rec) in std::mem::take(&mut self.writes) {
-            self.write_at(m, stream, rec);
+        self.apply_writes();
+    }
+
+    /// Applies the pending store, remove and retire frames — each at its
+    /// matcher, through the engine's `write`, as the threaded matcher
+    /// takes a frame — and then the ones those send on, until none is
+    /// left.
+    fn apply_writes(&mut self) {
+        while !self.writes.is_empty() {
+            for (m, stream, rec) in std::mem::take(&mut self.writes) {
+                self.with_matcher(m, |e, port| e.write(rec, stream, port));
+            }
         }
     }
 
-    /// A `StoreSub` or `RemoveSub` frame for `stream`'s copy arriving at
-    /// matcher `m`, served where the engine's write rule puts it, as the
-    /// threaded matcher does.
-    fn write_at(&mut self, m: MatcherId, stream: MatcherId, rec: SubLogRecord) {
-        let Some(matcher) = self.matchers.get(&m) else {
-            return;
+    /// Runs `step` on matcher `m`'s engine with the simulated port.
+    fn with_matcher<T>(
+        &mut self,
+        m: MatcherId,
+        step: impl FnOnce(&mut MatcherEngine, &mut SimMatcherPort) -> T,
+    ) -> Option<T> {
+        let matcher = self.matchers.get_mut(&m)?;
+        let mut port = SimMatcherPort {
+            m,
+            now: self.now,
+            net_latency: self.cfg.net_latency,
+            queue: &mut self.queue,
+            writes: &mut self.writes,
+            counts: &mut self.counts,
         };
-        match matcher.engine.write_at(&rec, stream, matcher.repl.as_ref()) {
-            Ok(also) => self.apply(m, rec, also),
-            Err(owner) => self.write_at(owner, owner, rec),
-        }
+        Some(step(&mut matcher.engine, &mut port))
     }
 
-    /// A record taking effect at matcher `m`, as the threaded matcher
-    /// applies it: the engine applies `rec` and, with replication on, `m`
-    /// journals it on its own stream and on `also`, streams it leads for
-    /// down owners.
-    fn apply(&mut self, m: MatcherId, rec: SubLogRecord, also: Vec<MatcherId>) {
-        let Some(matcher) = self.matchers.get_mut(&m) else {
-            return;
-        };
-        let mut port = SimMatcherPort::new(m, self.now, &self.cfg, &mut self.queue);
-        if !matcher.engine.apply(&rec, &mut port) || matcher.repl.is_none() {
-            return;
-        }
-        for stream in also {
-            self.journal(m, stream, rec.clone());
-        }
-        self.journal(m, m, rec);
+    /// Whether matcher `m` is running.
+    fn alive(&self, m: MatcherId) -> bool {
+        self.matchers.get(&m).is_some_and(|mm| mm.alive)
     }
 
     /// A `HandOver` frame at the move's donor: the donor keeps serving its
-    /// copies overlapping the range, and the recipient stores them.
+    /// copies overlapping the range, and the recipient's leader of record
+    /// stores them.
     fn hand_over(&mut self, mv: &Move) {
-        let Some(donor) = self.matchers.get_mut(&mv.from) else {
-            return;
-        };
-        let mut port = SimMatcherPort::new(mv.from, self.now, &self.cfg, &mut self.queue);
-        let at = self.control.leader_of(mv.to).unwrap_or(mv.to);
-        for sub in donor.engine.hand_over(mv.dim, &mv.range, &mut port) {
-            self.write_at(at, mv.to, SubLogRecord::Store { dim: mv.dim, sub });
-        }
+        self.with_matcher(mv.from, |e, p| e.hand_over(mv.dim, &mv.range, mv.to, p));
+        self.apply_writes();
     }
 
-    /// Appends `rec` to `stream` at matcher `m` — its own, or one it leads
-    /// since a promotion — and ships the frame to `m`'s clockwise heir,
-    /// one network hop later.
-    fn journal(&mut self, m: MatcherId, stream: MatcherId, rec: SubLogRecord) {
-        let stream = self.streams_mut(m).and_then(|r| r.get_mut(stream));
-        let Some(Ok(Some(frame))) = stream.map(|s| s.append(rec)) else {
-            return;
-        };
-        if let Some(heir) = self.control.heir(m) {
-            self.queue.push(
-                self.now + self.cfg.net_latency,
-                Event::ReplAppend { to: heir, frame },
-            );
+    /// Hands every live member the control plane's members and leader
+    /// book, as the threaded orchestrator pushes its table.
+    fn hand_table(&mut self) {
+        let (leaders, live) = (
+            self.control.leaders(),
+            self.control.live().collect::<Vec<_>>(),
+        );
+        for &m in &live {
+            self.with_matcher(m, |e, port| e.on_table(leaders.clone(), live.clone(), port));
         }
-    }
-
-    /// Matcher `m`'s replicated streams, when it holds any.
-    fn streams_mut(&mut self, m: MatcherId) -> Option<&mut StreamSet<SubLogRecord>> {
-        self.matchers.get_mut(&m)?.repl.as_mut()
     }
 
     /// Runs the cluster for `duration` seconds with messages arriving at
@@ -770,8 +765,7 @@ impl SimCluster {
             admitted_us,
             ack_to,
         } = f;
-        let alive = self.matchers.get(&m).is_some_and(|mm| mm.alive);
-        if !alive {
+        if !self.alive(m) {
             // Sent before the failure was detected. Fire-and-forget
             // loses the message here; with acks on the ledger owns
             // loss accounting (the retransmit schedule will land it
@@ -781,11 +775,10 @@ impl SimCluster {
             }
             return;
         }
-        let matcher = self.matchers.get_mut(&m).expect("alive checked");
-        let mut port = SimMatcherPort::new(m, self.now, &self.cfg, &mut self.queue);
-        matcher
-            .engine
-            .on_match_msg(self.now, dim, msg, admitted_us, ack_to, &mut port);
+        let now = self.now;
+        self.with_matcher(m, |e, port| {
+            e.on_match_msg(now, dim, msg, admitted_us, ack_to, port)
+        });
         self.try_start_service(m);
     }
 
@@ -824,8 +817,7 @@ impl SimCluster {
                     return;
                 }
                 let admitted_at = job.admitted_us as f64 / 1e6;
-                let mut port = SimMatcherPort::new(m, self.now, &self.cfg, &mut self.queue);
-                matcher.engine.complete(job, &hits, service, &mut port);
+                self.with_matcher(m, |e, port| e.complete(job, &hits, service, port));
                 self.queue.push(
                     self.now + self.cfg.net_latency,
                     Event::Deliver { admitted_at },
@@ -879,8 +871,9 @@ impl SimCluster {
                 for mv in retire {
                     let (dim, range, keep) = (mv.dim, mv.range, mv.keep);
                     let retire = SubLogRecord::Retire { dim, range, keep };
-                    self.apply(mv.from, retire, Vec::new());
+                    self.writes.push((mv.from, mv.from, retire));
                 }
+                self.apply_writes();
                 self.switch_table();
             }
             Event::Decommission { m } => {
@@ -904,74 +897,38 @@ impl SimCluster {
                 self.feed_dispatcher(DispatcherEvent::Tick);
                 self.maybe_schedule_tick();
             }
-            Event::ReplAppend { to, frame } => {
-                let (Some(repl), Some(m)) = (self.replication.as_mut(), self.matchers.get_mut(&to))
-                else {
+            Event::ReplAppend { to, from, frame } => {
+                if !self.alive(to) {
                     return;
-                };
-                // A dead (or leaving) holder drops it; the leader's ISR
-                // shows the lag.
-                let Some(streams) = m.repl.as_mut().filter(|_| m.alive) else {
-                    return;
-                };
-                let stream = frame.stream;
-                let Ok(outcome) = streams.accept(&frame);
-                match outcome {
-                    FollowerOutcome::Acked {
-                        epoch, next_offset, ..
-                    } => {
-                        self.queue.push(
-                            self.now + self.cfg.net_latency,
-                            Event::ReplAck {
-                                stream,
-                                follower: to,
-                                epoch,
-                                offset: next_offset,
-                            },
-                        );
-                    }
-                    FollowerOutcome::NeedFetch { from } => {
-                        self.queue.push(
-                            self.now + self.cfg.net_latency,
-                            Event::ReplFetch {
-                                stream,
-                                from,
-                                by: to,
-                            },
-                        );
-                    }
-                    FollowerOutcome::Fenced { current } => {
-                        if frame.epoch < current {
-                            repl.fenced += 1;
-                        }
-                    }
+                }
+                let hole = self.with_matcher(to, |e, port| e.on_append(&frame, port));
+                if let Some(Some(off)) = hole {
+                    let fetch = Event::ReplFetch {
+                        stream: frame.stream,
+                        from: off,
+                        by: to,
+                        at: from,
+                    };
+                    self.queue.push(self.now + self.cfg.net_latency, fetch);
                 }
             }
-            Event::ReplAck {
+            Event::ReplFetch {
                 stream,
-                follower,
-                epoch,
-                offset,
+                from,
+                by,
+                at,
             } => {
-                let now = self.now;
-                if let Some(leader) = self.control.leader_of(stream) {
-                    if let Some(s) = self.streams_mut(leader).and_then(|r| r.get_mut(stream)) {
-                        s.record_ack(follower, epoch, offset, now);
-                    }
+                if !self.alive(at) {
+                    return;
                 }
-            }
-            Event::ReplFetch { stream, from, by } => {
-                if let Some(frame) = self
-                    .control
-                    .leader_of(stream)
-                    .and_then(|l| self.matchers.get(&l)?.repl.as_ref())
-                    .and_then(|r| r.get(stream))
-                    .map(|s| s.serve(from))
-                {
-                    self.queue.push(
-                        self.now + self.cfg.net_latency,
-                        Event::ReplAppend { to: by, frame },
-                    );
+                let served = self.with_matcher(at, |e, _| e.serve(stream, from, false));
+                if let Some(Some(frame)) = served {
+                    let reply = Event::ReplAppend {
+                        to: by,
+                        from: at,
+                        frame,
+                    };
+                    self.queue.push(self.now + self.cfg.net_latency, reply);
                 }
             }
         }
@@ -1087,15 +1044,13 @@ impl SimCluster {
     fn grow(&mut self, loads: &LoadSnapshot) -> Result<MatcherId, ScaleError> {
         let change = self.control.join(loads)?;
         let new_id = change.outcome.matcher();
-        let mut new_matcher = SimMatcher::new(new_id, &self.space, &self.cfg);
-        if let Some(repl) = &self.replication {
-            new_matcher.repl = Some(own_streams(new_id, repl.min_isr));
-        }
-        self.matchers.insert(new_id, new_matcher);
+        let joiner = SimMatcher::new(new_id, &self.space, &self.cfg, self.replicated);
+        self.matchers.insert(new_id, joiner);
         for mv in &change.moves {
             self.hand_over(mv);
         }
         self.control.commit(&change, self.now);
+        self.hand_table();
         // The dispatcher engine keeps routing by its current table until
         // the switch event hands it the post-join one (propagation lag).
         self.queue.push(
@@ -1131,33 +1086,22 @@ impl SimCluster {
             self.hand_over(mv);
         }
         // A stream the victim led for a down owner moves on to its heir as
-        // at a crash, the heir first taking the victim's copy as its
-        // replica; the table is announced at once, as after a crash.
+        // at a crash: the victim steps down with its copy, which the heir
+        // takes as its replica before it promotes. The members get the
+        // post-leave table (the victim's own stream retires with it: its
+        // copies were handed over above), and a promotion is announced to
+        // the dispatcher tier at once, as after a crash.
         let promotions = self.control.commit(&change, self.now);
         for &(stream, heir, epoch) in &promotions {
-            let copy = self
-                .streams_mut(victim)
-                .and_then(|r| r.get(stream))
-                .map(|s| s.serve(0));
-            if let (Some(copy), Some(r)) = (copy, self.streams_mut(heir)) {
-                let _ = r.accept(&copy);
+            let copy = self.with_matcher(victim, |e, _| e.serve(stream, 0, true));
+            if let Some(Some(copy)) = copy {
+                self.with_matcher(heir, |e, port| e.on_append(&copy, port));
             }
             self.promote(stream, heir, epoch);
         }
+        self.hand_table();
         if !promotions.is_empty() {
             self.switch_table();
-        }
-        // The victim's own stream retires with it: graceful leave hands
-        // the engine copies over above, so there is nothing left to
-        // replay, and the rest of the deployment forgets it as stream and
-        // holder.
-        if let Some(v) = self.matchers.get_mut(&victim) {
-            v.repl = None;
-        }
-        for streams in self.matchers.values_mut().filter_map(|m| m.repl.as_mut()) {
-            streams.remove(victim);
-            let led = streams.iter_mut().filter_map(|s| s.leader_mut());
-            led.for_each(|set| set.remove_follower(victim));
         }
         // Nothing to retire at the switch: the heirs keep their new
         // copies, and the victim's disappear at decommission.
@@ -1203,8 +1147,6 @@ impl SimCluster {
             return;
         };
         matcher.alive = false;
-        // The victim's replicas and unreplicated tails die with it.
-        matcher.repl = None;
         let dropped = matcher.engine.drop_queued();
         if !self.cfg.engine.retry.acks {
             for _ in 0..dropped {
@@ -1215,40 +1157,35 @@ impl SimCluster {
             self.now + self.cfg.detection_delay,
             Event::DetectFailure { m },
         );
-        // With replication on, the control plane fails every stream the
-        // victim led over to its clockwise heir. In-flight appends from
-        // the deposed leader arrive with the old epoch and are fenced.
+        // What the victim sent before it died still lands, ahead of the
+        // promotion, as on the threaded cluster's first-in first-out
+        // inboxes; what was sent to it is lost (its replicas and
+        // unreplicated tails die with it). Then, with replication on, the
+        // control plane fails every stream the victim led over to its
+        // clockwise heir, and the members get the new table.
+        let sent = |e: &Event| matches!(e, Event::ReplAppend { from, .. } if *from == m);
+        for (_, e) in self.queue.take(sent) {
+            self.handle(e);
+        }
         for (stream, heir, epoch) in self.control.crash(m) {
             self.promote(stream, heir, epoch);
         }
+        self.hand_table();
         // A replicated crash is announced at once, as the threaded
         // orchestrator does: the tier drops the victim from its address
         // book and sends its publications and writes to the promoted
         // leaders. (The port cannot fail a send, so without the new book a
         // write would go to the dead owner and be lost.)
-        if self.replication.is_some() {
+        if self.replicated {
             self.detected_dead.insert(m);
             self.switch_table();
         }
     }
 
-    /// Promotes `heir` to lead `stream` at `epoch`: it resumes at its
-    /// replicated offset, its engine adopts the stream, and it journals
-    /// the inherited copies on its own stream — a `SubLogPromote` at a
-    /// threaded matcher — so they survive the heir's crash too.
+    /// Promotes `heir` to lead `stream` at `epoch` — a `SubLogPromote`
+    /// at a threaded matcher.
     fn promote(&mut self, stream: MatcherId, heir: MatcherId, epoch: Epoch) {
-        let (Some(repl), Some(h)) = (self.replication.as_mut(), self.matchers.get_mut(&heir))
-        else {
-            return;
-        };
-        let Some(Ok(replay)) = h.repl.as_mut().map(|s| s.promote(stream, epoch)) else {
-            return;
-        };
-        repl.promoted += replay.len() as u64;
-        let mut port = SimMatcherPort::new(heir, self.now, &self.cfg, &mut self.queue);
-        for rec in h.engine.adopt(replay, &mut port) {
-            self.journal(heir, heir, rec);
-        }
+        self.with_matcher(heir, |e, port| e.promote(stream, epoch, port));
     }
 
     /// Per-matcher subscription-copy counts (diagnostics / load split).

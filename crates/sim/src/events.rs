@@ -79,6 +79,16 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|s| (s.at, s.event))
     }
 
+    /// Removes the events `pick` selects and returns them in firing
+    /// order.
+    pub fn take(&mut self, pick: impl Fn(&E) -> bool) -> Vec<(Time, E)> {
+        let all = std::mem::take(&mut self.heap).into_vec();
+        let (mut picked, kept): (Vec<_>, Vec<_>) = all.into_iter().partition(|s| pick(&s.event));
+        self.heap = kept.into();
+        picked.sort_unstable_by(|a, b| b.cmp(a));
+        picked.into_iter().map(|s| (s.at, s.event)).collect()
+    }
+
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|s| s.at)

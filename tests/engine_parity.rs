@@ -21,11 +21,14 @@
 //! Runs on three fixed seeds; `CHAOS_SEED=<u64>` runs an extra replay
 //! seed, which is how the CI chaos matrix sweeps it.
 
-use bluedove::cluster::{Cluster, ClusterConfig, PolicyKind, TransportKind};
+use bluedove::cluster::{
+    Cluster, ClusterConfig, Log, LogConfig, PolicyKind, SubLogRecord, TransportKind,
+};
 use bluedove::core::{
     AttributeSpace, DimIdx, IndexKind, InnerKind, MatcherId, Message, MessageId, RandomPolicy,
     Subscription,
 };
+use bluedove::engine::ScalePlan;
 use bluedove::net::ReactorConfig;
 use bluedove::sim::{SimCluster, SimConfig, Strategy};
 use bluedove::workload::{PaperWorkload, Scenario, SpatioTextual};
@@ -474,7 +477,7 @@ fn placement_parity_across_a_crash() {
         Strategy::bluedove(fx.space.clone(), N_MATCHERS),
         Box::new(RandomPolicy),
     );
-    sim.enable_replication(1);
+    sim.enable_replication();
     sim.subscribe_all(subs[..FIRST].iter().cloned());
     sim.drain(1.0); // the heirs' replicas catch up
     sim.kill_matcher(victim);
@@ -541,6 +544,104 @@ fn placement_parity_across_a_crash() {
     }
     assert_eq!(got, want, "per-matcher copies, cluster vs simulator");
     cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Both hosts journal by one protocol. The same subscribe / join /
+/// crash / subscribe / unsubscribe / leave sequence, with replication on,
+/// leaves both with the same leader book and, at every stream's leader,
+/// the same retained records. The workload seed is `CHAOS_SEED`, else 7.
+#[test]
+fn journal_parity_across_join_crash_and_leave() {
+    const FIRST: usize = 80;
+    const N: usize = 120;
+    let seed = std::env::var("CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.trim().parse::<u64>().ok())
+        .unwrap_or(7);
+    let fx = workload(seed);
+    // Stamped as the threaded cluster stamps them: subscriber and
+    // subscription ids count up from 1 in registration order.
+    let subs: Vec<Subscription> = (1..)
+        .zip(&fx.subs[..N])
+        .map(|(i, s)| Subscription {
+            id: bluedove::core::SubscriptionId(i),
+            subscriber: bluedove::core::SubscriberId(i),
+            ..s.clone()
+        })
+        .collect();
+    let gone = |i: usize| i.is_multiple_of(3);
+    let (victim, leaver) = (MatcherId(1), MatcherId(2));
+    let index = IndexKind::Cell(64);
+
+    let mut cfg = SimConfig::default();
+    cfg.engine.index = index;
+    let mut sim = SimCluster::new(
+        cfg,
+        fx.space.clone(),
+        Strategy::bluedove(fx.space.clone(), 4),
+        Box::new(RandomPolicy),
+    );
+    sim.enable_replication();
+    sim.subscribe_all(subs[..FIRST].iter().cloned());
+    sim.drain(1.0);
+    sim.apply_scale(&ScalePlan::grow()).unwrap();
+    sim.drain(3.0); // the table switch retires the donors' copies
+    sim.kill_matcher(victim);
+    sim.subscribe_all(subs[FIRST..].iter().cloned());
+    for (_, s) in subs.iter().enumerate().filter(|&(i, _)| gone(i)) {
+        sim.unsubscribe(s);
+    }
+    sim.drain(1.0);
+    sim.remove_matcher(leaver).unwrap();
+    sim.drain(3.0);
+
+    let dir = std::env::temp_dir().join(format!("bluedove-journal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cluster = Cluster::start(
+        ClusterConfig::new(fx.space.clone())
+            .matchers(4)
+            .index(index)
+            .log_dir(&dir),
+    );
+    let mut handles: Vec<_> = subs[..FIRST]
+        .iter()
+        .map(|s| cluster.subscribe(s.clone()).unwrap())
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+    cluster.apply_scale(&ScalePlan::grow()).unwrap();
+    std::thread::sleep(Duration::from_millis(300)); // the donors retire
+    cluster.kill_matcher(victim);
+    handles.extend(
+        subs[FIRST..]
+            .iter()
+            .map(|s| cluster.subscribe(s.clone()).unwrap()),
+    );
+    for (_, h) in handles.iter().enumerate().filter(|&(i, _)| gone(i)) {
+        cluster.unsubscribe(h).unwrap();
+    }
+    std::thread::sleep(Duration::from_millis(300));
+    cluster.remove_matcher(leaver).unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    let book = cluster.control().leaders();
+    cluster.shutdown();
+
+    assert_eq!(book, sim.control().leaders(), "leader books");
+    let repl = sim.replication().expect("replicated");
+    for &(stream, leader, _) in &book {
+        let base = if stream == leader {
+            format!("m{}.sublog", leader.0)
+        } else {
+            format!("m{}.follows.m{}.sublog", leader.0, stream.0)
+        };
+        let (_, on_disk) = Log::<SubLogRecord>::open(&dir, &base, LogConfig::default()).unwrap();
+        let in_sim = repl.copy(stream, leader).map(|s| s.records());
+        assert_eq!(
+            Some(&on_disk[..]),
+            in_sim,
+            "stream {stream:?} at its leader {leader:?}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
