@@ -1,10 +1,13 @@
 //! Index-structure ablation: matching cost per message for the three
 //! per-dimension index structures, across subscription-set sizes.
 //!
-//! This quantifies the DESIGN.md ablation "linear vs bucketed cells vs
+//! This quantifies the DESIGN.md ablation "linear vs cell grid vs
 //! interval tree" and the §III-A claim that separate per-dimension sets
 //! (smaller sets → fewer examined) are the key to matching throughput.
+//! Each matching timing is preceded by the subscriptions a probe examines
+//! on average over the same messages.
 
+use bluedove_core::index::MatchIndex;
 use bluedove_core::{DimIdx, IndexKind, InnerKind, Message};
 use bluedove_workload::{CoverableWorkload, PaperWorkload};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -22,7 +25,6 @@ fn bench_matching(c: &mut Criterion) {
         for (label, kind) in [
             ("linear", IndexKind::Linear),
             ("cell64", IndexKind::Cell(64)),
-            ("cell1024", IndexKind::Cell(1024)),
             ("interval-tree", IndexKind::IntervalTree),
         ] {
             group.bench_with_input(BenchmarkId::new(label, size), &size, |b, _| {
@@ -32,8 +34,13 @@ fn bench_matching(c: &mut Criterion) {
                 }
                 let mut out = Vec::new();
                 let mut i = 0;
-                // Warm (forces the interval tree rebuild outside timing).
-                idx.matching(&msgs[0], &mut out);
+                // Also warms (forces the interval tree rebuild outside
+                // timing).
+                print_examined(
+                    &format!("index_matching/{label}/{size}"),
+                    idx.as_mut(),
+                    &msgs,
+                );
                 b.iter(|| {
                     out.clear();
                     let m: &Message = &msgs[i % msgs.len()];
@@ -44,6 +51,23 @@ fn bench_matching(c: &mut Criterion) {
         }
     }
     group.finish();
+}
+
+/// Prints the mean number of subscriptions a probe of `idx` examines
+/// over `msgs`.
+fn print_examined(label: &str, idx: &mut dyn MatchIndex, msgs: &[Message]) {
+    let mut out = Vec::new();
+    let examined: usize = msgs
+        .iter()
+        .map(|m| {
+            out.clear();
+            idx.matching(m, &mut out)
+        })
+        .sum();
+    println!(
+        "{label}: examined_per_probe={:.1}",
+        examined as f64 / msgs.len() as f64
+    );
 }
 
 fn bench_insert(c: &mut Criterion) {
@@ -116,7 +140,11 @@ fn bench_covering(c: &mut Criterion) {
                 );
                 let mut out = Vec::new();
                 let mut i = 0;
-                idx.matching(&msgs[0], &mut out);
+                print_examined(
+                    &format!("index_covering/{label}/{size}"),
+                    idx.as_mut(),
+                    &msgs,
+                );
                 b.iter(|| {
                     out.clear();
                     let m: &Message = &msgs[i % msgs.len()];

@@ -76,8 +76,8 @@ fn bench_elastic_split(c: &mut Criterion) {
                 };
                 let moves = mp
                     .table_mut()
-                    .split_join(bluedove_core::MatcherId(n), |m, _| m.0 as f64);
-                moves.len()
+                    .split_join(bluedove_core::MatcherId(n), |m, _| Some(m.0 as f64));
+                moves.map_or(0, |m| m.len())
             });
         });
     }

@@ -1096,7 +1096,17 @@ impl Cluster {
         let node = MatcherNode::spawn(cfg, self.shared.clone(), transport);
         self.matchers.insert(new_id, node);
         self.generations.insert(new_id, 1);
-        self.hand_over(&change.moves)?;
+        if let Err(e) = self.hand_over(&change.moves) {
+            // Never committed: stop the joiner, and the donors keep what
+            // they shipped it.
+            if let Some(node) = self.matchers.remove(&new_id) {
+                self.base.unbind(&node.addr);
+                node.crash();
+                node.join();
+            }
+            self.generations.remove(&new_id);
+            return Err(e);
+        }
 
         // Flip the routing table: matchers install it and dispatchers get
         // it pushed (they also pull it) — safe now that every hand-over

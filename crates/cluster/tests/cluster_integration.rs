@@ -307,6 +307,49 @@ fn crash_failover_keeps_delivering() {
 }
 
 #[test]
+fn a_join_never_takes_a_down_donor() {
+    // With an empty load snapshot every load ties and the lowest id would
+    // donate; M0 is down, so the join must split a live matcher instead
+    // and keep delivering.
+    let sp = space();
+    let mut cluster = Cluster::start(ClusterConfig::new(sp.clone()).matchers(4));
+    let subscriber = cluster
+        .subscribe(
+            Subscription::builder(&sp)
+                .range(0, 300.0, 500.0)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+    cluster.kill_matcher(MatcherId(0));
+    let new = cluster.add_matcher().unwrap();
+    assert_eq!(new, MatcherId(4));
+    assert_eq!(cluster.matcher_ids(), [1, 2, 3, 4].map(MatcherId).to_vec());
+    for i in 0..10 {
+        let v = 300.0 + 20.0 * i as f64;
+        cluster.publish(Message::new(vec![v, v, v, v])).unwrap();
+    }
+    for i in 0..10 {
+        assert!(
+            subscriber.recv_timeout(Duration::from_secs(5)).is_some(),
+            "delivery {i} missing after the join"
+        );
+    }
+    cluster.shutdown();
+
+    // No live owner at all: refused, and nothing is left running.
+    let mut cluster = Cluster::start(ClusterConfig::new(space()).matchers(2));
+    cluster.kill_matcher(MatcherId(0));
+    cluster.kill_matcher(MatcherId(1));
+    assert!(matches!(
+        cluster.add_matcher(),
+        Err(ClusterError::Scale(ScaleError::NoLiveDonor(_)))
+    ));
+    assert!(cluster.matcher_ids().is_empty());
+    cluster.shutdown();
+}
+
+#[test]
 fn a_matcher_that_left_cannot_be_restarted() {
     // A graceful leave takes the matcher out of the table for good: a
     // restart is for crashed members only, so it must neither respawn the

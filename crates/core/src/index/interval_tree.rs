@@ -137,7 +137,7 @@ impl MatchIndex for IntervalTreeIndex {
     }
 
     fn insert(&mut self, sub: Subscription) {
-        self.slab.insert(&sub, self.dim);
+        self.slab.insert(&sub);
         self.dirty = true;
     }
 

@@ -34,7 +34,7 @@ impl MatchIndex for LinearScanIndex {
     }
 
     fn insert(&mut self, sub: Subscription) {
-        self.slab.insert(&sub, self.dim);
+        self.slab.insert(&sub);
     }
 
     fn remove(&mut self, id: SubscriptionId) -> Option<Subscription> {

@@ -13,9 +13,10 @@
 //!   the paper's evaluation (matching time ∝ subscriptions searched) is
 //!   this structure's behaviour, so the simulator uses its examined-count
 //!   as the canonical service-time driver.
-//! - [`CellIndex`] — the copy dimension's domain is bucketed into uniform
-//!   cells; each cell lists the subscriptions whose predicate overlaps it.
-//!   A point query scans one cell.
+//! - [`CellIndex`] — a grid over the copy dimension and the selective
+//!   other dimensions, sized from its own population and rebuilt when it
+//!   halves or doubles; each cell lists the subscriptions whose box meets
+//!   it. A point query scans one cell.
 //! - [`IntervalTreeIndex`] — a centered interval tree over the copy
 //!   dimension's predicate ranges; stabbing queries in `O(log n + m)`.
 //!
@@ -33,8 +34,8 @@
 //! `f64`. The bare indexes address rows by stable slot through a `Slab`
 //! (id → slot map, free list); a freed slot holds an empty range on every
 //! dimension, so it never matches and a scan needs no liveness test.
-//! Cells and tree nodes list slots; covering groups hold their members as
-//! rows of their own, in insertion order.
+//! Grid cells (as `u32`) and tree nodes list slots; covering groups hold
+//! their members as rows of their own, in insertion order.
 //!
 //! `Rows::matches` is the one verifier. It compares all `k` predicates
 //! and combines them with a non-short-circuit `&`, so verifying a
@@ -43,11 +44,11 @@
 //! rebuilt from its row only when it leaves the index (`remove`,
 //! `extract_overlapping`) or is snapshotted.
 //!
-//! The layout does not change what is examined: linear scans count the
-//! live subscriptions, a cell probe counts the probed cell's population
-//! (cells list live slots only), the tree counts its stabbed intervals,
-//! and covering adds the members of matched representatives. Match sets
-//! and hit order are those of the slot and cell order, as before.
+//! What is examined: linear scans count the live subscriptions, a cell
+//! probe counts the probed cell's population (cells list live slots
+//! only), the tree counts its stabbed intervals, and covering adds the
+//! members of matched representatives. Match sets and hit order are those
+//! of the slot and cell order.
 
 mod cell;
 mod covering;
@@ -73,8 +74,7 @@ pub type MatchHit = (SubscriptionId, SubscriberId);
 /// The interface every per-dimension subscription index implements.
 ///
 /// All implementations verify the *full* conjunction of predicates before
-/// reporting a hit; the index structure only prunes along the copy
-/// dimension.
+/// reporting a hit; the index structure only prunes candidates.
 pub trait MatchIndex: Send {
     /// The copy dimension this set was populated along.
     fn dim(&self) -> DimIdx;
@@ -141,7 +141,9 @@ pub trait MatchIndex: Send {
 pub enum IndexKind {
     /// Scan every subscription (the paper's implicit cost model).
     Linear,
-    /// Uniform bucketing of the copy dimension with this many cells.
+    /// Self-sizing cell grid over the copy dimension and the selective
+    /// other dimensions ([`CellIndex`]). The count sizes nothing: the
+    /// grid sizes itself from its population.
     Cell(usize),
     /// Centered interval tree (rebuilt lazily after mutation).
     IntervalTree,
@@ -163,7 +165,7 @@ pub enum IndexKind {
 pub enum InnerKind {
     /// Scan every representative.
     Linear,
-    /// Uniform bucketing with this many cells.
+    /// Self-sizing cell grid; the count sizes nothing.
     Cell(usize),
     /// Centered interval tree.
     IntervalTree,
@@ -185,7 +187,7 @@ impl IndexKind {
     pub fn build(self, space: &AttributeSpace, dim: DimIdx) -> Box<dyn MatchIndex> {
         match self {
             IndexKind::Linear => Box::new(LinearScanIndex::new(dim)),
-            IndexKind::Cell(cells) => Box::new(CellIndex::new(space, dim, cells)),
+            IndexKind::Cell(_) => Box::new(CellIndex::new(space, dim)),
             IndexKind::IntervalTree => Box::new(IntervalTreeIndex::new(dim)),
             IndexKind::Covering { inner } => Box::new(CoveringIndex::new(space, dim, inner)),
         }
@@ -364,18 +366,16 @@ impl Slab {
     }
 
     /// Stores `sub` and returns its slot. A re-registered id keeps its
-    /// slot and has its row overwritten; its previous predicate on `dim`
-    /// is returned too, for structures that link the slot by that range.
-    pub(crate) fn insert(&mut self, sub: &Subscription, dim: DimIdx) -> (usize, Option<Range>) {
+    /// slot and has its row overwritten.
+    pub(crate) fn insert(&mut self, sub: &Subscription) -> usize {
         if self.rows.k == 0 && self.rows.len() == 0 {
             self.rows.k = sub.k();
         }
         match self.by_id.entry(sub.id) {
             Entry::Occupied(e) => {
                 let slot = *e.get();
-                let prev = self.rows.range(slot, dim);
                 self.rows.set(slot, sub);
-                (slot, Some(prev))
+                slot
             }
             Entry::Vacant(e) => {
                 let slot = match self.free.pop() {
@@ -386,9 +386,14 @@ impl Slab {
                     None => self.rows.push(sub),
                 };
                 e.insert(slot);
-                (slot, None)
+                slot
             }
         }
+    }
+
+    /// The slot holding `id`, if stored.
+    pub(crate) fn slot(&self, id: SubscriptionId) -> Option<usize> {
+        self.by_id.get(&id).copied()
     }
 
     /// Removes `id`, returning its former slot and the subscription
@@ -533,9 +538,9 @@ mod tests {
         let mut slab = Slab::default();
         let s1 = test_support::sub(&space, 1, &[(0, 0.0, 10.0)]);
         let s2 = test_support::sub(&space, 2, &[(0, 20.0, 30.0)]);
-        let (slot1, _) = slab.insert(&s1, DimIdx(0));
+        let slot1 = slab.insert(&s1);
         assert_eq!(slab.remove(SubscriptionId(1)), Some((slot1, s1)));
-        let (slot2, _) = slab.insert(&s2, DimIdx(0));
+        let slot2 = slab.insert(&s2);
         assert_eq!(slot1, slot2, "freed slot should be reused");
         assert_eq!(slab.len(), 1);
         assert_eq!(slab.rows().len(), 1);
@@ -548,10 +553,8 @@ mod tests {
         let mut slab = Slab::default();
         let s1 = test_support::sub(&space, 7, &[(0, 0.0, 10.0)]);
         let s1b = test_support::sub(&space, 7, &[(0, 50.0, 60.0)]);
-        let (slot, prev) = slab.insert(&s1, DimIdx(0));
-        assert_eq!(prev, None);
-        let replaced = slab.insert(&s1b, DimIdx(0));
-        assert_eq!(replaced, (slot, Some(Range::new(0.0, 10.0))), "same slot");
+        let slot = slab.insert(&s1);
+        assert_eq!(slab.insert(&s1b), slot, "same slot");
         assert_eq!(slab.len(), 1);
         assert_eq!(slab.rows().range(slot, DimIdx(0)), Range::new(50.0, 60.0));
         assert_eq!(slab.snapshot(), vec![s1b]);
@@ -583,7 +586,7 @@ mod tests {
         let space = AttributeSpace::uniform(2, 0.0, 1000.0);
         let mut slab = Slab::with_k(2);
         let s = test_support::sub(&space, 3, &[(0, 100.0, 200.0), (1, 0.0, 50.0)]);
-        let (slot, _) = slab.insert(&s, DimIdx(0));
+        let slot = slab.insert(&s);
         let rows = slab.rows();
         assert!(rows.matches(slot, &[100.0, 0.0]), "lo is inclusive");
         assert!(!rows.matches(slot, &[200.0, 0.0]), "hi is exclusive");
@@ -605,14 +608,14 @@ mod tests {
             subscriber: SubscriberId(1),
             predicates: vec![Range::new(0.0, 10.0)],
         };
-        let (slot, _) = slab.insert(&narrow, DimIdx(0));
+        let slot = slab.insert(&narrow);
         assert!(slab.rows().matches(slot, &[5.0, 1e300]));
         let wide = Subscription {
             id: SubscriptionId(2),
             subscriber: SubscriberId(2),
             predicates: vec![Range::new(0.0, 10.0); 3],
         };
-        let (slot, _) = slab.insert(&wide, DimIdx(0));
+        let slot = slab.insert(&wide);
         assert_eq!(slab.snapshot()[1].k(), 2);
         assert_eq!(slab.rows().range(slot, DimIdx(2)).width(), f64::INFINITY);
         assert!(slab.rows().matches(slot, &[5.0, 5.0]));

@@ -222,30 +222,34 @@ impl SegmentTable {
 
     /// Admits a new matcher by splitting, on every dimension, the segment
     /// of the matcher reported most loaded by `load` (ties break to the
-    /// lowest id). The new matcher takes the upper half. Returns the
-    /// `(dim, donor, transferred_range)` triples so the caller can move the
-    /// affected subscriptions (§III-C / §IV-E).
+    /// lowest id); `load` gives `None` for a matcher that may not donate.
+    /// The new matcher takes the upper half. Returns the `(dim, donor,
+    /// transferred_range)` triples so the caller can move the affected
+    /// subscriptions (§III-C / §IV-E), or, with the table unchanged, the
+    /// first dimension no owner of which may donate.
     pub fn split_join(
         &mut self,
         new: MatcherId,
-        mut load: impl FnMut(MatcherId, DimIdx) -> f64,
-    ) -> Vec<(DimIdx, MatcherId, Range)> {
-        let mut moves = Vec::with_capacity(self.k());
+        mut load: impl FnMut(MatcherId, DimIdx) -> Option<f64>,
+    ) -> Result<Vec<(DimIdx, MatcherId, Range)>, DimIdx> {
+        // Pick the most loaded eligible owner on every dimension first.
+        let mut donors = Vec::with_capacity(self.k());
         for di in 0..self.dims.len() {
             let dim = DimIdx(di as u16);
-            // Pick the most loaded owner on this dimension.
-            let owners = {
-                let mut o: Vec<MatcherId> = self.dims[di].iter().map(|s| s.owner).collect();
-                o.sort_unstable();
-                o.dedup();
-                o
-            };
+            let mut owners: Vec<MatcherId> = self.dims[di].iter().map(|s| s.owner).collect();
+            owners.sort_unstable();
+            owners.dedup();
             let donor = owners
                 .into_iter()
-                .map(|m| (m, load(m, dim)))
+                .filter_map(|m| Some((m, load(m, dim)?)))
                 .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(b.0.cmp(&a.0)))
-                .expect("non-empty table")
+                .ok_or(dim)?
                 .0;
+            donors.push(donor);
+        }
+        let mut moves = Vec::with_capacity(self.k());
+        for (di, donor) in donors.into_iter().enumerate() {
+            let dim = DimIdx(di as u16);
             // Split the donor's widest segment on this dimension in half.
             let segs = &mut self.dims[di];
             let (pos, _) = segs
@@ -269,7 +273,7 @@ impl SegmentTable {
         }
         self.version += 1;
         self.debug_check();
-        moves
+        Ok(moves)
     }
 
     /// Removes a matcher, handing each of its segments to the adjacent
@@ -432,10 +436,11 @@ mod tests {
         let mut t = table(2); // two matchers, segments of width 500
         let v0 = t.version();
         // M1 is the most loaded everywhere.
-        let moves = t.split_join(
-            MatcherId(2),
-            |m, _| if m == MatcherId(1) { 10.0 } else { 1.0 },
-        );
+        let moves = t
+            .split_join(MatcherId(2), |m, _| {
+                Some(if m == MatcherId(1) { 10.0 } else { 1.0 })
+            })
+            .unwrap();
         assert_eq!(moves.len(), 3);
         for (dim, donor, range) in &moves {
             assert_eq!(*donor, MatcherId(1));
@@ -444,6 +449,20 @@ mod tests {
         }
         assert_eq!(t.matcher_count(), 3);
         assert!(t.version() > v0);
+    }
+
+    #[test]
+    fn split_join_takes_only_eligible_donors() {
+        let mut t = table(2);
+        // M0 may not donate: M1 does although it is less loaded.
+        let moves = t
+            .split_join(MatcherId(2), |m, _| (m != MatcherId(0)).then_some(1.0))
+            .unwrap();
+        assert!(moves.iter().all(|&(_, donor, _)| donor == MatcherId(1)));
+        // No eligible owner: refused, table untouched.
+        let before = t.clone();
+        assert_eq!(t.split_join(MatcherId(3), |_, _| None), Err(DimIdx(0)));
+        assert_eq!(t, before);
     }
 
     #[test]
@@ -483,8 +502,8 @@ mod tests {
     #[test]
     fn join_then_leave_round_trips_coverage() {
         let mut t = table(4);
-        t.split_join(MatcherId(4), |_, _| 1.0);
-        t.split_join(MatcherId(5), |_, _| 1.0);
+        t.split_join(MatcherId(4), |_, _| Some(1.0)).unwrap();
+        t.split_join(MatcherId(5), |_, _| Some(1.0)).unwrap();
         t.remove_matcher(MatcherId(4)).unwrap();
         t.remove_matcher(MatcherId(5)).unwrap();
         assert_eq!(t.matcher_count(), 4);

@@ -6,13 +6,14 @@
 //! 2. **Index equivalence** — under random insert / remove / re-insert
 //!    sequences, every index kind (bare and covering) returns the match
 //!    set a brute-force `Subscription::matches` over the live set returns,
-//!    including on predicate bounds and domain edges; linear and cell
-//!    indexes examine exactly the live set and the probed cell's
-//!    population; snapshots hold exactly the live set.
+//!    including on predicate bounds and domain edges; linear indexes
+//!    examine exactly the live set and cell grids exactly the live rows
+//!    whose box meets the probed cell, also across rebuilds in both
+//!    directions; snapshots hold exactly the live set.
 //! 3. **Segment-table coverage** — after arbitrary join/leave sequences,
 //!    every dimension stays contiguous, hole-free and fully covering.
 
-use bluedove_core::index::MatchIndex;
+use bluedove_core::index::{CellIndex, MatchIndex};
 use bluedove_core::{
     Assignment, AttributeSpace, DimIdx, IndexKind, InnerKind, MPartition, MatcherId, Message,
     PartitionStrategy, SegmentTable, SubscriberId, Subscription, SubscriptionId,
@@ -80,18 +81,13 @@ fn id_of(id: u64) -> SubscriptionId {
     SubscriptionId(id)
 }
 
-/// Live subscriptions whose `dim` predicate overlaps the uniform cell of
-/// `[0, DOMAIN)` holding `v` (none outside the domain): what a cell index
-/// probe at `v` must examine.
-fn cell_population(live: &BTreeMap<u64, Subscription>, dim: DimIdx, cells: usize, v: f64) -> usize {
-    if !(0.0..DOMAIN).contains(&v) {
-        return 0;
-    }
-    let n = cells as f64;
-    let c = ((v * n / DOMAIN) as usize).min(cells - 1);
-    let cell = bluedove_core::Range::new(c as f64 * DOMAIN / n, (c + 1) as f64 * DOMAIN / n);
+/// Live subscriptions whose box meets the cell `grid` reads for a probe
+/// at `values` (its edge cells are open-ended): what that probe must
+/// examine.
+fn cell_population(live: &BTreeMap<u64, Subscription>, grid: &CellIndex, values: &[f64]) -> usize {
+    let cell = grid.probe_cell(values);
     live.values()
-        .filter(|s| s.predicate(dim).overlaps(&cell))
+        .filter(|s| s.predicates.iter().zip(&cell).all(|(p, c)| p.overlaps(c)))
         .count()
 }
 
@@ -158,6 +154,9 @@ proptest! {
             .into_iter()
             .map(|kind| (kind, kind.build(&space, dim)))
             .collect();
+        // The cell kinds' twin, fed the same writes, shows which cell a
+        // probe reads.
+        let mut grid = CellIndex::new(&space, dim);
 
         // The reference is the live set itself, matched by brute force.
         let mut live: BTreeMap<u64, Subscription> = BTreeMap::new();
@@ -182,10 +181,12 @@ proptest! {
                     for (_, idx) in &mut indexes {
                         idx.insert(s.clone());
                     }
+                    grid.insert(s.clone());
                     live.insert(id, s);
                 }
                 None => {
                     let expect = live.remove(&id);
+                    grid.remove(id_of(id));
                     for (kind, idx) in &mut indexes {
                         prop_assert_eq!(idx.remove(id_of(id)), expect.clone(), "{:?} remove", kind);
                     }
@@ -231,9 +232,9 @@ proptest! {
                 prop_assert!(examined >= truth.len(), "{:?} examined < matched", kind);
                 match kind {
                     IndexKind::Linear => prop_assert_eq!(examined, live.len()),
-                    IndexKind::Cell(n) => prop_assert_eq!(
+                    IndexKind::Cell(_) => prop_assert_eq!(
                         examined,
-                        cell_population(&live, dim, *n, msg.value(dim)),
+                        cell_population(&live, &grid, &msg.values),
                         "cell examined is its population"
                     ),
                     _ => {}
@@ -277,7 +278,7 @@ proptest! {
 
         for join in ops {
             if join {
-                table.split_join(MatcherId(next), |m, _| m.0 as f64);
+                table.split_join(MatcherId(next), |m, _| Some(m.0 as f64)).unwrap();
                 next += 1;
             } else {
                 let ms = table.matchers();
@@ -320,5 +321,94 @@ proptest! {
         // Candidates are one per dimension, always.
         let msg = Message::new(vec![1.0, 2.0, 3.0, 4.0]);
         prop_assert_eq!(part.candidates(&msg).len(), 4);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The grid across rebuilds both ways: grows past 2 000 rows with
+    /// tap-like wildcard rows among them, re-registers a share with moved
+    /// ranges and some to end exactly on a cell boundary, then shrinks to
+    /// a few dozen. After every phase each probe —
+    /// random points, and points on and just below the probed cell's
+    /// boundaries — returns the brute-force match set and examines
+    /// exactly the live rows whose box meets the cell it reads.
+    #[test]
+    fn cell_grid_examines_exactly_its_cell_across_rebuilds(
+        rows in proptest::collection::vec(arb_sub(3), 2_000..2_400),
+        moved in proptest::collection::vec(arb_sub(3), 300),
+        taps in 1usize..6,
+        points in proptest::collection::vec(arb_point(3), 24),
+        dim in 0usize..3,
+    ) {
+        let space = AttributeSpace::uniform(3, 0.0, DOMAIN);
+        let mut grid = CellIndex::new(&space, DimIdx(dim as u16));
+        let mut live: BTreeMap<u64, Subscription> = BTreeMap::new();
+        let check = |grid: &mut CellIndex, live: &BTreeMap<u64, Subscription>| {
+            let mut probes = points.clone();
+            for p in &points {
+                for (d, c) in grid.probe_cell(p).into_iter().enumerate() {
+                    for v in [c.lo, c.lo.next_down(), c.hi, c.hi.next_down()] {
+                        if v.is_finite() {
+                            let mut at = p.clone();
+                            at[d] = v;
+                            probes.push(at);
+                        }
+                    }
+                }
+            }
+            for p in probes {
+                let msg = Message::new(p);
+                let truth: Vec<u64> = live
+                    .values()
+                    .filter(|s| s.matches(&msg))
+                    .map(|s| s.id.0)
+                    .collect();
+                let mut out = Vec::new();
+                let examined = grid.matching(&msg, &mut out);
+                let mut ids: Vec<u64> = out.iter().map(|h| h.0 .0).collect();
+                ids.sort_unstable();
+                prop_assert_eq!(&ids, &truth, "match set at {:?}", &msg.values);
+                prop_assert_eq!(examined, cell_population(live, grid, &msg.values));
+            }
+            prop_assert_eq!(grid.logical_len(), live.len());
+        };
+        let wildcard = vec![(0.0, DOMAIN); 3];
+        for (i, r) in rows.iter().enumerate() {
+            let id = i as u64 + 1;
+            let s = make_sub(&space, id, if i % 400 < taps { &wildcard } else { r });
+            grid.insert(s.clone());
+            live.insert(id, s);
+        }
+        check(&mut grid, &live);
+        for (i, r) in moved.iter().enumerate() {
+            let id = (i * 7 % rows.len()) as u64 + 1;
+            let s = make_sub(&space, id, r);
+            grid.insert(s.clone());
+            live.insert(id, s);
+        }
+        // Rows that end exactly on a cell boundary: `hi` is exclusive.
+        for (i, p) in points.iter().enumerate().take(8) {
+            for (d, c) in grid.probe_cell(p).into_iter().enumerate() {
+                if c.lo.is_finite() {
+                    let mut r = rows[i].clone();
+                    r[d] = ((c.lo - 20.0).max(0.0), c.lo);
+                    let id = (i * 3 + d) as u64 + 1;
+                    let s = make_sub(&space, id, &r);
+                    grid.insert(s.clone());
+                    live.insert(id, s);
+                }
+            }
+        }
+        check(&mut grid, &live);
+        let gone: Vec<u64> = live.keys().copied().filter(|id| id % 50 != 0).collect();
+        for (n, id) in gone.into_iter().enumerate() {
+            prop_assert_eq!(grid.remove(id_of(id)), live.remove(&id));
+            if n % 500 == 0 {
+                check(&mut grid, &live);
+            }
+        }
+        check(&mut grid, &live);
     }
 }

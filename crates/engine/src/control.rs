@@ -47,6 +47,9 @@ pub enum ScaleError {
     StillRunning(MatcherId),
     /// No autoscaler is configured.
     NoAutoscaler,
+    /// No live member owns a segment of this dimension, so a join has no
+    /// donor to split.
+    NoLiveDonor(DimIdx),
 }
 
 impl fmt::Display for ScaleError {
@@ -58,6 +61,9 @@ impl fmt::Display for ScaleError {
             ScaleError::NotAlive(m) => write!(f, "M{} is down and cannot be drained", m.0),
             ScaleError::StillRunning(m) => write!(f, "M{} is still running", m.0),
             ScaleError::NoAutoscaler => write!(f, "no autoscaler configured"),
+            ScaleError::NoLiveDonor(d) => {
+                write!(f, "no live matcher owns a segment of dim {}", d.0)
+            }
         }
     }
 }
@@ -190,14 +196,19 @@ impl ControlEngine {
 
     /// Plans a §III-C join: a fresh id (spent even if never committed)
     /// takes, per dimension, the upper half of the widest segment of the
-    /// donor `loads` reports heaviest (uniform when empty).
+    /// live donor `loads` reports heaviest (uniform when empty). A down
+    /// member never donates; refused when a dimension has no live owner.
     pub fn join(&mut self, loads: &LoadSnapshot) -> Result<Change, ScaleError> {
         let mut mp = self.table_copy()?;
         let id = MatcherId(self.next_id);
-        self.next_id += 1;
+        let down = &self.down;
         let split = mp
             .table_mut()
-            .split_join(id, |m, dim| loads.load_of(m, dim));
+            .split_join(id, |m, dim| {
+                (!down.contains(&m)).then(|| loads.load_of(m, dim))
+            })
+            .map_err(ScaleError::NoLiveDonor)?;
+        self.next_id += 1;
         let moves = split.into_iter().map(|(dim, donor, range)| Move {
             dim,
             from: donor,

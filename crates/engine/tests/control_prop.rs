@@ -158,13 +158,29 @@ fn control_sequence(seed: u64) {
         match rng.gen_range(0..6) {
             0 => {
                 let before = c.strategy().clone();
-                let change = c
-                    .join(&loads(&mut rng, &model.live()))
-                    .expect("BlueDove grows");
+                // An empty snapshot ties every load, as `add_matcher` does.
+                let snap = if rng.gen_bool(0.5) {
+                    loads(&mut rng, &model.live())
+                } else {
+                    LoadSnapshot::empty()
+                };
+                let change = match c.join(&snap) {
+                    Err(ScaleError::NoLiveDonor(_)) => {
+                        // Every member owns a segment of every dimension.
+                        assert!(model.live().is_empty(), "refused with a live member");
+                        assert_eq!(c.strategy(), &before);
+                        continue;
+                    }
+                    other => other.expect("BlueDove grows"),
+                };
                 let id = MatcherId(model.issued);
                 model.issued += 1;
                 assert_eq!(change.outcome, ScaleOutcome::Added(id), "fresh id");
                 assert!(change.moves.iter().all(|mv| mv.to == id));
+                assert!(
+                    change.moves.iter().all(|mv| !model.down.contains(&mv.from)),
+                    "a down member donates"
+                );
                 assert_eq!(c.strategy(), &before, "planning announces nothing");
                 if rng.gen_bool(0.8) {
                     c.commit(&change, now);

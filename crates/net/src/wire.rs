@@ -644,7 +644,7 @@ mod strategy_wire_tests {
     #[test]
     fn segment_table_round_trips() {
         let mut t = table(5, 3);
-        t.split_join(MatcherId(5), |m, _| m.0 as f64);
+        t.split_join(MatcherId(5), |m, _| Some(m.0 as f64)).unwrap();
         let bytes = to_bytes(&t);
         let back: SegmentTable = from_bytes(&bytes).unwrap();
         assert_eq!(back, t);
